@@ -35,8 +35,10 @@ race:
 	$(GO) test -race ./...
 
 # Short-mode equivalence: the determinism suites (worker sweeps AND engine
-# partitioning) plus an end-to-end CLI diff of -workers=1 vs -workers=4 and
-# -domains=1 vs 2 vs 6 output on the converted experiments.
+# partitioning), the golden tests (TestGoldenRegistry renders every
+# registered experiment with a golden row at 1 and 4 workers), plus an
+# end-to-end CLI diff of -workers=1 vs -workers=4 and -domains=1 vs 2 vs 6
+# output on every registered experiment (`ragnar all`).
 equivalence:
 	$(GO) test -run 'Deterministic|Golden|StableAcross' ./internal/parallel ./internal/revengine ./internal/experiments ./internal/lab
 	./scripts/equivalence.sh

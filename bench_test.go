@@ -35,7 +35,7 @@ func printOnce(key, out string) {
 func BenchmarkTable1Taxonomy(b *testing.B) {
 	var out string
 	for i := 0; i < b.N; i++ {
-		out = experiments.RenderTable1(experiments.Table1())
+		out = experiments.Table1().Render()
 	}
 	printOnce("Table I", out)
 }
@@ -44,7 +44,7 @@ func BenchmarkTable1Taxonomy(b *testing.B) {
 func BenchmarkTable3Adapters(b *testing.B) {
 	var out string
 	for i := 0; i < b.N; i++ {
-		out = experiments.RenderTable3()
+		out = experiments.Table3().Render()
 	}
 	printOnce("Table III", out)
 }

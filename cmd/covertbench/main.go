@@ -1,6 +1,6 @@
 // Command covertbench transmits payloads over the three Ragnar covert
 // channels (and the Pythia baseline) and reports Table V-style figures of
-// merit.
+// merit. The full Table V grid is `ragnar table5`.
 //
 // Usage examples:
 //
@@ -8,18 +8,15 @@
 //	covertbench -channel priority -nic cx4
 //	covertbench -channel pythia -nic cx5 -bits 64
 //	covertbench -channel intramr -nic cx6 -message "attack at dawn"
-//	covertbench -channel all -bits 128 -workers 8   # full Table V grid, parallel
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 
 	"github.com/thu-has/ragnar/internal/bitstream"
 	"github.com/thu-has/ragnar/internal/covert"
-	"github.com/thu-has/ragnar/internal/experiments"
 	"github.com/thu-has/ragnar/internal/nic"
 	"github.com/thu-has/ragnar/internal/pcap"
 	"github.com/thu-has/ragnar/internal/pythia"
@@ -28,12 +25,11 @@ import (
 )
 
 func main() {
-	channel := flag.String("channel", "intermr", "priority, intermr, intramr, pythia, or all (Table V grid)")
+	channel := flag.String("channel", "intermr", "priority, intermr, intramr, or pythia")
 	nicName := flag.String("nic", "cx5", "adapter (cx4, cx5, cx6)")
 	bits := flag.Int("bits", 256, "random payload length (ignored with -message)")
 	message := flag.String("message", "", "ASCII payload to transmit instead of random bits")
 	seed := flag.Int64("seed", 1, "deterministic seed")
-	workers := flag.Int("workers", runtime.NumCPU(), "worker goroutines for -channel all (1 = sequential; results are identical at any count)")
 	pcapPath := flag.String("pcap", "", "capture the sender's wire traffic to this pcap file (intermr/intramr)")
 	tracePath := flag.String("trace", "", "record the run's flight-recorder trace to this Chrome trace JSON file")
 	flag.Parse()
@@ -101,12 +97,6 @@ func main() {
 			fatalf("%v", err)
 		}
 		report(run.Result, payload, run.Decoded, *message)
-	case "all":
-		r, err := experiments.Table5(*bits, *seed, *workers)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		fmt.Print(r.Render())
 	case "pythia":
 		ch, err := pythia.New(prof, *seed)
 		if err != nil {
@@ -138,9 +128,9 @@ func report(r covert.Result, sent, got bitstream.Bits, message string) {
 	}
 }
 
-// writeTrace exports the recorder to a Chrome trace JSON file. Channels
-// without a recorder hook (pythia, the parallel all-grid) leave the recorder
-// empty; the file is still valid.
+// writeTrace exports the recorder to a Chrome trace JSON file. A channel
+// without a recorder hook (pythia) leaves the recorder empty; the file is
+// still valid.
 func writeTrace(rec *trace.Recorder, path string) {
 	f, err := os.Create(path)
 	if err != nil {

@@ -82,8 +82,8 @@ func main() {
 		secretOffset, best)
 	if best == secretOffset {
 		fmt.Println("=> exact recovery. The paper's ResNet18 classifier reaches 95.6%")
-		fmt.Println("   over all 17 candidates; run `snoop classify` or the fig13 bench")
-		fmt.Println("   for the full classifier pipeline.")
+		fmt.Println("   over all 17 candidates; run `ragnar fig13` for the full")
+		fmt.Println("   classifier pipeline.")
 	} else {
 		fmt.Println("=> recovered the wrong candidate on this trace; the classifier")
 		fmt.Println("   pipeline averages many traces to reach paper-level accuracy.")

@@ -6,20 +6,6 @@ import (
 	"github.com/thu-has/ragnar/internal/nic"
 )
 
-// TestGoldenClosRender pins the congestion-tree table. The render runs on
-// 2 engine domains, so the golden file — and every CI run that checks it —
-// exercises the partitioned engine's window protocol, not just the serial
-// path.
-func TestGoldenClosRender(t *testing.T) {
-	checkGolden(t, "clos_cx5", func(workers int) string {
-		r, err := Clos(nic.CX5, 2, false, 1, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r.Render()
-	})
-}
-
 // TestClosExperimentDeterministic sweeps engine-domain count and worker
 // count jointly: every (domains, workers) pair must render the identical
 // table. Domain partitioning is the parallel-engine equivalence contract;

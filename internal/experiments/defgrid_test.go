@@ -8,16 +8,6 @@ import (
 	"github.com/thu-has/ragnar/internal/nic"
 )
 
-func TestGoldenDefGridRender(t *testing.T) {
-	checkGolden(t, "defgrid_cx5", func(workers int) string {
-		r, err := DefGrid(nic.CX5, 5, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r.Render()
-	})
-}
-
 // The grid's two headline claims, asserted numerically rather than pinned as
 // bytes: the constant-time TPU reduces the intra-MR (KF4) channel to a coin
 // flip, and the ISO partition's defensive win is not bought with victim

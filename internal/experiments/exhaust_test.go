@@ -6,16 +6,6 @@ import (
 	"github.com/thu-has/ragnar/internal/nic"
 )
 
-func TestGoldenExhaustRender(t *testing.T) {
-	checkGolden(t, "exhaust_cx5", func(workers int) string {
-		r, err := Exhaust(nic.CX5, 3, 1, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r.Render()
-	})
-}
-
 // TestExhaustContentionOracle pins the contention ≡ exhaustion-at-capacity-∞
 // property: the zero-exhaustion corner of the sweep (cell 0: 1 QP, 1 MR, no
 // pause abuse, unconstrained profile) must reproduce the tenants READ/4 KB

@@ -1,8 +1,8 @@
 // Package experiments assembles every table and figure of the paper's
 // evaluation into a runnable, printable experiment. Each function returns a
 // structured result with a Render method producing the rows/series the
-// paper reports; cmd/ragnar and the benchmark harness are thin wrappers
-// over this package.
+// paper reports. Registry lists every experiment once; cmd/ragnar and the
+// benchmark harness are thin wrappers over this package.
 package experiments
 
 import (
@@ -28,9 +28,13 @@ type TaxonomyRow struct {
 	Stealth  string
 }
 
+// Table1Result is Table I, the paper's comparison of RDMA-targeted
+// hardware attacks.
+type Table1Result []TaxonomyRow
+
 // Table1 returns the paper's comparison of RDMA-targeted hardware attacks.
-func Table1() []TaxonomyRow {
-	return []TaxonomyRow{
+func Table1() Table1Result {
+	return Table1Result{
 		{"Zhang [43]", "P", "II", "HARMONIC [22]", "-", "Medium"},
 		{"Kong [18]", "P", "II", "HARMONIC [22]", "-", "Medium"},
 		{"HUSKY [17]", "P", "II", "HARMONIC [22]", "-", "Medium"},
@@ -40,8 +44,8 @@ func Table1() []TaxonomyRow {
 	}
 }
 
-// RenderTable1 formats Table I.
-func RenderTable1(rows []TaxonomyRow) string {
+// Render formats Table I.
+func (rows Table1Result) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "TABLE I: RDMA-targeted HW attacks\n")
 	fmt.Fprintf(&b, "%-12s %-5s %-12s %-28s %-10s %s\n", "Work", "Type", "Grain", "Defended by", "Channel", "Stealth")
@@ -55,23 +59,41 @@ func RenderTable1(rows []TaxonomyRow) string {
 // Tables II and III — environment and adapters
 // ---------------------------------------------------------------------------
 
-// RenderTable3 formats the modelled adapter parameters (Table III plus the
-// calibrated microarchitectural constants).
-func RenderTable3() string {
+// AdapterRow is one line of Table III: a feature's value on each paper
+// adapter.
+type AdapterRow struct {
+	Feature       string
+	CX4, CX5, CX6 string
+}
+
+// Table3Result is Table III plus the calibrated microarchitectural
+// constants of the modelled adapters.
+type Table3Result []AdapterRow
+
+// Table3 returns the modelled adapter parameters.
+func Table3() Table3Result {
+	row := func(name string, f func(p nic.Profile) string) AdapterRow {
+		return AdapterRow{name, f(nic.CX4), f(nic.CX5), f(nic.CX6)}
+	}
+	return Table3Result{
+		row("Speed", func(p nic.Profile) string { return fmt.Sprintf("%.0fGbps", p.LineRateGbps) }),
+		row("HostIF GB/s", func(p nic.Profile) string { return fmt.Sprintf("%.1f", p.PCIeGBps) }),
+		row("TPU base", func(p nic.Profile) string { return p.TPUBase.String() }),
+		row("TPU banks", func(p nic.Profile) string { return fmt.Sprintf("%d", p.TPUBanks) }),
+		row("MTT entries", func(p nic.Profile) string { return fmt.Sprintf("%d", p.MTTCacheEntries) }),
+		row("Complex pps", func(p nic.Profile) string { return fmt.Sprintf("%.0f/us", p.ComplexPPS) }),
+	}
+}
+
+// Render formats Table III.
+func (rows Table3Result) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "TABLE III: ConnectX adapter models\n")
 	fmt.Fprintf(&b, "%-14s %10s %10s %12s %10s %10s\n",
 		"Feature", "CX-4", "CX-5", "CX-6", "", "")
-	row := func(name string, f func(p nic.Profile) string) {
-		fmt.Fprintf(&b, "%-14s %10s %10s %12s\n", name,
-			f(nic.CX4), f(nic.CX5), f(nic.CX6))
+	for _, r := range rows {
+		fmt.Fprintf(&b, "%-14s %10s %10s %12s\n", r.Feature, r.CX4, r.CX5, r.CX6)
 	}
-	row("Speed", func(p nic.Profile) string { return fmt.Sprintf("%.0fGbps", p.LineRateGbps) })
-	row("HostIF GB/s", func(p nic.Profile) string { return fmt.Sprintf("%.1f", p.PCIeGBps) })
-	row("TPU base", func(p nic.Profile) string { return p.TPUBase.String() })
-	row("TPU banks", func(p nic.Profile) string { return fmt.Sprintf("%d", p.TPUBanks) })
-	row("MTT entries", func(p nic.Profile) string { return fmt.Sprintf("%d", p.MTTCacheEntries) })
-	row("Complex pps", func(p nic.Profile) string { return fmt.Sprintf("%.0f/us", p.ComplexPPS) })
 	return b.String()
 }
 
@@ -100,6 +122,18 @@ func Fig4(p nic.Profile, full bool, workers int) Fig4Result {
 	}
 	cells := revengine.PrioritySweep(p, space, workers)
 	return Fig4Result{NIC: p.Name, Cells: cells, Combos: space.Size()}
+}
+
+// Fig4Set is Figure 4 on several adapters: the -full run covers all three.
+type Fig4Set []Fig4Result
+
+// Render concatenates the per-adapter renders.
+func (s Fig4Set) Render() string {
+	var b strings.Builder
+	for _, r := range s {
+		b.WriteString(r.Render())
+	}
+	return b.String()
 }
 
 // Render summarises the matrix the way Figure 4's pies do: per inducer-op /

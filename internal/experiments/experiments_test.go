@@ -17,14 +17,14 @@ func TestTable1Complete(t *testing.T) {
 	if last.Work != "RAGNAR" || last.Channel != "Volatile" || last.Stealth != "High" {
 		t.Fatalf("RAGNAR row wrong: %+v", last)
 	}
-	out := RenderTable1(rows)
+	out := rows.Render()
 	if !strings.Contains(out, "Pythia") || !strings.Contains(out, "I/II/III/IV") {
 		t.Fatal("render incomplete")
 	}
 }
 
 func TestRenderTable3(t *testing.T) {
-	out := RenderTable3()
+	out := Table3().Render()
 	for _, want := range []string{"25Gbps", "100Gbps", "200Gbps"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("Table III missing %q:\n%s", want, out)

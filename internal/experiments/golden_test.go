@@ -2,7 +2,7 @@ package experiments
 
 // Golden-output tests: the rendered rows of the paper's tables and figures
 // are pinned to testdata/*.golden, and every scenario is rendered both
-// sequentially and at NumCPU workers. Together they prove the parallel
+// sequentially and at a fixed 4 workers. Together they prove the parallel
 // sweep engine neither reorders nor perturbs a single rendered row.
 // Regenerate after an intentional model change with:
 //
@@ -12,7 +12,6 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
-	"runtime"
 	"testing"
 
 	"github.com/thu-has/ragnar/internal/nic"
@@ -21,13 +20,17 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
+// goldenWorkers is the parallel half of every golden check. It is fixed
+// rather than NumCPU so the parallel path runs even on a 1-CPU machine.
+const goldenWorkers = 4
+
 func checkGolden(t *testing.T, name string, render func(workers int) string) {
 	t.Helper()
 	seq := render(1)
-	par := render(runtime.NumCPU())
+	par := render(goldenWorkers)
 	if seq != par {
 		t.Fatalf("%s: parallel render differs from sequential render\n--- workers=1 ---\n%s\n--- workers=%d ---\n%s",
-			name, seq, runtime.NumCPU(), par)
+			name, seq, goldenWorkers, par)
 	}
 	path := filepath.Join("testdata", name+".golden")
 	if *update {
@@ -49,10 +52,84 @@ func checkGolden(t *testing.T, name string, render func(workers int) string) {
 	}
 }
 
-func TestGoldenFig4Render(t *testing.T) {
-	checkGolden(t, "fig4_cx4", func(workers int) string {
-		return Fig4(nic.CX4, false, workers).Render()
-	})
+// goldenRows pins registered experiments to golden files. Each file is
+// byte-for-byte what `ragnar` prints at the row's Params (workers aside).
+var goldenRows = []struct {
+	name, file string
+	p          Params
+}{
+	{"table1", "table1", Params{}},
+	{"table3", "table3", Params{}},
+	{"fig4", "fig4_cx4", Params{Profile: nic.CX4, Seed: 1}},
+	{"fig7", "fig7_cx4", Params{Profile: nic.CX4, Seed: 1}},
+	{"fig9", "fig9", Params{Seed: 1}},
+	{"fig10", "fig10", Params{Seed: 1}},
+	{"fig11", "fig11", Params{Seed: 1}},
+	{"tenants", "tenants_cx5", Params{Profile: nic.CX5, Seed: 1}},
+	{"exhaust", "exhaust_cx5", Params{Profile: nic.CX5, Seed: 1}},
+	{"nvmf", "nvmf_cx5", Params{Profile: nic.CX5, Seed: 1}},
+	{"pythia", "pythia", Params{Seed: 1}},
+	{"fig12", "fig12_cx4", Params{Profile: nic.CX4, Seed: 1}},
+	{"defense", "defense_cx4", Params{Profile: nic.CX4, Seed: 1}},
+	{"defgrid", "defgrid_cx5", Params{Profile: nic.CX5, Seed: 5}},
+	{"redn", "redn_cx5", Params{Profile: nic.CX5, Seed: 7}},
+	// Two engine domains, so the golden check exercises the partitioned
+	// engine's window protocol, not just the serial path.
+	{"clos", "clos_cx5", Params{Profile: nic.CX5, Seed: 1, Domains: 2}},
+}
+
+// goldenOptOut names each registered experiment without a golden row, and
+// why.
+var goldenOptOut = map[string]string{
+	"fig5":     "TestGoldenFig5Render pins a 120-probe fixture",
+	"fig6":     "TestGoldenOffsetRender pins a reduced offset axis",
+	"fig8":     "TestGoldenRelOffsetRender pins a reduced delta axis",
+	"table5":   "TestGoldenTable5Render pins a 64-bit fixture",
+	"lossgrid": "TestGoldenLossGridRender pins a reduced loss grid",
+	"fig13":    "CNN training is too slow for a golden; TestFig13SmallSmoke covers it",
+}
+
+// TestGoldenRegistry checks every registered experiment against its golden
+// row. A registered name with neither a row nor an opt-out fails, and so
+// does a row or opt-out naming no registered experiment.
+func TestGoldenRegistry(t *testing.T) {
+	pending := map[string]bool{}
+	for _, row := range goldenRows {
+		pending[row.name] = true
+	}
+	for name := range goldenOptOut {
+		pending[name] = true
+	}
+	for _, e := range Registry {
+		if !pending[e.Name] {
+			t.Errorf("experiment %q has neither a golden row nor an opt-out", e.Name)
+		}
+		delete(pending, e.Name)
+	}
+	for name := range pending {
+		t.Errorf("golden row or opt-out %q names no registered experiment", name)
+	}
+
+	for _, row := range goldenRows {
+		e, ok := Lookup(row.name)
+		if !ok {
+			continue
+		}
+		if reason, dup := goldenOptOut[row.name]; dup {
+			t.Errorf("experiment %q has a golden row and an opt-out (%s)", row.name, reason)
+		}
+		t.Run(row.name, func(t *testing.T) {
+			checkGolden(t, row.file, func(workers int) string {
+				p := row.p
+				p.Workers = workers
+				r, err := e.Run(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return r.Render()
+			})
+		})
+	}
 }
 
 func TestGoldenOffsetRender(t *testing.T) {

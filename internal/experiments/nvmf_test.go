@@ -6,16 +6,6 @@ import (
 	"github.com/thu-has/ragnar/internal/nic"
 )
 
-func TestGoldenNvmfRender(t *testing.T) {
-	checkGolden(t, "nvmf_cx5", func(workers int) string {
-		r, err := Nvmf(nic.CX5, 1, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r.Render()
-	})
-}
-
 // TestNvmfDistinguishability is the headline acceptance property of the
 // NeVerMore suite: the abuse-marker score separates protocol abuse from
 // benign wire loss, and the one attack it cannot see (ack-forge) is exactly

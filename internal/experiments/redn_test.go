@@ -9,16 +9,6 @@ import (
 	"github.com/thu-has/ragnar/internal/nic"
 )
 
-func TestGoldenRednRender(t *testing.T) {
-	checkGolden(t, "redn_cx5", func(workers int) string {
-		r, err := Redn(nic.CX5, 7, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r.Render()
-	})
-}
-
 // The chain-leakage headline, asserted numerically: on CX5 the taken arm is
 // distinguishable from the not-taken arm through the prober's own ULI
 // (HARMONIC trained on not-taken trials flags the taken ones), the server

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"github.com/thu-has/ragnar/internal/appdb"
@@ -260,7 +261,13 @@ func (r DefenseResult) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Defense evaluation [%s]\n", r.NIC)
 	fmt.Fprintf(&b, "HARMONIC-style counters (flagged windows):\n")
-	for name, fw := range r.FlaggedWindows {
+	names := make([]string, 0, len(r.FlaggedWindows))
+	for name := range r.FlaggedWindows {
+		names = append(names, name)
+	}
+	sort.Strings(names) // map order would shuffle the rows run to run
+	for _, name := range names {
+		fw := r.FlaggedWindows[name]
 		verdict := "EVADES detection"
 		if fw[0] > 1 {
 			verdict = "detected"

@@ -6,16 +6,6 @@ import (
 	"github.com/thu-has/ragnar/internal/nic"
 )
 
-func TestGoldenTenantsRender(t *testing.T) {
-	checkGolden(t, "tenants_cx5", func(workers int) string {
-		r, err := Tenants(nic.CX5, 3, nil, 1, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r.Render()
-	})
-}
-
 // TestTenantsMonotoneCollapse is the acceptance property: per-victim
 // bandwidth is non-increasing as the aggressor's message size grows, for
 // each opcode independently.

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"strings"
 
 	"github.com/thu-has/ragnar/internal/bitstream"
 	"github.com/thu-has/ragnar/internal/covert"
@@ -120,7 +121,10 @@ func TraceLossRep(p nic.Profile, lossPct float64, bits, seed int64) (*TraceOutco
 	}, nil
 }
 
-// Trace dispatches a traced experiment by name: fig9, intermr, intramr, or
+// TraceRigs names the rigs Trace can record.
+var TraceRigs = []string{"fig9", "intermr", "intramr", "lossgrid"}
+
+// Trace dispatches a traced rig by name: fig9, intermr, intramr, or
 // lossgrid (one rep at 0.5% loss).
 func Trace(exp string, p nic.Profile, seed int64) (*TraceOutcome, error) {
 	switch exp {
@@ -131,6 +135,6 @@ func Trace(exp string, p nic.Profile, seed int64) (*TraceOutcome, error) {
 	case "lossgrid":
 		return TraceLossRep(p, 0.5, 48, seed)
 	default:
-		return nil, fmt.Errorf("unknown traced experiment %q (try fig9, intermr, intramr, lossgrid)", exp)
+		return nil, fmt.Errorf("unknown traced experiment %q (try %s)", exp, strings.Join(TraceRigs, ", "))
 	}
 }

@@ -5,6 +5,37 @@ import (
 	"testing"
 )
 
+// priorityServer is the reference discipline the arbitrated server is
+// checked against: a server whose queue is kept sorted by class on insert
+// (stable within a class) and served from the front.
+type priorityServer struct{ *Server }
+
+func newPriorityServer(eng *Engine, name string, slots int) priorityServer {
+	return priorityServer{NewServer(eng, name, slots)}
+}
+
+// Submit starts the request if a slot is free, else inserts it behind every
+// queued request of the same or a lower class.
+func (s priorityServer) Submit(service Duration, class int, done func()) {
+	req := serverReq{service: service, class: class, done: done, posted: s.eng.Now()}
+	if s.busy < s.slots {
+		s.start(req)
+		return
+	}
+	i := len(s.queue)
+	for i > 0 && s.queue[i-1].class > class {
+		i--
+	}
+	s.queue = append(s.queue, serverReq{})
+	copy(s.queue[i+1:], s.queue[i:])
+	s.queue[i] = req
+}
+
+// submitter is the Submit half of a server, common to both disciplines.
+type submitter interface {
+	Submit(service Duration, class int, done func())
+}
+
 // strictPick mirrors nic.StrictArbiter: first index of the minimum class.
 type strictPick struct{}
 
@@ -41,7 +72,7 @@ func TestArbitratedStrictMatchesPriorityServer(t *testing.T) {
 			}
 		}
 
-		run := func(mk func(*Engine) *Server) []Time {
+		run := func(mk func(*Engine) submitter) []Time {
 			eng := NewEngine(7)
 			s := mk(eng)
 			done := make([]Time, len(subs))
@@ -55,8 +86,8 @@ func TestArbitratedStrictMatchesPriorityServer(t *testing.T) {
 			return done
 		}
 
-		prio := run(func(e *Engine) *Server { return NewPriorityServer(e, "prio", 1) })
-		arb := run(func(e *Engine) *Server { return NewArbitratedServer(e, "arb", 1, strictPick{}) })
+		prio := run(func(e *Engine) submitter { return newPriorityServer(e, "prio", 1) })
+		arb := run(func(e *Engine) submitter { return NewArbitratedServer(e, "arb", 1, strictPick{}) })
 		for i := range prio {
 			if prio[i] != arb[i] {
 				t.Fatalf("trial %d: completion %d differs: priority=%v arbitrated=%v", trial, i, prio[i], arb[i])

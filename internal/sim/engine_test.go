@@ -221,7 +221,7 @@ func TestServerParallelSlots(t *testing.T) {
 
 func TestPriorityServerClassOrder(t *testing.T) {
 	e := NewEngine(1)
-	s := NewPriorityServer(e, "egress", 1)
+	s := newPriorityServer(e, "egress", 1)
 	var order []int
 	// Occupy the slot so subsequent submissions queue.
 	s.Submit(10*Nanosecond, 0, nil)

@@ -14,20 +14,16 @@ type Server struct {
 	served   uint64
 	busyTime Duration
 	lastBusy Time
-	// Preempt gives strict priority to requests with a lower class value.
-	// Classless (0) requests are FIFO among themselves.
-	classed bool
 	// arb, when non-nil, picks the next queued request at every dequeue
-	// instead of the queue-order/class-order disciplines above. metas runs
-	// parallel to queue (same indices) and only exists for arbitrated
-	// servers.
+	// instead of serving the queue in arrival order. metas runs parallel to
+	// queue (same indices) and only exists for arbitrated servers.
 	arb   Arbiter
 	metas []ReqMeta
 }
 
 // ReqMeta is the arbiter-visible description of one queued request. Class
-// mirrors the priority-server class; Tenant and Bytes feed weighted
-// schedulers that apportion service across traffic sources.
+// is its priority class (lower is more urgent); Tenant and Bytes feed
+// weighted schedulers that apportion service across traffic sources.
 type ReqMeta struct {
 	Class  int
 	Tenant int
@@ -57,17 +53,10 @@ func NewServer(eng *Engine, name string, slots int) *Server {
 	return &Server{eng: eng, name: name, slots: slots}
 }
 
-// NewPriorityServer returns a server that serves lower class values first.
-func NewPriorityServer(eng *Engine, name string, slots int) *Server {
-	s := NewServer(eng, name, slots)
-	s.classed = true
-	return s
-}
-
 // NewArbitratedServer returns a server whose next request is chosen by arb
 // at every dequeue. The queue itself stays FIFO-ordered by arrival, so an
 // arbiter that always picks the first index of the minimum class reproduces
-// the priority server's schedule exactly.
+// the schedule of a queue kept sorted by class exactly.
 func NewArbitratedServer(eng *Engine, name string, slots int, arb Arbiter) *Server {
 	if arb == nil {
 		panic("sim: arbitrated server needs an arbiter")
@@ -103,8 +92,7 @@ func (s *Server) Utilization() float64 {
 }
 
 // Submit enqueues a request requiring the given service time; done fires when
-// service completes. Class is only meaningful for priority and arbitrated
-// servers.
+// service completes. Class is only meaningful for arbitrated servers.
 func (s *Server) Submit(service Duration, class int, done func()) {
 	if s.arb != nil {
 		s.SubmitMeta(service, ReqMeta{Class: class}, done)
@@ -116,17 +104,6 @@ func (s *Server) Submit(service Duration, class int, done func()) {
 	req := serverReq{service: service, class: class, done: done, posted: s.eng.Now()}
 	if s.busy < s.slots {
 		s.start(req)
-		return
-	}
-	if s.classed {
-		// Insert keeping the queue sorted by class, stable within a class.
-		i := len(s.queue)
-		for i > 0 && s.queue[i-1].class > class {
-			i--
-		}
-		s.queue = append(s.queue, serverReq{})
-		copy(s.queue[i+1:], s.queue[i:])
-		s.queue[i] = req
 		return
 	}
 	s.queue = append(s.queue, req)
