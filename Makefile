@@ -4,9 +4,9 @@
 #                     the parallel-vs-sequential equivalence check
 #   make test       - plain test run (tier-1: go build ./... && go test ./...)
 #   make bench      - regenerate the paper artifacts via the benchmark harness
-#   make benchguard - allocation gate: scheduler, disabled-trace, switch
-#                     forwarding and egress-arbiter hot paths must report
-#                     0 allocs/op (same gate CI runs)
+#   make benchguard - allocation gate: scheduler, server, disabled-trace,
+#                     switch forwarding, frame round-trip and egress-arbiter
+#                     hot paths must report 0 allocs/op (same gate CI runs)
 #   make perf       - refresh the machine-readable perf baseline
 #                     (BENCH_<date>.json, see EXPERIMENTS.md)
 #   make trace-demo - sample flight-recorder trace from the lossy covert rig
@@ -50,11 +50,13 @@ bench:
 # run the guarded benchmarks with -benchmem and gate on allocs/op == 0.
 # ./internal/sim/parallel contributes the inter-domain channel ping-pong
 # (BenchmarkEngineParallelXfer), so the window protocol's stage/drain/deliver
-# cycle is gated alongside the serial scheduler.
+# cycle is gated alongside the serial scheduler. BenchmarkServerService (sim)
+# and BenchmarkFrameRoundTrip (nic) gate the pooled server jobs and the
+# reusable frame buffers of the per-WQE datapath.
 benchguard:
-	$(GO) test -run '^$$' -bench '^(BenchmarkEngine|BenchmarkEmitDisabled|BenchmarkSwitchForward|BenchmarkContextCacheHit|BenchmarkLinkAdversaryOff|BenchmarkCQPollInto|BenchmarkArbiterPick)' \
+	$(GO) test -run '^$$' -bench '^(BenchmarkEngine|BenchmarkServerService|BenchmarkEmitDisabled|BenchmarkSwitchForward|BenchmarkContextCacheHit|BenchmarkFrameRoundTrip|BenchmarkLinkAdversaryOff|BenchmarkCQPollInto|BenchmarkArbiterPick)' \
 		-benchtime 1000x -benchmem ./internal/sim ./internal/sim/parallel ./internal/trace ./internal/fabric ./internal/nic ./internal/verbs \
-		| $(GO) run ./scripts/benchguard.go -min 12
+		| $(GO) run ./scripts/benchguard.go -min 14
 
 perf:
 	./scripts/bench.sh

@@ -122,8 +122,9 @@ func (h *Host) Alloc(size uint64, page PageSize, numa int) (*Region, error) {
 	return r, nil
 }
 
-// Free unpins the region. Its address range is not recycled (monotone
-// allocation keeps experiment addresses stable across runs).
+// Free unpins the region and drops its backing: later ReadAt and WriteAt
+// calls fail. Its address range is not recycled (monotone allocation keeps
+// experiment addresses stable across runs).
 func (h *Host) Free(r *Region) {
 	for i, a := range h.allocs {
 		if a == r {
@@ -150,8 +151,12 @@ func (r *Region) NUMA() int { return r.numa }
 // Bytes exposes the backing storage for direct host-side access.
 func (r *Region) Bytes() []byte { return r.data }
 
-// ReadAt copies len(p) bytes starting at offset into p.
+// ReadAt copies len(p) bytes starting at offset into p. Every access to a
+// freed region fails.
 func (r *Region) ReadAt(offset uint64, p []byte) error {
+	if r.data == nil {
+		return fmt.Errorf("host: read at %d of a freed region", offset)
+	}
 	if offset+uint64(len(p)) > r.size {
 		return fmt.Errorf("host: read [%d,%d) outside region of %d bytes", offset, offset+uint64(len(p)), r.size)
 	}
@@ -159,8 +164,12 @@ func (r *Region) ReadAt(offset uint64, p []byte) error {
 	return nil
 }
 
-// WriteAt copies p into the region starting at offset.
+// WriteAt copies p into the region starting at offset. Every access to a
+// freed region fails.
 func (r *Region) WriteAt(offset uint64, p []byte) error {
+	if r.data == nil {
+		return fmt.Errorf("host: write at %d of a freed region", offset)
+	}
 	if offset+uint64(len(p)) > r.size {
 		return fmt.Errorf("host: write [%d,%d) outside region of %d bytes", offset, offset+uint64(len(p)), r.size)
 	}

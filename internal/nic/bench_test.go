@@ -24,3 +24,44 @@ func BenchmarkContextCacheHit(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkFrameRoundTrip is the CI-guarded wire-fidelity path every packet
+// takes when EncodeFrames is on: encode a message into an envelope's
+// reusable frame buffer, then parse and verify the frames against the
+// message the way Deliver does. Each iteration round-trips a READ request,
+// a READ response and a 4 KiB WRITE that a 1 KiB path MTU segments into
+// FIRST/MIDDLE/MIDDLE/LAST packets. Once the buffers have grown it must stay allocation-free —
+// scripts/benchguard.go fails the bench-guard job if allocs/op > 0.
+func BenchmarkFrameRoundTrip(b *testing.B) {
+	const mtu = 1024
+	payload := make([]byte, 4096)
+	for i := range payload {
+		payload[i] = byte(i * 7)
+	}
+	msgs := []*Message{
+		{Op: OpRead, DstQPN: 9, RemoteAddr: 0x1000, RKey: 5, Length: 64, PSN: 41},
+		{Op: OpRead, IsResp: true, DstQPN: 3, Length: 64, Data: payload[:64], PSN: 41, AckPSN: 41},
+		{Op: OpWrite, DstQPN: 9, RemoteAddr: 0x2000, RKey: 5, Length: len(payload), Data: payload, PSN: 42},
+	}
+	var fb frameBuf
+	var fc frameCheck
+	roundTrip := func() {
+		for _, m := range msgs {
+			if err := fb.encode(m, mtu); err != nil {
+				b.Fatal(err)
+			}
+			if err := fc.verify(fb.frames, m); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	roundTrip() // grow the buffers
+	if len(fb.frames) != 4 {
+		b.Fatalf("4 KiB WRITE encoded as %d frames, want 4", len(fb.frames))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		roundTrip()
+	}
+}

@@ -7,11 +7,13 @@ package nic
 // baseline comparison and because cold-start misses shape real latency
 // traces. QP/MR contexts live in the capacity-limited ContextCache below.
 type Cache struct {
-	sets    int
-	ways    int
-	tags    [][]uint64
-	valid   [][]bool
-	lruTick [][]uint64
+	sets int
+	ways int
+	// Way w of set s lives at index s*ways+w of each slice: three flat
+	// allocations per cache instead of three per set.
+	tags    []uint64
+	valid   []bool
+	lruTick []uint64
 	tick    uint64
 
 	hits   uint64
@@ -24,17 +26,13 @@ func NewCache(entries, ways int) *Cache {
 	if entries <= 0 || ways <= 0 || entries%ways != 0 {
 		panic("nic: cache entries must be a positive multiple of ways")
 	}
-	sets := entries / ways
-	c := &Cache{sets: sets, ways: ways}
-	c.tags = make([][]uint64, sets)
-	c.valid = make([][]bool, sets)
-	c.lruTick = make([][]uint64, sets)
-	for i := 0; i < sets; i++ {
-		c.tags[i] = make([]uint64, ways)
-		c.valid[i] = make([]bool, ways)
-		c.lruTick[i] = make([]uint64, ways)
+	return &Cache{
+		sets:    entries / ways,
+		ways:    ways,
+		tags:    make([]uint64, entries),
+		valid:   make([]bool, entries),
+		lruTick: make([]uint64, entries),
 	}
-	return c
 }
 
 func (c *Cache) set(key uint64) int { return int(mix(key) % uint64(c.sets)) }
@@ -47,14 +45,18 @@ func mix(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
+// setBase returns the flat index of way 0 of key's set.
+func (c *Cache) setBase(key uint64) int { return c.set(key) * c.ways }
+
 // Access touches key and reports whether it hit. On a miss the key is
 // installed, evicting the set's LRU way.
 func (c *Cache) Access(key uint64) bool {
-	s := c.set(key)
+	lo := c.setBase(key)
+	tags, valid, lru := c.tags[lo:lo+c.ways], c.valid[lo:lo+c.ways], c.lruTick[lo:lo+c.ways]
 	c.tick++
-	for w := 0; w < c.ways; w++ {
-		if c.valid[s][w] && c.tags[s][w] == key {
-			c.lruTick[s][w] = c.tick
+	for w := range tags {
+		if valid[w] && tags[w] == key {
+			lru[w] = c.tick
 			c.hits++
 			return true
 		}
@@ -62,34 +64,34 @@ func (c *Cache) Access(key uint64) bool {
 	c.misses++
 	victim := 0
 	for w := 1; w < c.ways; w++ {
-		if !c.valid[s][w] {
+		if !valid[w] {
 			victim = w
 			break
 		}
-		if c.lruTick[s][w] < c.lruTick[s][victim] {
+		if lru[w] < lru[victim] {
 			victim = w
 		}
 	}
-	if !c.valid[s][victim] {
+	if !valid[victim] {
 		// Prefer an invalid way anywhere in the set.
-		for w := 0; w < c.ways; w++ {
-			if !c.valid[s][w] {
+		for w := range valid {
+			if !valid[w] {
 				victim = w
 				break
 			}
 		}
 	}
-	c.tags[s][victim] = key
-	c.valid[s][victim] = true
-	c.lruTick[s][victim] = c.tick
+	tags[victim] = key
+	valid[victim] = true
+	lru[victim] = c.tick
 	return false
 }
 
 // Contains reports whether key is resident without touching LRU state.
 func (c *Cache) Contains(key uint64) bool {
-	s := c.set(key)
-	for w := 0; w < c.ways; w++ {
-		if c.valid[s][w] && c.tags[s][w] == key {
+	lo := c.setBase(key)
+	for w := lo; w < lo+c.ways; w++ {
+		if c.valid[w] && c.tags[w] == key {
 			return true
 		}
 	}
@@ -98,10 +100,10 @@ func (c *Cache) Contains(key uint64) bool {
 
 // Evict removes key if resident, reporting whether it was.
 func (c *Cache) Evict(key uint64) bool {
-	s := c.set(key)
-	for w := 0; w < c.ways; w++ {
-		if c.valid[s][w] && c.tags[s][w] == key {
-			c.valid[s][w] = false
+	lo := c.setBase(key)
+	for w := lo; w < lo+c.ways; w++ {
+		if c.valid[w] && c.tags[w] == key {
+			c.valid[w] = false
 			return true
 		}
 	}
@@ -109,13 +111,7 @@ func (c *Cache) Evict(key uint64) bool {
 }
 
 // Flush invalidates the whole cache.
-func (c *Cache) Flush() {
-	for s := range c.valid {
-		for w := range c.valid[s] {
-			c.valid[s][w] = false
-		}
-	}
-}
+func (c *Cache) Flush() { clear(c.valid) }
 
 // Stats returns cumulative hits and misses.
 func (c *Cache) Stats() (hits, misses uint64) { return c.hits, c.misses }
@@ -151,9 +147,11 @@ func MTTKey(mrKey uint32, pageNumber uint64) uint64 {
 // victims' contexts, so every victim operation pays the fetch penalty.
 //
 // The cache is an LRU over a map plus an intrusive doubly-linked list of
-// pre-allocated nodes: a hit is one map lookup and a list splice, with zero
+// slab nodes: a hit is one map lookup and a list splice, with zero
 // allocations (benchmark-guarded); misses reuse evicted slots once the
-// cache reaches capacity.
+// cache reaches capacity. The slab and the map grow with the resident set
+// rather than being sized to the capacity up front: a rig touches a few
+// dozen contexts of a capacity in the thousands.
 type ContextCache struct {
 	capacity int
 	nodes    []ctxNode
@@ -180,8 +178,7 @@ func NewContextCache(entries int) *ContextCache {
 	}
 	return &ContextCache{
 		capacity: entries,
-		nodes:    make([]ctxNode, 0, entries),
-		index:    make(map[uint64]int32, entries),
+		index:    make(map[uint64]int32),
 		head:     -1,
 		tail:     -1,
 	}

@@ -1,6 +1,7 @@
 package nic
 
 import (
+	"bytes"
 	"fmt"
 
 	"github.com/thu-has/ragnar/internal/wire"
@@ -40,18 +41,34 @@ func opcodeToWire(m *Message) (byte, error) {
 	return 0, fmt.Errorf("nic: no wire opcode for %v", m.Op)
 }
 
-// encodeSegments builds the full RoCEv2 transport encoding of a message,
-// segmenting payloads larger than the MTU into FIRST/MIDDLE/LAST packets
-// exactly as the RC transport does (PSNs increment per segment).
-func encodeSegments(m *Message, mtu int) ([][]byte, error) {
+// frameBuf holds one message's RoCEv2 encoding: every segment's bytes back
+// to back in buf, and frames slicing buf per segment. Envelopes embed one
+// and reuse both slices from message to message, so steady-state encoding
+// allocates nothing.
+type frameBuf struct {
+	buf    []byte
+	ends   []int // end offset of each segment in buf, while encoding
+	frames [][]byte
+}
+
+// reset empties the buffer for reuse, keeping its capacity.
+func (f *frameBuf) reset() {
+	f.buf, f.ends, f.frames = f.buf[:0], f.ends[:0], f.frames[:0]
+}
+
+// encode replaces f's contents with the full RoCEv2 transport encoding of a
+// message, segmenting payloads larger than the MTU into FIRST/MIDDLE/LAST
+// packets exactly as the RC transport does (PSNs increment per segment).
+func (f *frameBuf) encode(m *Message, mtu int) error {
+	f.reset()
 	payloadCarrier := !m.IsResp && (m.Op == OpWrite || m.Op == OpSend) ||
 		m.IsResp && m.Op == OpRead
 	if !payloadCarrier || len(m.Data) <= mtu {
-		f, err := encodeFrame(m)
-		if err != nil {
-			return nil, err
+		if err := f.appendFrame(m); err != nil {
+			return err
 		}
-		return [][]byte{f}, nil
+		f.slice()
+		return nil
 	}
 
 	var firstOp, midOp, lastOp byte
@@ -64,14 +81,13 @@ func encodeSegments(m *Message, mtu int) ([][]byte, error) {
 		firstOp, midOp, lastOp = wire.OpSendFirst, wire.OpSendMiddle, wire.OpSendLast
 	}
 
-	var out [][]byte
 	psn := m.PSN & 0xffffff
 	for off := 0; off < len(m.Data); off += mtu {
 		end := off + mtu
 		if end > len(m.Data) {
 			end = len(m.Data)
 		}
-		p := &wire.Packet{
+		p := wire.Packet{
 			BTH: wire.BTH{
 				DestQP: m.DstQPN & 0xffffff,
 				PSN:    psn,
@@ -79,42 +95,66 @@ func encodeSegments(m *Message, mtu int) ([][]byte, error) {
 			},
 			Payload: m.Data[off:end],
 		}
+		var reth wire.RETH
+		var aeth wire.AETH
 		switch {
 		case off == 0:
 			p.BTH.Opcode = firstOp
 			if firstOp == wire.OpWriteFirst {
-				p.Reth = &wire.RETH{VA: m.RemoteAddr, RKey: m.RKey, DMALen: uint32(m.Length)}
+				reth = wire.RETH{VA: m.RemoteAddr, RKey: m.RKey, DMALen: uint32(m.Length)}
+				p.Reth = &reth
 			}
 			if firstOp == wire.OpReadRespFirst {
-				p.Aeth = &wire.AETH{Syndrome: aethSyndrome(m.Status), MSN: psn}
+				aeth = wire.AETH{Syndrome: aethSyndrome(m.Status), MSN: psn}
+				p.Aeth = &aeth
 			}
 		case end == len(m.Data):
 			p.BTH.Opcode = lastOp
 			if lastOp == wire.OpReadRespLast {
-				p.Aeth = &wire.AETH{Syndrome: aethSyndrome(m.Status), MSN: psn}
+				aeth = wire.AETH{Syndrome: aethSyndrome(m.Status), MSN: psn}
+				p.Aeth = &aeth
 			}
 		default:
 			p.BTH.Opcode = midOp
 		}
-		raw, err := p.Marshal()
-		if err != nil {
-			return nil, err
+		if err := f.append(&p); err != nil {
+			return err
 		}
-		out = append(out, raw)
 		psn = (psn + 1) & 0xffffff
 	}
-	return out, nil
+	f.slice()
+	return nil
 }
 
-// encodeFrame builds the RoCEv2 transport encoding of a single-packet
-// message. The PSN carries the QP's 24-bit packet sequence number; an ACK's
-// AETH MSN carries the cumulative acknowledgement PSN.
-func encodeFrame(m *Message) ([]byte, error) {
+// append encodes one packet onto buf and records where it ends.
+func (f *frameBuf) append(p *wire.Packet) error {
+	var err error
+	if f.buf, err = p.AppendTo(f.buf); err != nil {
+		return err
+	}
+	f.ends = append(f.ends, len(f.buf))
+	return nil
+}
+
+// slice cuts buf into frames once every segment is encoded; buf may have
+// moved while it grew, so the slices are taken only now.
+func (f *frameBuf) slice() {
+	start := 0
+	for _, end := range f.ends {
+		f.frames = append(f.frames, f.buf[start:end:end])
+		start = end
+	}
+}
+
+// appendFrame encodes a single-packet message. The PSN carries the QP's
+// 24-bit packet sequence number; an ACK's AETH MSN carries the cumulative
+// acknowledgement PSN.
+func (f *frameBuf) appendFrame(m *Message) error {
 	op, err := opcodeToWire(m)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	p := &wire.Packet{
+	p := wire.Packet{
 		BTH: wire.BTH{
 			Opcode: op,
 			DestQP: m.DstQPN & 0xffffff,
@@ -122,23 +162,31 @@ func encodeFrame(m *Message) ([]byte, error) {
 			AckReq: !m.IsResp,
 		},
 	}
+	var reth wire.RETH
+	var aeth wire.AETH
+	var atomic wire.AtomicETH
 	switch op {
 	case wire.OpWriteOnly, wire.OpReadRequest:
-		p.Reth = &wire.RETH{VA: m.RemoteAddr, RKey: m.RKey, DMALen: uint32(m.Length)}
+		reth = wire.RETH{VA: m.RemoteAddr, RKey: m.RKey, DMALen: uint32(m.Length)}
+		p.Reth = &reth
 	case wire.OpReadResponseOnly, wire.OpAcknowledge:
-		p.Aeth = &wire.AETH{Syndrome: aethSyndrome(m.Status), MSN: m.AckPSN & 0xffffff}
+		aeth = wire.AETH{Syndrome: aethSyndrome(m.Status), MSN: m.AckPSN & 0xffffff}
+		p.Aeth = &aeth
 	case wire.OpAtomicAck:
-		p.Aeth = &wire.AETH{Syndrome: aethSyndrome(m.Status), MSN: m.AckPSN & 0xffffff}
+		aeth = wire.AETH{Syndrome: aethSyndrome(m.Status), MSN: m.AckPSN & 0xffffff}
+		p.Aeth = &aeth
 		p.AtomicAck = m.CompareAdd
 	case wire.OpCompareSwap:
-		p.Atomic = &wire.AtomicETH{VA: m.RemoteAddr, RKey: m.RKey, SwapAdd: m.Swap, Compare: m.CompareAdd}
+		atomic = wire.AtomicETH{VA: m.RemoteAddr, RKey: m.RKey, SwapAdd: m.Swap, Compare: m.CompareAdd}
+		p.Atomic = &atomic
 	case wire.OpFetchAdd:
-		p.Atomic = &wire.AtomicETH{VA: m.RemoteAddr, RKey: m.RKey, SwapAdd: m.CompareAdd}
+		atomic = wire.AtomicETH{VA: m.RemoteAddr, RKey: m.RKey, SwapAdd: m.CompareAdd}
+		p.Atomic = &atomic
 	}
 	if !m.IsResp && (m.Op == OpWrite || m.Op == OpSend) || m.IsResp && m.Op == OpRead {
 		p.Payload = m.Data
 	}
-	return p.Marshal()
+	return f.append(&p)
 }
 
 // aethSyndrome encodes the completion status in the ACK syndrome field
@@ -156,17 +204,26 @@ func aethSyndrome(s Status) byte {
 	}
 }
 
-// verifySegments parses the encoded segments and checks them against the
-// message the simulator routed alongside them — a datapath self-check that
-// the simulated traffic and its wire encoding never diverge.
-func verifySegments(raws [][]byte, m *Message) error {
+// frameCheck is the reusable parse state for verifying arriving frames.
+// Each NIC keeps one, so decoding a frame into it allocates nothing.
+type frameCheck struct {
+	pkt  wire.Packet
+	hdrs wire.Headers
+}
+
+// verify parses the encoded segments and checks them against the message
+// the simulator routed alongside them — a datapath self-check that the
+// simulated traffic and its wire encoding never diverge. Every segment's
+// ICRC is checked by the parse; each payload is compared in place against
+// its stretch of the message's data.
+func (c *frameCheck) verify(raws [][]byte, m *Message) error {
 	if len(raws) == 0 {
 		return fmt.Errorf("nic: message carried no frames")
 	}
-	var payload []byte
+	p := &c.pkt
+	total, diff := 0, -1
 	for i, raw := range raws {
-		p, err := wire.Parse(raw)
-		if err != nil {
+		if err := wire.ParseInto(raw, p, &c.hdrs); err != nil {
 			return err
 		}
 		if p.BTH.DestQP != m.DstQPN&0xffffff {
@@ -187,15 +244,23 @@ func verifySegments(raws [][]byte, m *Message) error {
 					p.Reth, m.RemoteAddr, m.RKey, m.Length)
 			}
 		}
-		payload = append(payload, p.Payload...)
-	}
-	if len(payload) != len(m.Data) {
-		return fmt.Errorf("nic: frames carry %d payload bytes, message %d", len(payload), len(m.Data))
-	}
-	for i := range payload {
-		if payload[i] != m.Data[i] {
-			return fmt.Errorf("nic: reassembled payload differs at byte %d", i)
+		// The length check below outranks a content mismatch, so the first
+		// differing byte is only recorded here.
+		if seg := p.Payload; diff < 0 && !bytes.HasPrefix(m.Data[min(total, len(m.Data)):], seg) {
+			for j, b := range seg {
+				if k := total + j; k >= len(m.Data) || b != m.Data[k] {
+					diff = k
+					break
+				}
+			}
 		}
+		total += len(p.Payload)
+	}
+	if total != len(m.Data) {
+		return fmt.Errorf("nic: frames carry %d payload bytes, message %d", total, len(m.Data))
+	}
+	if diff >= 0 {
+		return fmt.Errorf("nic: reassembled payload differs at byte %d", diff)
 	}
 	return nil
 }

@@ -8,7 +8,6 @@ import (
 	"github.com/thu-has/ragnar/internal/host"
 	"github.com/thu-has/ragnar/internal/sim"
 	"github.com/thu-has/ragnar/internal/trace"
-	"github.com/thu-has/ragnar/internal/wire"
 )
 
 // Opcode is an RDMA operation code (the Grain-II parameter).
@@ -187,6 +186,7 @@ type qpState struct {
 	outstanding   []*pending // in PSN order; retransmit set on timeout/NAK
 	retries       int        // consecutive timeouts without progress
 	rtxTimer      sim.Event  // pending retransmit timeout (zero/stale when idle)
+	rtxFire       func()     // onRetryTimeout bound to this QP once, at CreateQP
 	retryTimeout  sim.Duration
 	retryLimit    int
 	progressEpoch uint64 // bumped on every completion
@@ -218,7 +218,7 @@ type qpState struct {
 	// SEND as a commit record observes the write before its data landed.
 	placeNext uint64            // next ticket, assigned at PSN acceptance
 	placeHead uint64            // next ticket allowed to fire
-	placeWait map[uint64]func() // finished effects blocked behind earlier tickets
+	placeWait map[uint64]func() // finished effects (their ops' fire) blocked behind earlier tickets
 }
 
 // place fires a finished request's visible effect as soon as every
@@ -243,17 +243,6 @@ func (qp *qpState) place(ticket uint64, fn func()) {
 		next()
 		qp.placeHead++
 	}
-}
-
-type pending struct {
-	wqe         *WQE
-	qpn         uint32
-	postTime    sim.Time
-	seq         uint64
-	psn         uint32
-	msg         *Message // retained for retransmission
-	lastSent    sim.Time // aging base for the retransmit timeout
-	retransmits int
 }
 
 // Counters aggregates the NIC's ethtool-visible and HARMONIC-visible
@@ -382,7 +371,7 @@ type NIC struct {
 	// processing complex.
 	isoOn      bool
 	isoCredits [MaxTenants]int
-	isoWait    [MaxTenants][]func()
+	isoWait    [MaxTenants][]func() // waiting ops' fire, FIFO per tenant
 
 	// RC retransmission defaults, overridable per QP via SetQPRetry. The
 	// default timeout is deliberately far above any in-sim RTT so that a
@@ -417,16 +406,22 @@ type NIC struct {
 	psnActor uint16 // go-back-N transport lane
 	cqeActor uint16 // completion lane
 
-	// Free lists for the per-packet datapath structs. The engine is
-	// single-threaded, so these are plain slices (no sync.Pool — its
-	// GC-coupled reuse would be nondeterministic across runs; an explicit
-	// free list recycles at fixed points in the event order, keeping runs
-	// byte-identical). Entries migrate between the two NICs of a rig:
-	// responses are allocated by the responder and recycled by the
-	// requester — same engine, so never a race.
+	// Free lists for the per-packet datapath structs (see pipeline.go). The
+	// engine is single-threaded, so these are plain slices (no sync.Pool —
+	// its GC-coupled reuse would be nondeterministic across runs; an
+	// explicit free list recycles at fixed points in the event order,
+	// keeping runs byte-identical). Messages and envelopes migrate between
+	// the NICs of a rig: responses are allocated by the responder and
+	// recycled by the requester, envelopes are recycled by the receiver.
+	// Across engine domains the hand-over happens at the window barrier,
+	// so never a race.
 	msgFree  []*Message
 	pendFree []*pending
+	opFree   []*respOp
 	envFree  []*envelope
+
+	// rxCheck is the parse state Deliver verifies arriving frames with.
+	rxCheck frameCheck
 }
 
 // getMsg takes a Message from the free list (or allocates one). The caller
@@ -447,34 +442,6 @@ func (n *NIC) getMsg() *Message {
 func (n *NIC) putMsg(m *Message) {
 	*m = Message{}
 	n.msgFree = append(n.msgFree, m)
-}
-
-func (n *NIC) getPending() *pending {
-	if k := len(n.pendFree) - 1; k >= 0 {
-		p := n.pendFree[k]
-		n.pendFree = n.pendFree[:k]
-		return p
-	}
-	return new(pending)
-}
-
-func (n *NIC) putPending(p *pending) {
-	*p = pending{}
-	n.pendFree = append(n.pendFree, p)
-}
-
-func (n *NIC) getEnv() *envelope {
-	if k := len(n.envFree) - 1; k >= 0 {
-		env := n.envFree[k]
-		n.envFree = n.envFree[:k]
-		return env
-	}
-	return new(envelope)
-}
-
-func (n *NIC) putEnv(env *envelope) {
-	*env = envelope{}
-	n.envFree = append(n.envFree, env)
 }
 
 // New creates a NIC on a host. Call AddPeerLink before any traffic flows.
@@ -667,8 +634,10 @@ func (n *NIC) CreateQP(qpn uint32, onComplete func(Completion), onRecv func(Recv
 	// rewindEpoch starts off any valid progressEpoch so the first NAK of a
 	// connection's lifetime always triggers a rewind. The go-back-N window
 	// is preallocated so steady-state posting never grows it.
-	n.qps[qpn] = &qpState{qpn: qpn, onComplete: onComplete, onRecv: onRecv,
+	qp := &qpState{qpn: qpn, onComplete: onComplete, onRecv: onRecv,
 		rewindEpoch: ^uint64(0), outstanding: make([]*pending, 0, 64)}
+	qp.rtxFire = func() { n.onRetryTimeout(qp) }
+	n.qps[qpn] = qp
 	return nil
 }
 
@@ -780,15 +749,6 @@ func (n *NIC) dmaTransferTime(bytes int) sim.Duration {
 	return sim.Duration(float64(bytes)/n.prof.PCIeGBps*float64(sim.Nanosecond)) + 8*sim.Nanosecond
 }
 
-// dma runs a host-memory DMA: occupies the engine for the transfer time,
-// then completes after the PCIe and memory latency.
-func (n *NIC) dma(bytes int, reg *host.Region, done func()) {
-	memLat := n.hst.MemAccessLatency(reg, n.numa)
-	n.hostDMA.Submit(n.dmaTransferTime(bytes), 0, func() {
-		n.eng.After(n.prof.PCIeLatency+memLat, done)
-	})
-}
-
 // PostSend submits a WQE on a QP: it stages the entry and rings the
 // doorbell over it in one call, so the entry dispatches synchronously here
 // (behind any earlier staged-but-unexecuted entries) exactly as the
@@ -806,39 +766,28 @@ func (n *NIC) PostSend(qpn uint32, wqe *WQE) error {
 }
 
 // dispatchWQE launches one enabled wire WQE down the requester pipeline:
-// doorbell, SQE fetch (inline payload rides along), requester PU, launch.
-// This is the pre-refactor PostSend body — every event it schedules is
-// byte-identical to the old direct path (pinned by TestSQSeamByteIdentical).
+// doorbell, SQE fetch (inline payload rides along), requester PU, launch
+// (see pending in pipeline.go). Every event it schedules is byte-identical
+// to the pre-state-machine direct path (pinned by TestSQSeamByteIdentical).
 func (n *NIC) dispatchWQE(qp *qpState, wqe *WQE) {
 	qp.posted++
 	n.counters.TxMsgs[wqe.Op]++
 	n.counters.PerQPMsgs[qp.qpn]++
-	post := n.eng.Now()
-
-	fetchBytes := 64
-	inline := wqe.Op == OpWrite && wqe.Length <= n.prof.InlineMax
-	if inline {
-		fetchBytes += wqe.Length
+	p := n.getPending()
+	p.qp, p.wqe, p.qpn, p.postTime = qp, wqe, qp.qpn, n.eng.Now()
+	p.fetch = 64
+	p.inline = wqe.Op == OpWrite && wqe.Length <= n.prof.InlineMax
+	if p.inline {
+		p.fetch += wqe.Length
 	}
-	n.eng.After(n.prof.DoorbellTime, func() {
-		n.hostDMA.Submit(n.dmaTransferTime(fetchBytes)+n.prof.SQEFetchTime, 0, func() {
-			// Encryption profiles pay the AES cost on the requester PU: the
-			// payload (or the header MAC for payload-less verbs) is
-			// enciphered before the message can launch.
-			n.txPU.Submit(n.prof.TxPUTime+n.encCharge(wqe.Length), 0, func() {
-				if wqe.Op == OpWrite && !inline || wqe.Op == OpSend && wqe.Length > n.prof.InlineMax {
-					n.dma(wqe.Length, nil, func() { n.launch(qp, wqe, post) })
-					return
-				}
-				n.launch(qp, wqe, post)
-			})
-		})
-	})
+	p.stage = pFetch
+	n.eng.After(n.prof.DoorbellTime, p.fire)
 }
 
 // launch builds the request message and hands it to the requester egress
 // ring (class 0: the logical Tx arbiter outranks the responder ring).
-func (n *NIC) launch(qp *qpState, wqe *WQE, post sim.Time) {
+func (n *NIC) launch(p *pending) {
+	qp, wqe := p.qp, p.wqe
 	seq := n.nextSeq
 	n.nextSeq++
 	psn := qp.nextPSN
@@ -852,9 +801,7 @@ func (n *NIC) launch(qp *qpState, wqe *WQE, post sim.Time) {
 	if wqe.Op == OpWrite || wqe.Op == OpSend {
 		m.Data = wqe.LocalData
 	}
-	p := n.getPending()
-	*p = pending{wqe: wqe, qpn: qp.qpn, postTime: post, seq: seq, psn: psn, msg: m,
-		lastSent: n.eng.Now()}
+	p.seq, p.psn, p.msg, p.lastSent = seq, psn, m, n.eng.Now()
 	n.rec.Emit(trace.Event{At: int64(n.eng.Now()), Kind: trace.KindPSNSend,
 		Actor: n.psnActor, QPN: qp.qpn, PSN: psn, Val: seq, TC: int8(wqe.TC)})
 	n.pend[seq] = p
@@ -872,7 +819,8 @@ const pfcXOFF = 32
 
 // transmit serialises a message through the egress arbiter onto the wire.
 // ring 0 is the requester (Tx arbiter), ring 1 the responder (Rx arbiter);
-// strict priority between them is Key Finding 3.
+// strict priority between them is Key Finding 3. The envelope that will
+// carry the message is the arbiter request (see envelope.granted).
 func (n *NIC) transmit(dst *NIC, m *Message, ring int) {
 	bytes := n.wireBytes(m)
 	flow := flowLabel(m.SrcQPN, m.DstQPN)
@@ -888,41 +836,10 @@ func (n *NIC) transmit(dst *NIC, m *Message, ring int) {
 	if ser > service {
 		service = ser
 	}
-	n.egress.SubmitMeta(service, sim.ReqMeta{Class: ring, Tenant: n.tenantOf(m.SrcQPN), Bytes: bytes}, func() {
-		n.counters.TxBytes += uint64(bytes)
-		n.counters.TxBytesTC[m.TC&7] += uint64(bytes)
-		n.rec.Emit(trace.Event{At: int64(n.eng.Now()), Kind: trace.KindArbGrant,
-			Actor: n.arbActor, QPN: m.SrcQPN, PSN: m.PSN, TC: int8(m.TC & 7),
-			Val: uint64(bytes), Aux: uint64(ring)})
-		if link == nil {
-			// Loopback fallback for single-NIC tests.
-			n.eng.After(sim.Nanosecond, func() { dst.HandleIngress(m) })
-			return
-		}
-		var frames [][]byte
-		if EncodeFrames {
-			var err error
-			if frames, err = encodeSegments(m, n.prof.MTU); err != nil {
-				panic(fmt.Sprintf("nic %s: frame encode: %v", n.Name, err))
-			}
-			if n.Tap != nil {
-				for _, f := range frames {
-					n.Tap(n.eng.Now(), wire.Encapsulate(f, n.ip, dst.ip, 49152+uint16(m.SrcQPN&0x3fff)))
-				}
-			}
-		}
-		env := n.getEnv()
-		env.dst, env.msg, env.frames = dst, m, frames
-		if err := link.Send(fabric.Packet{TC: m.TC, Bytes: bytes, Dst: dst.addr, Flow: flow, Payload: env}); err != nil {
-			// Tail drop at the egress queue: the packet never reaches the
-			// wire. The RC transport recovers it — a lost request draws a
-			// NAK-seq or a retransmit timeout, a lost response a duplicate
-			// request — and the link's per-TC drop counter (surfaced through
-			// Counters().WireDropsTC) records the loss for Grain-I monitors.
-			n.putEnv(env)
-			return
-		}
-	})
+	env := n.getEnv()
+	env.src, env.dst, env.msg, env.link = n, dst, m, link
+	env.bytes, env.flow, env.ring = bytes, flow, ring
+	n.egress.SubmitMeta(service, sim.ReqMeta{Class: ring, Tenant: n.tenantOf(m.SrcQPN), Bytes: bytes}, env.fire)
 }
 
 // flowLabel derives the packet flow label from the QP pair. Requests and
@@ -934,42 +851,34 @@ func flowLabel(srcQPN, dstQPN uint32) uint32 {
 	return srcQPN*2654435761 + dstQPN
 }
 
-// envelope routes a fabric packet to the destination NIC. When wire
-// fidelity is on it also carries the message's real RoCEv2 encoding, which
-// the receiver parses and cross-checks.
-type envelope struct {
-	dst    *NIC
-	msg    *Message
-	frames [][]byte
-}
-
 // Deliver is installed as the fabric sink: it dispatches an arriving packet
-// to its destination NIC's ingress pipeline. The envelope is recycled here
-// (the message outlives it); envelopes lost in flight with their packet are
-// simply collected by the GC.
+// to its destination NIC's ingress pipeline. The envelope is recycled here,
+// once its frames are checked (the message outlives it); envelopes lost in
+// flight with their packet are simply collected by the GC.
 func Deliver(p fabric.Packet) {
 	env, ok := p.Payload.(*envelope)
 	if !ok {
 		panic("nic: foreign payload on fabric")
 	}
-	dst, m, frames := env.dst, env.msg, env.frames
-	dst.putEnv(env)
+	dst, m := env.dst, env.msg
 	if p.Corrupt {
 		// ICRC failure: the payload cannot be trusted, so the packet is
 		// dropped before any parsing — the transport recovers it exactly
 		// like an in-flight loss.
+		dst.putEnv(env)
 		dst.counters.RxCorrupt++
 		dst.rec.Emit(trace.Event{At: int64(dst.eng.Now()), Kind: trace.KindRxCorrupt,
 			Actor: dst.rxActor, TC: int8(p.TC & 7), Val: uint64(p.Bytes)})
 		return
 	}
-	if frames != nil {
+	if len(env.frames) > 0 {
 		// Wire fidelity: the frames must decode back to exactly the message
 		// being delivered.
-		if err := verifySegments(frames, m); err != nil {
+		if err := dst.rxCheck.verify(env.frames, m); err != nil {
 			panic("nic: wire/simulation divergence: " + err.Error())
 		}
 	}
+	dst.putEnv(env)
 	dst.HandleIngress(m)
 }
 
@@ -987,6 +896,8 @@ func (n *NIC) HandleIngress(m *Message) {
 	n.handleRequest(m)
 }
 
+// handleRequest accepts an inbound request and starts its execution (see
+// respOp in pipeline.go).
 func (n *NIC) handleRequest(m *Message) {
 	n.counters.RxMsgs[m.Op]++
 	if n.rxPU.QueueLen()+n.tpuSrv.QueueLen() >= pfcXOFF {
@@ -1004,15 +915,15 @@ func (n *NIC) handleRequest(m *Message) {
 	// Visible-effect ordering: requests accepted in PSN order take a
 	// placement ticket; duplicates and unroutable frames run ungated (they
 	// carry no new data, so nothing can be observed out of order).
-	place := func(fn func()) { fn() }
+	var gate *qpState
+	var ticket uint64
 	if qp := n.qps[m.DstQPN]; qp != nil {
 		switch {
 		case m.PSN == qp.epsn:
 			qp.epsn = (qp.epsn + 1) & psnMask
 			qp.nakArmed = false
-			ticket := qp.placeNext
+			gate, ticket = qp, qp.placeNext
 			qp.placeNext++
-			place = func(fn func()) { qp.place(ticket, fn) }
 		case psnAfter(m.PSN, qp.epsn):
 			// A gap: an earlier request was lost. NAK once per stall; later
 			// out-of-order arrivals are silently discarded until the stream
@@ -1020,9 +931,9 @@ func (n *NIC) handleRequest(m *Message) {
 			if !qp.nakArmed {
 				qp.nakArmed = true
 				n.counters.SeqNaks++
-				n.rxPU.Submit(n.prof.RxPUTime, 0, func() {
-					n.respondNak(m, (qp.epsn-1)&psnMask)
-				})
+				op := n.getOp(m, rNak)
+				op.qp = qp
+				n.rxPU.Submit(n.prof.RxPUTime, 0, op.fire)
 			}
 			return
 		default:
@@ -1048,179 +959,22 @@ func (n *NIC) handleRequest(m *Message) {
 	if pkts < 1 {
 		pkts = 1
 	}
+	op := n.getOp(m, rEnter)
+	op.gate, op.ticket = gate, ticket
 	// Encryption profiles decrypt/authenticate the inbound payload on the
 	// responder PU (for READs this is the outbound data being enciphered).
-	service := n.prof.RxPUTime*sim.Duration(pkts) + n.encCharge(m.Length)
-	enter := func() {
-		n.rxPU.Submit(service, 0, func() {
-			extra := sim.Duration(0)
-			if n.ResponderDelay != nil {
-				extra = n.ResponderDelay()
-			}
-			// QPC lookup: a cold QP context costs an ICM fetch.
-			if !n.qpc.Access(QPCtxKey(m.DstQPN)) {
-				extra += n.prof.QPCMissPenalty
-			}
-			qp := n.qps[m.DstQPN]
-			if qp == nil {
-				// Unknown QPN: the tell-tale of a QP-number-guessing sweep.
-				// Benign traffic never produces one (connections are wired before
-				// traffic flows), so the counter is a pure abuse marker.
-				n.counters.RxBadQP++
-				n.eng.After(extra, func() { n.respond(m, StatusBadQP, nil, 0) })
-				return
-			}
-			switch m.Op {
-			case OpSend:
-				n.eng.After(extra, func() { n.completeSend(qp, m, place) })
-			case OpWrite, OpRead, OpAtomicFAA, OpAtomicCAS:
-				n.eng.After(extra, func() { n.oneSided(qp, m, place) })
-			default:
-				n.eng.After(extra, func() { place(func() { n.respond(m, StatusRemoteAccessError, nil, 0) }) })
-			}
-		})
-	}
+	op.service = n.prof.RxPUTime*sim.Duration(pkts) + n.encCharge(m.Length)
 	// Isolation profiles gate responder-PU entry on the tenant's credit
 	// pool. A retransmitted frame re-entering the pipeline while the
 	// original still holds its admission (m is the same object on both
 	// paths) keeps the original credit instead of taking a second one, so
 	// respond()'s exactly-once release stays balanced under loss.
 	if m.admitted {
-		enter()
+		op.fire()
 		return
 	}
 	m.admitted = n.isoOn
-	n.isoAdmit(n.tenantOf(m.DstQPN), enter)
-}
-
-// completeSend lands an inbound SEND in the QP's receive queue. The recv
-// delivery waits behind the placement gate: a SEND used as a commit record
-// must never be observed before the data of writes accepted ahead of it.
-func (n *NIC) completeSend(qp *qpState, m *Message, place func(func())) {
-	n.dma(m.Length, nil, func() {
-		place(func() {
-			var buf []byte
-			if len(qp.recvQueue) > 0 {
-				buf = qp.recvQueue[0]
-				qp.recvQueue = qp.recvQueue[1:]
-				copy(buf, m.Data)
-			}
-			if qp.onRecv != nil {
-				qp.onRecv(RecvEvent{QPN: qp.qpn, Op: OpSend, Bytes: m.Length, Data: m.Data, SrcQPN: m.SrcQPN})
-			}
-			n.respond(m, StatusOK, nil, 0)
-		})
-	})
-}
-
-// oneSided executes WRITE/READ/ATOMIC against a registered MR through the
-// TPU and host DMA.
-func (n *NIC) oneSided(qp *qpState, m *Message, place func(func())) {
-	mr := n.mrs[m.RKey]
-	if mr == nil || m.RemoteAddr < mr.Base || m.RemoteAddr+uint64(max(m.Length, 1)) > mr.Base+mr.Size {
-		place(func() { n.respond(m, StatusRemoteAccessError, nil, 0) })
-		return
-	}
-	switch m.Op {
-	case OpRead:
-		if !mr.RemoteRead {
-			place(func() { n.respond(m, StatusRemoteAccessError, nil, 0) })
-			return
-		}
-	case OpWrite:
-		if !mr.RemoteWrite {
-			place(func() { n.respond(m, StatusRemoteAccessError, nil, 0) })
-			return
-		}
-	default:
-		if !mr.Atomic {
-			place(func() { n.respond(m, StatusRemoteAccessError, nil, 0) })
-			return
-		}
-	}
-	offset := m.RemoteAddr - mr.Base
-	n.counters.PerMRBytes[mr.Key] += uint64(m.Length)
-	tpuTime := n.tpu.Translate(Request{
-		MRKey: mr.Key, Offset: offset, Length: m.Length,
-		MRBase: mr.Base, PageSize: mr.PageSize,
-	})
-	// MPT lookup: when the profile prices MR contexts, a cold one costs an
-	// ICM fetch serialised through the TPU pipeline — so under context
-	// thrash every tenant queues behind the aggressor's fetches. Profiles
-	// with MPTMissPenalty 0 skip the lookup entirely (no occupancy, no
-	// counters), keeping the legacy timing surface untouched.
-	if n.prof.MPTMissPenalty > 0 && !n.qpc.Access(MRCtxKey(mr.Key)) {
-		tpuTime += n.prof.MPTMissPenalty
-	}
-	n.tpuSrv.Submit(tpuTime, 0, func() {
-		switch m.Op {
-		case OpWrite:
-			n.dma(m.Length, mr.Region, func() {
-				place(func() {
-					if mr.Region != nil && m.Data != nil {
-						wrote := min(len(m.Data), m.Length)
-						if err := mr.Region.WriteAt(offset, m.Data[:wrote]); err != nil {
-							n.respond(m, StatusRemoteAccessError, nil, 0)
-							return
-						}
-						// A write landing over a registered SQ window rewrites
-						// the staged WQEs it covers (RedN self-modification).
-						if len(n.sqWins) > 0 {
-							n.sqPatch(m.RemoteAddr, wrote)
-						}
-					}
-					if qp.onRecv != nil {
-						qp.onRecv(RecvEvent{QPN: qp.qpn, Op: OpWrite, Bytes: m.Length, SrcQPN: m.SrcQPN})
-					}
-					n.respond(m, StatusOK, nil, 0)
-				})
-			})
-		case OpRead:
-			n.dma(m.Length, mr.Region, func() {
-				place(func() {
-					var data []byte
-					if mr.Region != nil {
-						data = make([]byte, m.Length)
-						if err := mr.Region.ReadAt(offset, data); err != nil {
-							n.respond(m, StatusRemoteAccessError, nil, 0)
-							return
-						}
-					}
-					n.respond(m, StatusOK, data, 0)
-				})
-			})
-		case OpAtomicFAA, OpAtomicCAS:
-			n.eng.After(n.prof.AtomicExtra, func() {
-				n.dma(8, mr.Region, func() {
-					place(func() {
-						var orig uint64
-						if mr.Region != nil && offset+8 <= mr.Size {
-							b := make([]byte, 8)
-							mr.Region.ReadAt(offset, b)
-							orig = le64(b)
-							var newVal uint64
-							if m.Op == OpAtomicFAA {
-								newVal = orig + m.CompareAdd
-							} else if orig == m.CompareAdd {
-								newVal = m.Swap
-							} else {
-								newVal = orig
-							}
-							put64(b, newVal)
-							mr.Region.WriteAt(offset, b)
-						}
-						// Record the result for duplicate replay: a
-						// retransmitted atomic must not execute twice (the IB
-						// responder keeps a one-deep atomic replay buffer).
-						qp.atomicReplayOK = true
-						qp.atomicReplayPSN = m.PSN
-						qp.atomicReplayVal = orig
-						n.respond(m, StatusOK, nil, orig)
-					})
-				})
-			})
-		}
-	})
+	n.isoAdmit(n.tenantOf(m.DstQPN), op.fire)
 }
 
 // respond sends a response back through the responder ring (class 1).
@@ -1258,8 +1012,8 @@ func (n *NIC) respond(req *Message, st Status, data []byte, atomicOrig uint64) {
 
 // handleResponse finishes the pending WQE on the requester. Responses are
 // free-list-managed: every return path below recycles m after its last use
-// (the completion closures capture the copied status/result/data, never the
-// Message itself).
+// (the pending keeps the copied status, result and data, never the Message
+// itself).
 func (n *NIC) handleResponse(m *Message) {
 	p := n.pend[m.Seq]
 	if p == nil {
@@ -1299,7 +1053,7 @@ func (n *NIC) handleResponse(m *Message) {
 		qp.retries = 0
 		n.armRetransmit(qp)
 	}
-	st, result, data := m.Status, m.CompareAdd, m.Data
+	p.qp, p.st, p.result, p.data = qp, m.Status, m.CompareAdd, m.Data
 	n.putMsg(m)
 	// The request frame is NOT recycled here, even when it was launched
 	// exactly once: an ACK proves only that a response exists, not that the
@@ -1314,47 +1068,11 @@ func (n *NIC) handleResponse(m *Message) {
 	// Encryption profiles decrypt an inbound READ payload on the requester's
 	// responder PU before it can land in host memory.
 	var encExtra sim.Duration
-	if p.wqe.Op == OpRead && st == StatusOK {
+	if p.wqe.Op == OpRead && p.st == StatusOK {
 		encExtra = n.encCharge(p.wqe.Length)
 	}
-	n.rxPU.Submit(n.prof.RxPUTime+encExtra, 0, func() {
-		finish := func() {
-			n.hostDMA.Submit(n.dmaTransferTime(32)+n.prof.CQEWriteTime, 0, func() {
-				if qp != nil {
-					qp.completed++
-					n.rec.Emit(trace.Event{At: int64(n.eng.Now()), Kind: trace.KindCQE,
-						Actor: n.cqeActor, QPN: p.qpn, TC: int8(p.wqe.TC),
-						Dur: int64(n.eng.Now().Sub(p.postTime)), Aux: uint64(st)})
-					if qp.onComplete != nil {
-						qp.onComplete(Completion{
-							QPN: p.qpn, WRID: p.wqe.WRID, Op: p.wqe.Op,
-							Status: st, Bytes: p.wqe.Length, Result: result,
-							PostTime: p.postTime, DoneTime: n.eng.Now(),
-						})
-					}
-					n.cqeDelivered(qp)
-				}
-				n.putPending(p)
-			})
-		}
-		if p.wqe.Op == OpRead && st == StatusOK {
-			// DMA the read payload into the host buffer. A READ with a
-			// LocalKey also lands in the named local MR — and may patch a
-			// registered SQ window there — strictly before its CQE fires,
-			// so a WAIT ordered behind this read observes the patch.
-			n.dma(p.wqe.Length, nil, func() {
-				if p.wqe.LocalData != nil && data != nil {
-					copy(p.wqe.LocalData, data)
-				}
-				if p.wqe.LocalKey != 0 && data != nil {
-					n.landLocal(p.wqe, data)
-				}
-				finish()
-			})
-			return
-		}
-		finish()
-	})
+	p.stage = pLand
+	n.rxPU.Submit(n.prof.RxPUTime+encExtra, 0, p.fire)
 }
 
 // Outstanding reports requester WQEs in flight.

@@ -281,10 +281,11 @@ func TestLargeWriteSegmentsOnWire(t *testing.T) {
 	}
 	m := &Message{Op: OpWrite, DstQPN: 9, RemoteAddr: 0x1000, RKey: 5,
 		Length: len(payload), Data: payload, Seq: 7, PSN: 41}
-	frames, err := encodeSegments(m, CX4.MTU)
-	if err != nil {
+	var fb frameBuf
+	if err := fb.encode(m, CX4.MTU); err != nil {
 		t.Fatal(err)
 	}
+	frames := fb.frames
 	if len(frames) != 3 {
 		t.Fatalf("got %d segments, want 3", len(frames))
 	}
@@ -309,7 +310,8 @@ func TestLargeWriteSegmentsOnWire(t *testing.T) {
 	if string(reassembled) != string(payload) {
 		t.Fatal("reassembled payload differs")
 	}
-	if err := verifySegments(frames, m); err != nil {
+	var fc frameCheck
+	if err := fc.verify(frames, m); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -318,18 +320,19 @@ func TestLargeWriteSegmentsOnWire(t *testing.T) {
 func TestVerifySegmentsRejectsTampering(t *testing.T) {
 	m := &Message{Op: OpWrite, DstQPN: 9, RemoteAddr: 0x1000, RKey: 5,
 		Length: 8, Data: []byte("12345678"), Seq: 1}
-	frames, err := encodeSegments(m, 4096)
-	if err != nil {
+	var fb frameBuf
+	if err := fb.encode(m, 4096); err != nil {
 		t.Fatal(err)
 	}
+	var fc frameCheck
 	wrong := &Message{Op: OpWrite, DstQPN: 9, RemoteAddr: 0x2000, RKey: 5,
 		Length: 8, Data: []byte("12345678"), Seq: 1}
-	if err := verifySegments(frames, wrong); err == nil {
+	if err := fc.verify(fb.frames, wrong); err == nil {
 		t.Fatal("address mismatch not caught")
 	}
 	short := &Message{Op: OpWrite, DstQPN: 9, RemoteAddr: 0x1000, RKey: 5,
 		Length: 4, Data: []byte("1234"), Seq: 1}
-	if err := verifySegments(frames, short); err == nil {
+	if err := fc.verify(fb.frames, short); err == nil {
 		t.Fatal("length mismatch not caught")
 	}
 }

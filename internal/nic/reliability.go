@@ -93,7 +93,8 @@ func (n *NIC) retryParams(qp *qpState) (sim.Duration, int) {
 // from "now" matters under pipelining: ACKs for younger requests must not
 // keep pushing a lost request's retry into the future, or a deep QP starves
 // its stalled slot for as long as the rest of the window makes progress.
-// Cancelled events never fire, so on a lossless run this is pure bookkeeping.
+// Cancelled events never fire and leave the event queue at once, so on a
+// lossless run this is pure bookkeeping.
 func (n *NIC) armRetransmit(qp *qpState) {
 	qp.rtxTimer.Cancel()
 	qp.rtxTimer = sim.Event{}
@@ -109,7 +110,7 @@ func (n *NIC) armRetransmit(qp *qpState) {
 	if wait < sim.Nanosecond {
 		wait = sim.Nanosecond // already overdue: fire on the next tick
 	}
-	qp.rtxTimer = n.eng.After(wait, func() { n.onRetryTimeout(qp) })
+	qp.rtxTimer = n.eng.After(wait, qp.rtxFire)
 }
 
 // onRetryTimeout fires when the oldest outstanding request has gone
@@ -214,25 +215,7 @@ func (n *NIC) failQP(qp *qpState) {
 		Actor: n.psnActor, QPN: qp.qpn, Val: uint64(len(flush)), TC: -1})
 	for _, p := range flush {
 		delete(n.pend, p.seq)
-		p := p
-		n.hostDMA.Submit(n.dmaTransferTime(32)+n.prof.CQEWriteTime, 0, func() {
-			qp.completed++
-			n.rec.Emit(trace.Event{At: int64(n.eng.Now()), Kind: trace.KindCQE,
-				Actor: n.cqeActor, QPN: qp.qpn, TC: int8(p.wqe.TC),
-				Dur: int64(n.eng.Now().Sub(p.postTime)), Aux: uint64(StatusRetryExcErr)})
-			if qp.onComplete != nil {
-				qp.onComplete(Completion{
-					QPN: qp.qpn, WRID: p.wqe.WRID, Op: p.wqe.Op,
-					Status: StatusRetryExcErr, Bytes: p.wqe.Length,
-					PostTime: p.postTime, DoneTime: n.eng.Now(),
-				})
-			}
-			n.cqeDelivered(qp)
-			// The request copy may still be in flight (it likely timed out
-			// on the wire), so only the pending record is recycled — its
-			// message stays with the GC.
-			n.putPending(p)
-		})
+		p.writeCQE(pFlushCQE)
 	}
 }
 
@@ -273,12 +256,13 @@ func (n *NIC) respondNak(req *Message, ackPSN uint32) {
 func (n *NIC) replayDuplicate(qp *qpState, m *Message) bool {
 	switch m.Op {
 	case OpWrite, OpSend:
-		n.rxPU.Submit(n.prof.RxPUTime, 0, func() { n.respond(m, StatusOK, nil, 0) })
+		n.rxPU.Submit(n.prof.RxPUTime, 0, n.getOp(m, rReplay).fire)
 		return true
 	case OpAtomicFAA, OpAtomicCAS:
 		if qp.atomicReplayOK && qp.atomicReplayPSN == m.PSN {
-			val := qp.atomicReplayVal
-			n.rxPU.Submit(n.prof.RxPUTime, 0, func() { n.respond(m, StatusOK, nil, val) })
+			op := n.getOp(m, rReplay)
+			op.val = qp.atomicReplayVal
+			n.rxPU.Submit(n.prof.RxPUTime, 0, op.fire)
 			return true
 		}
 		// Replay record displaced: drop the duplicate without a response —

@@ -29,30 +29,34 @@ type Event struct {
 func (ev Event) When() Time { return ev.when }
 
 // Cancel prevents a pending event from firing. Cancelling an event that has
-// already fired (or was already cancelled) is a no-op. Cancel drops the
-// engine's reference to the callback immediately, so anything the closure
-// captured becomes collectable without waiting for the slot to surface in
-// the queue.
+// already fired (or was already cancelled) is a no-op. An event still in the
+// heap is removed from it at once and its slot freed, so the queue never
+// carries dead entries and anything the closure captured becomes
+// collectable immediately. An event already popped into the active
+// same-timestamp batch is marked and reaped when the batch walk reaches it.
 func (ev *Event) Cancel() {
 	if ev.eng == nil {
 		return
 	}
 	ev.canceled = true
-	if ev.eng.live(ev.slot, ev.gen) {
-		s := &ev.eng.slots[ev.slot]
-		s.canceled = true
-		s.fn = nil
+	e := ev.eng
+	if !e.live(ev.slot, ev.gen) {
+		return
 	}
+	s := &e.slots[ev.slot]
+	if s.pos != notInHeap {
+		e.heapDelete(int(s.pos))
+		e.freeSlot(ev.slot)
+		return
+	}
+	s.canceled = true
+	s.fn = nil
 }
 
-// Canceled reports whether the event has been cancelled (via this handle or
-// any copy of it that shares the slot generation).
-func (ev Event) Canceled() bool {
-	if ev.canceled {
-		return true
-	}
-	return ev.eng != nil && ev.eng.live(ev.slot, ev.gen) && ev.eng.slots[ev.slot].canceled
-}
+// Canceled reports whether Cancel was called through this handle. A copy of
+// the handle taken before the Cancel does not see it: the cancel frees the
+// slot, which is all a copy can observe (its Pending turns false).
+func (ev Event) Canceled() bool { return ev.canceled }
 
 // Pending reports whether the event is still scheduled: not yet fired and
 // not cancelled. The zero Event is never pending.
@@ -69,7 +73,8 @@ func (ev Event) Pending() bool {
 // entries orders events, a slab free list recycles callback slots, and a
 // batch buffer drains same-timestamp runs without touching the heap for
 // events scheduled "now" during the run — the common burst pattern when a
-// fabric TC queue drains. See heap.go and DESIGN.md §9.
+// fabric TC queue drains. Cancel removes heap entries eagerly, so the heap
+// holds only live events. See heap.go and DESIGN.md §9.
 type Engine struct {
 	now    Time
 	seq    uint64
@@ -118,9 +123,11 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 // Fired reports how many events have executed so far.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// Pending reports how many events are scheduled but not yet fired
-// (cancelled events count until their queue entry is reaped, matching the
-// previous container/heap behaviour).
+// Pending reports how many events are scheduled but not yet fired. Cancel
+// removes heap entries at once, so outside a same-timestamp batch the count
+// is exact (it equals LivePending). While a batch is active, a batch entry
+// cancelled after it left the heap still counts until the batch walk reaches
+// it.
 func (e *Engine) Pending() int {
 	return len(e.heap) + (len(e.batch) - e.batchIdx)
 }
@@ -215,35 +222,27 @@ func (e *Engine) step() bool {
 	}
 }
 
-// next prunes cancelled events off the front of the queue and reports the
-// earliest pending timestamp without consuming the event.
+// next reports the earliest pending timestamp without consuming the event.
+// It reaps cancelled entries off the front of the active batch; the heap
+// root is always live, because Cancel removes heap entries eagerly.
 func (e *Engine) next() (Time, bool) {
-	for {
-		if e.batchOn {
-			if e.batchIdx < len(e.batch) {
-				ent := e.batch[e.batchIdx]
-				if e.slots[ent.slot].canceled {
-					e.freeSlot(ent.slot)
-					e.batchIdx++
-					continue
-				}
+	if e.batchOn {
+		for e.batchIdx < len(e.batch) {
+			ent := e.batch[e.batchIdx]
+			if !e.slots[ent.slot].canceled {
 				return ent.when, true
 			}
-			e.batch = e.batch[:0]
-			e.batchIdx = 0
-			e.batchOn = false
-		}
-		if len(e.heap) == 0 {
-			return 0, false
-		}
-		ent := e.heap[0]
-		if e.slots[ent.slot].canceled {
-			e.heapPop()
 			e.freeSlot(ent.slot)
-			continue
+			e.batchIdx++
 		}
-		return ent.when, true
+		e.batch = e.batch[:0]
+		e.batchIdx = 0
+		e.batchOn = false
 	}
+	if len(e.heap) == 0 {
+		return 0, false
+	}
+	return e.heap[0].when, true
 }
 
 // Run executes events until the queue drains or Halt is called.

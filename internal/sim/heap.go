@@ -11,9 +11,16 @@ package sim
 //     per-event allocation (contrast container/heap, which boxes every
 //     Push/Pop operand in an interface and dispatches Less/Swap virtually).
 //   - eventSlot holds the callback and liveness state (generation counter,
-//     cancel flag, free-list link) in the slots slab. Slots are recycled
-//     through an intrusive free list; the slab only grows to the high-water
-//     mark of concurrently pending events.
+//     heap position, cancel flag, free-list link) in the slots slab. Slots
+//     are recycled through an intrusive free list; the slab only grows to
+//     the high-water mark of concurrently pending events.
+//
+// Every sift keeps eventSlot.pos equal to the entry's heap index, so Cancel
+// removes a queued entry in O(log n) on the spot instead of leaving a dead
+// entry behind until it surfaces at the root. A lossless RC run re-arms a
+// 4 ms retransmit timer on every completion; lazily cancelled, those dead
+// timers outnumbered live events fifty to one and every sift walked past
+// them.
 //
 // A 4-ary heap halves the tree depth of a binary heap: pushes compare
 // against one parent per level, and the wider fan-out trades a few extra
@@ -45,13 +52,21 @@ func entryLess(a, b heapEntry) bool {
 // is "free"; gen increments every time the slot is released, so a stale
 // Event handle (fired or cancelled, slot since reused) can be detected.
 type eventSlot struct {
-	fn       func()
-	gen      uint32
+	fn  func()
+	gen uint32
+	// pos is the entry's index in the heap, or notInHeap once the entry has
+	// moved into the same-timestamp batch (or the slot is free).
+	pos int32
+	// canceled marks a batch entry cancelled after it left the heap; the
+	// batch walk reaps it. Heap entries are removed by Cancel directly.
 	canceled bool
 	next     int32 // free-list link, -1 terminates
 }
 
-const noSlot int32 = -1
+const (
+	noSlot    int32 = -1
+	notInHeap int32 = -1
+)
 
 // allocSlot takes a slot from the free list (or grows the slab) and arms it
 // with fn. It returns the slot index; the slot's current gen validates
@@ -66,7 +81,7 @@ func (e *Engine) allocSlot(fn func()) int32 {
 		s.next = noSlot
 		return idx
 	}
-	e.slots = append(e.slots, eventSlot{fn: fn, next: noSlot})
+	e.slots = append(e.slots, eventSlot{fn: fn, pos: notInHeap, next: noSlot})
 	return int32(len(e.slots) - 1)
 }
 
@@ -91,38 +106,56 @@ func (e *Engine) live(slot int32, gen uint32) bool {
 
 // heapPush inserts an entry, sifting up against one parent per level.
 func (e *Engine) heapPush(ent heapEntry) {
-	h := append(e.heap, ent)
-	i := len(h) - 1
+	e.heap = append(e.heap, ent)
+	e.siftUp(len(e.heap)-1, ent)
+}
+
+// heapPop removes and returns the minimum entry.
+func (e *Engine) heapPop() heapEntry {
+	root := e.heap[0]
+	e.heapDelete(0)
+	return root
+}
+
+// heapDelete removes the entry at index i, clearing its slot's pos, and
+// re-seats the displaced tail entry, up or down as its key demands.
+// Removing an entry never changes the order the remaining ones pop in:
+// (when, seq) is a total order.
+func (e *Engine) heapDelete(i int) {
+	e.slots[e.heap[i].slot].pos = notInHeap
+	n := len(e.heap) - 1
+	last := e.heap[n]
+	e.heap = e.heap[:n]
+	if i == n {
+		return
+	}
+	if i > 0 && entryLess(last, e.heap[(i-1)>>2]) {
+		e.siftUp(i, last)
+		return
+	}
+	e.siftDown(i, last)
+}
+
+// siftUp seats ent at index i or above, moving parents down past it.
+func (e *Engine) siftUp(i int, ent heapEntry) {
+	h, slots := e.heap, e.slots
 	for i > 0 {
 		p := (i - 1) >> 2
 		if !entryLess(ent, h[p]) {
 			break
 		}
 		h[i] = h[p]
+		slots[h[i].slot].pos = int32(i)
 		i = p
 	}
 	h[i] = ent
-	e.heap = h
+	slots[ent.slot].pos = int32(i)
 }
 
-// heapPop removes and returns the minimum entry.
-func (e *Engine) heapPop() heapEntry {
-	h := e.heap
-	root := h[0]
-	n := len(h) - 1
-	last := h[n]
-	e.heap = h[:n]
-	if n > 0 {
-		e.siftDown(last)
-	}
-	return root
-}
-
-// siftDown re-seats last (displaced from the tail) starting at the root.
-func (e *Engine) siftDown(last heapEntry) {
-	h := e.heap
+// siftDown seats ent at index i or below, moving the least child up past it.
+func (e *Engine) siftDown(i int, ent heapEntry) {
+	h, slots := e.heap, e.slots
 	n := len(h)
-	i := 0
 	for {
 		first := i<<2 + 1 // leftmost child
 		if first >= n {
@@ -139,11 +172,13 @@ func (e *Engine) siftDown(last heapEntry) {
 				m = c
 			}
 		}
-		if !entryLess(h[m], last) {
+		if !entryLess(h[m], ent) {
 			break
 		}
 		h[i] = h[m]
+		slots[h[i].slot].pos = int32(i)
 		i = m
 	}
-	h[i] = last
+	h[i] = ent
+	slots[ent.slot].pos = int32(i)
 }

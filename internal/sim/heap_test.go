@@ -120,10 +120,10 @@ func TestBatchCancelMidRun(t *testing.T) {
 func TestFreeListNoResurrection(t *testing.T) {
 	e := NewEngine(1)
 	a := e.After(Nanosecond, func() { t.Error("cancelled event fired") })
-	a.Cancel()
-	e.Run() // reaps the cancelled entry, frees the slot
+	a.Cancel() // removes the entry, frees the slot
+	e.Run()
 	if a.Pending() {
-		t.Fatal("cancelled+reaped handle still pending")
+		t.Fatal("cancelled handle still pending")
 	}
 
 	fired := false
@@ -363,6 +363,128 @@ func TestEngineMatchesReferenceHeap(t *testing.T) {
 	}
 }
 
+// live counts the reference queue's uncancelled entries.
+func (e *refEngine) live() int {
+	n := 0
+	for _, ev := range e.queue {
+		if !ev.canceled {
+			n++
+		}
+	}
+	return n
+}
+
+// runUntil fires every event at or before deadline.
+func (e *refEngine) runUntil(deadline Time) {
+	for len(e.queue) > 0 && e.queue[0].when <= deadline {
+		ev := heap.Pop(&e.queue).(*refEvent)
+		if ev.canceled {
+			continue
+		}
+		e.now = ev.when
+		ev.fn()
+	}
+}
+
+// TestEagerCancelMatchesReference is the eager-cancel property: under
+// random At and Cancel — cancels of entries deep inside the heap, of entries
+// already popped into the active same-timestamp batch, and of fired events —
+// the engine fires exactly what the lazily-cancelling reference fires, in
+// the same order, and whenever no batch is active Pending and LivePending
+// both equal the reference's live count. Coarse 10 ns delays force
+// same-timestamp batches; the run advances in RunUntil steps so the counts
+// are checked between batches.
+func TestEagerCancelMatchesReference(t *testing.T) {
+	const nOps = 600
+	var heapCancels, batchCancels int
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		type op struct {
+			delays []Duration
+			cancel int // id to cancel from this callback, -1 none
+		}
+		ops := make([]op, nOps)
+		for i := range ops {
+			for k := rng.Intn(4); k > 0; k-- {
+				ops[i].delays = append(ops[i].delays, Duration(rng.Intn(4)*10)*Nanosecond)
+			}
+			ops[i].cancel = -1
+			if rng.Intn(3) == 0 {
+				ops[i].cancel = rng.Intn(nOps)
+			}
+		}
+
+		e := NewEngine(1)
+		ref := &refEngine{}
+		var got, want []int
+		handles := make([]Event, nOps)
+		refHandles := make([]*refEvent, nOps)
+		next, refNext := 0, 0
+		var fire func(id int) func()
+		fire = func(id int) func() {
+			return func() {
+				got = append(got, id)
+				for _, d := range ops[id].delays {
+					if next < nOps {
+						handles[next] = e.After(d, fire(next))
+						next++
+					}
+				}
+				if c := ops[id].cancel; c >= 0 && c < next && handles[c].Pending() {
+					if e.slots[handles[c].slot].pos == notInHeap {
+						batchCancels++
+					} else {
+						heapCancels++
+					}
+					handles[c].Cancel()
+				}
+				if lp, p := e.LivePending(), e.Pending(); lp > p {
+					t.Fatalf("seed %d: LivePending %d > Pending %d", seed, lp, p)
+				}
+			}
+		}
+		var refFire func(id int) func()
+		refFire = func(id int) func() {
+			return func() {
+				want = append(want, id)
+				for _, d := range ops[id].delays {
+					if refNext < nOps {
+						refHandles[refNext] = ref.at(ref.now.Add(d), refFire(refNext))
+						refNext++
+					}
+				}
+				if c := ops[id].cancel; c >= 0 && c < refNext {
+					refHandles[c].canceled = true
+				}
+			}
+		}
+		for i := 0; i < 16; i++ {
+			handles[next] = e.After(Duration(i%4*10)*Nanosecond, fire(next))
+			next++
+			refHandles[refNext] = ref.at(Time(Duration(i%4*10)*Nanosecond), refFire(refNext))
+			refNext++
+		}
+		for step := Time(0); len(ref.queue) > 0 || e.Pending() > 0; step += Time(25 * Nanosecond) {
+			e.RunUntil(step)
+			ref.runUntil(step)
+			if p, lp, rl := e.Pending(), e.LivePending(), ref.live(); p != rl || lp != rl {
+				t.Fatalf("seed %d at %v: Pending=%d LivePending=%d, reference live %d", seed, step, p, lp, rl)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("seed %d at %v: fired %d events, reference %d", seed, step, len(got), len(want))
+			}
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: fire orders diverge at %d: %d vs %d", seed, i, got[i], want[i])
+			}
+		}
+	}
+	if heapCancels == 0 || batchCancels == 0 {
+		t.Fatalf("schedule exercised %d heap and %d batch cancels; want both", heapCancels, batchCancels)
+	}
+}
+
 // ---------------------------------------------------------------------------
 // GC regression: fired and cancelled callbacks must be unreachable.
 
@@ -400,7 +522,7 @@ func TestFiredCallbackCollectable(t *testing.T) {
 }
 
 // TestCancelledCallbackCollectable: Cancel must drop the callback reference
-// immediately, even while the queue entry is still waiting to be reaped.
+// immediately, without waiting for the engine to run.
 func TestCancelledCallbackCollectable(t *testing.T) {
 	e := NewEngine(1)
 	collected := make(chan struct{})
@@ -410,6 +532,6 @@ func TestCancelledCallbackCollectable(t *testing.T) {
 		return e.After(Millisecond, func() { rig[0] = 1 })
 	}()
 	ev.Cancel()
-	// No Run: the cancelled entry still sits in the heap, but fn is gone.
+	// No Run: Cancel alone has removed the entry and dropped fn.
 	waitCollected(t, collected, "cancelled callback")
 }

@@ -5,6 +5,10 @@ package sim
 // processing units and translation pipelines. Requests carry a service time;
 // when a slot frees up the next queued request begins service and its
 // completion callback fires after the service time elapses.
+//
+// A request in service is a pooled job whose fire callback is bound once,
+// when the job is first allocated, so the steady-state Submit path schedules
+// its completion without allocating (benchmark-guarded).
 type Server struct {
 	eng      *Engine
 	name     string
@@ -19,6 +23,8 @@ type Server struct {
 	// queue (same indices) and only exists for arbitrated servers.
 	arb   Arbiter
 	metas []ReqMeta
+	// jobFree recycles in-service jobs; see job.
+	jobFree []*job
 }
 
 // ReqMeta is the arbiter-visible description of one queued request. Class
@@ -43,6 +49,14 @@ type serverReq struct {
 	class   int
 	done    func()
 	posted  Time
+}
+
+// job is one request in service. fire is bound to the job once, at
+// allocation, and scheduled for every request the job carries.
+type job struct {
+	s    *Server
+	done func()
+	fire func()
 }
 
 // NewServer returns a server with the given number of parallel slots.
@@ -133,29 +147,48 @@ func (s *Server) start(req serverReq) {
 		s.lastBusy = s.eng.Now()
 	}
 	s.busy++
-	s.eng.After(req.service, func() {
-		s.busy--
-		s.served++
-		if s.busy == 0 {
-			s.busyTime += s.eng.Now().Sub(s.lastBusy)
-		}
-		if req.done != nil {
-			req.done()
-		}
-		if len(s.queue) > 0 && s.busy < s.slots {
-			i := 0
-			if s.arb != nil {
-				i = s.arb.Pick(s.metas)
-				if i < 0 || i >= len(s.queue) {
-					i = 0
-				}
-				copy(s.metas[i:], s.metas[i+1:])
-				s.metas = s.metas[:len(s.metas)-1]
+	var j *job
+	if k := len(s.jobFree) - 1; k >= 0 {
+		j = s.jobFree[k]
+		s.jobFree = s.jobFree[:k]
+	} else {
+		j = &job{s: s}
+		j.fire = j.complete
+	}
+	j.done = req.done
+	s.eng.After(req.service, j.fire)
+}
+
+// complete ends a job's service: it frees the slot, recycles the job, runs
+// the request's done callback and starts the next queued request. The job
+// goes back on the free list before done runs, because done may submit to
+// this server again.
+func (j *job) complete() {
+	s := j.s
+	done := j.done
+	j.done = nil
+	s.jobFree = append(s.jobFree, j)
+	s.busy--
+	s.served++
+	if s.busy == 0 {
+		s.busyTime += s.eng.Now().Sub(s.lastBusy)
+	}
+	if done != nil {
+		done()
+	}
+	if len(s.queue) > 0 && s.busy < s.slots {
+		i := 0
+		if s.arb != nil {
+			i = s.arb.Pick(s.metas)
+			if i < 0 || i >= len(s.queue) {
+				i = 0
 			}
-			next := s.queue[i]
-			copy(s.queue[i:], s.queue[i+1:])
-			s.queue = s.queue[:len(s.queue)-1]
-			s.start(next)
+			copy(s.metas[i:], s.metas[i+1:])
+			s.metas = s.metas[:len(s.metas)-1]
 		}
-	})
+		next := s.queue[i]
+		copy(s.queue[i:], s.queue[i+1:])
+		s.queue = s.queue[:len(s.queue)-1]
+		s.start(next)
+	}
 }

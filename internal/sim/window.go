@@ -10,9 +10,9 @@ import "fmt"
 // does not advance the clock to it (so a cross-domain message arriving
 // exactly at the window end can still be scheduled with At without tripping
 // the past-scheduling panic), and a pending count that ignores cancelled
-// entries (Pending counts them until reaped, which would deadlock the
-// group's quiesce loop on a lossless run that armed and cancelled
-// retransmit timers).
+// entries (the group's quiesce loop must not wait on a cancelled
+// retransmit timer). Cancel removes heap entries eagerly, so only the tail
+// of an active same-timestamp batch can hold a cancelled entry.
 
 // NextEventTime reports the timestamp of the earliest live (non-cancelled)
 // pending event without consuming it. ok is false when no live event is
@@ -45,16 +45,11 @@ func (e *Engine) AdvanceTo(t Time) {
 }
 
 // LivePending counts scheduled events that have not fired and have not been
-// cancelled. This is the quiesce predicate for the parallel barrier;
-// contrast Pending, which counts cancelled entries until their queue slot is
-// reaped.
+// cancelled. This is the quiesce predicate for the parallel barrier. The
+// heap holds only live entries, so just the active batch's tail is scanned;
+// outside a batch LivePending equals Pending.
 func (e *Engine) LivePending() int {
-	n := 0
-	for _, ent := range e.heap {
-		if !e.slots[ent.slot].canceled {
-			n++
-		}
-	}
+	n := len(e.heap)
 	for _, ent := range e.batch[e.batchIdx:] {
 		if !e.slots[ent.slot].canceled {
 			n++

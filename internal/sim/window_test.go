@@ -87,9 +87,9 @@ func TestLivePendingIgnoresCancelled(t *testing.T) {
 	ev2 := e.At(30, func() {})
 	ev1.Cancel()
 	ev2.Cancel()
-	// Pending counts cancelled entries until reaped; LivePending must not.
-	if p, lp := e.Pending(), e.LivePending(); p != 3 || lp != 1 {
-		t.Fatalf("Pending=%d LivePending=%d, want 3 and 1", p, lp)
+	// Cancel removes heap entries at once: neither count sees them.
+	if p, lp := e.Pending(), e.LivePending(); p != 1 || lp != 1 {
+		t.Fatalf("Pending=%d LivePending=%d, want 1 and 1", p, lp)
 	}
 	if err := e.DrainCheck(); err == nil {
 		t.Fatal("DrainCheck passed with a live event queued")

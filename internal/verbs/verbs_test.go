@@ -473,3 +473,37 @@ func TestRemoteBufAt(t *testing.T) {
 		t.Fatalf("At = %+v", got)
 	}
 }
+
+// TestDeregMRWithTrafficInFlight deregisters the target MR 2 µs after an
+// 8 B request to offset 4096 was posted, while the request is inside the
+// responder pipeline: past the MR check, before its data moves. The access
+// must fail with REMOTE_ACCESS_ERROR; it used to index the freed region's
+// nil backing and panic the simulator.
+func TestDeregMRWithTrafficInFlight(t *testing.T) {
+	post := map[string]func(r *rig, remote RemoteBuf) error{
+		"write": func(r *rig, remote RemoteBuf) error {
+			return r.qp.PostWrite(1, []byte("8 bytes!"), remote, 8)
+		},
+		"read": func(r *rig, remote RemoteBuf) error {
+			return r.qp.PostRead(1, make([]byte, 8), remote, 8)
+		},
+		"atomic": func(r *rig, remote RemoteBuf) error {
+			return r.qp.PostAtomicFAA(1, remote, 1)
+		},
+	}
+	for _, name := range []string{"write", "read", "atomic"} {
+		t.Run(name, func(t *testing.T) {
+			r := newRig(t, nic.CX4, 16)
+			if err := post[name](r, r.serverMR.Describe(4096)); err != nil {
+				t.Fatal(err)
+			}
+			r.eng.RunFor(2 * sim.Microsecond)
+			r.serverMR.DeregMR()
+			r.eng.Run()
+			comps := r.cq.Poll(10)
+			if len(comps) != 1 || comps[0].Status != nic.StatusRemoteAccessError {
+				t.Fatalf("completions %+v, want one REMOTE_ACCESS_ERROR", comps)
+			}
+		})
+	}
+}

@@ -7,7 +7,9 @@ import (
 
 // FuzzParse hardens the packet parser against arbitrary input: it must
 // never panic, and any input it accepts must re-marshal to an equivalent
-// packet (parse/marshal round-trip stability).
+// packet (parse/marshal round-trip stability). ParseInto must agree with
+// Parse on every input: same acceptance, same fields, and a payload that
+// aliases raw instead of copying it.
 func FuzzParse(f *testing.F) {
 	// Seed with valid packets of every opcode family.
 	seeds := []*Packet{
@@ -29,8 +31,21 @@ func FuzzParse(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		p, err := Parse(raw)
+		var into Packet
+		var hdrs Headers
+		intoErr := ParseInto(raw, &into, &hdrs)
+		if (err == nil) != (intoErr == nil) {
+			t.Fatalf("Parse error %v, ParseInto error %v", err, intoErr)
+		}
 		if err != nil {
 			return // rejection is fine; panics are not
+		}
+		if into.BTH != p.BTH || into.AtomicAck != p.AtomicAck || !bytes.Equal(into.Payload, p.Payload) ||
+			!sameHeader(into.Reth, p.Reth) || !sameHeader(into.Aeth, p.Aeth) || !sameHeader(into.Atomic, p.Atomic) {
+			t.Fatalf("ParseInto %+v, Parse %+v", into, *p)
+		}
+		if len(into.Payload) > 0 && &into.Payload[0] != &raw[len(raw)-ICRCBytes-int(into.BTH.PadCount)-len(into.Payload)] {
+			t.Fatal("ParseInto payload does not alias raw")
 		}
 		again, err := p.Marshal()
 		if err != nil {
@@ -58,4 +73,13 @@ func FuzzDecapsulate(f *testing.F) {
 			t.Fatal("decapsulated more bytes than the frame holds")
 		}
 	})
+}
+
+// sameHeader reports whether two optional extended headers are both absent
+// or both present and equal.
+func sameHeader[T comparable](a, b *T) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return *a == *b
 }

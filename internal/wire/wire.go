@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 )
 
 // IBA opcodes for the RC transport (InfiniBand Architecture Specification,
@@ -140,91 +141,129 @@ func FrameBytes(opcode byte, payloadLen int) (int, error) {
 // Marshal encodes the packet (BTH and above; the encapsulation is sizing-
 // only in the simulator). The payload is padded to a 4-byte boundary and an
 // invariant CRC (CRC-32C over the transport bytes) is appended, as RoCEv2
-// requires.
+// requires. It is AppendTo into a new buffer of exactly the packet's size.
 func (p *Packet) Marshal() ([]byte, error) {
-	ext, err := extLen(p.BTH.Opcode)
+	size, err := TransportBytes(p.BTH.Opcode, len(p.Payload))
 	if err != nil {
 		return nil, err
 	}
-	pad := (4 - len(p.Payload)%4) % 4
-	out := make([]byte, 0, BTHBytes+ext+len(p.Payload)+pad+ICRCBytes)
-
-	var bth [BTHBytes]byte
-	bth[0] = p.BTH.Opcode
-	if p.BTH.SolEvent {
-		bth[1] |= 0x80
+	out, err := p.AppendTo(make([]byte, 0, size))
+	if err != nil {
+		return nil, err
 	}
-	bth[1] |= (p.BTH.PadCount & 3) << 4
-	binary.BigEndian.PutUint16(bth[2:], p.BTH.PKey)
-	put24(bth[5:], p.BTH.DestQP)
-	if p.BTH.AckReq {
-		bth[8] |= 0x80
-	}
-	put24(bth[9:], p.BTH.PSN)
-	// Record the actual pad in the header so Parse can strip it.
-	bth[1] = bth[1]&^0x30 | byte(pad)<<4
-	out = append(out, bth[:]...)
+	return out, nil
+}
 
+// AppendTo appends the packet's encoding, exactly the bytes Marshal returns,
+// to dst and returns the extended slice. It grows dst at most once and
+// allocates nothing when dst has room, so a caller that reuses its buffer
+// encodes without allocating. On error dst is returned unchanged.
+func (p *Packet) AppendTo(dst []byte) ([]byte, error) {
+	ext, err := extLen(p.BTH.Opcode)
+	if err != nil {
+		return dst, err
+	}
 	switch p.BTH.Opcode {
 	case OpWriteOnly, OpWriteFirst, OpReadRequest:
 		if p.Reth == nil {
-			return nil, errors.New("wire: opcode requires RETH")
+			return dst, errors.New("wire: opcode requires RETH")
 		}
-		var reth [RETHBytes]byte
-		binary.BigEndian.PutUint64(reth[0:], p.Reth.VA)
-		binary.BigEndian.PutUint32(reth[8:], p.Reth.RKey)
-		binary.BigEndian.PutUint32(reth[12:], p.Reth.DMALen)
-		out = append(out, reth[:]...)
 	case OpReadResponseOnly, OpReadRespFirst, OpReadRespLast, OpAcknowledge, OpAtomicAck:
 		if p.Aeth == nil {
-			return nil, errors.New("wire: opcode requires AETH")
-		}
-		var aeth [AETHBytes]byte
-		aeth[0] = p.Aeth.Syndrome
-		put24(aeth[1:], p.Aeth.MSN)
-		out = append(out, aeth[:]...)
-		if p.BTH.Opcode == OpAtomicAck {
-			var orig [AtomicAckBytes]byte
-			binary.BigEndian.PutUint64(orig[:], p.AtomicAck)
-			out = append(out, orig[:]...)
+			return dst, errors.New("wire: opcode requires AETH")
 		}
 	case OpCompareSwap, OpFetchAdd:
 		if p.Atomic == nil {
-			return nil, errors.New("wire: opcode requires AtomicETH")
+			return dst, errors.New("wire: opcode requires AtomicETH")
 		}
-		var at [AtomicETHBytes]byte
-		binary.BigEndian.PutUint64(at[0:], p.Atomic.VA)
-		binary.BigEndian.PutUint32(at[8:], p.Atomic.RKey)
-		binary.BigEndian.PutUint64(at[12:], p.Atomic.SwapAdd)
-		binary.BigEndian.PutUint64(at[20:], p.Atomic.Compare)
-		out = append(out, at[:]...)
+	}
+	pad := (4 - len(p.Payload)%4) % 4
+	start := len(dst)
+	dst = slices.Grow(dst, BTHBytes+ext+len(p.Payload)+pad+ICRCBytes)
+
+	// BTH. The header records the actual pad (not p.BTH.PadCount) so Parse
+	// can strip it.
+	flags := byte(pad) << 4
+	if p.BTH.SolEvent {
+		flags |= 0x80
+	}
+	dst = append(dst, p.BTH.Opcode, flags)
+	dst = binary.BigEndian.AppendUint16(dst, p.BTH.PKey)
+	dst = append(dst, 0)
+	dst = append24(dst, p.BTH.DestQP)
+	ack := byte(0)
+	if p.BTH.AckReq {
+		ack = 0x80
+	}
+	dst = append(dst, ack)
+	dst = append24(dst, p.BTH.PSN)
+
+	switch p.BTH.Opcode {
+	case OpWriteOnly, OpWriteFirst, OpReadRequest:
+		dst = binary.BigEndian.AppendUint64(dst, p.Reth.VA)
+		dst = binary.BigEndian.AppendUint32(dst, p.Reth.RKey)
+		dst = binary.BigEndian.AppendUint32(dst, p.Reth.DMALen)
+	case OpReadResponseOnly, OpReadRespFirst, OpReadRespLast, OpAcknowledge, OpAtomicAck:
+		dst = append(dst, p.Aeth.Syndrome)
+		dst = append24(dst, p.Aeth.MSN)
+		if p.BTH.Opcode == OpAtomicAck {
+			dst = binary.BigEndian.AppendUint64(dst, p.AtomicAck)
+		}
+	case OpCompareSwap, OpFetchAdd:
+		dst = binary.BigEndian.AppendUint64(dst, p.Atomic.VA)
+		dst = binary.BigEndian.AppendUint32(dst, p.Atomic.RKey)
+		dst = binary.BigEndian.AppendUint64(dst, p.Atomic.SwapAdd)
+		dst = binary.BigEndian.AppendUint64(dst, p.Atomic.Compare)
 	}
 
-	out = append(out, p.Payload...)
+	dst = append(dst, p.Payload...)
 	for i := 0; i < pad; i++ {
-		out = append(out, 0)
+		dst = append(dst, 0)
 	}
-	crc := crc32.Checksum(out, castagnoli)
-	var icrc [ICRCBytes]byte
-	binary.BigEndian.PutUint32(icrc[:], crc)
-	return append(out, icrc[:]...), nil
+	crc := crc32.Checksum(dst[start:], castagnoli)
+	return binary.BigEndian.AppendUint32(dst, crc), nil
 }
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
+// Headers is caller-owned storage for a parsed packet's extended headers.
+// ParseInto points the Packet's Reth, Aeth and Atomic fields into it instead
+// of allocating them.
+type Headers struct {
+	Reth   RETH
+	Aeth   AETH
+	Atomic AtomicETH
+}
+
 // Parse decodes a transport-level packet produced by Marshal, verifying the
-// invariant CRC.
+// invariant CRC. The returned packet owns its payload: it is a copy, so raw
+// may be reused afterwards.
 func Parse(raw []byte) (*Packet, error) {
+	p, h := new(Packet), new(Headers)
+	if err := ParseInto(raw, p, h); err != nil {
+		return nil, err
+	}
+	if p.Payload != nil {
+		p.Payload = append([]byte(nil), p.Payload...)
+	}
+	return p, nil
+}
+
+// ParseInto decodes raw into p exactly as Parse does, with the same checks,
+// but allocates nothing: the extended headers live in h and p.Payload aliases
+// raw. p and h are overwritten; both stay valid only while raw and h are
+// left unchanged.
+func ParseInto(raw []byte, p *Packet, h *Headers) error {
+	*p = Packet{}
 	if len(raw) < BTHBytes+ICRCBytes {
-		return nil, errors.New("wire: packet shorter than BTH+ICRC")
+		return errors.New("wire: packet shorter than BTH+ICRC")
 	}
 	body := raw[:len(raw)-ICRCBytes]
 	wantCRC := binary.BigEndian.Uint32(raw[len(raw)-ICRCBytes:])
 	if crc32.Checksum(body, castagnoli) != wantCRC {
-		return nil, errors.New("wire: ICRC mismatch")
+		return errors.New("wire: ICRC mismatch")
 	}
 
-	var p Packet
 	p.BTH.Opcode = body[0]
 	p.BTH.SolEvent = body[1]&0x80 != 0
 	pad := int(body[1] >> 4 & 3)
@@ -236,43 +275,43 @@ func Parse(raw []byte) (*Packet, error) {
 
 	ext, err := extLen(p.BTH.Opcode)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if len(body) < BTHBytes+ext+pad {
-		return nil, errors.New("wire: truncated extended header")
+		return errors.New("wire: truncated extended header")
 	}
 	rest := body[BTHBytes:]
 	switch p.BTH.Opcode {
 	case OpWriteOnly, OpWriteFirst, OpReadRequest:
-		p.Reth = &RETH{
+		h.Reth = RETH{
 			VA:     binary.BigEndian.Uint64(rest[0:]),
 			RKey:   binary.BigEndian.Uint32(rest[8:]),
 			DMALen: binary.BigEndian.Uint32(rest[12:]),
 		}
+		p.Reth = &h.Reth
 	case OpReadResponseOnly, OpReadRespFirst, OpReadRespLast, OpAcknowledge, OpAtomicAck:
-		p.Aeth = &AETH{Syndrome: rest[0], MSN: get24(rest[1:])}
+		h.Aeth = AETH{Syndrome: rest[0], MSN: get24(rest[1:])}
+		p.Aeth = &h.Aeth
 		if p.BTH.Opcode == OpAtomicAck {
 			p.AtomicAck = binary.BigEndian.Uint64(rest[AETHBytes:])
 		}
 	case OpCompareSwap, OpFetchAdd:
-		p.Atomic = &AtomicETH{
+		h.Atomic = AtomicETH{
 			VA:      binary.BigEndian.Uint64(rest[0:]),
 			RKey:    binary.BigEndian.Uint32(rest[8:]),
 			SwapAdd: binary.BigEndian.Uint64(rest[12:]),
 			Compare: binary.BigEndian.Uint64(rest[20:]),
 		}
+		p.Atomic = &h.Atomic
 	}
-	payload := rest[ext : len(rest)-pad]
-	if len(payload) > 0 {
-		p.Payload = append([]byte(nil), payload...)
+	if payload := rest[ext : len(rest)-pad]; len(payload) > 0 {
+		p.Payload = payload
 	}
-	return &p, nil
+	return nil
 }
 
-func put24(dst []byte, v uint32) {
-	dst[0] = byte(v >> 16)
-	dst[1] = byte(v >> 8)
-	dst[2] = byte(v)
+func append24(dst []byte, v uint32) []byte {
+	return append(dst, byte(v>>16), byte(v>>8), byte(v))
 }
 
 func get24(src []byte) uint32 {

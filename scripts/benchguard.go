@@ -3,22 +3,23 @@
 // fails when any guarded benchmark reports more than zero allocs/op — the
 // scheduler hot path, the disabled-recorder emit path, the switch
 // forwarding path, the ICM context-cache hit path, the no-adversary link
-// injection-hook path, the CQ PollInto drain path and the egress arbiter
-// pick (both strategies) are
-// required to stay allocation-free, and this gate is
-// what turns a regression into a red build instead of a slow simulator.
+// injection-hook path, the CQ PollInto drain path, the egress arbiter pick
+// (both strategies), the sim.Server submit/serve cycle and the NIC's frame
+// encode+verify round trip are required to stay allocation-free, and this
+// gate is what turns a regression into a red build instead of a slow
+// simulator.
 //
 // Usage:
 //
-//	go test -run '^$' -bench '^(BenchmarkEngine|BenchmarkEmitDisabled|BenchmarkSwitchForward|BenchmarkContextCacheHit|BenchmarkLinkAdversaryOff|BenchmarkCQPollInto|BenchmarkArbiterPick)' \
+//	go test -run '^$' -bench '^(BenchmarkEngine|BenchmarkServerService|BenchmarkEmitDisabled|BenchmarkSwitchForward|BenchmarkContextCacheHit|BenchmarkFrameRoundTrip|BenchmarkLinkAdversaryOff|BenchmarkCQPollInto|BenchmarkArbiterPick)' \
 //	    -benchtime 1000x -benchmem ./internal/sim ./internal/sim/parallel ./internal/trace ./internal/fabric ./internal/nic ./internal/verbs \
-//	    | go run ./scripts/benchguard.go -min 12
+//	    | go run ./scripts/benchguard.go -min 14
 //
 // The gate also fails when fewer guarded benchmarks appear than expected
-// (-min, default 7; the Makefile passes 12 to include the inter-domain
-// channel ping-pong, the adversary-off link path, the CQ drain path and
-// both egress-arbiter strategies): a renamed or deleted benchmark must not silently drop out of
-// the guard.
+// (-min, default 7; the Makefile passes 14 to include the inter-domain
+// channel ping-pong, the adversary-off link path, the CQ drain path, both
+// egress-arbiter strategies, the server cycle and the frame round trip): a
+// renamed or deleted benchmark must not silently drop out of the guard.
 package main
 
 import (
@@ -33,7 +34,7 @@ import (
 
 // guarded matches the benchmarks that must stay at 0 allocs/op. Amortised
 // B/op from slab growth is allowed; allocation count is not.
-var guarded = regexp.MustCompile(`^Benchmark(Engine\w*|EmitDisabled|SwitchForward|ContextCacheHit|LinkAdversaryOff|CQPollInto|ArbiterPick(?:/[\w-]+)?)$`)
+var guarded = regexp.MustCompile(`^Benchmark(Engine\w*|ServerService|EmitDisabled|SwitchForward|ContextCacheHit|FrameRoundTrip|LinkAdversaryOff|CQPollInto|ArbiterPick(?:/[\w-]+)?)$`)
 
 // benchLine captures "BenchmarkName-8  1000  123 ns/op  0 B/op  0 allocs/op".
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+(.*)$`)
