@@ -1,7 +1,8 @@
 # Canonical verification entry points (wired into README).
 #
-#   make check      - everything CI needs: vet, build, race-enabled tests, and
-#                     the parallel-vs-sequential equivalence check
+#   make check      - everything CI needs: vet, build, race-enabled tests,
+#                     the parallel-vs-sequential equivalence check, and vet
+#                     plus tests of the perfbench module
 #   make test       - plain test run (tier-1: go build ./... && go test ./...)
 #   make bench      - regenerate the paper artifacts via the benchmark harness
 #   make benchguard - allocation gate: scheduler, server, disabled-trace,
@@ -16,9 +17,9 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -c
 
-.PHONY: check vet build test race equivalence bench benchguard perf trace-demo
+.PHONY: check vet build test race equivalence perfbench bench benchguard perf trace-demo
 
-check: vet build race equivalence
+check: vet build race equivalence perfbench
 
 vet:
 	$(GO) vet ./...
@@ -42,6 +43,14 @@ race:
 equivalence:
 	$(GO) test -run 'Deterministic|Golden|StableAcross' ./internal/parallel ./internal/revengine ./internal/experiments ./internal/lab
 	./scripts/equivalence.sh
+
+# perfbench is a module of its own (perfbench/go.mod), so the root's
+# ./... never compiles it, yet it is the main outside consumer of the
+# telemetry, defense and nic APIs. Its tests also replay the recorded cell
+# digests (perfbench/digests.json).
+perfbench:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
 
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x

@@ -12,6 +12,7 @@ package defense
 
 import (
 	"math"
+	"strconv"
 
 	"github.com/thu-has/ragnar/internal/nic"
 	"github.com/thu-has/ragnar/internal/sim"
@@ -29,100 +30,72 @@ func features(d Snapshot) map[string]float64 {
 		"tx_bytes": float64(d.TxBytes),
 		"rx_bytes": float64(d.RxBytes),
 	}
-	for tc, v := range d.PerTC {
-		if v > 0 {
-			f["tc/"+itoa(uint32(tc))] = float64(v)
+	// The per-TC and scalar features are present only when nonzero: a
+	// family that never fires in a run (loss, abuse, exhaustion, encryption,
+	// offloaded chains) adds no key to its vectors, so it cannot move the
+	// scores of runs without it.
+	for _, c := range [...]struct {
+		pfx string
+		v   [8]uint64
+	}{
+		{"tc/", d.RxBytesTC},
+		{"pfc/", d.PFCPauses},
+		{"wiredrop/", d.WireDropsTC},
+	} {
+		for tc, v := range c.v {
+			if v > 0 {
+				f[c.pfx+strconv.Itoa(tc)] = float64(v)
+			}
 		}
 	}
-	for tc, v := range d.PFCPauses {
-		if v > 0 {
-			f["pfc/"+itoa(uint32(tc))] = float64(v)
+	for _, c := range [...]struct {
+		key string
+		v   uint64
+	}{
+		// Loss/reliability.
+		{"retx", d.Retransmits},
+		{"nak_seq", d.SeqNaks},
+		{"rtx_timeout", d.Timeouts},
+		{"rx_corrupt", d.RxCorrupt},
+		// Protocol abuse (the NeVerMore surface): random drops produce
+		// retransmits and NAKs, but never a request for a QPN that was never
+		// created, a NAK whose gap head is not outstanding, or an ACK whose
+		// PSN disagrees with the request it claims to answer.
+		{"bad_qp", d.RxBadQP},
+		{"invalid_nak", d.InvalidNaks},
+		{"invalid_ack", d.InvalidAcks},
+		{"bad_psn", d.RxBadPSN},
+		// Finite-resource exhaustion: a merely contended NIC keeps its
+		// contexts resident and its CQs drained.
+		{"ctx_miss", d.CtxMisses},
+		{"ctx_evict", d.CtxEvictions},
+		{"cq_overrun", d.CQOverruns},
+		// Encryption, on AES-priced profiles only.
+		{"enc_ops", d.EncOps},
+		{"enc_bytes", d.EncBytes},
+		// RedN offload. A NIC-local monitor that sees these separates chain
+		// workloads trivially; the redn experiment's point is that the
+		// chain's branch pattern also leaks to a co-located tenant that sees
+		// none of them.
+		{"wait_wqes", d.WaitWQEs},
+		{"enable_wqes", d.EnableWQEs},
+		{"wait_wakes", d.WaitWakes},
+		{"self_modifies", d.SelfModifies},
+	} {
+		if c.v > 0 {
+			f[c.key] = float64(c.v)
 		}
 	}
-	// Loss/reliability observables (only present when non-zero, so a
-	// lossless trace scores exactly as before these counters existed).
-	for tc, v := range d.WireDropsTC {
-		if v > 0 {
-			f["wiredrop/"+itoa(uint32(tc))] = float64(v)
-		}
-	}
-	if d.Retransmits > 0 {
-		f["retx"] = float64(d.Retransmits)
-	}
-	if d.SeqNaks > 0 {
-		f["nak_seq"] = float64(d.SeqNaks)
-	}
-	if d.Timeouts > 0 {
-		f["rtx_timeout"] = float64(d.Timeouts)
-	}
-	if d.RxCorrupt > 0 {
-		f["rx_corrupt"] = float64(d.RxCorrupt)
-	}
-	// Protocol-abuse observables (the NeVerMore surface), gated on non-zero
-	// like everything above. These are the markers that separate frame
-	// injection from benign loss: random drops produce retransmits and NAKs,
-	// but never a request for a QPN that was never created, a NAK whose gap
-	// head is not outstanding, or an ACK whose PSN disagrees with the
-	// request it claims to answer.
-	if d.RxBadQP > 0 {
-		f["bad_qp"] = float64(d.RxBadQP)
-	}
-	if d.InvalidNaks > 0 {
-		f["invalid_nak"] = float64(d.InvalidNaks)
-	}
-	if d.InvalidAcks > 0 {
-		f["invalid_ack"] = float64(d.InvalidAcks)
-	}
-	if d.RxBadPSN > 0 {
-		f["bad_psn"] = float64(d.RxBadPSN)
-	}
-	// Finite-resource (exhaustion) observables, again gated on non-zero so
-	// pre-exhaustion traces score exactly as before. These are the markers
-	// that separate resource exhaustion from plain bandwidth contention: a
-	// merely contended NIC keeps its contexts resident and its CQs drained.
-	if d.CtxMisses > 0 {
-		f["ctx_miss"] = float64(d.CtxMisses)
-	}
-	if d.CtxEvictions > 0 {
-		f["ctx_evict"] = float64(d.CtxEvictions)
-	}
-	if d.CQOverruns > 0 {
-		f["cq_overrun"] = float64(d.CQOverruns)
-	}
-	// Encryption observables, non-zero only on AES-priced profiles, so
-	// every legacy trace scores exactly as before.
-	if d.EncOps > 0 {
-		f["enc_ops"] = float64(d.EncOps)
-	}
-	if d.EncBytes > 0 {
-		f["enc_bytes"] = float64(d.EncBytes)
-	}
-	// RedN offload observables, non-zero only when WAIT/ENABLE chains run.
-	// A NIC-local monitor that sees them directly separates chain workloads
-	// trivially; the redn experiment's point is that the chain's branch
-	// pattern ALSO leaks to a co-located tenant that sees none of these.
-	if d.WaitWQEs > 0 {
-		f["wait_wqes"] = float64(d.WaitWQEs)
-	}
-	if d.EnableWQEs > 0 {
-		f["enable_wqes"] = float64(d.EnableWQEs)
-	}
-	if d.WaitWakes > 0 {
-		f["wait_wakes"] = float64(d.WaitWakes)
-	}
-	if d.SelfModifies > 0 {
-		f["self_modifies"] = float64(d.SelfModifies)
-	}
-	for k, v := range d.PerOpcode {
+	for k, v := range d.RxMsgs {
 		f["op/"+k.String()] = float64(v)
 	}
-	for k, v := range d.PerMR {
-		f["mr/"+itoa(k)] = float64(v)
+	for k, v := range d.PerMRBytes {
+		f["mr/"+strconv.FormatUint(uint64(k), 10)] = float64(v)
 	}
 	// Per-QP counters aggregate to activity spread: HARMONIC watches for
 	// single QPs dominating.
 	var qp []float64
-	for _, v := range d.PerQP {
+	for _, v := range d.PerQPMsgs {
 		qp = append(qp, float64(v))
 	}
 	if len(qp) > 0 {
@@ -130,20 +103,6 @@ func features(d Snapshot) map[string]float64 {
 		f["qp_total"] = stats.Sum(qp)
 	}
 	return f
-}
-
-func itoa(v uint32) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [10]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
 }
 
 // Harmonic is the counter-based anomaly detector: it learns the per-window
@@ -220,9 +179,6 @@ func (h *Harmonic) ScoreVector(f map[string]float64) float64 {
 
 // Detect reports whether the window trips the detector.
 func (h *Harmonic) Detect(d Snapshot) bool { return h.Score(d) > h.Threshold }
-
-// WindowedDeltas re-exports telemetry.WindowedDeltas for detector callers.
-func WindowedDeltas(series []Snapshot) []Snapshot { return telemetry.WindowedDeltas(series) }
 
 // ---------------------------------------------------------------------------
 // Noise injection (Section VII)

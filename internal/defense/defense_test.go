@@ -29,7 +29,7 @@ func channelSnapshots(t *testing.T, ch *covert.ULIChannel, bits bitstream.Bits, 
 	if _, err := ch.Transmit(bits); err != nil {
 		t.Fatal(err)
 	}
-	return WindowedDeltas(series)
+	return telemetry.WindowedDeltas(series)
 }
 
 // benignSnapshots runs the channel with all-zero bits (steady benign-like
@@ -90,20 +90,23 @@ func TestIntraMRChannelEvadesHarmonic(t *testing.T) {
 }
 
 func TestScoreUnseenMetricSuspicious(t *testing.T) {
-	h := TrainHarmonic([]Snapshot{{PerMR: map[uint32]uint64{1: 100}}, {PerMR: map[uint32]uint64{1: 110}}})
-	score := h.Score(Snapshot{PerMR: map[uint32]uint64{99: 5000}})
+	h := TrainHarmonic([]Snapshot{
+		{Counters: nic.Counters{PerMRBytes: map[uint32]uint64{1: 100}}},
+		{Counters: nic.Counters{PerMRBytes: map[uint32]uint64{1: 110}}},
+	})
+	score := h.Score(Snapshot{Counters: nic.Counters{PerMRBytes: map[uint32]uint64{99: 5000}}})
 	if score < h.Threshold {
 		t.Fatalf("unseen MR activity scored %.1f, should alarm", score)
 	}
 }
 
 func TestDeltaArithmetic(t *testing.T) {
-	a := Snapshot{TxBytes: 100, PerOpcode: map[nic.Opcode]uint64{nic.OpRead: 10},
-		PerQP: map[uint32]uint64{1: 5}, PerMR: map[uint32]uint64{7: 640}}
-	b := Snapshot{TxBytes: 150, PerOpcode: map[nic.Opcode]uint64{nic.OpRead: 25},
-		PerQP: map[uint32]uint64{1: 9}, PerMR: map[uint32]uint64{7: 960}}
+	a := Snapshot{Counters: nic.Counters{TxBytes: 100, RxMsgs: map[nic.Opcode]uint64{nic.OpRead: 10},
+		PerQPMsgs: map[uint32]uint64{1: 5}, PerMRBytes: map[uint32]uint64{7: 640}}}
+	b := Snapshot{Counters: nic.Counters{TxBytes: 150, RxMsgs: map[nic.Opcode]uint64{nic.OpRead: 25},
+		PerQPMsgs: map[uint32]uint64{1: 9}, PerMRBytes: map[uint32]uint64{7: 960}}}
 	d := telemetry.Delta(a, b)
-	if d.TxBytes != 50 || d.PerOpcode[nic.OpRead] != 15 || d.PerQP[1] != 4 || d.PerMR[7] != 320 {
+	if d.TxBytes != 50 || d.RxMsgs[nic.OpRead] != 15 || d.PerQPMsgs[1] != 4 || d.PerMRBytes[7] != 320 {
 		t.Fatalf("delta = %+v", d)
 	}
 }
@@ -142,8 +145,17 @@ func TestNoiseMitigationZeroAmplitude(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := ch.Cluster.Server.NIC()
+	uninstall := NoiseMitigation(n, 800*sim.Nanosecond, ch.Cluster.Eng.Rand())
+	if n.TPU().ExtraService == nil {
+		t.Fatal("nonzero amplitude should install the hook")
+	}
+	uninstall()
+	if n.TPU().ExtraService != nil {
+		t.Fatal("the uninstall func should clear the hook")
+	}
+	NoiseMitigation(n, 800*sim.Nanosecond, ch.Cluster.Eng.Rand())
 	NoiseMitigation(n, 0, ch.Cluster.Eng.Rand())
-	if n.ResponderDelay != nil {
+	if n.TPU().ExtraService != nil {
 		t.Fatal("zero amplitude should uninstall the hook")
 	}
 }

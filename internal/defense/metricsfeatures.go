@@ -1,6 +1,8 @@
 package defense
 
 import (
+	"strconv"
+
 	"github.com/thu-has/ragnar/internal/trace"
 )
 
@@ -26,7 +28,7 @@ func MetricsFeatures(m *trace.Metrics) map[string]float64 {
 		if h.Count() == 0 {
 			continue
 		}
-		pfx := "qdelay/" + itoa(uint32(tc))
+		pfx := "qdelay/" + strconv.Itoa(tc)
 		f[pfx+"/p50"] = float64(h.Quantile(0.5)) / ns
 		f[pfx+"/p99"] = float64(h.Quantile(0.99)) / ns
 		f[pfx+"/mean"] = h.Mean() / ns
@@ -42,16 +44,6 @@ func MetricsFeatures(m *trace.Metrics) map[string]float64 {
 	if h := &m.WQELatency; h.Count() > 0 {
 		f["wqe_lat/p50"] = float64(h.Quantile(0.5)) / ns
 		f["wqe_lat/p99"] = float64(h.Quantile(0.99)) / ns
-	}
-	return f
-}
-
-// AugmentedFeatures merges a counter delta's features with a metrics
-// registry's latency features into one scoring vector.
-func AugmentedFeatures(d Snapshot, m *trace.Metrics) map[string]float64 {
-	f := features(d)
-	for k, v := range MetricsFeatures(m) {
-		f[k] = v
 	}
 	return f
 }

@@ -79,18 +79,3 @@ func TestHarmonicOnLatencyFeatures(t *testing.T) {
 		t.Fatalf("latency-inflated window scored only %v", s)
 	}
 }
-
-// TestAugmentedFeaturesMerge: counter features and latency features coexist
-// in one vector.
-func TestAugmentedFeaturesMerge(t *testing.T) {
-	r := trace.NewRecorder("m", 1<<12)
-	emitDelays(r, 1_000_000, 16)
-	d := Snapshot{TxBytes: 4096, RxBytes: 8192}
-	f := AugmentedFeatures(d, r.Metrics())
-	if f["tx_bytes"] != 4096 || f["rx_bytes"] != 8192 {
-		t.Fatal("counter features lost in merge")
-	}
-	if _, ok := f["qdelay/3/p50"]; !ok {
-		t.Fatal("latency features lost in merge")
-	}
-}

@@ -117,7 +117,7 @@ func TraceLossRep(p nic.Profile, lossPct float64, bits, seed int64) (*TraceOutco
 		Recorder: rec,
 		Summary: fmt.Sprintf("lossgrid [%s] loss=%.2f%%: %d bits, errors=%.2f%%, naks=%d rewinds=%d retx=%d\n",
 			p.Name, lossPct, len(payload), run.Result.ErrorRate*100,
-			m.SeqNaks(), m.Count(trace.KindRewind), m.Retransmits()),
+			m.Count(trace.KindNakSend), m.Count(trace.KindRewind), m.Count(trace.KindRetransmit)),
 	}, nil
 }
 

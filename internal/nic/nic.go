@@ -2,6 +2,7 @@ package nic
 
 import (
 	"fmt"
+	"maps"
 	"sync/atomic"
 
 	"github.com/thu-has/ragnar/internal/fabric"
@@ -247,7 +248,10 @@ func (qp *qpState) place(ticket uint64, fn func()) {
 
 // Counters aggregates the NIC's ethtool-visible and HARMONIC-visible
 // telemetry: Grain-I (per-TC), Grain-II (per-opcode) and Grain-III
-// (per-QP/MR) counts.
+// (per-QP/MR) counts. It is the only declaration of the counter set:
+// telemetry.Snapshot embeds it, so a new counter is one field here, one line
+// in Sub and, if the HARMONIC monitor should see it, one row in
+// defense.features.
 type Counters struct {
 	TxMsgs     map[Opcode]uint64
 	RxMsgs     map[Opcode]uint64
@@ -326,6 +330,74 @@ func newCounters() Counters {
 	}
 }
 
+// Clone returns a copy of c that shares no map with it, so the copy stays
+// fixed while the NIC keeps counting.
+func (c *Counters) Clone() Counters {
+	d := *c
+	d.TxMsgs = maps.Clone(c.TxMsgs)
+	d.RxMsgs = maps.Clone(c.RxMsgs)
+	d.PerQPMsgs = maps.Clone(c.PerQPMsgs)
+	d.PerMRBytes = maps.Clone(c.PerMRBytes)
+	return d
+}
+
+// Sub returns the increments from prev to c, field by field. A map key
+// missing from prev counts from zero; a key only in prev is dropped. A new
+// counter field needs its own line here.
+func (c *Counters) Sub(prev *Counters) Counters {
+	return Counters{
+		TxMsgs:       subMap(c.TxMsgs, prev.TxMsgs),
+		RxMsgs:       subMap(c.RxMsgs, prev.RxMsgs),
+		TxBytes:      c.TxBytes - prev.TxBytes,
+		RxBytes:      c.RxBytes - prev.RxBytes,
+		TxBytesTC:    subTC(c.TxBytesTC, prev.TxBytesTC),
+		RxBytesTC:    subTC(c.RxBytesTC, prev.RxBytesTC),
+		PerQPMsgs:    subMap(c.PerQPMsgs, prev.PerQPMsgs),
+		PerMRBytes:   subMap(c.PerMRBytes, prev.PerMRBytes),
+		Responses:    c.Responses - prev.Responses,
+		NAKs:         c.NAKs - prev.NAKs,
+		PFCPauses:    subTC(c.PFCPauses, prev.PFCPauses),
+		WireDropsTC:  subTC(c.WireDropsTC, prev.WireDropsTC),
+		Retransmits:  c.Retransmits - prev.Retransmits,
+		Timeouts:     c.Timeouts - prev.Timeouts,
+		DupAcks:      c.DupAcks - prev.DupAcks,
+		DupReqs:      c.DupReqs - prev.DupReqs,
+		SeqNaks:      c.SeqNaks - prev.SeqNaks,
+		RetryExc:     c.RetryExc - prev.RetryExc,
+		RxCorrupt:    c.RxCorrupt - prev.RxCorrupt,
+		RxBadQP:      c.RxBadQP - prev.RxBadQP,
+		InvalidNaks:  c.InvalidNaks - prev.InvalidNaks,
+		InvalidAcks:  c.InvalidAcks - prev.InvalidAcks,
+		RxBadPSN:     c.RxBadPSN - prev.RxBadPSN,
+		CtxHits:      c.CtxHits - prev.CtxHits,
+		CtxMisses:    c.CtxMisses - prev.CtxMisses,
+		CtxEvictions: c.CtxEvictions - prev.CtxEvictions,
+		MTTMisses:    c.MTTMisses - prev.MTTMisses,
+		CQOverruns:   c.CQOverruns - prev.CQOverruns,
+		EncOps:       c.EncOps - prev.EncOps,
+		EncBytes:     c.EncBytes - prev.EncBytes,
+		WaitWQEs:     c.WaitWQEs - prev.WaitWQEs,
+		EnableWQEs:   c.EnableWQEs - prev.EnableWQEs,
+		WaitWakes:    c.WaitWakes - prev.WaitWakes,
+		SelfModifies: c.SelfModifies - prev.SelfModifies,
+	}
+}
+
+func subTC(cur, prev [8]uint64) (d [8]uint64) {
+	for i := range cur {
+		d[i] = cur[i] - prev[i]
+	}
+	return d
+}
+
+func subMap[K comparable](cur, prev map[K]uint64) map[K]uint64 {
+	d := make(map[K]uint64, len(cur))
+	for k, v := range cur {
+		d[k] = v - prev[k]
+	}
+	return d
+}
+
 // NIC is one simulated RDMA adapter plugged into a host and an egress link.
 type NIC struct {
 	Name string
@@ -381,10 +453,6 @@ type NIC struct {
 	RetryLimit   int
 
 	counters Counters
-
-	// ResponderDelay is injected by defenses (noise mitigation) on every
-	// responder-side message; zero normally.
-	ResponderDelay func() sim.Duration
 
 	// Tap, when set with EncodeFrames on, receives every departing frame
 	// fully encapsulated (Ethernet+IPv4+UDP+RoCEv2) at its departure time —

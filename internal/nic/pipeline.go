@@ -271,13 +271,10 @@ func (op *respOp) step() bool {
 		op.stage = rCtx
 		n.rxPU.Submit(op.service, 0, op.fire)
 	case rCtx:
-		extra := sim.Duration(0)
-		if n.ResponderDelay != nil {
-			extra = n.ResponderDelay()
-		}
 		// QPC lookup: a cold QP context costs an ICM fetch.
+		extra := sim.Duration(0)
 		if !n.qpc.Access(QPCtxKey(m.DstQPN)) {
-			extra += n.prof.QPCMissPenalty
+			extra = n.prof.QPCMissPenalty
 		}
 		op.qp = n.qps[m.DstQPN]
 		op.stage = rExec

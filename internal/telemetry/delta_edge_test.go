@@ -19,9 +19,9 @@ func TestDeltaEdgeCases(t *testing.T) {
 	}{
 		{
 			name: "counter wrap yields modular increment",
-			prev: Snapshot{TxBytes: ^uint64(0) - 5, RxBytes: ^uint64(0),
-				Retransmits: ^uint64(0) - 1},
-			cur: Snapshot{TxBytes: 10, RxBytes: 3, Retransmits: 2},
+			prev: Snapshot{Counters: nic.Counters{TxBytes: ^uint64(0) - 5, RxBytes: ^uint64(0),
+				Retransmits: ^uint64(0) - 1}},
+			cur: Snapshot{Counters: nic.Counters{TxBytes: 10, RxBytes: 3, Retransmits: 2}},
 			check: func(t *testing.T, d Snapshot) {
 				if d.TxBytes != 16 {
 					t.Fatalf("TxBytes delta across wrap = %d, want 16", d.TxBytes)
@@ -36,34 +36,34 @@ func TestDeltaEdgeCases(t *testing.T) {
 		},
 		{
 			name: "per-TC wrap",
-			prev: Snapshot{PerTC: [8]uint64{3: ^uint64(0) - 1}},
-			cur:  Snapshot{PerTC: [8]uint64{3: 8}},
+			prev: Snapshot{Counters: nic.Counters{RxBytesTC: [8]uint64{3: ^uint64(0) - 1}}},
+			cur:  Snapshot{Counters: nic.Counters{RxBytesTC: [8]uint64{3: 8}}},
 			check: func(t *testing.T, d Snapshot) {
-				if d.PerTC[3] != 10 {
-					t.Fatalf("PerTC[3] delta = %d, want 10", d.PerTC[3])
+				if d.RxBytesTC[3] != 10 {
+					t.Fatalf("RxBytesTC[3] delta = %d, want 10", d.RxBytesTC[3])
 				}
 			},
 		},
 		{
 			name: "new map keys count from zero",
 			prev: Snapshot{},
-			cur: Snapshot{
-				PerOpcode: map[nic.Opcode]uint64{nic.OpRead: 7},
-				PerQP:     map[uint32]uint64{9: 4},
-				PerMR:     map[uint32]uint64{77: 640},
-			},
+			cur: Snapshot{Counters: nic.Counters{
+				RxMsgs:     map[nic.Opcode]uint64{nic.OpRead: 7},
+				PerQPMsgs:  map[uint32]uint64{9: 4},
+				PerMRBytes: map[uint32]uint64{77: 640},
+			}},
 			check: func(t *testing.T, d Snapshot) {
-				if d.PerOpcode[nic.OpRead] != 7 || d.PerQP[9] != 4 || d.PerMR[77] != 640 {
+				if d.RxMsgs[nic.OpRead] != 7 || d.PerQPMsgs[9] != 4 || d.PerMRBytes[77] != 640 {
 					t.Fatalf("new-key deltas wrong: %+v", d)
 				}
 			},
 		},
 		{
 			name: "identical snapshots delta to zero",
-			prev: Snapshot{TxBytes: 100, SeqNaks: 5, PerTC: [8]uint64{1: 50}},
-			cur:  Snapshot{TxBytes: 100, SeqNaks: 5, PerTC: [8]uint64{1: 50}},
+			prev: Snapshot{Counters: nic.Counters{TxBytes: 100, SeqNaks: 5, RxBytesTC: [8]uint64{1: 50}}},
+			cur:  Snapshot{Counters: nic.Counters{TxBytes: 100, SeqNaks: 5, RxBytesTC: [8]uint64{1: 50}}},
 			check: func(t *testing.T, d Snapshot) {
-				if d.TxBytes != 0 || d.SeqNaks != 0 || d.PerTC[1] != 0 {
+				if d.TxBytes != 0 || d.SeqNaks != 0 || d.RxBytesTC[1] != 0 {
 					t.Fatalf("zero delta expected, got %+v", d)
 				}
 			},
@@ -94,8 +94,8 @@ func TestWindowedDeltasEdgeCases(t *testing.T) {
 	}{
 		{"nil series", nil, 0},
 		{"empty series", []Snapshot{}, 0},
-		{"single snapshot", []Snapshot{{TxBytes: 42}}, 0},
-		{"two snapshots one window", []Snapshot{{TxBytes: 10}, {TxBytes: 30}}, 1},
+		{"single snapshot", []Snapshot{{Counters: nic.Counters{TxBytes: 42}}}, 0},
+		{"two snapshots one window", []Snapshot{{Counters: nic.Counters{TxBytes: 10}}, {Counters: nic.Counters{TxBytes: 30}}}, 1},
 		{"five snapshots four windows", make([]Snapshot, 5), 4},
 	}
 	for _, c := range cases {
@@ -106,7 +106,7 @@ func TestWindowedDeltasEdgeCases(t *testing.T) {
 			}
 		})
 	}
-	two := WindowedDeltas([]Snapshot{{TxBytes: 10}, {TxBytes: 30}})
+	two := WindowedDeltas([]Snapshot{{Counters: nic.Counters{TxBytes: 10}}, {Counters: nic.Counters{TxBytes: 30}}})
 	if two[0].TxBytes != 20 {
 		t.Fatalf("window delta = %d, want 20", two[0].TxBytes)
 	}
@@ -121,9 +121,9 @@ func TestRateGbpsGuards(t *testing.T) {
 		window int64 // picoseconds
 		want   float64
 	}{
-		{"zero window", Snapshot{RxBytes: 1 << 30}, 0, 0},
-		{"negative window", Snapshot{RxBytes: 1 << 30}, -1000, 0},
-		{"one GB in one second is 8 Gbps", Snapshot{RxBytes: 1e9}, 1e12, 8},
+		{"zero window", Snapshot{Counters: nic.Counters{RxBytes: 1 << 30}}, 0, 0},
+		{"negative window", Snapshot{Counters: nic.Counters{RxBytes: 1 << 30}}, -1000, 0},
+		{"one GB in one second is 8 Gbps", Snapshot{Counters: nic.Counters{RxBytes: 1e9}}, 1e12, 8},
 		{"empty window is zero", Snapshot{}, 1e12, 0},
 	}
 	for _, c := range cases {

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"reflect"
 	"testing"
 
 	"github.com/thu-has/ragnar/internal/lab"
@@ -91,10 +92,51 @@ func TestFromMetricsMatchesSnapLossy(t *testing.T) {
 // with a freshly built NIC).
 func TestFromMetricsNil(t *testing.T) {
 	s := FromMetrics(0, nil)
-	if !ConsistentWith(s, Snapshot{PerOpcode: map[nic.Opcode]uint64{}}) {
+	if !ConsistentWith(s, Snapshot{Counters: nic.Counters{RxMsgs: map[nic.Opcode]uint64{}}}) {
 		t.Fatal("nil metrics should derive a zero snapshot")
 	}
-	if s.PerOpcode == nil || s.PerQP == nil || s.PerMR == nil {
+	if s.TxMsgs == nil || s.RxMsgs == nil || s.PerQPMsgs == nil || s.PerMRBytes == nil {
 		t.Fatal("maps must be non-nil for Delta compatibility")
+	}
+}
+
+// TestConsistentWithComparesEveryDerivedField: every counter FromMetrics
+// fills takes part in ConsistentWith, so a mismatch in any one of them is
+// reported.
+func TestConsistentWithComparesEveryDerivedField(t *testing.T) {
+	rec := trace.NewRecorder("fields", 1<<10)
+	for tc := int8(0); tc < 8; tc++ {
+		for _, k := range []trace.Kind{trace.KindArbGrant, trace.KindRxPkt, trace.KindPFCPause, trace.KindWireDrop} {
+			rec.Emit(trace.Event{Kind: k, TC: tc, Val: 64})
+		}
+	}
+	for _, k := range []trace.Kind{trace.KindRetransmit, trace.KindRtxTimeout, trace.KindNakSend,
+		trace.KindDupAck, trace.KindRetryExc, trace.KindRxCorrupt} {
+		rec.Emit(trace.Event{Kind: k})
+	}
+	want := FromMetrics(0, rec.Metrics())
+	got := FromMetrics(0, rec.Metrics())
+	v := reflect.ValueOf(&got.Counters).Elem()
+	filled := 0
+	for i := 0; i < v.NumField(); i++ {
+		slot := v.Field(i)
+		switch slot.Kind() {
+		case reflect.Map:
+			continue
+		case reflect.Array:
+			slot = slot.Index(7)
+		}
+		if slot.Uint() == 0 {
+			continue // not derived from the registry
+		}
+		filled++
+		slot.SetUint(slot.Uint() + 1)
+		if ConsistentWith(got, want) {
+			t.Errorf("ConsistentWith ignores %s", v.Type().Field(i).Name)
+		}
+		slot.SetUint(slot.Uint() - 1)
+	}
+	if filled != 12 {
+		t.Fatalf("FromMetrics filled %d counters, want 12", filled)
 	}
 }

@@ -11,149 +11,22 @@ import (
 	"github.com/thu-has/ragnar/internal/sim"
 )
 
-// Snapshot is one reading of the counters a defender can see.
+// Snapshot is one reading of the counters a defender can see: the NIC's
+// counter set (nic.Counters, the only place it is declared) stamped with
+// the simulated time of the reading.
 type Snapshot struct {
-	At        sim.Time
-	TxBytes   uint64
-	RxBytes   uint64
-	PerTC     [8]uint64             // Grain-I: ingress bytes per traffic class
-	PFCPauses [8]uint64             // Grain-I: flow-control pause events
-	PerOpcode map[nic.Opcode]uint64 // Grain-II: messages received per opcode
-	PerQP     map[uint32]uint64     // Grain-III: messages per QP
-	PerMR     map[uint32]uint64     // Grain-III: bytes per MR
-
-	// Grain-I loss/reliability observables (ethtool tx_discards and
-	// transport retransmit counters). All zero on a lossless fabric.
-	WireDropsTC [8]uint64 // per-TC egress wire loss (tail + fault drops)
-	Retransmits uint64    // requester packets re-sent
-	Timeouts    uint64    // retransmit timer expiries
-	SeqNaks     uint64    // NAK-sequence-errors sent by the responder
-	DupAcks     uint64    // duplicate ACKs coalesced by the requester
-	RetryExc    uint64    // QPs that exhausted their retry budget
-	RxCorrupt   uint64    // inbound packets discarded for corruption
-
-	// Abuse observables (NeVerMore protocol-abuse surface): structurally
-	// zero under benign operation and under random wire loss, which makes
-	// them the markers that separate injection attacks from congestion.
-	RxBadQP     uint64 // requests addressed to a QPN that was never created
-	InvalidNaks uint64 // NAK-seq rejected (gap head not outstanding)
-	InvalidAcks uint64 // responses rejected for a PSN mismatch
-	RxBadPSN    uint64 // requests at the unordered half-space PSN distance
-
-	// Finite-resource observables (the exhaustion surface): ICM context
-	// cache traffic, translation misses and completion-queue overruns.
-	CtxHits      uint64 // context cache hits
-	CtxMisses    uint64 // context cache misses (each cost a DMA fetch)
-	CtxEvictions uint64 // contexts evicted under capacity pressure
-	MTTMisses    uint64 // translation-cache misses
-	CQOverruns   uint64 // completions dropped at full CQs
-
-	// Encryption observables (AES-per-verb profiles only; structurally
-	// zero everywhere else).
-	EncOps   uint64 // messages that paid the AES latency
-	EncBytes uint64 // payload bytes enciphered
-
-	// RedN offload observables (chain workloads only; structurally zero
-	// everywhere else).
-	WaitWQEs     uint64 // WAIT management WQEs executed
-	EnableWQEs   uint64 // ENABLE management WQEs executed
-	WaitWakes    uint64 // armed WAITs woken by a CQ-counter bump
-	SelfModifies uint64 // staged WQEs rewritten through an SQ window
+	At sim.Time
+	nic.Counters
 }
 
 // Snap reads the current counter state of a NIC.
 func Snap(eng *sim.Engine, n *nic.NIC) Snapshot {
-	c := n.Counters()
-	s := Snapshot{
-		At:        eng.Now(),
-		TxBytes:   c.TxBytes,
-		RxBytes:   c.RxBytes,
-		PerOpcode: map[nic.Opcode]uint64{},
-		PerQP:     map[uint32]uint64{},
-		PerMR:     map[uint32]uint64{},
-	}
-	s.PerTC = c.RxBytesTC
-	s.PFCPauses = c.PFCPauses
-	s.WireDropsTC = c.WireDropsTC
-	s.Retransmits = c.Retransmits
-	s.Timeouts = c.Timeouts
-	s.SeqNaks = c.SeqNaks
-	s.DupAcks = c.DupAcks
-	s.RetryExc = c.RetryExc
-	s.RxCorrupt = c.RxCorrupt
-	s.RxBadQP = c.RxBadQP
-	s.InvalidNaks = c.InvalidNaks
-	s.InvalidAcks = c.InvalidAcks
-	s.RxBadPSN = c.RxBadPSN
-	s.CtxHits = c.CtxHits
-	s.CtxMisses = c.CtxMisses
-	s.CtxEvictions = c.CtxEvictions
-	s.MTTMisses = c.MTTMisses
-	s.CQOverruns = c.CQOverruns
-	s.EncOps = c.EncOps
-	s.EncBytes = c.EncBytes
-	s.WaitWQEs = c.WaitWQEs
-	s.EnableWQEs = c.EnableWQEs
-	s.WaitWakes = c.WaitWakes
-	s.SelfModifies = c.SelfModifies
-	for k, v := range c.RxMsgs {
-		s.PerOpcode[k] = v
-	}
-	for k, v := range c.PerQPMsgs {
-		s.PerQP[k] = v
-	}
-	for k, v := range c.PerMRBytes {
-		s.PerMR[k] = v
-	}
-	return s
+	return Snapshot{At: eng.Now(), Counters: n.Counters().Clone()}
 }
 
 // Delta returns the per-window counter increments between two snapshots.
 func Delta(prev, cur Snapshot) Snapshot {
-	d := Snapshot{
-		At:        cur.At,
-		TxBytes:   cur.TxBytes - prev.TxBytes,
-		RxBytes:   cur.RxBytes - prev.RxBytes,
-		PerOpcode: map[nic.Opcode]uint64{},
-		PerQP:     map[uint32]uint64{},
-		PerMR:     map[uint32]uint64{},
-	}
-	d.Retransmits = cur.Retransmits - prev.Retransmits
-	d.Timeouts = cur.Timeouts - prev.Timeouts
-	d.SeqNaks = cur.SeqNaks - prev.SeqNaks
-	d.DupAcks = cur.DupAcks - prev.DupAcks
-	d.RetryExc = cur.RetryExc - prev.RetryExc
-	d.RxCorrupt = cur.RxCorrupt - prev.RxCorrupt
-	d.RxBadQP = cur.RxBadQP - prev.RxBadQP
-	d.InvalidNaks = cur.InvalidNaks - prev.InvalidNaks
-	d.InvalidAcks = cur.InvalidAcks - prev.InvalidAcks
-	d.RxBadPSN = cur.RxBadPSN - prev.RxBadPSN
-	d.CtxHits = cur.CtxHits - prev.CtxHits
-	d.CtxMisses = cur.CtxMisses - prev.CtxMisses
-	d.CtxEvictions = cur.CtxEvictions - prev.CtxEvictions
-	d.MTTMisses = cur.MTTMisses - prev.MTTMisses
-	d.CQOverruns = cur.CQOverruns - prev.CQOverruns
-	d.EncOps = cur.EncOps - prev.EncOps
-	d.EncBytes = cur.EncBytes - prev.EncBytes
-	d.WaitWQEs = cur.WaitWQEs - prev.WaitWQEs
-	d.EnableWQEs = cur.EnableWQEs - prev.EnableWQEs
-	d.WaitWakes = cur.WaitWakes - prev.WaitWakes
-	d.SelfModifies = cur.SelfModifies - prev.SelfModifies
-	for i := range cur.PerTC {
-		d.PerTC[i] = cur.PerTC[i] - prev.PerTC[i]
-		d.PFCPauses[i] = cur.PFCPauses[i] - prev.PFCPauses[i]
-		d.WireDropsTC[i] = cur.WireDropsTC[i] - prev.WireDropsTC[i]
-	}
-	for k, v := range cur.PerOpcode {
-		d.PerOpcode[k] = v - prev.PerOpcode[k]
-	}
-	for k, v := range cur.PerQP {
-		d.PerQP[k] = v - prev.PerQP[k]
-	}
-	for k, v := range cur.PerMR {
-		d.PerMR[k] = v - prev.PerMR[k]
-	}
-	return d
+	return Snapshot{At: cur.At, Counters: cur.Sub(&prev.Counters)}
 }
 
 // WindowedDeltas converts a snapshot series into per-window deltas.

@@ -28,11 +28,11 @@ func TestSnapAndDelta(t *testing.T) {
 	c.Eng.Run()
 	after := Snap(c.Eng, c.Server.NIC())
 	d := Delta(before, after)
-	if d.PerOpcode[nic.OpRead] != 10 {
-		t.Fatalf("opcode delta = %d", d.PerOpcode[nic.OpRead])
+	if d.RxMsgs[nic.OpRead] != 10 {
+		t.Fatalf("opcode delta = %d", d.RxMsgs[nic.OpRead])
 	}
-	if d.PerMR[mr.RKey()] != 640 {
-		t.Fatalf("MR bytes delta = %d", d.PerMR[mr.RKey()])
+	if d.PerMRBytes[mr.RKey()] != 640 {
+		t.Fatalf("MR bytes delta = %d", d.PerMRBytes[mr.RKey()])
 	}
 	if d.RxBytes == 0 || d.TxBytes == 0 {
 		t.Fatal("volume counters did not move")
@@ -68,7 +68,7 @@ func TestSamplerWindows(t *testing.T) {
 	}
 	// Under a steady generator every interior window carries traffic.
 	for i, d := range deltas {
-		if d.PerOpcode[nic.OpRead] == 0 {
+		if d.RxMsgs[nic.OpRead] == 0 {
 			t.Fatalf("window %d saw no reads", i)
 		}
 	}
@@ -78,7 +78,7 @@ func TestSamplerWindows(t *testing.T) {
 }
 
 func TestRateGbpsZeroWindow(t *testing.T) {
-	if RateGbps(Snapshot{RxBytes: 100}, 0) != 0 {
+	if RateGbps(Snapshot{Counters: nic.Counters{RxBytes: 100}}, 0) != 0 {
 		t.Fatal("zero window should yield 0")
 	}
 }

@@ -102,7 +102,6 @@ type Metrics struct {
 
 	// Loss observables, derived from fabric and NIC events.
 	WireDropsTC [8]uint64 // tail drops + in-flight fault drops, per TC
-	CorruptsTC  [8]uint64
 	PFCPauses   [8]uint64
 
 	// Latency histograms (the features HARMONIC-style counters miss).
@@ -133,8 +132,6 @@ func (m *Metrics) observe(ev Event) {
 		m.PFCPauses[tc]++
 	case KindWireDrop, KindTailDrop:
 		m.WireDropsTC[tc]++
-	case KindWireCorrupt:
-		m.CorruptsTC[tc]++
 	case KindTCDequeue:
 		m.QueueDelay[tc].Record(ev.Dur)
 	case KindRetransmit:
@@ -180,7 +177,6 @@ func (m *Metrics) DeltaFrom(base *Metrics) *Metrics {
 		d.TxBytesTC[i] = m.TxBytesTC[i] - base.TxBytesTC[i]
 		d.RxBytesTC[i] = m.RxBytesTC[i] - base.RxBytesTC[i]
 		d.WireDropsTC[i] = m.WireDropsTC[i] - base.WireDropsTC[i]
-		d.CorruptsTC[i] = m.CorruptsTC[i] - base.CorruptsTC[i]
 		d.PFCPauses[i] = m.PFCPauses[i] - base.PFCPauses[i]
 		d.QueueDelay[i] = m.QueueDelay[i].deltaFrom(base.QueueDelay[i])
 	}
@@ -199,25 +195,6 @@ func (m *Metrics) Count(k Kind) uint64 {
 	return m.Counts[k]
 }
 
-// Retransmits, Timeouts, SeqNaks, DupAcks, RetryExc and RxCorrupt mirror the
-// telemetry counter names for the transport observables.
-func (m *Metrics) Retransmits() uint64 { return m.Count(KindRetransmit) }
-
-// Timeouts reports retransmit-timer expiries.
-func (m *Metrics) Timeouts() uint64 { return m.Count(KindRtxTimeout) }
-
-// SeqNaks reports NAK-sequence-errors sent.
-func (m *Metrics) SeqNaks() uint64 { return m.Count(KindNakSend) }
-
-// DupAcks reports duplicate ACKs coalesced.
-func (m *Metrics) DupAcks() uint64 { return m.Count(KindDupAck) }
-
-// RetryExc reports QPs that exhausted their retry budget.
-func (m *Metrics) RetryExc() uint64 { return m.Count(KindRetryExc) }
-
-// RxCorrupt reports inbound packets discarded for corruption.
-func (m *Metrics) RxCorrupt() uint64 { return m.Count(KindRxCorrupt) }
-
 // Merge folds other into m (for aggregating per-shard registries after a
 // parallel sweep). Histograms merge bucket-wise; ULI jitter state does not
 // carry across shards, which is correct — shards are independent runs.
@@ -234,7 +211,6 @@ func (m *Metrics) Merge(other *Metrics) {
 		m.TxBytesTC[i] += other.TxBytesTC[i]
 		m.RxBytesTC[i] += other.RxBytesTC[i]
 		m.WireDropsTC[i] += other.WireDropsTC[i]
-		m.CorruptsTC[i] += other.CorruptsTC[i]
 		m.PFCPauses[i] += other.PFCPauses[i]
 		m.QueueDelay[i].merge(&other.QueueDelay[i])
 	}

@@ -82,12 +82,13 @@ func TestMetricsDerivation(t *testing.T) {
 	if m.WireDropsTC[3] != 2 {
 		t.Fatalf("drops %d, want 2 (tail + fault)", m.WireDropsTC[3])
 	}
-	if m.CorruptsTC[1] != 1 || m.PFCPauses[0] != 1 {
+	if m.Count(KindWireCorrupt) != 1 || m.PFCPauses[0] != 1 {
 		t.Fatal("corrupt/pfc counters")
 	}
-	if m.Retransmits() != 1 || m.Timeouts() != 1 || m.SeqNaks() != 1 ||
-		m.DupAcks() != 1 || m.RxCorrupt() != 1 {
-		t.Fatal("transport counters")
+	for _, k := range []Kind{KindRetransmit, KindRtxTimeout, KindNakSend, KindDupAck, KindRxCorrupt} {
+		if m.Count(k) != 1 {
+			t.Fatalf("transport counter %v = %d, want 1", k, m.Count(k))
+		}
 	}
 	if m.RetxStall.Count() != 1 || m.RetxStall.Sum() != 5000 {
 		t.Fatalf("retx stall hist n=%d sum=%d", m.RetxStall.Count(), m.RetxStall.Sum())
@@ -145,7 +146,7 @@ func TestMetricsMerge(t *testing.T) {
 	b.observe(Event{Kind: KindArbGrant, TC: 1, Val: 7})
 	a.Merge(b)
 	a.Merge(nil)
-	if a.Retransmits() != 2 || a.RetxStall.Count() != 2 || a.RetxStall.Sum() != 30 {
+	if a.Count(KindRetransmit) != 2 || a.RetxStall.Count() != 2 || a.RetxStall.Sum() != 30 {
 		t.Fatal("merge lost histogram state")
 	}
 	if a.TxBytesTC[1] != 7 {
