@@ -4,12 +4,13 @@
 #                     the parallel-vs-sequential equivalence check, and vet
 #                     plus tests of the perfbench module
 #   make test       - plain test run (tier-1: go build ./... && go test ./...)
-#   make bench      - regenerate the paper artifacts via the benchmark harness
-#   make benchguard - allocation gate: scheduler, server, disabled-trace,
-#                     switch forwarding, frame round-trip and egress-arbiter
-#                     hot paths must report 0 allocs/op (same gate CI runs)
-#   make perf       - refresh the machine-readable perf baseline
-#                     (BENCH_<date>.json, see EXPERIMENTS.md)
+#   make bench      - host cost of every registered experiment
+#                     (BenchmarkRegistry) plus the ablation benchmarks
+#   make benchguard - allocation gate: every benchmark in the table in
+#                     scripts/benchguard.go must stay within its allocs/op
+#                     ceiling (same gate CI runs)
+#   make perf       - the same gate, then the run as the machine-readable
+#                     perf baseline (BENCH_<date>.json, see EXPERIMENTS.md)
 #   make trace-demo - sample flight-recorder trace from the lossy covert rig
 #                     (load trace-demo.json in chrome://tracing or Perfetto)
 
@@ -55,20 +56,17 @@ perfbench:
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x
 
-# The hot paths the zero-alloc refactor bought must stay allocation-free:
-# run the guarded benchmarks with -benchmem and gate on allocs/op == 0.
-# ./internal/sim/parallel contributes the inter-domain channel ping-pong
-# (BenchmarkEngineParallelXfer), so the window protocol's stage/drain/deliver
-# cycle is gated alongside the serial scheduler. BenchmarkServerService (sim)
-# and BenchmarkFrameRoundTrip (nic) gate the pooled server jobs and the
-# reusable frame buffers of the per-WQE datapath.
+# scripts/benchguard.go holds the only list of gated benchmarks and runs
+# them itself: hot paths at 0 allocs/op, composite probes at their recorded
+# allocs/op plus 1 %. A row over its ceiling or missing from the output
+# fails the build.
 benchguard:
-	$(GO) test -run '^$$' -bench '^(BenchmarkEngine|BenchmarkServerService|BenchmarkEmitDisabled|BenchmarkSwitchForward|BenchmarkContextCacheHit|BenchmarkFrameRoundTrip|BenchmarkLinkAdversaryOff|BenchmarkCQPollInto|BenchmarkArbiterPick)' \
-		-benchtime 1000x -benchmem ./internal/sim ./internal/sim/parallel ./internal/trace ./internal/fabric ./internal/nic ./internal/verbs \
-		| $(GO) run ./scripts/benchguard.go -min 14
+	$(GO) run ./scripts/benchguard.go
 
+# Writes BENCH_<date>.json at the repo root; a baseline already checked in
+# for that date is kept and the new one gets a -2, -3, ... suffix.
 perf:
-	./scripts/bench.sh
+	$(GO) run ./scripts/benchguard.go -o .
 
 # A lossy inter-MR run has the richest trace: go-back-N NAK/rewind/retransmit
 # chains, per-TC queueing spans and the receiver's ULI sample track.

@@ -6,6 +6,7 @@ package ragnar_test
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"github.com/thu-has/ragnar/internal/bitstream"
@@ -15,6 +16,15 @@ import (
 	"github.com/thu-has/ragnar/internal/sidechan"
 	"github.com/thu-has/ragnar/internal/sim"
 )
+
+// printOnce emits an ablation's rendered output exactly once per process.
+var printed sync.Map
+
+func printOnce(key, out string) {
+	if _, dup := printed.LoadOrStore(key, true); !dup {
+		fmt.Printf("\n----- %s -----\n%s\n", key, out)
+	}
+}
 
 // BenchmarkAblationSymbolRate sweeps the intra-MR channel's signalling rate:
 // faster symbols mean fewer ULI samples per bit and a rising error rate —
@@ -231,8 +241,7 @@ func BenchmarkAblationTPUBanks(b *testing.B) {
 
 // BenchmarkAblationCorpusSize sweeps the Figure 13 training-corpus size:
 // accuracy climbs toward the paper's 95.6% as traces per class approach the
-// paper's ~395 (RAGNAR_FULL runs the 6720-trace corpus in the main Fig13
-// bench).
+// paper's ~395 (`ragnar -full fig13` runs the 6720-trace corpus).
 func BenchmarkAblationCorpusSize(b *testing.B) {
 	var out string
 	var last float64

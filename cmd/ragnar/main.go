@@ -27,13 +27,13 @@ import (
 )
 
 func main() {
-	var p experiments.Params
-	nicName := flag.String("nic", "cx4", "adapter for single-NIC experiments (cx4, cx5, cx6, cx5-iso)")
-	flag.BoolVar(&p.Full, "full", false, "run paper-scale parameter spaces (slower)")
-	flag.Int64Var(&p.Seed, "seed", 1, "deterministic seed")
+	p := experiments.DefaultParams()
+	nicName := flag.String("nic", p.Profile.Name, "adapter for single-NIC experiments (cx4, cx5, cx6, cx5-iso)")
+	flag.BoolVar(&p.Full, "full", p.Full, "run paper-scale parameter spaces (slower)")
+	flag.Int64Var(&p.Seed, "seed", p.Seed, "deterministic seed")
 	flag.IntVar(&p.Workers, "workers", runtime.NumCPU(), "worker goroutines for sweeps (1 = sequential; results are identical at any count)")
-	flag.IntVar(&p.Domains, "domains", 1, "engine domains for partitionable fabrics (results are identical at any count)")
-	flag.IntVar(&p.PerClass, "perclass", 12, "CNN side-channel traces per class (paper: ~395)")
+	flag.IntVar(&p.Domains, "domains", p.Domains, "engine domains for partitionable fabrics (results are identical at any count)")
+	flag.IntVar(&p.PerClass, "perclass", p.PerClass, "CNN side-channel traces per class (paper: ~395)")
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON instead of rendered tables")
 	flag.Parse()
 	if p.Workers <= 0 {

@@ -36,7 +36,7 @@ func main() {
 		fatalf("unknown NIC %q (available: %s)", *nicName, strings.Join(nic.ProfileNames(), ", "))
 	}
 	if flag.NArg() == 0 {
-		fatalf("usage: rebench [flags] <pair|offsets|reloffsets|intermr|linearity|bench>")
+		fatalf("usage: rebench [flags] <pair|offsets|reloffsets|intermr|linearity>")
 	}
 	cmd, rest := flag.Arg(0), flag.Args()[1:]
 	var err error
@@ -51,8 +51,6 @@ func main() {
 		err = interMR(prof, rest, *seed, *workers)
 	case "linearity":
 		err = linearity(prof)
-	case "bench":
-		err = benchCmd(prof, *seed, rest)
 	default:
 		err = fmt.Errorf("unknown subcommand %q", cmd)
 	}

@@ -82,9 +82,7 @@ func features(d Snapshot) map[string]float64 {
 		{"wait_wakes", d.WaitWakes},
 		{"self_modifies", d.SelfModifies},
 	} {
-		if c.v > 0 {
-			f[c.key] = float64(c.v)
-		}
+		PutNonzero(f, c.key, c.v)
 	}
 	for k, v := range d.RxMsgs {
 		f["op/"+k.String()] = float64(v)
@@ -103,6 +101,14 @@ func features(d Snapshot) map[string]float64 {
 		f["qp_total"] = stats.Sum(qp)
 	}
 	return f
+}
+
+// PutNonzero sets f[key] to n when n is nonzero, so a marker that never
+// fires adds no key and an all-zero marker vector scores exactly 0.
+func PutNonzero(f map[string]float64, key string, n uint64) {
+	if n > 0 {
+		f[key] = float64(n)
+	}
 }
 
 // Harmonic is the counter-based anomaly detector: it learns the per-window

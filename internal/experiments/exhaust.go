@@ -445,18 +445,10 @@ func runExhaustCell(p nic.Profile, victims int, in exhaustCellIn, seed int64) (E
 	cell.CtxEvictions = srvD.CtxEvictions
 	cell.CQOverruns = aggD.CQOverruns
 	markers := map[string]float64{}
-	if cell.CtxMisses > 0 {
-		markers["ctx_miss"] = float64(cell.CtxMisses)
-	}
-	if cell.CtxEvictions > 0 {
-		markers["ctx_evict"] = float64(cell.CtxEvictions)
-	}
-	if cell.CQOverruns > 0 {
-		markers["cq_overrun"] = float64(cell.CQOverruns)
-	}
-	if cell.RxPauses > 0 {
-		markers["rx_pause"] = float64(cell.RxPauses)
-	}
+	defense.PutNonzero(markers, "ctx_miss", cell.CtxMisses)
+	defense.PutNonzero(markers, "ctx_evict", cell.CtxEvictions)
+	defense.PutNonzero(markers, "cq_overrun", cell.CQOverruns)
+	defense.PutNonzero(markers, "rx_pause", cell.RxPauses)
 	cell.ExhScore = srvDet.ScoreVector(markers)
 
 	// Victim WQE p99: attack windows over training windows, from the

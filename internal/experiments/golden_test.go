@@ -70,6 +70,7 @@ var goldenRows = []struct {
 	{"nvmf", "nvmf_cx5", Params{Profile: nic.CX5, Seed: 1}},
 	{"pythia", "pythia", Params{Seed: 1}},
 	{"fig12", "fig12_cx4", Params{Profile: nic.CX4, Seed: 1}},
+	{"fig12robust", "fig12robust_cx5", Params{Profile: nic.CX5, Seed: 1}},
 	{"defense", "defense_cx4", Params{Profile: nic.CX4, Seed: 1}},
 	{"defgrid", "defgrid_cx5", Params{Profile: nic.CX5, Seed: 5}},
 	{"redn", "redn_cx5", Params{Profile: nic.CX5, Seed: 7}},

@@ -452,18 +452,14 @@ func runNvmfCell(p nic.Profile, in nvmfCellIn, seed int64) (NvmfCell, error) {
 	}
 	cell.WireDrops -= drops0
 
-	// Marker-only verdict: the same nonzero gating as defense.features, so
-	// the loss cell scores exactly zero.
+	// Marker-only verdict: nonzero-gated like defense.features, so the loss
+	// cell scores exactly zero.
 	markers := map[string]float64{}
-	for k, v := range map[string]uint64{
-		"bad_qp": cell.BadQP, "invalid_nak": cell.InvNaks,
-		"invalid_ack": cell.InvAcks, "bad_psn": cell.BadPSN,
-		"bad_capsule": cell.BadCaps,
-	} {
-		if v > 0 {
-			markers[k] = float64(v)
-		}
-	}
+	defense.PutNonzero(markers, "bad_qp", cell.BadQP)
+	defense.PutNonzero(markers, "invalid_nak", cell.InvNaks)
+	defense.PutNonzero(markers, "invalid_ack", cell.InvAcks)
+	defense.PutNonzero(markers, "bad_psn", cell.BadPSN)
+	defense.PutNonzero(markers, "bad_capsule", cell.BadCaps)
 	cell.AbuseScore = srvDet.ScoreVector(markers)
 
 	// Drain and sanity-check the victim data path.

@@ -13,6 +13,13 @@ type Params struct {
 	PerClass int // CNN corpus traces per class; Full uses the paper's 395
 }
 
+// DefaultParams are the Params `ragnar` runs with when no flag is given:
+// cmd/ragnar's flag defaults and BenchmarkRegistry both read them. Workers
+// stays 0 (NumCPU), which is also the CLI's default.
+func DefaultParams() Params {
+	return Params{Profile: nic.CX4, Seed: 1, Domains: 1, PerClass: 12}
+}
+
 // size picks an experiment's default or paper-scale parameter.
 func (p Params) size(small, full int) int {
 	if p.Full {
@@ -68,6 +75,7 @@ var Registry = []Experiment{
 	{"nvmf", func(p Params) (Result, error) { return result(Nvmf(p.Profile, p.Seed, p.Workers)) }},
 	{"pythia", func(p Params) (Result, error) { return result(PythiaCompare(64, p.Seed)) }},
 	{"fig12", func(p Params) (Result, error) { return Fig12(p.Profile, p.Seed), nil }},
+	{"fig12robust", func(p Params) (Result, error) { return Fig12Robustness(p.Profile, p.Seed), nil }},
 	{"fig13", func(p Params) (Result, error) { return result(Fig13(p.Profile, p.size(p.PerClass, 395), p.Seed)) }},
 	{"defense", func(p Params) (Result, error) { return result(DefenseEval(p.Profile, p.Seed)) }},
 	{"defgrid", func(p Params) (Result, error) { return result(DefGrid(p.Profile, p.Seed, p.Workers)) }},

@@ -39,4 +39,5 @@ func BenchmarkEngineParallelXfer(b *testing.B) {
 	if n != b.N {
 		b.Fatalf("completed %d round trips, want %d", n, b.N)
 	}
+	b.ReportMetric(float64(da.Eng.Fired()+db.Eng.Fired())/float64(b.N), "events/op")
 }
