@@ -38,9 +38,9 @@ func main() {
 	if !ok {
 		fatalf("unknown NIC %q", *nicName)
 	}
-	payload := bitstream.RandomBits(uint64(*seed)|1, *bits)
-	if *message != "" {
-		payload = bitstream.FromBytes([]byte(*message))
+	payload, err := payloadBits(*bits, *message, *seed)
+	if err != nil {
+		fatalf("%v", err)
 	}
 
 	var rec *trace.Recorder
@@ -112,6 +112,18 @@ func main() {
 	default:
 		fatalf("unknown channel %q", *channel)
 	}
+}
+
+// payloadBits is the payload to transmit: the message's bits when one is
+// given, else bits random bits.
+func payloadBits(bits int, message string, seed int64) (bitstream.Bits, error) {
+	if message != "" {
+		return bitstream.FromBytes([]byte(message)), nil
+	}
+	if bits < 1 {
+		return nil, fmt.Errorf("-bits %d: need at least one bit", bits)
+	}
+	return bitstream.RandomBits(uint64(seed)|1, bits), nil
 }
 
 func report(r covert.Result, sent, got bitstream.Bits, message string) {

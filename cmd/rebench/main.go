@@ -10,6 +10,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -70,8 +71,16 @@ func pair(prof nic.Profile, args []string) error {
 	rev := fs.Bool("reverse", false, "indicator posted from the server")
 	fs.Parse(args)
 
-	a := nic.FlowSpec{Name: "inducer", Op: parseOp(*aop), MsgBytes: *asize, QPNum: *aqp, Client: 0}
-	b := nic.FlowSpec{Name: "indicator", Op: parseOp(*bop), MsgBytes: *bsize, QPNum: *bqp, Client: 1, FromServer: *rev}
+	aOp, err := parseOp(*aop)
+	if err != nil {
+		return err
+	}
+	bOp, err := parseOp(*bop)
+	if err != nil {
+		return err
+	}
+	a := nic.FlowSpec{Name: "inducer", Op: aOp, MsgBytes: *asize, QPNum: *aqp, Client: 0}
+	b := nic.FlowSpec{Name: "indicator", Op: bOp, MsgBytes: *bsize, QPNum: *bqp, Client: 1, FromServer: *rev}
 	soloA, soloB := nic.Solo(prof, a), nic.Solo(prof, b)
 	res := nic.Solve(prof, []nic.FlowSpec{a, b})
 	fmt.Printf("%s\n", prof.Name)
@@ -82,17 +91,45 @@ func pair(prof nic.Profile, args []string) error {
 	return nil
 }
 
-func parseOp(s string) nic.Opcode {
+// parseOp maps a -aop/-bop value onto its opcode.
+func parseOp(s string) (nic.Opcode, error) {
 	switch s {
+	case "write":
+		return nic.OpWrite, nil
 	case "read":
-		return nic.OpRead
+		return nic.OpRead, nil
 	case "send":
-		return nic.OpSend
+		return nic.OpSend, nil
 	case "atomic":
-		return nic.OpAtomicFAA
-	default:
-		return nic.OpWrite
+		return nic.OpAtomicFAA, nil
 	}
+	return 0, fmt.Errorf("unknown opcode %q (want write, read, send or atomic)", s)
+}
+
+// maxOffsets bounds one sweep; every offset is a full probe run.
+const maxOffsets = 1 << 20
+
+// offsetList is the sweep axis from, from+step, ... up to to, without 0 in
+// a relative sweep. The count is computed before the loop, so a range that
+// ends near 2^64 cannot wrap around.
+func offsetList(from, to, step uint64, relative bool) ([]uint64, error) {
+	if step == 0 {
+		return nil, errors.New("-step must be positive")
+	}
+	if to < from {
+		return nil, fmt.Errorf("-from %d is past -to %d", from, to)
+	}
+	last := (to - from) / step
+	if last >= maxOffsets {
+		return nil, fmt.Errorf("-from %d -to %d -step %d spans more than %d offsets", from, to, step, maxOffsets)
+	}
+	offs := make([]uint64, 0, last+1)
+	for i := uint64(0); i <= last; i++ {
+		if o := from + i*step; o != 0 || !relative {
+			offs = append(offs, o)
+		}
+	}
+	return offs, nil
 }
 
 func offsets(prof nic.Profile, args []string, seed int64, relative bool, workers int) error {
@@ -104,15 +141,11 @@ func offsets(prof nic.Profile, args []string, seed int64, relative bool, workers
 	probes := fs.Int("probes", 300, "probes per offset")
 	fs.Parse(args)
 
-	var offs []uint64
-	for o := *from; o <= *to; o += *step {
-		if relative && o == 0 {
-			continue
-		}
-		offs = append(offs, o)
+	offs, err := offsetList(*from, *to, *step, relative)
+	if err != nil {
+		return err
 	}
 	var points []revengine.OffsetPoint
-	var err error
 	if relative {
 		points, err = revengine.RelOffsetSweep(prof, *size, offs, *probes, seed, workers)
 	} else {

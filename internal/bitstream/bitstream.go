@@ -102,13 +102,6 @@ func ErrorRate(sent, recv Bits) float64 {
 	return float64(errs) / float64(total)
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // EffectiveBandwidth converts a raw channel bandwidth (bits/s) and a bit
 // error rate into the paper's effective bandwidth: the Shannon capacity of a
 // binary symmetric channel with crossover probability e,

@@ -6,6 +6,7 @@ import (
 	"github.com/thu-has/ragnar/internal/bitstream"
 	"github.com/thu-has/ragnar/internal/lab"
 	"github.com/thu-has/ragnar/internal/nic"
+	"github.com/thu-has/ragnar/internal/sim"
 	"github.com/thu-has/ragnar/internal/stats"
 )
 
@@ -222,5 +223,43 @@ func TestChannelOnNeedsTwoClients(t *testing.T) {
 	}
 	if _, err := NewIntraMRChannelOn(lab.Star(cfg)); err == nil {
 		t.Fatal("1-client topology should be rejected")
+	}
+}
+
+// TestULIChannelBlankWindows runs symbols shorter than the receiver's first
+// probe round trip: the leading windows have no samples and take the first
+// observed window's mean. Only a transmission with no samples at all fails.
+func TestULIChannelBlankWindows(t *testing.T) {
+	ch, err := NewIntraMRChannel(nic.CX6, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch.SymbolTime = sim.Microsecond
+	ch.BoundaryJitter = 0
+	start := ch.Cluster.Eng.Now()
+	run, err := ch.Transmit(bitstream.MustParseBits("1010101010101010"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(run.Samples) == 0 {
+		t.Fatal("no samples")
+	}
+	first := int(run.Samples[0].At.Sub(start) / ch.SymbolTime)
+	if first < 1 || first >= len(run.SymbolMeans) {
+		t.Fatalf("first sample in window %d; the test needs a blank window 0", first)
+	}
+	for k := 0; k < first; k++ {
+		if run.SymbolMeans[k] != run.SymbolMeans[first] {
+			t.Fatalf("blank window %d mean %v, want window %d's %v", k, run.SymbolMeans[k], first, run.SymbolMeans[first])
+		}
+	}
+
+	ch, err = NewIntraMRChannel(nic.CX6, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch.SymbolTime = 10 * sim.Nanosecond
+	if _, err := ch.Transmit(bitstream.MustParseBits("10")); err == nil {
+		t.Fatal("a transmission without samples should error")
 	}
 }

@@ -131,7 +131,13 @@ func (ch *ULIChannel) Transmit(bits bitstream.Bits) (*ULIRun, error) {
 	// Bin receiver samples into symbol windows. Probes in flight when the
 	// sender switches states carry the previous symbol's contention, so the
 	// first third of each window is a guard interval the decoder skips.
+	// A window can be blank: a transport stall (loss recovery) or a probe
+	// ramp slower than one symbol (heavy noise mitigation) leaves it without
+	// samples. A real receiver free-runs on its last observation, so a blank
+	// window holds the previous symbol's mean, and blank leading windows
+	// take the first observed one.
 	means := make([]float64, len(bits))
+	first := -1
 	for k := range bits {
 		from := start.Add(sim.Duration(k) * ch.SymbolTime)
 		to := from.Add(ch.SymbolTime)
@@ -142,15 +148,18 @@ func (ch *ULIChannel) Transmit(bits bitstream.Bits) (*ULIRun, error) {
 		switch {
 		case len(w) > 0:
 			means[k] = stats.Mean(w)
+			if first < 0 {
+				first = k
+			}
 		case k > 0:
-			// A transport stall (loss recovery) blanked the whole window: a
-			// real receiver free-runs on its last observation, so hold the
-			// previous symbol's mean. On a lossless fabric every window has
-			// samples and this arm never runs.
 			means[k] = means[k-1]
-		default:
-			return nil, fmt.Errorf("covert: symbol %d received no ULI samples (symbol time too short?)", k)
 		}
+	}
+	if first < 0 {
+		return nil, errors.New("covert: no symbol received ULI samples (symbol time too short?)")
+	}
+	for k := 0; k < first; k++ {
+		means[k] = means[first]
 	}
 	decoded := decodeByThreshold(means, ch.OneIsHigher)
 
@@ -228,7 +237,7 @@ func NewInterMRChannel(p nic.Profile, seed int64) (*ULIChannel, error) {
 
 // NewInterMRChannelOn builds the Grain-III channel on an already-built
 // topology — client 0 receives, client 1 sends — so switched rigs (Star,
-// DualRail, Build) reuse the exact transmit machinery the point-to-point
+// DualRail, Clos) reuse the exact transmit machinery the point-to-point
 // channel uses. The topology must be freshly built: the channel dials and
 // warms its own connections.
 func NewInterMRChannelOn(c *lab.Cluster) (*ULIChannel, error) {

@@ -10,6 +10,7 @@ import (
 	"github.com/thu-has/ragnar/internal/nic"
 	"github.com/thu-has/ragnar/internal/parallel"
 	"github.com/thu-has/ragnar/internal/sim"
+	"github.com/thu-has/ragnar/internal/stats"
 	"github.com/thu-has/ragnar/internal/traffic"
 )
 
@@ -46,35 +47,13 @@ var ClosAggSizes = []int{4096, 131072}
 
 // ClosCell is one aggressor configuration on a fresh fabric.
 type ClosCell struct {
-	Op         string
-	AggSize    int
-	AggGbps    float64
-	VictimGbps []float64 // per victim, during contention
-	SoloGbps   float64   // mean per-victim rate with the aggressor idle
-	LeafPFC    uint64    // PFC pause assertions by leaf switches, contention phase
-	SpinePFC   uint64    // PFC pause assertions by spine switches, contention phase
-	PausedSw   int       // switches that asserted >=1 pause — the congestion tree extent
-	SpinePkts  []uint64  // packets forwarded per spine, whole run (ECMP spread)
-}
-
-// MeanVictimGbps averages the per-victim contention bandwidth.
-func (c ClosCell) MeanVictimGbps() float64 {
-	if len(c.VictimGbps) == 0 {
-		return 0
-	}
-	var s float64
-	for _, v := range c.VictimGbps {
-		s += v
-	}
-	return s / float64(len(c.VictimGbps))
-}
-
-// SoloPct is the mean victim bandwidth as a percentage of the solo baseline.
-func (c ClosCell) SoloPct() float64 {
-	if c.SoloGbps <= 0 {
-		return 0
-	}
-	return 100 * c.MeanVictimGbps() / c.SoloGbps
+	Op      string
+	AggSize int
+	VictimBandwidth
+	LeafPFC   uint64   // PFC pause assertions by leaf switches, contention phase
+	SpinePFC  uint64   // PFC pause assertions by spine switches, contention phase
+	PausedSw  int      // switches that asserted >=1 pause — the congestion tree extent
+	SpinePkts []uint64 // packets forwarded per spine, whole run (ECMP spread)
 }
 
 // ClosResult is the rendered experiment outcome.
@@ -102,26 +81,14 @@ func runClosCell(p nic.Profile, fab lab.ClosConfig, in closCellIn, seed int64) (
 	if err != nil {
 		return ClosCell{}, err
 	}
-	cell := ClosCell{AggSize: in.size}
-	if in.op == nic.OpRead {
-		cell.Op = "READ"
-	} else {
-		cell.Op = "WRITE"
-	}
+	cell := ClosCell{Op: in.op.String(), AggSize: in.size}
 
 	// The aggressor is the last client — it lives on the last leaf, so its
 	// traffic crosses the full fabric. Everyone else is a victim.
 	agg := len(c.Clients) - 1
-	conns := make([]*lab.Conn, agg)
-	for i := range conns {
-		conn, err := c.Dial(i, closVictimDepth*2)
-		if err != nil {
-			return ClosCell{}, err
-		}
-		if err := c.Warm(conn, mr); err != nil {
-			return ClosCell{}, err
-		}
-		conns[i] = conn
+	vs, err := dialVictims(c, mr, 0, agg, closVictimSize, closVictimDepth, 128<<10)
+	if err != nil {
+		return ClosCell{}, err
 	}
 	aggConn, err := c.Dial(agg, closAggDepth*2)
 	if err != nil {
@@ -130,31 +97,15 @@ func runClosCell(p nic.Profile, fab lab.ClosConfig, in closCellIn, seed int64) (
 	if err := c.Warm(aggConn, mr); err != nil {
 		return ClosCell{}, err
 	}
-
-	gens := make([]*traffic.Generator, len(conns))
-	for i, conn := range conns {
-		gens[i] = &traffic.Generator{
-			QP: conn.QP, CQ: conn.CQ, Op: nic.OpWrite,
-			MsgSize: closVictimSize, Depth: closVictimDepth,
-			Next: traffic.FixedTarget(mr.Describe(uint64(i) * (128 << 10))),
-		}
-		if err := gens[i].Start(); err != nil {
-			return ClosCell{}, err
-		}
+	if err := vs.start(); err != nil {
+		return ClosCell{}, err
 	}
 
 	// Baseline (aggressor idle).
 	c.RunFor(closWarmup)
-	soloStart := make([]uint64, len(gens))
-	for i, g := range gens {
-		soloStart[i] = g.Completed()
-	}
+	vs.mark()
 	c.RunFor(closSoloWins * closWindow)
-	var solo float64
-	for i, g := range gens {
-		solo += gbpsOf(g.Completed()-soloStart[i], closVictimSize, closSoloWins*closWindow)
-	}
-	cell.SoloGbps = solo / float64(len(gens))
+	cell.SoloGbps = stats.Mean(vs.gbps(closSoloWins * closWindow))
 
 	// Contention.
 	aggGen := &traffic.Generator{
@@ -167,29 +118,16 @@ func runClosCell(p nic.Profile, fab lab.ClosConfig, in closCellIn, seed int64) (
 	}
 	pfc0 := make([]uint64, len(c.Switches))
 	for s, sw := range c.Switches {
-		for tc := 0; tc < 8; tc++ {
-			pfc0[s] += sw.PFCPauses(tc)
-		}
+		pfc0[s] = perTC(sw.PFCPauses)
 	}
-	vicStart := make([]uint64, len(gens))
-	for i, g := range gens {
-		vicStart[i] = g.Completed()
-	}
+	vs.mark()
 	aggStart := aggGen.Completed()
-	c.RunFor(closScoreWins * closWindow)
-
 	const scoreDur = closScoreWins * closWindow
-	for i, g := range gens {
-		cell.VictimGbps = append(cell.VictimGbps,
-			gbpsOf(g.Completed()-vicStart[i], closVictimSize, scoreDur))
-	}
+	c.RunFor(scoreDur)
+	cell.VictimGbps = vs.gbps(scoreDur)
 	cell.AggGbps = gbpsOf(aggGen.Completed()-aggStart, in.size, scoreDur)
 	for s, sw := range c.Switches {
-		var pfc uint64
-		for tc := 0; tc < 8; tc++ {
-			pfc += sw.PFCPauses(tc)
-		}
-		pfc -= pfc0[s]
+		pfc := perTC(sw.PFCPauses) - pfc0[s]
 		if s < fab.Leaves {
 			cell.LeafPFC += pfc
 		} else {
@@ -202,10 +140,8 @@ func runClosCell(p nic.Profile, fab lab.ClosConfig, in closCellIn, seed int64) (
 	for _, sw := range c.Switches[fab.Leaves:] {
 		cell.SpinePkts = append(cell.SpinePkts, sw.FwdPackets())
 	}
-	for _, g := range gens {
-		if g.Errors() > 0 {
-			return ClosCell{}, fmt.Errorf("clos: victim completions errored")
-		}
+	if err := vs.err(); err != nil {
+		return ClosCell{}, fmt.Errorf("clos: %w", err)
 	}
 	return cell, nil
 }
@@ -253,16 +189,9 @@ func Clos(p nic.Profile, domains int, full bool, seed int64, workers int) (ClosR
 	if err != nil {
 		return ClosResult{}, err
 	}
-	nd := fab.Domains
-	if nd < 1 {
-		nd = 1
-	}
-	if max := fab.Leaves + fab.Spines; nd > max {
-		nd = max
-	}
 	return ClosResult{
-		NIC: p.Name, Leaves: fab.Leaves, Spines: fab.Spines,
-		HostsPerLeaf: fab.HostsPerLeaf, Domains: nd, Cells: outs,
+		NIC: p.Name, Leaves: fab.Leaves, Spines: fab.Spines, HostsPerLeaf: fab.HostsPerLeaf,
+		Domains: min(max(fab.Domains, 1), fab.Leaves+fab.Spines), Cells: outs,
 	}, nil
 }
 

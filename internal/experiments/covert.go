@@ -303,10 +303,3 @@ func (r PythiaResult) Render() string {
 	return fmt.Sprintf("Pythia baseline (CX-5): %s at %.1f%% error (eviction set %d pages)\nRagnar inter-MR (CX-5): %s  ->  %.1fx Pythia\n",
 		bps(r.PythiaBps), r.PythiaErr*100, r.EvictPages, bps(r.RagnarBps), r.SpeedupX)
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -7,11 +7,9 @@ import (
 
 	"github.com/thu-has/ragnar/internal/bitstream"
 	"github.com/thu-has/ragnar/internal/covert"
-	"github.com/thu-has/ragnar/internal/defense"
 	"github.com/thu-has/ragnar/internal/nic"
 	"github.com/thu-has/ragnar/internal/parallel"
 	"github.com/thu-has/ragnar/internal/sim"
-	"github.com/thu-has/ragnar/internal/telemetry"
 )
 
 // The defense grid quantifies the Section VII tradeoff the paper leaves
@@ -88,50 +86,6 @@ type defCellOut struct {
 	soloPct  float64
 }
 
-// defgridHarmonic reproduces the DefenseEval counter-detector protocol on
-// the intra-MR channel: train a HARMONIC baseline on an idle (all-zero)
-// transmission, then count flagged windows on a live random payload.
-func defgridHarmonic(p nic.Profile, seed int64) ([2]int, error) {
-	const windows = 24
-	runChannel := func(bits bitstream.Bits) ([]defense.Snapshot, error) {
-		ch, err := covert.NewIntraMRChannel(p, seed)
-		if err != nil {
-			return nil, err
-		}
-		eng := ch.Cluster.Eng
-		server := ch.Cluster.Server.NIC()
-		var series []telemetry.Snapshot
-		total := ch.SymbolTime * sim.Duration(len(bits))
-		window := total / windows
-		series = append(series, telemetry.Snap(eng, server))
-		for w := 1; w <= windows; w++ {
-			eng.At(eng.Now().Add(window*sim.Duration(w)), func() {
-				series = append(series, telemetry.Snap(eng, server))
-			})
-		}
-		if _, err := ch.Transmit(bits); err != nil {
-			return nil, err
-		}
-		return telemetry.WindowedDeltas(series), nil
-	}
-	benign, err := runChannel(make(bitstream.Bits, windows))
-	if err != nil {
-		return [2]int{}, err
-	}
-	h := defense.TrainHarmonic(benign)
-	deltas, err := runChannel(bitstream.RandomBits(uint64(seed)|1, windows))
-	if err != nil {
-		return [2]int{}, err
-	}
-	flagged := 0
-	for _, d := range deltas {
-		if h.Detect(d) {
-			flagged++
-		}
-	}
-	return [2]int{flagged, len(deltas)}, nil
-}
-
 // defgridLossy is one lossgrid rep: the intra-MR channel through
 // defgridLossPct% random wire loss with retrying RC transports.
 func defgridLossy(p nic.Profile, cellID uint64, seed int64) (float64, error) {
@@ -183,7 +137,8 @@ func runDefCell(variants []nic.Profile, cell defCell, seed int64) (defCellOut, e
 		}
 		out.errRate = e
 	case "harmonic":
-		f, err := defgridHarmonic(p, cellSeed)
+		// DefenseEval's counter-detector protocol on the intra-MR channel.
+		f, err := harmonicFlags(covert.NewIntraMRChannel, p, cellSeed)
 		if err != nil {
 			return out, err
 		}

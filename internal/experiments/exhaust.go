@@ -10,6 +10,7 @@ import (
 	"github.com/thu-has/ragnar/internal/nic"
 	"github.com/thu-has/ragnar/internal/parallel"
 	"github.com/thu-has/ragnar/internal/sim"
+	"github.com/thu-has/ragnar/internal/stats"
 	"github.com/thu-has/ragnar/internal/telemetry"
 	"github.com/thu-has/ragnar/internal/trace"
 	"github.com/thu-has/ragnar/internal/traffic"
@@ -85,9 +86,7 @@ type ExhaustCell struct {
 	Duty    int    // pause-abuse duty cycle, percent of each period
 	AggSize int
 
-	AggGbps    float64
-	VictimGbps []float64
-	SoloGbps   float64
+	VictimBandwidth
 
 	// Attack-phase exhaustion markers: server-NIC context-cache traffic,
 	// aggressor-NIC CQ overruns, switch-received pause frames.
@@ -101,26 +100,6 @@ type ExhaustCell struct {
 	Detected int     // victims whose HARMONIC fired in any window
 	ExhScore float64 // exhaustion-marker score: 0 for plain contention
 	WqeP99x  float64 // victim WQE p99 latency, attack / baseline
-}
-
-// MeanVictimGbps averages the per-victim attack-phase bandwidth.
-func (c ExhaustCell) MeanVictimGbps() float64 {
-	if len(c.VictimGbps) == 0 {
-		return 0
-	}
-	var s float64
-	for _, v := range c.VictimGbps {
-		s += v
-	}
-	return s / float64(len(c.VictimGbps))
-}
-
-// SoloPct is the mean victim bandwidth as a percentage of the solo baseline.
-func (c ExhaustCell) SoloPct() float64 {
-	if c.SoloGbps <= 0 {
-		return 0
-	}
-	return 100 * c.MeanVictimGbps() / c.SoloGbps
 }
 
 // ExhaustResult is the rendered experiment outcome.
@@ -215,10 +194,11 @@ func (p *exhaustPump) tick() {
 }
 
 // runExhaustCell measures one aggressor configuration on a fresh star rig.
-// The phase skeleton replicates runTenantCell exactly — dial/warm order,
-// window counts, snapshot points — so the contention cell is event-for-event
-// the tenants cell; everything extra this cell observes (server snapshots,
-// victim-side flight recorder, switch pause counters) is passive.
+// It composes the same harness pieces as runTenantCell in the same order —
+// victim set, dial/warm order, window counts, snapshot points — so the
+// contention cell is event-for-event the tenants cell; everything extra
+// this cell observes (the server watch, the victim-side flight recorder,
+// switch pause counters) is passive.
 func runExhaustCell(p nic.Profile, victims int, in exhaustCellIn, seed int64) (ExhaustCell, error) {
 	prof := p
 	if in.qps > 1 || in.mrs > 1 {
@@ -261,24 +241,12 @@ func runExhaustCell(p nic.Profile, victims int, in exhaustCellIn, seed int64) (E
 		}
 	}
 
-	// Dial and warm every tenant BEFORE any generator starts (Warm runs
-	// the engine to quiescence). Victims first, then the aggressor —
-	// identical to tenants.
-	conns := make([]*lab.Conn, victims)
-	for i := 0; i < victims; i++ {
-		conn, err := c.Dial(i+1, tenantVictimDepth*2)
-		if err != nil {
-			return ExhaustCell{}, err
-		}
-		if err := c.Warm(conn, mr); err != nil {
-			return ExhaustCell{}, err
-		}
-		conns[i] = conn
+	// Victims first, then the aggressor — identical to tenants.
+	vs, err := dialVictims(c, mr, 1, victims, tenantVictimSize, tenantVictimDepth, 256<<10)
+	if err != nil {
+		return ExhaustCell{}, err
 	}
-	perQP := tenantAggDepth / in.qps
-	if perQP < 1 {
-		perQP = 1
-	}
+	perQP := max(tenantAggDepth/in.qps, 1)
 	openLoop := in.qps > 1 || in.mrs > 1
 	aggConns := make([]*lab.Conn, in.qps)
 	for q := 0; q < in.qps; q++ {
@@ -295,48 +263,20 @@ func runExhaustCell(p nic.Profile, victims int, in exhaustCellIn, seed int64) (E
 		}
 		aggConns[q] = conn
 	}
-
-	// Victims: steady 2 KB writes, each tenant to its own MR window.
-	gens := make([]*traffic.Generator, victims)
-	for i, conn := range conns {
-		gens[i] = &traffic.Generator{
-			QP: conn.QP, CQ: conn.CQ, Op: nic.OpWrite,
-			MsgSize: tenantVictimSize, Depth: tenantVictimDepth,
-			Next: traffic.FixedTarget(mr.Describe(uint64(i) * (256 << 10))),
-		}
-		if err := gens[i].Start(); err != nil {
-			return ExhaustCell{}, err
-		}
+	if err := vs.start(); err != nil {
+		return ExhaustCell{}, err
 	}
 
 	// Baseline phase (aggressor idle): train one HARMONIC per victim, plus
 	// one on the server NIC for the exhaustion-marker verdict, and capture
 	// the victim WQE-latency baseline.
-	c.Eng.RunFor(tenantWarmup)
+	c.RunFor(tenantWarmup)
 	mTrain0 := *rec.Metrics()
-	series := make([][]telemetry.Snapshot, victims)
-	soloStart := make([]uint64, victims)
-	var srvSeries []telemetry.Snapshot
-	srvSeries = append(srvSeries, telemetry.Snap(c.Eng, c.Server.NIC()))
-	for i, g := range gens {
-		series[i] = append(series[i], telemetry.Snap(c.Eng, c.Clients[i+1].NIC()))
-		soloStart[i] = g.Completed()
-	}
-	for w := 0; w < tenantTrainWins; w++ {
-		c.Eng.RunFor(tenantWindow)
-		for i := range gens {
-			series[i] = append(series[i], telemetry.Snap(c.Eng, c.Clients[i+1].NIC()))
-		}
-		srvSeries = append(srvSeries, telemetry.Snap(c.Eng, c.Server.NIC()))
-	}
-	dets := make([]*defense.Harmonic, victims)
-	var solo float64
-	for i, g := range gens {
-		dets[i] = defense.TrainHarmonic(telemetry.WindowedDeltas(series[i]))
-		solo += gbpsOf(g.Completed()-soloStart[i], tenantVictimSize, tenantTrainWins*tenantWindow)
-	}
-	cell.SoloGbps = solo / float64(victims)
-	srvDet := defense.TrainHarmonic(telemetry.WindowedDeltas(srvSeries))
+	ws := vs.watches(c.Eng)
+	srv := newWatch(c.Eng, c.Server.NIC())
+	vs.mark()
+	runWindows(c, tenantTrainWins, tenantWindow, append(ws, srv)...)
+	cell.SoloGbps = stats.Mean(vs.gbps(tenantTrainWins * tenantWindow))
 
 	// Attack phase. The closed-loop generator (contention and pause cells)
 	// is byte-identical to the tenants aggressor; the open-loop pump drives
@@ -345,10 +285,7 @@ func runExhaustCell(p nic.Profile, victims int, in exhaustCellIn, seed int64) (E
 	var agg *traffic.Generator
 	var pump *exhaustPump
 	if openLoop {
-		pump = &exhaustPump{eng: c.Eng, targets: targets, size: cell.AggSize, depth: perQP}
-		for _, cn := range aggConns {
-			pump.conns = append(pump.conns, cn)
-		}
+		pump = &exhaustPump{eng: c.Eng, conns: aggConns, targets: targets, size: cell.AggSize, depth: perQP}
 		pump.start()
 	} else {
 		agg = &traffic.Generator{
@@ -372,66 +309,28 @@ func runExhaustCell(p nic.Profile, victims int, in exhaustCellIn, seed int64) (E
 			c.Eng.After(at+hold, func() { sw.PortResume(aggPort, 0) })
 		}
 	}
-	var pfc0, drop0 uint64
-	for tc := 0; tc < 8; tc++ {
-		pfc0 += sw.PFCPauses(tc)
-		drop0 += sw.BufDrops(tc)
-	}
-	var rxp0 uint64
-	for tc := 0; tc < 8; tc++ {
-		rxp0 += sw.RxPauses(tc)
-	}
-	srvPrev := telemetry.Snap(c.Eng, c.Server.NIC())
+	pfc0, rxp0 := perTC(sw.PFCPauses), perTC(sw.RxPauses)
+	srv.train()
 	agg0 := telemetry.Snap(c.Eng, c.Clients[0].NIC())
 	mAtk0 := *rec.Metrics()
-	vicStart := make([]uint64, victims)
-	prev := make([]telemetry.Snapshot, victims)
-	for i, g := range gens {
-		vicStart[i] = g.Completed()
-		prev[i] = telemetry.Snap(c.Eng, c.Clients[i+1].NIC())
-	}
-	var aggStart uint64
-	if agg != nil {
-		aggStart = agg.Completed()
-	} else {
-		aggStart = pump.done()
-	}
-	fired := make([]bool, victims)
-	for w := 0; w < tenantScoreWins; w++ {
-		c.Eng.RunFor(tenantWindow)
-		for i := range gens {
-			cur := telemetry.Snap(c.Eng, c.Clients[i+1].NIC())
-			d := telemetry.Delta(prev[i], cur)
-			prev[i] = cur
-			if s := dets[i].Score(d); s > cell.MaxScore {
-				cell.MaxScore = s
-			}
-			if dets[i].Detect(d) {
-				fired[i] = true
-			}
+	trainAll(ws)
+	vs.mark()
+	aggDone := func() uint64 {
+		if agg != nil {
+			return agg.Completed()
 		}
+		return pump.done()
 	}
+	aggStart := aggDone()
+	runWindows(c, tenantScoreWins, tenantWindow, ws...)
 	if pump != nil {
 		pump.stop()
 	}
-	for i, g := range gens {
-		cell.VictimGbps = append(cell.VictimGbps,
-			gbpsOf(g.Completed()-vicStart[i], tenantVictimSize, scoreDur))
-		if fired[i] {
-			cell.Detected++
-		}
-	}
-	if agg != nil {
-		cell.AggGbps = gbpsOf(agg.Completed()-aggStart, cell.AggSize, scoreDur)
-	} else {
-		cell.AggGbps = gbpsOf(pump.done()-aggStart, cell.AggSize, scoreDur)
-	}
-	for tc := 0; tc < 8; tc++ {
-		cell.SwitchPFC += sw.PFCPauses(tc)
-		cell.RxPauses += sw.RxPauses(tc)
-	}
-	cell.SwitchPFC -= pfc0
-	cell.RxPauses -= rxp0
+	cell.VictimGbps = vs.gbps(scoreDur)
+	cell.MaxScore, cell.Detected = verdict(ws)
+	cell.AggGbps = gbpsOf(aggDone()-aggStart, cell.AggSize, scoreDur)
+	cell.SwitchPFC = perTC(sw.PFCPauses) - pfc0
+	cell.RxPauses = perTC(sw.RxPauses) - rxp0
 
 	// Exhaustion markers over the whole attack phase: server context-cache
 	// traffic, aggressor CQ overruns, switch-received pause frames. Scored
@@ -439,7 +338,7 @@ func runExhaustCell(p nic.Profile, victims int, in exhaustCellIn, seed int64) (E
 	// defense.features — plain contention leaves the vector empty (score
 	// 0); any exhaustion marker is unseen in training and scores by
 	// magnitude.
-	srvD := telemetry.Delta(srvPrev, telemetry.Snap(c.Eng, c.Server.NIC()))
+	srvD := srv.sinceTrain()
 	aggD := telemetry.Delta(agg0, telemetry.Snap(c.Eng, c.Clients[0].NIC()))
 	cell.CtxMisses = srvD.CtxMisses
 	cell.CtxEvictions = srvD.CtxEvictions
@@ -449,7 +348,7 @@ func runExhaustCell(p nic.Profile, victims int, in exhaustCellIn, seed int64) (E
 	defense.PutNonzero(markers, "ctx_evict", cell.CtxEvictions)
 	defense.PutNonzero(markers, "cq_overrun", cell.CQOverruns)
 	defense.PutNonzero(markers, "rx_pause", cell.RxPauses)
-	cell.ExhScore = srvDet.ScoreVector(markers)
+	cell.ExhScore = srv.det.ScoreVector(markers)
 
 	// Victim WQE p99: attack windows over training windows, from the
 	// flight recorder's latency registry.
@@ -459,10 +358,8 @@ func runExhaustCell(p nic.Profile, victims int, in exhaustCellIn, seed int64) (E
 		cell.WqeP99x = atk["wqe_lat/p99"] / bp
 	}
 
-	for _, g := range gens {
-		if g.Errors() > 0 {
-			return ExhaustCell{}, fmt.Errorf("exhaust: victim completions errored")
-		}
+	if err := vs.err(); err != nil {
+		return ExhaustCell{}, fmt.Errorf("exhaust: %w", err)
 	}
 	if pump != nil && pump.errs > 0 {
 		return ExhaustCell{}, fmt.Errorf("exhaust: aggressor posts errored")

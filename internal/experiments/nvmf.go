@@ -14,7 +14,6 @@ import (
 	"github.com/thu-has/ragnar/internal/parallel"
 	"github.com/thu-has/ragnar/internal/sim"
 	"github.com/thu-has/ragnar/internal/stats"
-	"github.com/thu-has/ragnar/internal/telemetry"
 	"github.com/thu-has/ragnar/internal/verbs"
 )
 
@@ -291,15 +290,6 @@ func (s *capsuleSprayer) tick() {
 // Cell driver
 // ---------------------------------------------------------------------------
 
-// abuseDelta sums the NIC-level abuse markers across both endpoints.
-func abuseDelta(prevV, curV, prevS, curS telemetry.Snapshot) (badQP, invNak, invAck, badPSN uint64) {
-	badQP = (curV.RxBadQP - prevV.RxBadQP) + (curS.RxBadQP - prevS.RxBadQP)
-	invNak = (curV.InvalidNaks - prevV.InvalidNaks) + (curS.InvalidNaks - prevS.InvalidNaks)
-	invAck = (curV.InvalidAcks - prevV.InvalidAcks) + (curS.InvalidAcks - prevS.InvalidAcks)
-	badPSN = (curV.RxBadPSN - prevV.RxBadPSN) + (curS.RxBadPSN - prevS.RxBadPSN)
-	return
-}
-
 // runNvmfCell measures one attack on a fresh rig: a point-to-point pair with
 // the storage target on the server, the victim initiator on client 0, and a
 // second (attacker) host on client 1 whose queue stays idle outside the
@@ -356,28 +346,22 @@ func runNvmfCell(p nic.Profile, in nvmfCellIn, seed int64) (NvmfCell, error) {
 	vicNIC := c.Clients[0].NIC()
 	srvNIC := c.Server.NIC()
 
-	// Baseline phase: warm up, then train HARMONIC on victim and server
-	// windows while recording the reference IOPS and latency distribution.
+	// Baseline phase: warm up, then watch the victim and server NICs over
+	// the training windows while recording the reference IOPS and latency
+	// distribution.
 	ini.Start()
 	c.RunFor(nvmfWarmup)
 	ini.ResetLatencies()
-	vicSeries := []telemetry.Snapshot{telemetry.Snap(c.Eng, vicNIC)}
-	srvSeries := []telemetry.Snapshot{telemetry.Snap(c.Eng, srvNIC)}
+	vic, srv := newWatch(c.Eng, vicNIC), newWatch(c.Eng, srvNIC)
 	base0 := ini.Stats().Completed
-	for w := 0; w < nvmfTrainWins; w++ {
-		c.RunFor(nvmfWindow)
-		vicSeries = append(vicSeries, telemetry.Snap(c.Eng, vicNIC))
-		srvSeries = append(srvSeries, telemetry.Snap(c.Eng, srvNIC))
-	}
-	det := defense.TrainHarmonic(telemetry.WindowedDeltas(vicSeries))
-	srvDet := defense.TrainHarmonic(telemetry.WindowedDeltas(srvSeries))
+	runWindows(c, nvmfTrainWins, nvmfWindow, vic, srv)
 	trainDur := sim.Duration(nvmfTrainWins) * nvmfWindow
 	baseIOPS := float64(ini.Stats().Completed-base0) / trainDur.Seconds()
 	baseP99 := stats.Percentile(ini.Latencies(), 99)
 	ini.ResetLatencies()
 
-	// Attack phase: install the cell's interference, score every window
-	// against the trained detector, and tally the abuse markers.
+	// Attack phase: install the cell's interference, score every victim
+	// window against the trained detector, and tally the abuse markers.
 	links := c.Links // [0] victim→server, [1] server→victim, [2]/[3] attacker
 	var spoofer *nakSpoofer
 	var forger *ackForger
@@ -398,30 +382,18 @@ func runNvmfCell(p nic.Profile, in nvmfCellIn, seed int64) (NvmfCell, error) {
 		sprayer.start()
 	}
 
-	vicPrev := telemetry.Snap(c.Eng, vicNIC)
-	srvPrev := telemetry.Snap(c.Eng, srvNIC)
+	vic.train()
+	srv.train()
 	atk0 := ini.Stats()
 	caps0 := tgt.Counters().BadCapsules
-	var drops0 uint64
-	for _, l := range links {
-		for tc := 0; tc < 8; tc++ {
-			drops0 += l.Drops(tc) + l.FaultDrops(tc)
+	wireDrops := func() (n uint64) {
+		for _, l := range links {
+			n += perTC(l.Drops) + perTC(l.FaultDrops)
 		}
+		return n
 	}
-	vp, sp := vicPrev, srvPrev
-	for w := 0; w < nvmfScoreWins; w++ {
-		c.RunFor(nvmfWindow)
-		vc := telemetry.Snap(c.Eng, vicNIC)
-		d := telemetry.Delta(vp, vc)
-		vp = vc
-		if s := det.Score(d); s > cell.MaxScore {
-			cell.MaxScore = s
-		}
-		if det.Detect(d) {
-			cell.Detected = true
-		}
-		sp = telemetry.Snap(c.Eng, srvNIC)
-	}
+	drops0 := wireDrops()
+	runWindows(c, nvmfScoreWins, nvmfWindow, vic)
 	if guesser != nil {
 		guesser.stopped = true
 	}
@@ -440,17 +412,17 @@ func runNvmfCell(p nic.Profile, in nvmfCellIn, seed int64) (NvmfCell, error) {
 	if p99 := stats.Percentile(ini.Latencies(), 99); baseP99 > 0 {
 		cell.P99x = p99 / baseP99
 	}
+	cell.MaxScore, cell.Detected = vic.maxScore, vic.fired
 	cell.DataErrs = atk.DataErrors - atk0.DataErrors
-	cell.Retx = (vp.Retransmits - vicPrev.Retransmits) + (sp.Retransmits - srvPrev.Retransmits)
-	cell.DupAcks = (vp.DupAcks - vicPrev.DupAcks) + (sp.DupAcks - srvPrev.DupAcks)
-	cell.BadQP, cell.InvNaks, cell.InvAcks, cell.BadPSN = abuseDelta(vicPrev, vp, srvPrev, sp)
+	vd, sd := vic.sinceTrain(), srv.sinceTrain()
+	cell.Retx = vd.Retransmits + sd.Retransmits
+	cell.DupAcks = vd.DupAcks + sd.DupAcks
+	cell.BadQP = vd.RxBadQP + sd.RxBadQP
+	cell.InvNaks = vd.InvalidNaks + sd.InvalidNaks
+	cell.InvAcks = vd.InvalidAcks + sd.InvalidAcks
+	cell.BadPSN = vd.RxBadPSN + sd.RxBadPSN
 	cell.BadCaps = tgt.Counters().BadCapsules - caps0
-	for _, l := range links {
-		for tc := 0; tc < 8; tc++ {
-			cell.WireDrops += l.Drops(tc) + l.FaultDrops(tc)
-		}
-	}
-	cell.WireDrops -= drops0
+	cell.WireDrops = wireDrops() - drops0
 
 	// Marker-only verdict: nonzero-gated like defense.features, so the loss
 	// cell scores exactly zero.
@@ -460,7 +432,7 @@ func runNvmfCell(p nic.Profile, in nvmfCellIn, seed int64) (NvmfCell, error) {
 	defense.PutNonzero(markers, "invalid_ack", cell.InvAcks)
 	defense.PutNonzero(markers, "bad_psn", cell.BadPSN)
 	defense.PutNonzero(markers, "bad_capsule", cell.BadCaps)
-	cell.AbuseScore = srvDet.ScoreVector(markers)
+	cell.AbuseScore = srv.det.ScoreVector(markers)
 
 	// Drain and sanity-check the victim data path.
 	ini.Stop()

@@ -14,7 +14,6 @@ import (
 	"github.com/thu-has/ragnar/internal/sidechan"
 	"github.com/thu-has/ragnar/internal/sim"
 	"github.com/thu-has/ragnar/internal/stats"
-	"github.com/thu-has/ragnar/internal/telemetry"
 )
 
 // ---------------------------------------------------------------------------
@@ -162,58 +161,24 @@ type DefenseResult struct {
 func DefenseEval(p nic.Profile, seed int64) (DefenseResult, error) {
 	out := DefenseResult{NIC: p.Name, FlaggedWindows: map[string][2]int{}}
 
-	const windows = 24
-	runChannel := func(mk func() (*covert.ULIChannel, error), bits bitstream.Bits) ([]defense.Snapshot, error) {
-		ch, err := mk()
-		if err != nil {
-			return nil, err
-		}
-		eng := ch.Cluster.Eng
-		server := ch.Cluster.Server.NIC()
-		var series []telemetry.Snapshot
-		total := ch.SymbolTime * sim.Duration(len(bits))
-		window := total / windows
-		series = append(series, telemetry.Snap(eng, server))
-		for w := 1; w <= windows; w++ {
-			eng.At(eng.Now().Add(window*sim.Duration(w)), func() {
-				series = append(series, telemetry.Snap(eng, server))
-			})
-		}
-		if _, err := ch.Transmit(bits); err != nil {
-			return nil, err
-		}
-		return telemetry.WindowedDeltas(series), nil
-	}
-
 	channels := []struct {
 		name string
-		mk   func() (*covert.ULIChannel, error)
+		mk   func(nic.Profile, int64) (*covert.ULIChannel, error)
 	}{
-		{"inter-MR(III)", func() (*covert.ULIChannel, error) { return covert.NewInterMRChannel(p, seed) }},
-		{"intra-MR(IV)", func() (*covert.ULIChannel, error) { return covert.NewIntraMRChannel(p, seed) }},
+		{"inter-MR(III)", covert.NewInterMRChannel},
+		{"intra-MR(IV)", covert.NewIntraMRChannel},
 	}
-	zero := make(bitstream.Bits, 24)
-	live := bitstream.RandomBits(uint64(seed)|1, 24)
 	for _, c := range channels {
-		benign, err := runChannel(c.mk, zero)
+		f, err := harmonicFlags(c.mk, p, seed)
 		if err != nil {
 			return out, err
 		}
-		h := defense.TrainHarmonic(benign)
-		deltas, err := runChannel(c.mk, live)
-		if err != nil {
-			return out, err
-		}
-		flagged := 0
-		for _, d := range deltas {
-			if h.Detect(d) {
-				flagged++
-			}
-		}
-		out.FlaggedWindows[c.name] = [2]int{flagged, len(deltas)}
+		out.FlaggedWindows[c.name] = f
 	}
 
-	// Noise sweep against the stealthiest channel.
+	// Noise sweep against the stealthiest channel, carrying the live
+	// payload harmonicFlags scored.
+	live := bitstream.RandomBits(uint64(seed)|1, harmonicWindows)
 	for _, amp := range []sim.Duration{0, 100 * sim.Nanosecond, 300 * sim.Nanosecond, 800 * sim.Nanosecond} {
 		ch, err := covert.NewIntraMRChannel(p, seed)
 		if err != nil {

@@ -5,12 +5,11 @@ import (
 	"fmt"
 	"strings"
 
-	"github.com/thu-has/ragnar/internal/defense"
 	"github.com/thu-has/ragnar/internal/lab"
 	"github.com/thu-has/ragnar/internal/nic"
 	"github.com/thu-has/ragnar/internal/parallel"
 	"github.com/thu-has/ragnar/internal/sim"
-	"github.com/thu-has/ragnar/internal/telemetry"
+	"github.com/thu-has/ragnar/internal/stats"
 	"github.com/thu-has/ragnar/internal/traffic"
 )
 
@@ -58,35 +57,13 @@ var TenantAggSizes = []int{1024, 4096, 16384}
 
 // TenantCell is one (aggressor opcode, aggressor size) cell.
 type TenantCell struct {
-	Op         string // READ or WRITE
-	AggSize    int
-	AggGbps    float64
-	VictimGbps []float64 // per victim, during contention
-	SoloGbps   float64   // mean per-victim rate with the aggressor idle
-	SwitchPFC  uint64    // switch PFC pause assertions, contention phase
-	SwitchDrop uint64    // switch shared-buffer drops, contention phase
-	MaxScore   float64   // highest per-victim HARMONIC score
-	Detected   int       // victims whose detector fired in any window
-}
-
-// MeanVictimGbps averages the per-victim contention bandwidth.
-func (c TenantCell) MeanVictimGbps() float64 {
-	if len(c.VictimGbps) == 0 {
-		return 0
-	}
-	var s float64
-	for _, v := range c.VictimGbps {
-		s += v
-	}
-	return s / float64(len(c.VictimGbps))
-}
-
-// SoloPct is the mean victim bandwidth as a percentage of the solo baseline.
-func (c TenantCell) SoloPct() float64 {
-	if c.SoloGbps <= 0 {
-		return 0
-	}
-	return 100 * c.MeanVictimGbps() / c.SoloGbps
+	Op      string // READ or WRITE
+	AggSize int
+	VictimBandwidth
+	SwitchPFC  uint64  // switch PFC pause assertions, contention phase
+	SwitchDrop uint64  // switch shared-buffer drops, contention phase
+	MaxScore   float64 // highest per-victim HARMONIC score
+	Detected   int     // victims whose detector fired in any window
 }
 
 // TenantsResult is the rendered experiment outcome.
@@ -112,26 +89,12 @@ func runTenantCell(p nic.Profile, victims int, in tenantCellIn, seed int64) (Ten
 	if err != nil {
 		return TenantCell{}, err
 	}
-	cell := TenantCell{AggSize: in.size}
-	if in.op == nic.OpRead {
-		cell.Op = "READ"
-	} else {
-		cell.Op = "WRITE"
-	}
+	cell := TenantCell{Op: in.op.String(), AggSize: in.size}
 
-	// Dial and warm every tenant BEFORE any generator starts: Warm runs the
-	// engine to quiescence, which never arrives once a closed-loop generator
-	// is live.
-	conns := make([]*lab.Conn, victims)
-	for i := 0; i < victims; i++ {
-		conn, err := c.Dial(i+1, tenantVictimDepth*2)
-		if err != nil {
-			return TenantCell{}, err
-		}
-		if err := c.Warm(conn, mr); err != nil {
-			return TenantCell{}, err
-		}
-		conns[i] = conn
+	// Victims: steady 2 KB writes, each tenant to its own MR window.
+	vs, err := dialVictims(c, mr, 1, victims, tenantVictimSize, tenantVictimDepth, 256<<10)
+	if err != nil {
+		return TenantCell{}, err
 	}
 	aggConn, err := c.Dial(0, tenantAggDepth*2)
 	if err != nil {
@@ -140,43 +103,18 @@ func runTenantCell(p nic.Profile, victims int, in tenantCellIn, seed int64) (Ten
 	if err := c.Warm(aggConn, mr); err != nil {
 		return TenantCell{}, err
 	}
-
-	// Victims: steady 2 KB writes, each tenant to its own MR window.
-	gens := make([]*traffic.Generator, victims)
-	for i, conn := range conns {
-		gens[i] = &traffic.Generator{
-			QP: conn.QP, CQ: conn.CQ, Op: nic.OpWrite,
-			MsgSize: tenantVictimSize, Depth: tenantVictimDepth,
-			Next: traffic.FixedTarget(mr.Describe(uint64(i) * (256 << 10))),
-		}
-		if err := gens[i].Start(); err != nil {
-			return TenantCell{}, err
-		}
+	if err := vs.start(); err != nil {
+		return TenantCell{}, err
 	}
 
-	// Baseline phase (aggressor idle): warm up, then sample each victim NIC
-	// at window boundaries. The deltas train one HARMONIC per victim and the
-	// completion counts give the solo bandwidth.
-	c.Eng.RunFor(tenantWarmup)
-	series := make([][]telemetry.Snapshot, victims)
-	soloStart := make([]uint64, victims)
-	for i, g := range gens {
-		series[i] = append(series[i], telemetry.Snap(c.Eng, c.Clients[i+1].NIC()))
-		soloStart[i] = g.Completed()
-	}
-	for w := 0; w < tenantTrainWins; w++ {
-		c.Eng.RunFor(tenantWindow)
-		for i := range gens {
-			series[i] = append(series[i], telemetry.Snap(c.Eng, c.Clients[i+1].NIC()))
-		}
-	}
-	dets := make([]*defense.Harmonic, victims)
-	var solo float64
-	for i, g := range gens {
-		dets[i] = defense.TrainHarmonic(telemetry.WindowedDeltas(series[i]))
-		solo += gbpsOf(g.Completed()-soloStart[i], tenantVictimSize, tenantTrainWins*tenantWindow)
-	}
-	cell.SoloGbps = solo / float64(victims)
+	// Baseline phase (aggressor idle): warm up, then watch each victim NIC
+	// over the training windows. The deltas train one HARMONIC per victim
+	// and the completion counts give the solo bandwidth.
+	c.RunFor(tenantWarmup)
+	ws := vs.watches(c.Eng)
+	vs.mark()
+	runWindows(c, tenantTrainWins, tenantWindow, ws...)
+	cell.SoloGbps = stats.Mean(vs.gbps(tenantTrainWins * tenantWindow))
 
 	// Contention phase: start the aggressor, score every victim window.
 	agg := &traffic.Generator{
@@ -188,52 +126,19 @@ func runTenantCell(p nic.Profile, victims int, in tenantCellIn, seed int64) (Ten
 		return TenantCell{}, err
 	}
 	sw := c.Switches[0]
-	var pfc0, drop0 uint64
-	for tc := 0; tc < 8; tc++ {
-		pfc0 += sw.PFCPauses(tc)
-		drop0 += sw.BufDrops(tc)
-	}
-	vicStart := make([]uint64, victims)
-	prev := make([]telemetry.Snapshot, victims)
-	for i, g := range gens {
-		vicStart[i] = g.Completed()
-		prev[i] = telemetry.Snap(c.Eng, c.Clients[i+1].NIC())
-	}
+	pfc0, drop0 := perTC(sw.PFCPauses), perTC(sw.BufDrops)
+	trainAll(ws)
+	vs.mark()
 	aggStart := agg.Completed()
-	fired := make([]bool, victims)
-	for w := 0; w < tenantScoreWins; w++ {
-		c.Eng.RunFor(tenantWindow)
-		for i := range gens {
-			cur := telemetry.Snap(c.Eng, c.Clients[i+1].NIC())
-			d := telemetry.Delta(prev[i], cur)
-			prev[i] = cur
-			if s := dets[i].Score(d); s > cell.MaxScore {
-				cell.MaxScore = s
-			}
-			if dets[i].Detect(d) {
-				fired[i] = true
-			}
-		}
-	}
+	runWindows(c, tenantScoreWins, tenantWindow, ws...)
 	const scoreDur = tenantScoreWins * tenantWindow
-	for i, g := range gens {
-		cell.VictimGbps = append(cell.VictimGbps,
-			gbpsOf(g.Completed()-vicStart[i], tenantVictimSize, scoreDur))
-		if fired[i] {
-			cell.Detected++
-		}
-	}
+	cell.VictimGbps = vs.gbps(scoreDur)
+	cell.MaxScore, cell.Detected = verdict(ws)
 	cell.AggGbps = gbpsOf(agg.Completed()-aggStart, in.size, scoreDur)
-	for tc := 0; tc < 8; tc++ {
-		cell.SwitchPFC += sw.PFCPauses(tc)
-		cell.SwitchDrop += sw.BufDrops(tc)
-	}
-	cell.SwitchPFC -= pfc0
-	cell.SwitchDrop -= drop0
-	for _, g := range gens {
-		if g.Errors() > 0 {
-			return TenantCell{}, fmt.Errorf("tenants: victim completions errored")
-		}
+	cell.SwitchPFC = perTC(sw.PFCPauses) - pfc0
+	cell.SwitchDrop = perTC(sw.BufDrops) - drop0
+	if err := vs.err(); err != nil {
+		return TenantCell{}, fmt.Errorf("tenants: %w", err)
 	}
 	return cell, nil
 }

@@ -1,7 +1,7 @@
 // Clos builds the two-tier leaf-spine fabric the scaled multi-tenant
 // experiments run on: every leaf trunks to every spine, hosts hang off
 // leaves, and leaf-to-leaf traffic spreads across the spines with
-// flow-hashed ECMP. Unlike Build's switch tree, a Clos has path diversity
+// flow-hashed ECMP. Unlike Star and DualRail, a Clos has path diversity
 // — and, optionally, engine-domain parallelism: the fabric partitions at
 // trunk boundaries into one domain per component (a leaf plus its hosts,
 // or a spine), and trunk propagation delay becomes the conservative

@@ -3,7 +3,7 @@
 // 2) — so reverse-engineering benchmarks, covert channels and side-channel
 // attacks all build on identical plumbing. The wiring itself is declarative
 // (see Topology in topology.go): Pair keeps the legacy point-to-point
-// shape, Star/DualRail/Build add switched multi-host scenarios.
+// shape, Star/DualRail/Clos add switched multi-host scenarios.
 package lab
 
 import (

@@ -1,9 +1,9 @@
 // Topology is the declarative successor to the fixed two/three-host rig:
 // the same server-plus-clients threat model, but with the wiring — direct
-// cables, a shared switch, dual rails, or an arbitrary switch tree — chosen
-// per scenario. Pair reproduces the legacy Cluster byte-for-byte; Star and
-// DualRail are the shapes the multi-tenant experiments need; Build accepts
-// an explicit Spec for anything else.
+// cables, a shared switch, dual rails, or a leaf-spine fabric — chosen per
+// scenario. Pair reproduces the legacy Cluster byte-for-byte; Star and
+// DualRail are the shapes the multi-tenant experiments need; Clos (clos.go)
+// builds multi-switch fabrics.
 
 package lab
 
@@ -223,152 +223,6 @@ func DualRail(cfg Config) *Topology {
 		net.SetPath(server, cl, serverUp[rail])
 		t.Clients = append(t.Clients, cl)
 		t.Links = append(t.Links, cUp, sw.EgressLink(cPort))
-	}
-	return t
-}
-
-// SwitchSpec places one switch in a Spec. Trunk names an earlier switch
-// index this switch uplinks to (-1 or self-index for a root); TrunkGbps
-// defaults to 400.
-type SwitchSpec struct {
-	Cfg       fabric.SwitchConfig
-	Trunk     int
-	TrunkGbps float64
-}
-
-// Spec describes an arbitrary switched topology: a tree of switches, the
-// server on one of them, and each client assigned a home switch.
-type Spec struct {
-	Seed      int64
-	Profile   nic.Profile
-	QoS       fabric.QoSConfig
-	PropDelay sim.Duration // per segment; 0 means 100 ns
-	ServerHW  host.Config
-	ClientHW  host.Config
-
-	Switches     []SwitchSpec
-	ServerSwitch int   // index into Switches
-	ClientSwitch []int // one home-switch index per client
-}
-
-// Build assembles a Spec. Switch trunks must form a forest with earlier
-// indices as parents (Trunk < index); routes between any two reachable
-// hosts are installed along the unique tree path. It panics on a malformed
-// spec — specs are authored in code, not loaded from input.
-func Build(spec Spec) *Topology {
-	if len(spec.Switches) == 0 {
-		panic("lab: Build needs at least one switch")
-	}
-	if spec.ServerSwitch < 0 || spec.ServerSwitch >= len(spec.Switches) {
-		panic("lab: ServerSwitch out of range")
-	}
-	prop := spec.PropDelay
-	if prop == 0 {
-		prop = 100 * sim.Nanosecond
-	}
-	cfg := fillDefaults(Config{
-		Seed: spec.Seed, Profile: spec.Profile, Clients: len(spec.ClientSwitch),
-		QoS: spec.QoS, ServerHW: spec.ServerHW, ClientHW: spec.ClientHW,
-	})
-	eng := sim.NewEngine(cfg.Seed)
-	server := verbs.NewContext(eng, "server", cfg.ServerHW, cfg.Profile, 0)
-	t := &Topology{
-		Eng:      eng,
-		Engines:  []*sim.Engine{eng},
-		Profile:  cfg.Profile,
-		Server:   server,
-		ServerPD: server.AllocPD(),
-	}
-	net := verbs.NewNetwork(eng)
-	net.PropDelay = prop
-	t.Net = net
-
-	// Switches first, trunked to their parents as they appear.
-	n := len(spec.Switches)
-	trunkPort := make([][]int, n) // trunkPort[a][b] = port on a toward b, -1 none
-	for i := range trunkPort {
-		trunkPort[i] = make([]int, n)
-		for j := range trunkPort[i] {
-			trunkPort[i][j] = -1
-		}
-	}
-	for i, ss := range spec.Switches {
-		sc := ss.Cfg
-		if sc == (fabric.SwitchConfig{}) {
-			sc = DefaultSwitchConfig()
-		}
-		sc.Name = fmt.Sprintf("sw%d", i)
-		t.Switches = append(t.Switches, fabric.NewSwitch(eng, sc))
-		if ss.Trunk >= 0 && ss.Trunk != i {
-			if ss.Trunk > i {
-				panic("lab: switch trunks must point to earlier switches")
-			}
-			rate := ss.TrunkGbps
-			if rate <= 0 {
-				rate = 400
-			}
-			pp, pc := net.ConnectSwitches(t.Switches[ss.Trunk], t.Switches[i], rate, cfg.QoS)
-			trunkPort[ss.Trunk][i] = pp
-			trunkPort[i][ss.Trunk] = pc
-			t.Links = append(t.Links, t.Switches[ss.Trunk].EgressLink(pp), t.Switches[i].EgressLink(pc))
-		}
-	}
-	// nextPort[s][d]: the port on switch s that leads toward switch d along
-	// the tree, found by BFS per destination (n is tiny).
-	nextPort := make([][]int, n)
-	for s := range nextPort {
-		nextPort[s] = make([]int, n)
-		for d := range nextPort[s] {
-			nextPort[s][d] = -1
-		}
-	}
-	for d := 0; d < n; d++ {
-		// BFS outward from d; first hop back toward d is via the parent in
-		// the BFS tree.
-		visited := make([]bool, n)
-		queue := []int{d}
-		visited[d] = true
-		for len(queue) > 0 {
-			cur := queue[0]
-			queue = queue[1:]
-			for nb := 0; nb < n; nb++ {
-				if trunkPort[nb][cur] < 0 || visited[nb] {
-					continue
-				}
-				visited[nb] = true
-				nextPort[nb][d] = trunkPort[nb][cur]
-				queue = append(queue, nb)
-			}
-		}
-	}
-	// installRoutes publishes one host address (homed on switch `home`) to
-	// every switch that can reach it.
-	installRoutes := func(addr uint32, home int) {
-		for s := 0; s < n; s++ {
-			if s == home {
-				continue // AttachToSwitch installed the local route
-			}
-			if p := nextPort[s][home]; p >= 0 {
-				t.Switches[s].Route(addr, p)
-			}
-		}
-	}
-
-	sPort, sUp := net.AttachToSwitch(server, t.Switches[spec.ServerSwitch], cfg.QoS)
-	t.Links = append(t.Links, sUp, t.Switches[spec.ServerSwitch].EgressLink(sPort))
-	installRoutes(net.Addr(server), spec.ServerSwitch)
-
-	for i, home := range spec.ClientSwitch {
-		if home < 0 || home >= n {
-			panic("lab: ClientSwitch index out of range")
-		}
-		cl := verbs.NewContext(eng, fmt.Sprintf("client%d", i), cfg.ClientHW, cfg.Profile, 0)
-		cPort, cUp := net.AttachToSwitch(cl, t.Switches[home], cfg.QoS)
-		installRoutes(net.Addr(cl), home)
-		net.SetPath(cl, server, cUp)
-		net.SetPath(server, cl, sUp)
-		t.Clients = append(t.Clients, cl)
-		t.Links = append(t.Links, cUp, t.Switches[home].EgressLink(cPort))
 	}
 	return t
 }

@@ -192,43 +192,6 @@ func TestDualRailIsolation(t *testing.T) {
 	}
 }
 
-func TestBuildTrunkedTree(t *testing.T) {
-	// sw0 —— sw1: server on sw0, client 0 on sw0, client 1 on sw1. Client
-	// 1's reads cross the trunk both ways.
-	spec := Spec{
-		Seed:    1,
-		Profile: nic.CX5,
-		QoS:     DefaultConfig(nic.CX5).QoS,
-		Switches: []SwitchSpec{
-			{Trunk: -1},
-			{Trunk: 0},
-		},
-		ServerSwitch: 0,
-		ClientSwitch: []int{0, 1},
-	}
-	c := Build(spec)
-	if len(c.Switches) != 2 || len(c.Clients) != 2 {
-		t.Fatalf("built %d switches, %d clients", len(c.Switches), len(c.Clients))
-	}
-	mr, err := c.RegisterServerMR(1 << 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	readOnce(t, c, mr, 0)
-	local := c.Switches[1].FwdPackets()
-	if local != 0 {
-		t.Fatalf("same-switch traffic crossed the trunk: %d", local)
-	}
-	readOnce(t, c, mr, 1)
-	if c.Switches[1].FwdPackets() == 0 {
-		t.Fatal("remote client's traffic never entered sw1")
-	}
-	if c.Switches[0].Unroutable() != 0 || c.Switches[1].Unroutable() != 0 {
-		t.Fatalf("unroutable: sw0=%d sw1=%d",
-			c.Switches[0].Unroutable(), c.Switches[1].Unroutable())
-	}
-}
-
 // TestStarTracing checks a switched rig records switch activity and that
 // tracing stays passive (traced latency == untraced latency).
 func TestStarTracing(t *testing.T) {

@@ -26,7 +26,7 @@ func BenchmarkContextCacheHit(b *testing.B) {
 }
 
 // BenchmarkFrameRoundTrip is the CI-guarded wire-fidelity path every packet
-// takes when EncodeFrames is on: encode a message into an envelope's
+// takes: encode a message into an envelope's
 // reusable frame buffer, then parse and verify the frames against the
 // message the way Deliver does. Each iteration round-trips a READ request,
 // a READ response and a 4 KiB WRITE that a 1 KiB path MTU segments into

@@ -74,9 +74,6 @@ const (
 	clientResources
 )
 
-// DebugFluid, when set, receives solver trace lines (calibration only).
-var DebugFluid func(format string, args ...any)
-
 // floorFrac is the fraction of a priority resource's capacity the
 // low-priority class keeps even under full high-priority pressure
 // (hardware never lets the loser starve completely, or ACK generation
@@ -409,9 +406,6 @@ func Solve(p Profile, flows []FlowSpec) []FlowResult {
 		}
 		for c := 0; c < nClients; c++ {
 			lower(nicResources + c*clientResources)
-		}
-		if DebugFluid != nil {
-			DebugFluid("phase %d rates=%v", phase, rates)
 		}
 	}
 

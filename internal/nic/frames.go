@@ -7,13 +7,6 @@ import (
 	"github.com/thu-has/ragnar/internal/wire"
 )
 
-// EncodeFrames controls wire-format fidelity: when true (the default) every
-// message is marshalled into its real RoCEv2 transport encoding before
-// hitting the fabric and parsed+verified on ingress, so the simulated
-// traffic is byte-exact against the specification. Large parameter sweeps
-// that only need timing can disable it.
-var EncodeFrames = true
-
 // opcodeToWire maps the simulator's opcode/direction onto IBA opcodes.
 func opcodeToWire(m *Message) (byte, error) {
 	if m.IsResp {

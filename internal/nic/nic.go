@@ -454,7 +454,7 @@ type NIC struct {
 
 	counters Counters
 
-	// Tap, when set with EncodeFrames on, receives every departing frame
+	// Tap, when set, receives every departing frame
 	// fully encapsulated (Ethernet+IPv4+UDP+RoCEv2) at its departure time —
 	// the hook the pcap exporter uses.
 	Tap func(at sim.Time, frame []byte)
@@ -1167,11 +1167,4 @@ func put64(b []byte, v uint64) {
 	for i := 0; i < 8; i++ {
 		b[i] = byte(v >> (8 * i))
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -505,14 +505,14 @@ func (env *envelope) granted() {
 		n.eng.After(sim.Nanosecond, func() { dst.HandleIngress(m) })
 		return
 	}
-	if EncodeFrames {
-		if err := env.encode(m, n.prof.MTU); err != nil {
-			panic(fmt.Sprintf("nic %s: frame encode: %v", n.Name, err))
-		}
-		if n.Tap != nil {
-			for _, f := range env.frames {
-				n.Tap(n.eng.Now(), wire.Encapsulate(f, n.ip, dst.ip, 49152+uint16(m.SrcQPN&0x3fff)))
-			}
+	// Every message goes out in its real RoCEv2 transport encoding, parsed
+	// and verified again on ingress.
+	if err := env.encode(m, n.prof.MTU); err != nil {
+		panic(fmt.Sprintf("nic %s: frame encode: %v", n.Name, err))
+	}
+	if n.Tap != nil {
+		for _, f := range env.frames {
+			n.Tap(n.eng.Now(), wire.Encapsulate(f, n.ip, dst.ip, 49152+uint16(m.SrcQPN&0x3fff)))
 		}
 	}
 	if err := link.Send(fabric.Packet{TC: m.TC, Bytes: env.bytes, Dst: dst.addr, Flow: env.flow, Payload: env}); err != nil {

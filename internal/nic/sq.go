@@ -357,7 +357,7 @@ func (n *NIC) sqPatch(addr uint64, length int) {
 		if addr > w.base {
 			lo = int((addr - w.base) / SQSlotBytes)
 		}
-		hi := int((min64(end, wend) - w.base + SQSlotBytes - 1) / SQSlotBytes)
+		hi := int((min(end, wend) - w.base + SQSlotBytes - 1) / SQSlotBytes)
 		for idx := lo; idx < hi; idx++ {
 			qp := w.qp
 			if idx >= len(qp.sq) || idx < qp.sqEnabled {
@@ -408,11 +408,4 @@ func le32(b []byte) uint32 {
 
 func put32(b []byte, v uint32) {
 	b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-}
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }

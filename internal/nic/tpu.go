@@ -150,13 +150,6 @@ func (t *TPU) Counters() (served, conflicts, mrSwitches, mttMisses uint64) {
 	return t.served, t.conflicts, t.mrSwitch, t.mttMisses
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // SetConstantTime, when enabled, makes every translation take the worst-case
 // service time for its beat count — the Section VII "hardware partitioning /
 // fixing hardware features" mitigation: with no offset-, bank- or MR-

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# End-to-end equivalence checks on the shipped CLI, two axes, over every
-# registered experiment (`ragnar all`):
+# End-to-end checks on the shipped CLI over every registered experiment
+# (`ragnar all`): two equivalence axes, then one run per adapter profile.
 #
 #   1. Worker parallelism: -workers changes only wall-clock time, never a
 #      byte of output. `all` runs at -workers=1 and -workers=4 and the
@@ -12,6 +12,9 @@
 #      exercises the window protocol end to end, for the single-engine ones
 #      it pins that the flag is inert. Only the rendered domain-count header
 #      may differ, so it is normalized before the diff.
+#   3. Every profile completes: the diffs above run on the default cx4, so
+#      `all` also runs once each on cx5, cx6 and cx5-iso (as JSON, which
+#      walks every result field) and must exit 0.
 #
 # -perclass 2 keeps the CNN side-channel corpus small: one `all` pass takes
 # about 12 s at -workers 1 on a 2-vCPU Xeon, 5 s of it CNN training.
@@ -49,4 +52,9 @@ ragnar -workers 2 -domains 1 | normalize >"$tmp/serial.out"
 for d in 2 6; do
 	ragnar -workers 2 -domains "$d" | normalize >"$tmp/part.out"
 	same "$tmp/serial.out" "$tmp/part.out" "all experiments (-domains 1 == $d)"
+done
+
+for nic in cx5 cx6 cx5-iso; do
+	"$tmp/ragnar" -json -perclass 2 -seed 7 -nic "$nic" all >/dev/null
+	echo "all experiments complete on $nic"
 done
