@@ -434,6 +434,9 @@ func NewInitiator(ctx *verbs.Context, tq *TargetQueue, cfg WorkloadConfig) (*Ini
 		return nil, err
 	}
 	ini.dataMR = mr
+	// Host memory is backed on first touch. Every command writes this
+	// buffer, so back it here, at set-up, not inside the first command.
+	mr.Bytes()
 	ini.cq = ctx.CreateCQ(0)
 	ini.cq.Notify = func(nic.Completion) {} // capsule SENDs need no tracking
 	qp, err := ctx.CreateQP(pd, ini.cq, verbs.QPCap{MaxSendWR: 2 * cfg.QueueDepth})

@@ -84,14 +84,19 @@ func (h *Host) Config() Config { return h.cfg }
 
 // Region is a pinned, physically contiguous allocation. The simulation keeps
 // real backing bytes so application code (B+ tree, database pages) reads and
-// writes true data through the RDMA path.
+// writes true data through the RDMA path. The bytes are backed lazily: Alloc
+// only reserves the range, and the backing appears on the first WriteAt or
+// Bytes call. Until then the region reads as zeros, so a region that is
+// only ever read (a covert channel's MR) never costs its size in host
+// memory or zeroing time. The pinned size is accounted at Alloc either way.
 type Region struct {
-	host *Host
-	base uint64 // physical base address
-	size uint64
-	page PageSize
-	numa int
-	data []byte
+	host  *Host
+	base  uint64 // physical base address
+	size  uint64
+	page  PageSize
+	numa  int
+	data  []byte // nil until backed
+	freed bool
 }
 
 // Alloc pins size bytes on the given NUMA node with the given page size.
@@ -115,10 +120,9 @@ func (h *Host) Alloc(size uint64, page PageSize, numa int) (*Region, error) {
 	base := (h.next + ps - 1) / ps * ps
 	h.next = base + alignedSize
 	h.used += alignedSize
-	r := &Region{host: h, base: base, size: alignedSize, page: page, numa: numa,
-		data: make([]byte, alignedSize)}
+	r := &Region{host: h, base: base, size: alignedSize, page: page, numa: numa}
+	// Bases only grow, so appending keeps allocs sorted for Lookup.
 	h.allocs = append(h.allocs, r)
-	sort.Slice(h.allocs, func(i, j int) bool { return h.allocs[i].base < h.allocs[j].base })
 	return r, nil
 }
 
@@ -130,7 +134,7 @@ func (h *Host) Free(r *Region) {
 		if a == r {
 			h.allocs = append(h.allocs[:i], h.allocs[i+1:]...)
 			h.used -= r.size
-			r.data = nil
+			r.data, r.freed = nil, true
 			return
 		}
 	}
@@ -148,32 +152,44 @@ func (r *Region) Page() PageSize { return r.page }
 // NUMA returns the region's NUMA node.
 func (r *Region) NUMA() int { return r.numa }
 
-// Bytes exposes the backing storage for direct host-side access.
-func (r *Region) Bytes() []byte { return r.data }
+// Bytes exposes the backing storage for direct host-side access, backing
+// the region first if nothing has yet. A freed region has none: Bytes is
+// nil. Code that will write the region on a timed path should call Bytes
+// when it sets the region up, so the backing is not made mid-run.
+func (r *Region) Bytes() []byte {
+	if r.data == nil && !r.freed {
+		r.data = make([]byte, r.size)
+	}
+	return r.data
+}
 
-// ReadAt copies len(p) bytes starting at offset into p. Every access to a
-// freed region fails.
+// ReadAt copies len(p) bytes starting at offset into p; an unbacked region
+// reads as zeros. Every access to a freed region fails.
 func (r *Region) ReadAt(offset uint64, p []byte) error {
-	if r.data == nil {
+	if r.freed {
 		return fmt.Errorf("host: read at %d of a freed region", offset)
 	}
 	if offset+uint64(len(p)) > r.size {
 		return fmt.Errorf("host: read [%d,%d) outside region of %d bytes", offset, offset+uint64(len(p)), r.size)
 	}
+	if r.data == nil {
+		clear(p)
+		return nil
+	}
 	copy(p, r.data[offset:])
 	return nil
 }
 
-// WriteAt copies p into the region starting at offset. Every access to a
-// freed region fails.
+// WriteAt copies p into the region starting at offset, backing the region
+// first if needed. Every access to a freed region fails.
 func (r *Region) WriteAt(offset uint64, p []byte) error {
-	if r.data == nil {
+	if r.freed {
 		return fmt.Errorf("host: write at %d of a freed region", offset)
 	}
 	if offset+uint64(len(p)) > r.size {
 		return fmt.Errorf("host: write [%d,%d) outside region of %d bytes", offset, offset+uint64(len(p)), r.size)
 	}
-	copy(r.data[offset:], p)
+	copy(r.Bytes()[offset:], p)
 	return nil
 }
 

@@ -202,3 +202,51 @@ func TestLookupProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestLazyBacking: Alloc reserves and pins the range without backing it. An
+// unbacked region reads as zeros; the first WriteAt or Bytes backs it, and
+// the data then reads back. A freed region fails every access and has no
+// bytes, backed or not.
+func TestLazyBacking(t *testing.T) {
+	h := newTestHost()
+	r, err := h.Alloc(3*4096, Page4K, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.Used() != 3*4096 {
+		t.Fatalf("used = %d, want the pinned 3 pages before any backing", h.Used())
+	}
+	if r.data != nil {
+		t.Fatal("Alloc backed the region")
+	}
+	got := []byte{1, 2, 3, 4}
+	if err := r.ReadAt(4096, got); err != nil || !bytes.Equal(got, make([]byte, 4)) {
+		t.Fatalf("unbacked read = %v, %v; want zeros", got, err)
+	}
+	if r.data != nil {
+		t.Fatal("ReadAt backed the region")
+	}
+	if err := r.WriteAt(8190, []byte{7, 8}); err != nil {
+		t.Fatal(err)
+	}
+	if b := r.Bytes(); len(b) != 3*4096 || b[8190] != 7 || b[8191] != 8 || b[0] != 0 {
+		t.Fatal("write did not land in the backing")
+	}
+
+	lazy, _ := h.Alloc(4096, Page4K, 0)
+	if b := lazy.Bytes(); len(b) != 4096 {
+		t.Fatalf("Bytes of an unbacked region has %d bytes, want 4096", len(b))
+	}
+	for _, fr := range []*Region{r, lazy, func() *Region { x, _ := h.Alloc(4096, Page4K, 0); return x }()} {
+		h.Free(fr)
+		if fr.Bytes() != nil {
+			t.Fatal("freed region still has bytes")
+		}
+		if fr.ReadAt(0, got) == nil || fr.WriteAt(0, got) == nil {
+			t.Fatal("access to a freed region succeeded")
+		}
+	}
+	if h.Used() != 0 {
+		t.Fatalf("used = %d after freeing everything", h.Used())
+	}
+}

@@ -143,14 +143,23 @@ func (c *Cluster) DialCQ(client, sqDepth, cqCap int) (*Conn, error) {
 }
 
 // Warm performs one read per connection against the MR so cold QPC/MTT
-// misses do not pollute subsequent measurements.
+// misses do not pollute subsequent measurements. A warm-up READ that
+// completes in error (a bad or deregistered MR) is reported, naming the QP
+// and the status.
 func (c *Cluster) Warm(conn *Conn, mr *verbs.MR) error {
-	if err := conn.QP.PostRead(^uint64(0), nil, mr.Describe(0), 8); err != nil {
+	const warmWRID = ^uint64(0)
+	if err := conn.QP.PostRead(warmWRID, nil, mr.Describe(0), 8); err != nil {
 		return err
 	}
 	c.Run()
+	var err error
 	var scratch [16]nic.Completion
-	for conn.CQ.PollInto(scratch[:]) > 0 {
+	for n := conn.CQ.PollInto(scratch[:]); n > 0; n = conn.CQ.PollInto(scratch[:]) {
+		for _, comp := range scratch[:n] {
+			if comp.WRID == warmWRID && comp.Status != nic.StatusOK && err == nil {
+				err = fmt.Errorf("lab: warm-up READ on QP %d completed with %v", comp.QPN, comp.Status)
+			}
+		}
 	}
-	return nil
+	return err
 }

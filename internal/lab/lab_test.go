@@ -1,6 +1,8 @@
 package lab
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/thu-has/ragnar/internal/nic"
@@ -83,5 +85,31 @@ func TestDeterministicClusters(t *testing.T) {
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("same-seed clusters diverge: %v vs %v", a, b)
+	}
+}
+
+// TestWarmReportsFailedRead: a warm-up READ against a deregistered MR
+// completes with a remote access error, and Warm returns it instead of nil.
+func TestWarmReportsFailedRead(t *testing.T) {
+	c := New(DefaultConfig(nic.CX5))
+	mr, err := c.RegisterServerMR(1 << 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := c.Dial(0, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Warm(conn, mr); err != nil {
+		t.Fatalf("warm-up against a live MR: %v", err)
+	}
+	mr.DeregMR()
+	err = c.Warm(conn, mr)
+	if err == nil {
+		t.Fatal("warm-up against a deregistered MR returned nil")
+	}
+	if want := fmt.Sprintf("QP %d", conn.QP.QPN()); !strings.Contains(err.Error(), want) ||
+		!strings.Contains(err.Error(), nic.StatusRemoteAccessError.String()) {
+		t.Fatalf("error %q does not name %s and the status", err, want)
 	}
 }

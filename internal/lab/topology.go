@@ -82,6 +82,18 @@ func (t *Topology) DrainCheck() error {
 	return t.Eng.DrainCheck()
 }
 
+// CompletionDigest folds the completion digests of every NIC, the server's
+// first and then each client's in order (see nic.NIC.CompletionDigest). It
+// changes when any CQE of the run moves by a picosecond, so it pins the
+// schedule more tightly than rendered output can.
+func (t *Topology) CompletionDigest() uint64 {
+	h := t.Server.NIC().CompletionDigest()
+	for _, c := range t.Clients {
+		h = (h ^ c.NIC().CompletionDigest()) * 0x100000001b3
+	}
+	return h
+}
+
 // DefaultSwitchConfig is the shared-buffer switch used when a switched
 // topology is requested without explicit switch parameters: a 300 ns
 // store-and-forward latency, a 1 MiB shared pool, and PFC thresholds tight

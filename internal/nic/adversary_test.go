@@ -1,6 +1,7 @@
 package nic
 
 import (
+	"bytes"
 	"testing"
 
 	"github.com/thu-has/ragnar/internal/fabric"
@@ -373,5 +374,77 @@ func TestQPGuessingCounted(t *testing.T) {
 	}
 	if len(comps) != 0 {
 		t.Fatalf("QP guessing completed victim WQEs: %+v", comps)
+	}
+}
+
+// captureTap snoops and replays the first READ response it sees on a link.
+type captureTap struct {
+	snooped  Message
+	replayed fabric.Packet
+	seen     bool
+}
+
+func (c *captureTap) Observe(_ sim.Time, p fabric.Packet) {
+	if m, ok := SnoopPacket(p); ok && !c.seen && m.IsResp && m.Op == OpRead {
+		c.snooped, c.seen = m, true
+		c.replayed, _ = ReplayPacket(p)
+	}
+}
+
+// TestSnoopAndReplayCopyPayload: a READ response's payload lives in a
+// buffer the NICs hand on to later READs, so what SnoopPacket and
+// ReplayPacket return must own its bytes. After many more READs of other
+// data have reused every envelope, both still hold the captured payload.
+func TestSnoopAndReplayCopyPayload(t *testing.T) {
+	eng, a, b, _, ba := linkedRig(t, CX5, 0)
+	var comps []Completion
+	connect(t, a, b, func(c Completion) { comps = append(comps, c) })
+	tap := &captureTap{}
+	ba.SetAdversary(tap)
+	region := b.mrs[77].Region
+	const size = 256
+	want := make([]byte, size)
+	for i := range want {
+		want[i] = byte(i*7 + 1)
+	}
+	if err := region.WriteAt(0, want); err != nil {
+		t.Fatal(err)
+	}
+	read := func(wrid uint64, off uint64) {
+		if err := a.PostSend(1, &WQE{WRID: wrid, Op: OpRead, RemoteKey: 77,
+			RemoteAddr: b.mrs[77].Base + off, Length: size}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read(0, 0)
+	eng.Run()
+	if !tap.seen {
+		t.Fatal("no READ response crossed the link")
+	}
+	// Fill the rest of the MR with other bytes and read it back through
+	// every buffer the NICs own.
+	other := make([]byte, size)
+	for i := range other {
+		other[i] = 0xee
+	}
+	for k := uint64(1); k <= 16; k++ {
+		if err := region.WriteAt(k*size, other); err != nil {
+			t.Fatal(err)
+		}
+		read(k, k*size)
+		if k%4 == 0 {
+			eng.Run()
+		}
+	}
+	eng.Run()
+	if len(comps) != 17 {
+		t.Fatalf("%d completions, want 17", len(comps))
+	}
+	if !bytes.Equal(tap.snooped.Data, want) {
+		t.Fatal("snooped payload changed after the NICs reused their buffers")
+	}
+	replayed, ok := SnoopPacket(tap.replayed)
+	if !ok || !bytes.Equal(replayed.Data, want) {
+		t.Fatal("replayed payload changed after the NICs reused their buffers")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"github.com/thu-has/ragnar/internal/fabric"
 	"github.com/thu-has/ragnar/internal/sim"
 )
 
@@ -235,4 +236,117 @@ func BenchmarkArbiterPick(b *testing.B) {
 			_ = a.Pick(q)
 		}
 	})
+}
+
+// isoSample runs eng in 10 ns steps until done reports true, calling probe
+// after every step, then drains what is left.
+func isoSample(t *testing.T, eng *sim.Engine, done func() bool, probe func()) {
+	t.Helper()
+	for limit := eng.Now().Add(10 * sim.Millisecond); !done(); {
+		if eng.Now() > limit {
+			t.Fatal("run did not finish")
+		}
+		eng.RunUntil(eng.Now().Add(10 * sim.Nanosecond))
+		probe()
+	}
+	eng.Run()
+}
+
+// TestISOCreditsBalanceUnderLoss: after a lossy CX5-ISO run drains, every
+// responder credit pool is full again and no request is left waiting for a
+// credit. Three tenants each keep three times their pool in READs, so
+// requests queue for credits, and 5 % loss makes the requester retransmit.
+func TestISOCreditsBalanceUnderLoss(t *testing.T) {
+	eng, a, b, ab, ba := linkedRig(t, CX5ISO, 0)
+	planAB := fabric.UniformLoss(21, 0.05)
+	planBA := fabric.UniformLoss(22, 0.05)
+	ab.SetFaultPlan(&planAB)
+	ba.SetFaultPlan(&planBA)
+	const tenants, perQP = 3, 3 * 8
+	var comps []Completion
+	for i := 0; i < tenants; i++ {
+		aq, bq := uint32(10+i), uint32(20+i)
+		if err := a.CreateQP(aq, func(c Completion) { comps = append(comps, c) }, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.CreateQP(bq, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := a.ConnectQP(aq, b, bq); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.ConnectQP(bq, a, aq); err != nil {
+			t.Fatal(err)
+		}
+		b.SetQPTenant(bq, i)
+		if err := a.SetQPRetry(aq, 20*sim.Microsecond, 100); err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < perQP; k++ {
+			if err := a.PostSend(aq, &WQE{WRID: uint64(k), Op: OpRead, RemoteKey: 77,
+				RemoteAddr: b.mrs[77].Base + uint64(k)*1024, Length: 1024}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	maxWait := 0
+	isoSample(t, eng, func() bool { return len(comps) == tenants*perQP }, func() {
+		for _, w := range b.isoWait {
+			maxWait = max(maxWait, len(w))
+		}
+	})
+	for _, c := range comps {
+		if c.Status != StatusOK {
+			t.Fatalf("completion %+v", c)
+		}
+	}
+	if maxWait == 0 {
+		t.Fatal("no request ever waited for a credit: the pools never bound")
+	}
+	if b.Counters().DupReqs == 0 {
+		t.Fatal("no retransmitted request reached the responder")
+	}
+	for tn := range b.isoCredits {
+		if got := b.isoCredits[tn]; got != CX5ISO.ISOCredits {
+			t.Errorf("tenant %d: %d credits after drain, want the full pool of %d", tn, got, CX5ISO.ISOCredits)
+		}
+		if w := len(b.isoWait[tn]); w != 0 {
+			t.Errorf("tenant %d: %d requests still waiting for a credit", tn, w)
+		}
+	}
+}
+
+// TestISORetransmittedReadKeepsOneCredit: a READ whose retransmission
+// reaches the responder while the first copy is still executing re-executes
+// without taking a second credit, and the pool is full once it completes.
+// The 300 ns retry timeout is shorter than the responder's READ pipeline,
+// so the duplicate arrives before the first response leaves.
+func TestISORetransmittedReadKeepsOneCredit(t *testing.T) {
+	eng, a, b, _, _ := linkedRig(t, CX5ISO, 0)
+	var comps []Completion
+	connect(t, a, b, func(c Completion) { comps = append(comps, c) })
+	if err := a.SetQPRetry(1, 300*sim.Nanosecond, 100); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.PostSend(1, &WQE{WRID: 1, Op: OpRead, RemoteKey: 77,
+		RemoteAddr: b.mrs[77].Base, Length: 64}); err != nil {
+		t.Fatal(err)
+	}
+	pool := CX5ISO.ISOCredits
+	minCredits, overlap := pool, false
+	isoSample(t, eng, func() bool { return len(comps) == 1 }, func() {
+		minCredits = min(minCredits, b.isoCredits[0])
+		if b.counters.DupReqs > 0 && b.counters.Responses == 0 {
+			overlap = true
+		}
+	})
+	if !overlap {
+		t.Fatal("the retransmission never reached the responder while the first copy was executing")
+	}
+	if minCredits != pool-1 {
+		t.Fatalf("credits fell to %d with one READ in flight, want %d", minCredits, pool-1)
+	}
+	if comps[0].Status != StatusOK || b.isoCredits[0] != pool {
+		t.Fatalf("completion %v, %d credits after drain, want OK and %d", comps[0].Status, b.isoCredits[0], pool)
+	}
 }

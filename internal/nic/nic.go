@@ -82,7 +82,7 @@ func (s Status) String() string {
 
 // Message is the unit exchanged between NICs over the fabric. A request
 // carries the operation; a response carries the matching Seq with IsResp
-// set.
+// set. The NIC passes messages by value: every holder keeps its own copy.
 type Message struct {
 	Op         Opcode
 	SrcQPN     uint32
@@ -105,10 +105,12 @@ type Message struct {
 	Swap       uint64
 	TC         int
 
-	// admitted marks a request that holds one of the responder's per-tenant
-	// ISO credits (see isoAdmit); respond() releases the credit exactly once.
-	// Always false outside isolation profiles.
-	admitted bool
+	// launch names one launch of a request: the requester draws it when the
+	// request first goes out and every retransmission carries it again,
+	// while each forged or replayed frame gets a fresh one. Isolation
+	// profiles use it to give a launch at most one responder credit at a
+	// time (see handleRequest).
+	launch uint64
 }
 
 // WQE is a posted work queue element.
@@ -203,8 +205,10 @@ type qpState struct {
 
 	// Send-queue state machine (see sq.go): the staged ring, the doorbell
 	// cursor (entries below sqEnabled may execute), whether the head WAIT is
-	// armed on a counter, and the CQ consumer counter completions bump.
-	sq        []*WQE
+	// armed on a counter, and the CQ consumer counter completions bump. The
+	// ring holds copies of the posted WQEs, so a caller's WQE never outlives
+	// its post call.
+	sq        []WQE
 	sqHead    int
 	sqEnabled int
 	sqArmed   bool
@@ -444,6 +448,16 @@ type NIC struct {
 	isoOn      bool
 	isoCredits [MaxTenants]int
 	isoWait    [MaxTenants][]func() // waiting ops' fire, FIFO per tenant
+	// isoHeld holds the launch ids of requests that hold (or wait for) a
+	// credit. A retransmission of a held launch re-enters the pipeline
+	// without a second credit, and respond releases each launch's credit
+	// once. Nil outside isolation profiles.
+	isoHeld map[uint64]struct{}
+
+	// launchBase and nextLaunch draw this NIC's request launch ids; the
+	// base keeps them apart from every other NIC's and from forged frames'.
+	launchBase uint64
+	nextLaunch uint64
 
 	// RC retransmission defaults, overridable per QP via SetQPRetry. The
 	// default timeout is deliberately far above any in-sim RTT so that a
@@ -453,6 +467,8 @@ type NIC struct {
 	RetryLimit   int
 
 	counters Counters
+	// cqeDigest folds every delivered CQE (see CompletionDigest).
+	cqeDigest uint64
 
 	// Tap, when set, receives every departing frame
 	// fully encapsulated (Ethernet+IPv4+UDP+RoCEv2) at its departure time —
@@ -478,38 +494,23 @@ type NIC struct {
 	// engine is single-threaded, so these are plain slices (no sync.Pool —
 	// its GC-coupled reuse would be nondeterministic across runs; an
 	// explicit free list recycles at fixed points in the event order,
-	// keeping runs byte-identical). Messages and envelopes migrate between
-	// the NICs of a rig: responses are allocated by the responder and
-	// recycled by the requester, envelopes are recycled by the receiver.
-	// Across engine domains the hand-over happens at the window barrier,
-	// so never a race.
-	msgFree  []*Message
+	// keeping runs byte-identical). Messages are values: each envelope,
+	// pending WQE and responder operation holds its own copy, so no frame
+	// is shared between the NICs of a rig. Envelopes migrate: the receiver
+	// recycles them. Across engine domains the hand-over happens at the
+	// window barrier, so never a race.
 	pendFree []*pending
 	opFree   []*respOp
 	envFree  []*envelope
 
+	// rbuf is the buffer the responder reads READ payloads into. respond
+	// hands it to the response's envelope and keeps the envelope's old
+	// buffer, so payload buffers circulate between this buffer, envelopes
+	// and pending WQEs instead of being allocated per READ.
+	rbuf []byte
+
 	// rxCheck is the parse state Deliver verifies arriving frames with.
 	rxCheck frameCheck
-}
-
-// getMsg takes a Message from the free list (or allocates one). The caller
-// must fully assign it; recycled messages are zeroed on release.
-func (n *NIC) getMsg() *Message {
-	if k := len(n.msgFree) - 1; k >= 0 {
-		m := n.msgFree[k]
-		n.msgFree = n.msgFree[:k]
-		return m
-	}
-	return new(Message)
-}
-
-// putMsg releases a Message that provably has no remaining references: a
-// response after its terminal handler, or a request that was sent exactly
-// once (never retransmitted) after its completion arrived. Zeroing drops the
-// Data reference so recycled messages never pin payload buffers.
-func (n *NIC) putMsg(m *Message) {
-	*m = Message{}
-	n.msgFree = append(n.msgFree, m)
 }
 
 // New creates a NIC on a host. Call AddPeerLink before any traffic flows.
@@ -521,19 +522,21 @@ func New(eng *sim.Engine, name string, p Profile, h *host.Host, numa int) *NIC {
 	seq := nicSeq.Add(1)
 	n := &NIC{
 		Name: name, eng: eng, prof: p, hst: h, numa: numa,
-		tpu:      NewTPU(p, eng.Rand()),
-		qpc:      NewContextCache(p.QPCCacheEntries),
-		links:    make(map[*NIC]*fabric.Link),
-		qps:      make(map[uint32]*qpState),
-		mrs:      make(map[uint32]*MRInfo),
-		pend:     make(map[uint64]*pending),
-		counters: newCounters(),
+		tpu:       NewTPU(p, eng.Rand()),
+		qpc:       NewContextCache(p.QPCCacheEntries),
+		links:     make(map[*NIC]*fabric.Link),
+		qps:       make(map[uint32]*qpState),
+		mrs:       make(map[uint32]*MRInfo),
+		pend:      make(map[uint64]*pending),
+		counters:  newCounters(),
+		cqeDigest: cqeDigestBasis,
 		// ~IB defaults: retry_cnt 7 with a multi-ms timeout (real HW uses
 		// 4.096 us << timeout, commonly tens of ms).
 		RetryTimeout: 4 * sim.Millisecond,
 		RetryLimit:   7,
 	}
 	n.ip = [4]byte{10, 0, byte(seq >> 8), byte(seq)}
+	n.launchBase = uint64(seq) << 40
 	// The DMA engine holds several outstanding tags; the TPU is a single
 	// in-order translation pipeline — that is what makes the remote-address
 	// offset the first-order term of ULI (Key Finding 4).
@@ -548,6 +551,7 @@ func New(eng *sim.Engine, name string, p Profile, h *host.Host, numa int) *NIC {
 	n.egress = sim.NewArbitratedServer(eng, name+"/egress", 1, arbiterFor(p))
 	if p.ISOCredits > 0 {
 		n.isoOn = true
+		n.isoHeld = make(map[uint64]struct{})
 		for i := range n.isoCredits {
 			n.isoCredits[i] = p.ISOCredits
 		}
@@ -723,8 +727,8 @@ func (n *NIC) DestroyQP(qpn uint32) error {
 	}
 	qp.rtxTimer.Cancel()
 	qp.rtxTimer = sim.Event{}
-	// Drop the tracking entries but do not recycle the pendings or their
-	// messages: responses may still be in flight holding references.
+	// Drop the tracking entries, so responses still in flight find no
+	// pending and count as duplicates; the pendings are left to the GC.
 	for _, p := range qp.outstanding {
 		delete(n.pend, p.seq)
 	}
@@ -822,7 +826,8 @@ func (n *NIC) dmaTransferTime(bytes int) sim.Duration {
 // (behind any earlier staged-but-unexecuted entries) exactly as the
 // pre-state-machine post path did. Completion (success or failure) arrives
 // through the QP's completion callback. Callers that want post ≠ enable use
-// StageSend + RingDoorbell instead.
+// StageSend + RingDoorbell instead. The NIC copies *wqe; the caller keeps
+// ownership of it, and of the buffers it names.
 func (n *NIC) PostSend(qpn uint32, wqe *WQE) error {
 	qp, err := n.stageChecked(qpn, wqe)
 	if err != nil {
@@ -842,7 +847,7 @@ func (n *NIC) dispatchWQE(qp *qpState, wqe *WQE) {
 	n.counters.TxMsgs[wqe.Op]++
 	n.counters.PerQPMsgs[qp.qpn]++
 	p := n.getPending()
-	p.qp, p.wqe, p.qpn, p.postTime = qp, wqe, qp.qpn, n.eng.Now()
+	p.qp, p.wqe, p.qpn, p.postTime = qp, *wqe, qp.qpn, n.eng.Now()
 	p.fetch = 64
 	p.inline = wqe.Op == OpWrite && wqe.Length <= n.prof.InlineMax
 	if p.inline {
@@ -855,21 +860,22 @@ func (n *NIC) dispatchWQE(qp *qpState, wqe *WQE) {
 // launch builds the request message and hands it to the requester egress
 // ring (class 0: the logical Tx arbiter outranks the responder ring).
 func (n *NIC) launch(p *pending) {
-	qp, wqe := p.qp, p.wqe
+	qp, wqe := p.qp, &p.wqe
 	seq := n.nextSeq
 	n.nextSeq++
 	psn := qp.nextPSN
 	qp.nextPSN = (qp.nextPSN + 1) & psnMask
-	m := n.getMsg()
-	*m = Message{
+	n.nextLaunch++
+	p.msg = Message{
 		Op: wqe.Op, SrcQPN: qp.qpn, DstQPN: qp.peerQPN,
 		RKey: wqe.RemoteKey, RemoteAddr: wqe.RemoteAddr, Length: wqe.Length,
 		Seq: seq, PSN: psn, TC: wqe.TC, CompareAdd: wqe.CompareAdd, Swap: wqe.Swap,
+		launch: n.launchBase | n.nextLaunch,
 	}
 	if wqe.Op == OpWrite || wqe.Op == OpSend {
-		m.Data = wqe.LocalData
+		p.msg.Data = wqe.LocalData
 	}
-	p.seq, p.psn, p.msg, p.lastSent = seq, psn, m, n.eng.Now()
+	p.seq, p.psn, p.lastSent = seq, psn, n.eng.Now()
 	n.rec.Emit(trace.Event{At: int64(n.eng.Now()), Kind: trace.KindPSNSend,
 		Actor: n.psnActor, QPN: qp.qpn, PSN: psn, Val: seq, TC: int8(wqe.TC)})
 	n.pend[seq] = p
@@ -877,7 +883,7 @@ func (n *NIC) launch(p *pending) {
 	if !qp.rtxTimer.Pending() {
 		n.armRetransmit(qp)
 	}
-	n.transmit(qp.peer, m, 0)
+	n.transmit(qp.peer, &p.msg, 0)
 }
 
 // pfcXOFF is the ingress backlog (requests queued at the responder
@@ -885,11 +891,12 @@ func (n *NIC) launch(p *pending) {
 // the point at which a real lossless fabric would send PRIO pause frames.
 const pfcXOFF = 32
 
-// transmit serialises a message through the egress arbiter onto the wire.
-// ring 0 is the requester (Tx arbiter), ring 1 the responder (Rx arbiter);
-// strict priority between them is Key Finding 3. The envelope that will
-// carry the message is the arbiter request (see envelope.granted).
-func (n *NIC) transmit(dst *NIC, m *Message, ring int) {
+// transmit serialises a copy of m through the egress arbiter onto the
+// wire. ring 0 is the requester (Tx arbiter), ring 1 the responder (Rx
+// arbiter); strict priority between them is Key Finding 3. The envelope
+// that will carry the copy is the arbiter request (see envelope.granted);
+// transmit returns it so respond can hand it the payload buffer.
+func (n *NIC) transmit(dst *NIC, m *Message, ring int) *envelope {
 	bytes := n.wireBytes(m)
 	flow := flowLabel(m.SrcQPN, m.DstQPN)
 	link := n.links[dst]
@@ -905,9 +912,10 @@ func (n *NIC) transmit(dst *NIC, m *Message, ring int) {
 		service = ser
 	}
 	env := n.getEnv()
-	env.src, env.dst, env.msg, env.link = n, dst, m, link
+	env.src, env.dst, env.msg, env.link = n, dst, *m, link
 	env.bytes, env.flow, env.ring = bytes, flow, ring
 	n.egress.SubmitMeta(service, sim.ReqMeta{Class: ring, Tenant: n.tenantOf(m.SrcQPN), Bytes: bytes}, env.fire)
+	return env
 }
 
 // flowLabel derives the packet flow label from the QP pair. Requests and
@@ -920,15 +928,16 @@ func flowLabel(srcQPN, dstQPN uint32) uint32 {
 }
 
 // Deliver is installed as the fabric sink: it dispatches an arriving packet
-// to its destination NIC's ingress pipeline. The envelope is recycled here,
-// once its frames are checked (the message outlives it); envelopes lost in
-// flight with their packet are simply collected by the GC.
+// to its destination NIC's ingress pipeline and then recycles the envelope;
+// everything that must outlive the packet has been copied out, or its
+// payload buffer taken, by then. Envelopes lost in flight with their packet
+// are simply collected by the GC.
 func Deliver(p fabric.Packet) {
 	env, ok := p.Payload.(*envelope)
 	if !ok {
 		panic("nic: foreign payload on fabric")
 	}
-	dst, m := env.dst, env.msg
+	dst, m := env.dst, &env.msg
 	if p.Corrupt {
 		// ICRC failure: the payload cannot be trusted, so the packet is
 		// dropped before any parsing — the transport recovers it exactly
@@ -946,19 +955,31 @@ func Deliver(p fabric.Packet) {
 			panic("nic: wire/simulation divergence: " + err.Error())
 		}
 	}
+	dst.ingress(m, env)
 	dst.putEnv(env)
-	dst.HandleIngress(m)
 }
 
-// HandleIngress processes one arriving message (request or response).
+// HandleIngress processes one arriving message (request or response) as if
+// the wire had delivered it. The NIC copies what it keeps; a request
+// without a launch id is a fresh launch, like a forged frame.
 func (n *NIC) HandleIngress(m *Message) {
+	msg := *m
+	if msg.launch == 0 {
+		msg.launch = forgedLaunch()
+	}
+	n.ingress(&msg, nil)
+}
+
+// ingress processes one arriving message. env is the envelope that carried
+// it, or nil when none did.
+func (n *NIC) ingress(m *Message, env *envelope) {
 	n.counters.RxBytes += uint64(n.wireBytes(m))
 	n.counters.RxBytesTC[m.TC&7] += uint64(n.wireBytes(m))
 	n.rec.Emit(trace.Event{At: int64(n.eng.Now()), Kind: trace.KindRxPkt,
 		Actor: n.rxActor, QPN: m.DstQPN, PSN: m.PSN, TC: int8(m.TC & 7),
 		Val: uint64(n.wireBytes(m))})
 	if m.IsResp {
-		n.handleResponse(m)
+		n.handleResponse(m, env)
 		return
 	}
 	n.handleRequest(m)
@@ -1034,32 +1055,37 @@ func (n *NIC) handleRequest(m *Message) {
 	op.service = n.prof.RxPUTime*sim.Duration(pkts) + n.encCharge(m.Length)
 	// Isolation profiles gate responder-PU entry on the tenant's credit
 	// pool. A retransmitted frame re-entering the pipeline while the
-	// original still holds its admission (m is the same object on both
-	// paths) keeps the original credit instead of taking a second one, so
-	// respond()'s exactly-once release stays balanced under loss.
-	if m.admitted {
-		op.fire()
-		return
+	// original still holds its admission (both carry one launch id) keeps
+	// the original credit instead of taking a second one, so respond()'s
+	// exactly-once release stays balanced under loss.
+	if n.isoOn {
+		if _, held := n.isoHeld[m.launch]; held {
+			op.fire()
+			return
+		}
+		n.isoHeld[m.launch] = struct{}{}
 	}
-	m.admitted = n.isoOn
 	n.isoAdmit(n.tenantOf(m.DstQPN), op.fire)
 }
 
 // respond sends a response back through the responder ring (class 1).
+// data, when not nil, is the READ payload in n.rbuf: the response's
+// envelope takes that buffer over.
 func (n *NIC) respond(req *Message, st Status, data []byte, atomicOrig uint64) {
 	// Release the tenant's ISO credit first, before the unroutable-request
 	// early return below: every admitted request reaches respond() exactly
 	// once, so this is the one release point.
-	if req.admitted {
-		req.admitted = false
-		n.isoRelease(n.tenantOf(req.DstQPN))
+	if n.isoOn {
+		if _, held := n.isoHeld[req.launch]; held {
+			delete(n.isoHeld, req.launch)
+			n.isoRelease(n.tenantOf(req.DstQPN))
+		}
 	}
 	n.counters.Responses++
 	if st != StatusOK {
 		n.counters.NAKs++
 	}
-	resp := n.getMsg()
-	*resp = Message{
+	resp := Message{
 		Op: req.Op, SrcQPN: req.DstQPN, DstQPN: req.SrcQPN,
 		Seq: req.Seq, IsResp: true, Status: st, TC: req.TC,
 		PSN: req.PSN, AckPSN: req.PSN,
@@ -1075,14 +1101,28 @@ func (n *NIC) respond(req *Message, st Status, data []byte, atomicOrig uint64) {
 		// reverse path; drop (matches RC behaviour of unroutable packets).
 		return
 	}
-	n.transmit(qp.peer, resp, 1)
+	env := n.transmit(qp.peer, &resp, 1)
+	if data != nil {
+		env.payload, n.rbuf = n.rbuf, env.payload
+		env.owns = true
+	}
 }
 
-// handleResponse finishes the pending WQE on the requester. Responses are
-// free-list-managed: every return path below recycles m after its last use
-// (the pending keeps the copied status, result and data, never the Message
-// itself).
-func (n *NIC) handleResponse(m *Message) {
+// fit returns buf resized to n bytes, reallocated when its capacity is
+// short. The result is never nil, so an empty READ payload stays distinct
+// from no payload.
+func fit(buf []byte, n int) []byte {
+	if buf == nil || cap(buf) < n {
+		return make([]byte, n, max(n, 64))
+	}
+	return buf[:n]
+}
+
+// handleResponse finishes the pending WQE on the requester. The pending
+// keeps the status, the result and the payload; the payload buffer is
+// taken from env when env owns it, and copied otherwise (a forged
+// response, or one handed to HandleIngress).
+func (n *NIC) handleResponse(m *Message, env *envelope) {
 	p := n.pend[m.Seq]
 	if p == nil {
 		// A response for an already-completed WQE: the original and a
@@ -1091,7 +1131,6 @@ func (n *NIC) handleResponse(m *Message) {
 		n.counters.DupAcks++
 		n.rec.Emit(trace.Event{At: int64(n.eng.Now()), Kind: trace.KindDupAck,
 			Actor: n.psnActor, QPN: m.DstQPN, PSN: m.PSN, TC: int8(m.TC & 7)})
-		n.putMsg(m)
 		return
 	}
 	qp := n.qps[p.qpn]
@@ -1101,7 +1140,6 @@ func (n *NIC) handleResponse(m *Message) {
 		if qp != nil {
 			n.handleSeqNak(qp, m)
 		}
-		n.putMsg(m)
 		return
 	}
 	if m.PSN != p.psn {
@@ -1111,7 +1149,6 @@ func (n *NIC) handleResponse(m *Message) {
 		// forgery requires knowing both the Seq and the PSN, which means
 		// snooping the wire, not guessing (the conformance suite pins this).
 		n.counters.InvalidAcks++
-		n.putMsg(m)
 		return
 	}
 	delete(n.pend, m.Seq)
@@ -1121,18 +1158,18 @@ func (n *NIC) handleResponse(m *Message) {
 		qp.retries = 0
 		n.armRetransmit(qp)
 	}
-	p.qp, p.st, p.result, p.data = qp, m.Status, m.CompareAdd, m.Data
-	n.putMsg(m)
-	// The request frame is NOT recycled here, even when it was launched
-	// exactly once: an ACK proves only that a response exists, not that the
-	// responder is finished with the frame. The responder's execution
-	// pipeline (TPU, DMA) holds the request across deferred stages and
-	// replies only afterwards — but a forged ACK can arrive while that
-	// execution (or the request itself) is still in flight, and zeroing the
-	// frame under it corrupts the simulation. Request frames stay with the
-	// GC; only response frames, which the requester provably owns once
-	// delivered, go back on the free list.
-	p.msg = nil
+	p.qp, p.st, p.result = qp, m.Status, m.CompareAdd
+	switch {
+	case m.Data == nil:
+	case env != nil && env.owns:
+		p.buf, env.payload = env.payload, p.buf
+		env.owns = false
+		p.data = p.buf[:len(m.Data)]
+	default:
+		p.buf = fit(p.buf, len(m.Data))
+		copy(p.buf, m.Data)
+		p.data = p.buf
+	}
 	// Encryption profiles decrypt an inbound READ payload on the requester's
 	// responder PU before it can land in host memory.
 	var encExtra sim.Duration

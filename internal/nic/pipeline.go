@@ -29,10 +29,21 @@ import (
 //   - respOp, on the responder, one per request execution: ISO admit → RxPU
 //     → QPC/extra delay → TPU → DMA + PCIe latency → placement gate →
 //     respond. A retransmitted READ can execute while the original still
-//     is, so this state cannot live on the shared request Message;
+//     is, so each execution works on its own copy of the request;
 //   - envelope, on egress: the arbiter grant, the wire encoding and the
 //     hand-off to the link; it then travels as the fabric payload and the
 //     receiver recycles it after checking its frames.
+//
+// Ownership. Messages are values, so nothing is shared between the stages
+// of a WQE or between the NICs of a rig: pending keeps its request for
+// go-back-N, each envelope carries a copy, each respOp copies the request
+// it executes, and responses are built on the stack and copied into their
+// envelope. Request frames need no release rule, and a forged ACK arriving
+// while the request still executes cannot disturb it. The one buffer that
+// moves instead of being copied is a READ payload: the responder reads it
+// into its rbuf, respond swaps that buffer into the response's envelope,
+// and handleResponse swaps it into the pending WQE, each side keeping the
+// buffer it gave up in exchange.
 //
 // A fire that completes an operation recycles it as its last step, after
 // every callback it makes (a completion, a placement, a response) has
@@ -57,12 +68,12 @@ const (
 type pending struct {
 	n           *NIC
 	qp          *qpState // dispatching QP; after a response, the QP looked up then (nil once destroyed)
-	wqe         *WQE
+	wqe         WQE      // copy of the posted WQE
 	qpn         uint32
 	postTime    sim.Time
 	seq         uint64
 	psn         uint32
-	msg         *Message // retained for retransmission
+	msg         Message  // the request, retained for retransmission
 	lastSent    sim.Time // aging base for the retransmit timeout
 	retransmits int
 
@@ -73,7 +84,8 @@ type pending struct {
 	memLat sim.Duration // host memory latency of the DMA in progress
 	st     Status       // response status, result and payload, kept for the CQE
 	result uint64
-	data   []byte
+	data   []byte // READ payload: nil, or buf resized to it
+	buf    []byte // payload buffer owned by this pending, kept across reuse
 	fire   func()
 }
 
@@ -89,7 +101,7 @@ func (n *NIC) getPending() *pending {
 }
 
 func (n *NIC) putPending(p *pending) {
-	*p = pending{n: p.n, fire: p.fire}
+	*p = pending{n: p.n, fire: p.fire, buf: p.buf}
 	n.pendFree = append(n.pendFree, p)
 }
 
@@ -111,7 +123,7 @@ func (p *pending) writeCQE(stage uint8) {
 }
 
 func (p *pending) advance() {
-	n, wqe := p.n, p.wqe
+	n, wqe := p.n, &p.wqe
 	switch p.stage {
 	case pFetch:
 		p.stage = pTxPU
@@ -153,33 +165,61 @@ func (p *pending) advance() {
 		p.writeCQE(pCQE)
 	case pCQE:
 		if qp := p.qp; qp != nil {
-			n.deliverCQE(qp, p, p.st, p.result)
+			n.deliverCQE(qp, wqe.TC, Completion{
+				QPN: p.qpn, WRID: wqe.WRID, Op: wqe.Op,
+				Status: p.st, Bytes: wqe.Length, Result: p.result,
+				PostTime: p.postTime, DoneTime: n.eng.Now(),
+			})
 		}
 		n.putPending(p)
 	case pFlushCQE:
-		n.deliverCQE(p.qp, p, StatusRetryExcErr, 0)
-		// The request copy may still be in flight (it likely timed out on
-		// the wire), so only the pending record is recycled — its message
-		// stays with the GC.
+		n.deliverCQE(p.qp, wqe.TC, Completion{
+			QPN: p.qpn, WRID: wqe.WRID, Op: wqe.Op,
+			Status: StatusRetryExcErr, Bytes: wqe.Length,
+			PostTime: p.postTime, DoneTime: n.eng.Now(),
+		})
 		n.putPending(p)
 	}
 }
 
-// deliverCQE completes p's WQE on qp with the given status.
-func (n *NIC) deliverCQE(qp *qpState, p *pending, st Status, result uint64) {
+// deliverCQE delivers one completion on qp. Every CQE the NIC produces
+// passes here — a wire WQE's, a management WQE's (sq.go) and a retry flush —
+// so each lands once in the trace, the completion digest, the QP's callback
+// and the CQ counter, in that order.
+func (n *NIC) deliverCQE(qp *qpState, tc int, c Completion) {
 	qp.completed++
-	n.rec.Emit(trace.Event{At: int64(n.eng.Now()), Kind: trace.KindCQE,
-		Actor: n.cqeActor, QPN: p.qpn, TC: int8(p.wqe.TC),
-		Dur: int64(n.eng.Now().Sub(p.postTime)), Aux: uint64(st)})
+	n.rec.Emit(trace.Event{At: int64(c.DoneTime), Kind: trace.KindCQE,
+		Actor: n.cqeActor, QPN: c.QPN, TC: int8(tc),
+		Dur: int64(c.DoneTime.Sub(c.PostTime)), Aux: uint64(c.Status)})
+	n.cqeDigest = foldCQE(n.cqeDigest, &c)
 	if qp.onComplete != nil {
-		qp.onComplete(Completion{
-			QPN: p.qpn, WRID: p.wqe.WRID, Op: p.wqe.Op,
-			Status: st, Bytes: p.wqe.Length, Result: result,
-			PostTime: p.postTime, DoneTime: n.eng.Now(),
-		})
+		qp.onComplete(c)
 	}
 	n.cqeDelivered(qp)
 }
+
+// cqeDigestBasis starts every NIC's completion digest (the FNV-1a offset
+// basis).
+const cqeDigestBasis = 0xcbf29ce484222325
+
+// foldCQE mixes one completion into a running digest: its done time in
+// picoseconds, QPN, WRID and status.
+func foldCQE(h uint64, c *Completion) uint64 {
+	for _, v := range [...]uint64{uint64(c.DoneTime), uint64(c.QPN), c.WRID, uint64(c.Status)} {
+		h ^= v
+		h *= 0x100000001b3
+		h ^= h >> 32
+	}
+	return h
+}
+
+// CompletionDigest is a running 64-bit hash of every CQE this NIC has
+// delivered: done time in picoseconds, QPN, WRID and status, in delivery
+// order. Two runs with equal digests completed the same work requests at
+// the same instants, which goldens printed at 0.1 ns cannot show. It is
+// kept outside Counters so counter snapshots and their hashes stay as they
+// are.
+func (n *NIC) CompletionDigest() uint64 { return n.cqeDigest }
 
 // Responder stages of a request execution. The stages from rNak on are
 // terminal: they run the request's visible effect and end the operation.
@@ -205,7 +245,7 @@ const (
 // respOp is one execution of an inbound request on the responder.
 type respOp struct {
 	n       *NIC
-	m       *Message
+	m       Message  // copy of the request
 	qp      *qpState // QP the request executes on (the NAK's QP for rNak)
 	gate    *qpState // placement gate, nil for ungated requests
 	ticket  uint64
@@ -228,7 +268,7 @@ func (n *NIC) getOp(m *Message, stage uint8) *respOp {
 		op = &respOp{n: n}
 		op.fire = op.advance
 	}
-	op.m, op.stage = m, stage
+	op.m, op.stage = *m, stage
 	return op
 }
 
@@ -265,7 +305,7 @@ func (op *respOp) advance() {
 
 // step runs op's current stage and reports whether the operation ended.
 func (op *respOp) step() bool {
-	n, m := op.n, op.m
+	n, m := op.n, &op.m
 	switch op.stage {
 	case rEnter:
 		op.stage = rCtx
@@ -325,7 +365,7 @@ func (op *respOp) step() bool {
 // oneSided checks a WRITE/READ/ATOMIC against its registered MR and starts
 // its address translation through the TPU pipeline.
 func (n *NIC) oneSided(op *respOp) {
-	m := op.m
+	m := &op.m
 	mr := n.mrs[m.RKey]
 	if mr == nil || m.RemoteAddr < mr.Base || m.RemoteAddr+uint64(max(m.Length, 1)) > mr.Base+mr.Size {
 		op.place(rAccess)
@@ -369,7 +409,7 @@ func (n *NIC) oneSided(op *respOp) {
 // execEffect runs a request's visible effect: memory placement, recv
 // delivery and the response.
 func (n *NIC) execEffect(op *respOp) {
-	m, qp, mr := op.m, op.qp, op.mr
+	m, qp, mr := &op.m, op.qp, op.mr
 	switch op.stage {
 	case rNak:
 		n.respondNak(m, (qp.epsn-1)&psnMask)
@@ -410,7 +450,8 @@ func (n *NIC) execEffect(op *respOp) {
 	case rRead:
 		var data []byte
 		if mr.Region != nil {
-			data = make([]byte, m.Length)
+			n.rbuf = fit(n.rbuf, m.Length)
+			data = n.rbuf
 			if err := mr.Region.ReadAt(op.offset, data); err != nil {
 				n.respond(m, StatusRemoteAccessError, nil, 0)
 				return
@@ -452,17 +493,22 @@ func (n *NIC) execEffect(op *respOp) {
 // also the arbiter request: transmit fills in what the grant needs and
 // submits fire. When wire fidelity is on it carries the message's real
 // RoCEv2 encoding, which the receiver parses and cross-checks before it
-// recycles the envelope, frame buffers included, onto its own free list.
+// recycles the envelope, frame and payload buffers included, onto its own
+// free list.
 type envelope struct {
 	src   *NIC // transmitting NIC
 	dst   *NIC
-	msg   *Message
+	msg   Message
 	link  *fabric.Link // nil: loopback (single-NIC tests)
 	bytes int          // wire bytes
 	flow  uint32
 	ring  int
 	frameBuf
-	fire func()
+	// payload is a buffer the envelope owns. When owns is set, msg.Data
+	// is payload and the receiver may take the buffer instead of copying.
+	payload []byte
+	owns    bool
+	fire    func()
 }
 
 func (n *NIC) getEnv() *envelope {
@@ -481,11 +527,11 @@ func (n *NIC) getEnv() *envelope {
 // here.
 func (n *NIC) putEnv(env *envelope) {
 	env.reset()
-	fb, fire := env.frameBuf, env.fire
+	fb, payload, fire := env.frameBuf, env.payload, env.fire
 	if fire == nil {
 		fire = env.granted
 	}
-	*env = envelope{frameBuf: fb, fire: fire}
+	*env = envelope{frameBuf: fb, payload: payload, fire: fire}
 	n.envFree = append(n.envFree, env)
 }
 
@@ -493,7 +539,7 @@ func (n *NIC) putEnv(env *envelope) {
 // message: it accounts the bytes, encodes the frames and puts the packet on
 // the link.
 func (env *envelope) granted() {
-	n, dst, m, link := env.src, env.dst, env.msg, env.link
+	n, dst, m, link := env.src, env.dst, &env.msg, env.link
 	n.counters.TxBytes += uint64(env.bytes)
 	n.counters.TxBytesTC[m.TC&7] += uint64(env.bytes)
 	n.rec.Emit(trace.Event{At: int64(n.eng.Now()), Kind: trace.KindArbGrant,
@@ -501,8 +547,7 @@ func (env *envelope) granted() {
 		Val: uint64(env.bytes), Aux: uint64(env.ring)})
 	if link == nil {
 		// Loopback fallback for single-NIC tests.
-		n.putEnv(env)
-		n.eng.After(sim.Nanosecond, func() { dst.HandleIngress(m) })
+		n.eng.After(sim.Nanosecond, func() { Deliver(fabric.Packet{Payload: env}) })
 		return
 	}
 	// Every message goes out in its real RoCEv2 transport encoding, parsed

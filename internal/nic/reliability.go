@@ -138,7 +138,7 @@ func (n *NIC) onRetryTimeout(qp *qpState) {
 			Dur: int64(n.eng.Now().Sub(p.lastSent))})
 		p.lastSent = n.eng.Now()
 		n.counters.Retransmits++
-		n.transmit(qp.peer, p.msg, 0)
+		n.transmit(qp.peer, &p.msg, 0)
 	}
 	n.armRetransmit(qp)
 }
@@ -197,7 +197,7 @@ func (n *NIC) handleSeqNak(qp *qpState, m *Message) {
 				Dur: int64(n.eng.Now().Sub(p.lastSent))})
 			p.lastSent = n.eng.Now()
 			n.counters.Retransmits++
-			n.transmit(qp.peer, p.msg, 0)
+			n.transmit(qp.peer, &p.msg, 0)
 		}
 	}
 	n.armRetransmit(qp)
@@ -227,17 +227,15 @@ func (n *NIC) respondNak(req *Message, ackPSN uint32) {
 	n.rec.Emit(trace.Event{At: int64(n.eng.Now()), Kind: trace.KindNakSend,
 		Actor: n.psnActor, QPN: req.DstQPN, PSN: req.PSN, Aux: uint64(ackPSN),
 		TC: int8(req.TC & 7)})
-	resp := n.getMsg()
-	*resp = Message{
-		Op: req.Op, SrcQPN: req.DstQPN, DstQPN: req.SrcQPN,
-		Seq: req.Seq, IsResp: true, Status: StatusSeqNak, TC: req.TC,
-		PSN: req.PSN, AckPSN: ackPSN,
-	}
 	qp := n.qps[req.DstQPN]
 	if qp == nil || qp.peer == nil {
 		return
 	}
-	n.transmit(qp.peer, resp, 1)
+	n.transmit(qp.peer, &Message{
+		Op: req.Op, SrcQPN: req.DstQPN, DstQPN: req.SrcQPN,
+		Seq: req.Seq, IsResp: true, Status: StatusSeqNak, TC: req.TC,
+		PSN: req.PSN, AckPSN: ackPSN,
+	}, 1)
 }
 
 // replayDuplicate handles a retransmitted request whose original was already

@@ -31,7 +31,6 @@ import (
 	"fmt"
 
 	"github.com/thu-has/ragnar/internal/fabric"
-	"github.com/thu-has/ragnar/internal/trace"
 )
 
 // CQCounter is a CQ consumer index: it counts completions delivered on the
@@ -96,9 +95,10 @@ func (n *NIC) cqeDelivered(qp *qpState) {
 	}
 }
 
-// StageSend validates and stages a WQE on the QP's send queue without
-// ringing the doorbell: the entry sits not-yet-enabled (rewritable through a
-// registered SQ window) until RingDoorbell or a peer's ENABLE covers it.
+// StageSend validates and stages a copy of a WQE on the QP's send queue
+// without ringing the doorbell: the entry sits not-yet-enabled (rewritable
+// through a registered SQ window) until RingDoorbell or a peer's ENABLE
+// covers it.
 func (n *NIC) StageSend(qpn uint32, wqe *WQE) error {
 	qp, err := n.stageChecked(qpn, wqe)
 	if err != nil {
@@ -124,7 +124,7 @@ func (n *NIC) stageChecked(qpn uint32, wqe *WQE) (*qpState, error) {
 	if wqe.TC < 0 || wqe.TC >= fabric.NumTCs {
 		return nil, fmt.Errorf("nic %s: invalid TC %d", n.Name, wqe.TC)
 	}
-	qp.sq = append(qp.sq, wqe)
+	qp.sq = append(qp.sq, *wqe)
 	return qp, nil
 }
 
@@ -171,7 +171,7 @@ func (n *NIC) advanceSQ(qp *qpState) {
 		return
 	}
 	for qp.sqHead < qp.sqEnabled {
-		wqe := qp.sq[qp.sqHead]
+		wqe := &qp.sq[qp.sqHead]
 		switch wqe.Op {
 		case OpWait:
 			if wqe.WaitCQ != nil && wqe.WaitCQ.count < wqe.WaitThresh {
@@ -203,10 +203,13 @@ func (n *NIC) advanceSQ(qp *qpState) {
 
 // execManagement runs a WAIT (already satisfied) or ENABLE through the
 // local management pipeline: doorbell, SQE fetch, requester PU, then the
-// action and a CQE — the same stages a real post pays, minus the wire.
-func (n *NIC) execManagement(qp *qpState, wqe *WQE) {
+// action and a CQE — the same stages a real post pays, minus the wire. The
+// stages capture a copy of the entry: its ring slot is reused once the ring
+// drains.
+func (n *NIC) execManagement(qp *qpState, entry *WQE) {
 	qp.posted++
 	post := n.eng.Now()
+	wqe := *entry
 	n.eng.After(n.prof.DoorbellTime, func() {
 		n.hostDMA.Submit(n.dmaTransferTime(64)+n.prof.SQEFetchTime, 0, func() {
 			n.txPU.Submit(n.prof.TxPUTime, 0, func() {
@@ -216,17 +219,10 @@ func (n *NIC) execManagement(qp *qpState, wqe *WQE) {
 					}
 				}
 				n.hostDMA.Submit(n.dmaTransferTime(32)+n.prof.CQEWriteTime, 0, func() {
-					qp.completed++
-					n.rec.Emit(trace.Event{At: int64(n.eng.Now()), Kind: trace.KindCQE,
-						Actor: n.cqeActor, QPN: qp.qpn, TC: int8(wqe.TC),
-						Dur: int64(n.eng.Now().Sub(post)), Aux: uint64(StatusOK)})
-					if qp.onComplete != nil {
-						qp.onComplete(Completion{
-							QPN: qp.qpn, WRID: wqe.WRID, Op: wqe.Op,
-							Status: StatusOK, PostTime: post, DoneTime: n.eng.Now(),
-						})
-					}
-					n.cqeDelivered(qp)
+					n.deliverCQE(qp, wqe.TC, Completion{
+						QPN: qp.qpn, WRID: wqe.WRID, Op: wqe.Op,
+						Status: StatusOK, PostTime: post, DoneTime: n.eng.Now(),
+					})
 				})
 			})
 		})
@@ -236,21 +232,15 @@ func (n *NIC) execManagement(qp *qpState, wqe *WQE) {
 // flushStaged retires a staged entry on a failed QP with an error CQE (the
 // entry was admitted before the retry budget ran out; ibv flushes the rest
 // of the queue with IBV_WC_WR_FLUSH_ERR — we reuse the retry status).
-func (n *NIC) flushStaged(qp *qpState, wqe *WQE) {
+func (n *NIC) flushStaged(qp *qpState, entry *WQE) {
 	post := n.eng.Now()
+	wqe := *entry
 	n.hostDMA.Submit(n.dmaTransferTime(32)+n.prof.CQEWriteTime, 0, func() {
-		qp.completed++
-		n.rec.Emit(trace.Event{At: int64(n.eng.Now()), Kind: trace.KindCQE,
-			Actor: n.cqeActor, QPN: qp.qpn, TC: int8(wqe.TC),
-			Dur: int64(n.eng.Now().Sub(post)), Aux: uint64(StatusRetryExcErr)})
-		if qp.onComplete != nil {
-			qp.onComplete(Completion{
-				QPN: qp.qpn, WRID: wqe.WRID, Op: wqe.Op,
-				Status: StatusRetryExcErr, Bytes: wqe.Length,
-				PostTime: post, DoneTime: n.eng.Now(),
-			})
-		}
-		n.cqeDelivered(qp)
+		n.deliverCQE(qp, wqe.TC, Completion{
+			QPN: qp.qpn, WRID: wqe.WRID, Op: wqe.Op,
+			Status: StatusRetryExcErr, Bytes: wqe.Length,
+			PostTime: post, DoneTime: n.eng.Now(),
+		})
 	})
 }
 
@@ -324,7 +314,7 @@ func (n *NIC) encodeStaged(qp *qpState, idx int) {
 		if w.qp != qp || idx >= w.slots || w.mr.Region == nil {
 			continue
 		}
-		wqe := qp.sq[idx]
+		wqe := &qp.sq[idx]
 		put32(slot[SQOffOpcode:], uint32(wqe.Op))
 		put32(slot[SQOffLength:], uint32(wqe.Length))
 		put64(slot[SQOffRemoteAddr:SQOffRemoteAddr+8], wqe.RemoteAddr)
@@ -368,7 +358,7 @@ func (n *NIC) sqPatch(addr uint64, length int) {
 			if err := w.mr.Region.ReadAt(w.base-w.mr.Base+uint64(idx)*SQSlotBytes, slot[:]); err != nil {
 				continue
 			}
-			wqe := qp.sq[idx]
+			wqe := &qp.sq[idx]
 			wqe.Op = Opcode(le32(slot[SQOffOpcode:]))
 			wqe.Length = int(le32(slot[SQOffLength:]))
 			wqe.RemoteAddr = le64(slot[SQOffRemoteAddr : SQOffRemoteAddr+8])

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"github.com/thu-has/ragnar/internal/trace"
@@ -29,11 +30,11 @@ type Event struct {
 func (ev Event) When() Time { return ev.when }
 
 // Cancel prevents a pending event from firing. Cancelling an event that has
-// already fired (or was already cancelled) is a no-op. An event still in the
-// heap is removed from it at once and its slot freed, so the queue never
-// carries dead entries and anything the closure captured becomes
-// collectable immediately. An event already popped into the active
-// same-timestamp batch is marked and reaped when the batch walk reaches it.
+// already fired (or was already cancelled) is a no-op. An event still
+// queued is removed at once and its slot freed, so the queue never carries
+// dead entries and anything the closure captured becomes collectable
+// immediately. An event already moved into the active same-timestamp batch
+// is marked and reaped when the batch walk reaches it.
 func (ev *Event) Cancel() {
 	if ev.eng == nil {
 		return
@@ -45,7 +46,7 @@ func (ev *Event) Cancel() {
 	}
 	s := &e.slots[ev.slot]
 	if s.pos != notInHeap {
-		e.heapDelete(int(s.pos))
+		e.queueDelete(s)
 		e.freeSlot(ev.slot)
 		return
 	}
@@ -69,12 +70,12 @@ func (ev Event) Pending() bool {
 // which is what makes runs reproducible.
 //
 // Internally the engine is allocation-free on the schedule+fire path (the
-// bench-guard CI job enforces 0 allocs/op): a 4-ary min-heap of value
-// entries orders events, a slab free list recycles callback slots, and a
-// batch buffer drains same-timestamp runs without touching the heap for
-// events scheduled "now" during the run — the common burst pattern when a
-// fabric TC queue drains. Cancel removes heap entries eagerly, so the heap
-// holds only live events. See heap.go and DESIGN.md §9.
+// bench-guard CI job enforces 0 allocs/op): a radix heap of value entries
+// orders events, a slab free list recycles callback slots, and a batch
+// buffer drains same-timestamp runs without touching the buckets for events
+// scheduled "now" during the run — the common burst pattern when a fabric
+// TC queue drains. Cancel removes queued entries eagerly, so the buckets
+// hold only live events. See heap.go and DESIGN.md §9.
 type Engine struct {
 	now    Time
 	seq    uint64
@@ -82,16 +83,21 @@ type Engine struct {
 	fired  uint64
 	halted bool
 
-	// Priority queue state (heap.go).
-	heap  []heapEntry
-	slots []eventSlot
-	free  int32
+	// Priority queue state (heap.go): the radix buckets, a bit per
+	// non-empty bucket, the time of the last refill, the number of queued
+	// entries, and the slot slab with its free list.
+	buckets  [numBuckets][]heapEntry
+	nonEmpty uint64
+	last     Time
+	queued   int
+	slots    []eventSlot
+	free     int32
 
-	// Same-timestamp batch: the run of minimum-time entries popped from the
-	// heap, fired in seq order. While a batch for batchTime is active, At()
-	// appends same-time events directly to it (their seq is necessarily
-	// larger than everything already in the batch), skipping a heap
-	// round-trip per event.
+	// Same-timestamp batch: the run of minimum-time entries taken from the
+	// buckets, fired in seq order. While a batch for batchTime is active,
+	// At() appends same-time events directly to it (their seq is
+	// necessarily larger than everything already in the batch), skipping a
+	// round-trip through the buckets per event.
 	batch     []heapEntry
 	batchIdx  int
 	batchOn   bool
@@ -106,7 +112,6 @@ type Engine struct {
 func NewEngine(seed int64) *Engine {
 	return &Engine{
 		rng:   rand.New(rand.NewSource(seed)),
-		heap:  make([]heapEntry, 0, 256),
 		slots: make([]eventSlot, 0, 256),
 		batch: make([]heapEntry, 0, 64),
 		free:  noSlot,
@@ -124,12 +129,12 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending reports how many events are scheduled but not yet fired. Cancel
-// removes heap entries at once, so outside a same-timestamp batch the count
-// is exact (it equals LivePending). While a batch is active, a batch entry
-// cancelled after it left the heap still counts until the batch walk reaches
-// it.
+// removes queued entries at once, so outside a same-timestamp batch the
+// count is exact (it equals LivePending). While a batch is active, a batch
+// entry cancelled after it left the buckets still counts until the batch
+// walk reaches it.
 func (e *Engine) Pending() int {
-	return len(e.heap) + (len(e.batch) - e.batchIdx)
+	return e.queued + (len(e.batch) - e.batchIdx)
 }
 
 // At schedules fn at absolute virtual time t. Scheduling in the past panics:
@@ -145,12 +150,12 @@ func (e *Engine) At(t Time, fn func()) Event {
 	if e.batchOn && t == e.batchTime {
 		// Fast path: the engine is mid-way through firing the batch for
 		// exactly this timestamp. The new event's seq is greater than every
-		// entry already in the batch and no entry for batchTime remains in
-		// the heap (the refill popped the whole run), so appending preserves
+		// entry already in the batch and no entry for batchTime remains
+		// queued (the refill took the whole run), so appending preserves
 		// (when, seq) order.
 		e.batch = append(e.batch, ent)
 	} else {
-		e.heapPush(ent)
+		e.queuePush(ent)
 	}
 	return Event{eng: e, slot: idx, gen: e.slots[idx].gen, when: t}
 }
@@ -182,18 +187,22 @@ func (e *Engine) Halt() {
 	e.rec.Emit(trace.Event{At: int64(e.now), Kind: trace.KindEngineHalt, Actor: e.recActor, TC: -1})
 }
 
-// step pops and fires the next event. It reports false when the queue is
-// empty.
-func (e *Engine) step() bool {
+// step fires the next event if its time is at most deadline, and reports
+// whether it fired one.
+func (e *Engine) step(deadline Time) bool {
 	for {
 		// Drain the active same-timestamp batch first.
 		for e.batchIdx < len(e.batch) {
 			ent := e.batch[e.batchIdx]
-			e.batchIdx++
 			if e.slots[ent.slot].canceled {
+				e.batchIdx++
 				e.freeSlot(ent.slot)
 				continue
 			}
+			if ent.when > deadline {
+				return false
+			}
+			e.batchIdx++
 			fn := e.slots[ent.slot].fn
 			e.freeSlot(ent.slot)
 			e.now = ent.when
@@ -206,25 +215,18 @@ func (e *Engine) step() bool {
 			e.batchIdx = 0
 			e.batchOn = false
 		}
-		if len(e.heap) == 0 {
+		// Refill: take the entire run of minimum-timestamp entries in one
+		// go, already in seq order.
+		if !e.refill(deadline) {
 			return false
 		}
-		// Refill: pop the entire run of minimum-timestamp entries in one
-		// go. Repeated pops of equal-time entries come out in seq order, so
-		// the batch is already FIFO-sorted.
-		t := e.heap[0].when
-		for len(e.heap) > 0 && e.heap[0].when == t {
-			e.batch = append(e.batch, e.heapPop())
-		}
-		e.batchIdx = 0
-		e.batchOn = true
-		e.batchTime = t
 	}
 }
 
 // next reports the earliest pending timestamp without consuming the event.
-// It reaps cancelled entries off the front of the active batch; the heap
-// root is always live, because Cancel removes heap entries eagerly.
+// It reaps cancelled entries off the front of the active batch; queued
+// entries are always live, because Cancel removes them eagerly. It never
+// refills, so the caller may still schedule anywhere at or after now.
 func (e *Engine) next() (Time, bool) {
 	if e.batchOn {
 		for e.batchIdx < len(e.batch) {
@@ -239,10 +241,7 @@ func (e *Engine) next() (Time, bool) {
 		e.batchIdx = 0
 		e.batchOn = false
 	}
-	if len(e.heap) == 0 {
-		return 0, false
-	}
-	return e.heap[0].when, true
+	return e.queueMin()
 }
 
 // Run executes events until the queue drains or Halt is called.
@@ -250,7 +249,7 @@ func (e *Engine) Run() {
 	e.rec.Emit(trace.Event{At: int64(e.now), Kind: trace.KindEngineRun, Actor: e.recActor,
 		Val: uint64(e.Pending()), TC: -1})
 	e.halted = false
-	for !e.halted && e.step() {
+	for !e.halted && e.step(math.MaxInt64) {
 	}
 }
 
@@ -260,12 +259,7 @@ func (e *Engine) RunUntil(deadline Time) {
 	e.rec.Emit(trace.Event{At: int64(e.now), Kind: trace.KindEngineRun, Actor: e.recActor,
 		Val: uint64(e.Pending()), Aux: uint64(deadline), TC: -1})
 	e.halted = false
-	for !e.halted {
-		when, ok := e.next()
-		if !ok || when > deadline {
-			break
-		}
-		e.step()
+	for !e.halted && e.step(deadline) {
 	}
 	if e.now < deadline {
 		e.now = deadline

@@ -1,52 +1,58 @@
 package sim
 
-// The scheduler's priority queue: a concrete 4-ary min-heap of value-typed
-// entries over an engine-owned slab of event slots.
+import (
+	"cmp"
+	"math/bits"
+	"slices"
+)
+
+// The scheduler's priority queue: a radix heap of value-typed entries over
+// an engine-owned slab of event slots.
 //
 // Layout. Each pending event is split across two arrays:
 //
 //   - heapEntry carries the ordering key (when, seq) plus the slot index, and
-//     lives in the heap array itself. Sift operations compare keys that are
-//     already in cache — no pointer chasing, no interface calls, no
-//     per-event allocation (contrast container/heap, which boxes every
-//     Push/Pop operand in an interface and dispatches Less/Swap virtually).
+//     lives in one of the radix buckets. Filing and re-filing compare keys
+//     that are already in cache — no pointer chasing, no interface calls, no
+//     per-event allocation.
 //   - eventSlot holds the callback and liveness state (generation counter,
-//     heap position, cancel flag, free-list link) in the slots slab. Slots
-//     are recycled through an intrusive free list; the slab only grows to
-//     the high-water mark of concurrently pending events.
+//     bucket and position, cancel flag, free-list link) in the slots slab.
+//     Slots are recycled through an intrusive free list; the slab only grows
+//     to the high-water mark of concurrently pending events.
 //
-// Every sift keeps eventSlot.pos equal to the entry's heap index, so Cancel
-// removes a queued entry in O(log n) on the spot instead of leaving a dead
-// entry behind until it surfaces at the root. A lossless RC run re-arms a
-// 4 ms retransmit timer on every completion; lazily cancelled, those dead
-// timers outnumbered live events fifty to one and every sift walked past
-// them.
+// Radix heap. Event times never fall below last, the time of the latest
+// refill: scheduling before now panics, and now >= last. An entry at time t
+// lives in bucket bits.Len64(t ^ last): bucket 0 holds the entries at
+// exactly last, bucket k > 0 those whose time first differs from last at
+// bit k-1. Every entry of bucket k lies below every entry of bucket k+1, so
+// the earliest pending time is in the lowest non-empty bucket. A refill
+// moves last to that bucket's least time and re-files its entries; each
+// lands in a lower bucket, and the ones at the new last become the
+// same-timestamp batch. Push is O(1), and so is cancel outside bucket 0;
+// an entry is re-filed at most once per bit of its distance from last, so
+// a pop costs amortised O(log Δt) where a comparison heap pays O(log n)
+// sifts through the whole queue.
 //
-// A 4-ary heap halves the tree depth of a binary heap: pushes compare
-// against one parent per level, and the wider fan-out trades a few extra
-// child comparisons on pop for markedly fewer cache lines touched on the
-// push-heavy schedule path (discrete-event schedulers push and pop in equal
-// measure, but pushes dominate the sift work because new events usually land
-// near the bottom).
+// Every move keeps eventSlot.bucket and eventSlot.pos naming the entry's
+// place, so Cancel removes a queued entry on the spot instead of leaving a
+// dead entry behind: it swap-removes, except in bucket 0, which keeps its
+// entries in seq order because it is the next batch.
 //
-// Ordering is (when, seq) lexicographic — identical to the old
-// container/heap scheduler, so fire order (and therefore every golden,
-// equivalence and traced≡untraced artifact) is bit-for-bit unchanged.
+// Ordering is (when, seq) lexicographic — the order of the container/heap
+// reference the tests replay schedules against — so fire order (and
+// therefore every golden, equivalence and traced≡untraced artifact) does
+// not depend on the queue's layout.
 
-// heapEntry is one pending event's ordering key in the 4-ary heap.
+// heapEntry is one pending event's ordering key.
 type heapEntry struct {
 	when Time
 	seq  uint64
 	slot int32
 }
 
-// entryLess orders by time, then by schedule order (FIFO among ties).
-func entryLess(a, b heapEntry) bool {
-	if a.when != b.when {
-		return a.when < b.when
-	}
-	return a.seq < b.seq
-}
+// numBuckets covers every distance bits.Len64 can report between two
+// non-negative times.
+const numBuckets = 64
 
 // eventSlot is the mutable state of one scheduled event. The zero slot state
 // is "free"; gen increments every time the slot is released, so a stale
@@ -54,11 +60,12 @@ func entryLess(a, b heapEntry) bool {
 type eventSlot struct {
 	fn  func()
 	gen uint32
-	// pos is the entry's index in the heap, or notInHeap once the entry has
-	// moved into the same-timestamp batch (or the slot is free).
-	pos int32
-	// canceled marks a batch entry cancelled after it left the heap; the
-	// batch walk reaps it. Heap entries are removed by Cancel directly.
+	// pos is the entry's index in its bucket, or notInHeap once the entry
+	// has moved into the same-timestamp batch (or the slot is free).
+	pos    int32
+	bucket uint8
+	// canceled marks a batch entry cancelled after it left the buckets; the
+	// batch walk reaps it. Queued entries are removed by Cancel directly.
 	canceled bool
 	next     int32 // free-list link, -1 terminates
 }
@@ -104,81 +111,127 @@ func (e *Engine) live(slot int32, gen uint32) bool {
 	return slot >= 0 && int(slot) < len(e.slots) && e.slots[slot].gen == gen
 }
 
-// heapPush inserts an entry, sifting up against one parent per level.
-func (e *Engine) heapPush(ent heapEntry) {
-	e.heap = append(e.heap, ent)
-	e.siftUp(len(e.heap)-1, ent)
+// file puts ent in the bucket its distance from last selects.
+func (e *Engine) file(ent heapEntry) {
+	k := bits.Len64(uint64(ent.when ^ e.last))
+	b := e.buckets[k]
+	s := &e.slots[ent.slot]
+	s.bucket, s.pos = uint8(k), int32(len(b))
+	e.buckets[k] = append(b, ent)
+	e.nonEmpty |= 1 << k
 }
 
-// heapPop removes and returns the minimum entry.
-func (e *Engine) heapPop() heapEntry {
-	root := e.heap[0]
-	e.heapDelete(0)
-	return root
+// queuePush inserts a new entry.
+func (e *Engine) queuePush(ent heapEntry) {
+	e.file(ent)
+	e.queued++
 }
 
-// heapDelete removes the entry at index i, clearing its slot's pos, and
-// re-seats the displaced tail entry, up or down as its key demands.
-// Removing an entry never changes the order the remaining ones pop in:
-// (when, seq) is a total order.
-func (e *Engine) heapDelete(i int) {
-	e.slots[e.heap[i].slot].pos = notInHeap
-	n := len(e.heap) - 1
-	last := e.heap[n]
-	e.heap = e.heap[:n]
-	if i == n {
-		return
-	}
-	if i > 0 && entryLess(last, e.heap[(i-1)>>2]) {
-		e.siftUp(i, last)
-		return
-	}
-	e.siftDown(i, last)
-}
-
-// siftUp seats ent at index i or above, moving parents down past it.
-func (e *Engine) siftUp(i int, ent heapEntry) {
-	h, slots := e.heap, e.slots
-	for i > 0 {
-		p := (i - 1) >> 2
-		if !entryLess(ent, h[p]) {
-			break
+// queueDelete removes the queued entry held by slot s and clears its pos.
+// Removing an entry never changes the order the remaining ones fire in:
+// (when, seq) is a total order, and bucket 0 closes the gap in place.
+func (e *Engine) queueDelete(s *eventSlot) {
+	k, i := s.bucket, int(s.pos)
+	b := e.buckets[k]
+	n := len(b) - 1
+	if k == 0 {
+		copy(b[i:], b[i+1:])
+		for j := i; j < n; j++ {
+			e.slots[b[j].slot].pos = int32(j)
 		}
-		h[i] = h[p]
-		slots[h[i].slot].pos = int32(i)
-		i = p
+	} else if i != n {
+		b[i] = b[n]
+		e.slots[b[i].slot].pos = int32(i)
 	}
-	h[i] = ent
-	slots[ent.slot].pos = int32(i)
+	e.buckets[k] = b[:n]
+	if n == 0 {
+		e.nonEmpty &^= 1 << k
+	}
+	s.pos = notInHeap
+	e.queued--
 }
 
-// siftDown seats ent at index i or below, moving the least child up past it.
-func (e *Engine) siftDown(i int, ent heapEntry) {
-	h, slots := e.heap, e.slots
-	n := len(h)
-	for {
-		first := i<<2 + 1 // leftmost child
-		if first >= n {
-			break
+// queueMin reports the earliest queued time without moving anything.
+func (e *Engine) queueMin() (Time, bool) {
+	if e.nonEmpty == 0 {
+		return 0, false
+	}
+	k := bits.TrailingZeros64(e.nonEmpty)
+	if k == 0 {
+		return e.last, true
+	}
+	return minWhen(e.buckets[k]), true
+}
+
+func minWhen(b []heapEntry) Time {
+	t := b[0].when
+	for _, ent := range b[1:] {
+		if ent.when < t {
+			t = ent.when
 		}
-		// Pick the least of up to four children.
-		m := first
-		end := first + 4
-		if end > n {
-			end = n
+	}
+	return t
+}
+
+// refill moves the earliest run of equal-time entries, in seq order, into
+// the empty batch — provided its time is at most deadline. It reports
+// whether it did; when it did not, last is unchanged, so a caller may still
+// schedule anywhere at or after now.
+func (e *Engine) refill(deadline Time) bool {
+	if e.nonEmpty == 0 {
+		return false
+	}
+	k := bits.TrailingZeros64(e.nonEmpty)
+	b := e.buckets[k]
+	if k == 0 {
+		if e.last > deadline {
+			return false
 		}
-		for c := first + 1; c < end; c++ {
-			if entryLess(h[c], h[m]) {
-				m = c
+		// Entries pushed at exactly last arrive in seq order, and
+		// cancels keep that order.
+		for _, ent := range b {
+			e.slots[ent.slot].pos = notInHeap
+		}
+		e.batch, e.buckets[0] = b, e.batch[:0]
+	} else if len(b) == 1 {
+		// A lone entry is the whole run: no re-file.
+		ent := b[0]
+		if ent.when > deadline {
+			return false
+		}
+		e.last = ent.when
+		e.buckets[k] = b[:0]
+		e.slots[ent.slot].pos = notInHeap
+		e.batch = append(e.batch, ent)
+	} else {
+		t := minWhen(b)
+		if t > deadline {
+			return false
+		}
+		e.last = t
+		e.buckets[k] = b[:0]
+		// Re-file the bucket below k; its entries at the new last form the
+		// batch. Swap-removes may have broken their seq order.
+		sorted := true
+		for _, ent := range b {
+			if ent.when != t {
+				e.file(ent)
+				continue
 			}
+			e.slots[ent.slot].pos = notInHeap
+			if n := len(e.batch); n > 0 && e.batch[n-1].seq > ent.seq {
+				sorted = false
+			}
+			e.batch = append(e.batch, ent)
 		}
-		if !entryLess(h[m], ent) {
-			break
+		if !sorted {
+			slices.SortFunc(e.batch, func(a, b heapEntry) int { return cmp.Compare(a.seq, b.seq) })
 		}
-		h[i] = h[m]
-		slots[h[i].slot].pos = int32(i)
-		i = m
 	}
-	h[i] = ent
-	slots[ent.slot].pos = int32(i)
+	e.nonEmpty &^= 1 << k
+	e.queued -= len(e.batch)
+	e.batchIdx = 0
+	e.batchOn = true
+	e.batchTime = e.last
+	return true
 }

@@ -254,23 +254,13 @@ type schedOp struct {
 	cancelIdx int        // event id to cancel from this callback, -1 none
 }
 
-func genSchedule(seed int64, n int) []schedOp {
+func genSchedule(seed int64, n int, delay func(*rand.Rand) Duration) []schedOp {
 	rng := rand.New(rand.NewSource(seed))
 	ops := make([]schedOp, n)
 	for i := range ops {
 		k := rng.Intn(3)
 		for j := 0; j < k; j++ {
-			// Mix of zero (same-timestamp fast path), small and large delays.
-			var d Duration
-			switch rng.Intn(3) {
-			case 0:
-				d = 0
-			case 1:
-				d = Duration(rng.Intn(50)) * Nanosecond
-			default:
-				d = Duration(rng.Intn(5000)) * Nanosecond
-			}
-			ops[i].delays = append(ops[i].delays, d)
+			ops[i].delays = append(ops[i].delays, delay(rng))
 		}
 		ops[i].cancelIdx = -1
 		if rng.Intn(4) == 0 {
@@ -280,87 +270,156 @@ func genSchedule(seed int64, n int) []schedOp {
 	return ops
 }
 
+// mixedDelay mixes zero (same-timestamp fast path), small and large delays.
+func mixedDelay(rng *rand.Rand) Duration {
+	switch rng.Intn(3) {
+	case 0:
+		return 0
+	case 1:
+		return Duration(rng.Intn(50)) * Nanosecond
+	default:
+		return Duration(rng.Intn(5000)) * Nanosecond
+	}
+}
+
 // TestEngineMatchesReferenceHeap replays recorded schedules — nested
 // scheduling, same-timestamp bursts, cross-cancellation — on the production
 // engine and on the container/heap reference, and requires identical fire
-// orders.
+// orders. Beyond the mixed schedule, the cases walk the radix queue's edges:
+//
+//   - wide: delays from 1 ps to about 2^40 ps, so entries sit in every
+//     bucket and refills re-file across many bits;
+//   - refile: a few delays repeated many times, so runs of equal times are
+//     re-filed together out of one bucket after cancels have swap-removed
+//     entries from it;
+//   - stepped: the run advances in RunUntil steps. Between steps, events are
+//     scheduled from outside at now and just after it, and some are
+//     cancelled at once. A step ending on an event time leaves now at the
+//     last refill, so those events go to bucket 0 and the cancels remove
+//     from it; a step ending between events leaves now past the last refill
+//     before the new events are scheduled.
 func TestEngineMatchesReferenceHeap(t *testing.T) {
+	cases := []struct {
+		name  string
+		delay func(*rand.Rand) Duration
+		step  Duration // 0: one Run; else RunUntil steps with outside events
+	}{
+		{"mixed", mixedDelay, 0},
+		{"wide", func(rng *rand.Rand) Duration {
+			return 1 + Duration(rng.Int63n(1<<uint(rng.Intn(41))))
+		}, 0},
+		{"refile", func(rng *rand.Rand) Duration {
+			return [...]Duration{0, Picosecond, 300 * Nanosecond, 300 * Nanosecond, 301 * Nanosecond}[rng.Intn(5)]
+		}, 0},
+		{"stepped", func(rng *rand.Rand) Duration { return Duration(rng.Intn(6)*10) * Nanosecond }, 25 * Nanosecond},
+	}
 	const nOps = 400
-	for seed := int64(1); seed <= 25; seed++ {
-		ops := genSchedule(seed, nOps)
-
-		runNew := func() []int {
-			e := NewEngine(1)
-			var got []int
-			handles := make([]Event, nOps)
-			next := 0
-			var fire func(id int) func()
-			fire = func(id int) func() {
-				return func() {
-					got = append(got, id)
-					op := ops[id%nOps]
-					for _, d := range op.delays {
-						if next < nOps {
-							id2 := next
-							next++
-							handles[id2] = e.After(d, fire(id2))
-						}
-					}
-					if op.cancelIdx >= 0 && op.cancelIdx < next {
-						handles[op.cancelIdx].Cancel()
-					}
+	for _, tc := range cases {
+		for seed := int64(1); seed <= 25; seed++ {
+			ops := genSchedule(seed, nOps, tc.delay)
+			got, want := runSchedule(ops, tc.step, seed, engineSched{NewEngine(1)}), runSchedule(ops, tc.step, seed, refSched{&refEngine{}})
+			if len(got) != len(want) {
+				t.Fatalf("%s seed %d: fired %d events, reference fired %d", tc.name, seed, len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("%s seed %d: orders diverge at %d: %d vs %d", tc.name, seed, i, got[i], want[i])
 				}
-			}
-			for i := 0; i < 8; i++ {
-				id := next
-				next++
-				handles[id] = e.After(Duration(i)*Nanosecond, fire(id))
-			}
-			e.Run()
-			return got
-		}
-
-		runRef := func() []int {
-			e := &refEngine{}
-			var got []int
-			handles := make([]*refEvent, nOps)
-			next := 0
-			var fire func(id int) func()
-			fire = func(id int) func() {
-				return func() {
-					got = append(got, id)
-					op := ops[id%nOps]
-					for _, d := range op.delays {
-						if next < nOps {
-							id2 := next
-							next++
-							handles[id2] = e.at(e.now.Add(d), fire(id2))
-						}
-					}
-					if op.cancelIdx >= 0 && op.cancelIdx < next && handles[op.cancelIdx] != nil {
-						handles[op.cancelIdx].canceled = true
-					}
-				}
-			}
-			for i := 0; i < 8; i++ {
-				id := next
-				next++
-				handles[id] = e.at(Time(Duration(i)*Nanosecond), fire(id))
-			}
-			e.run()
-			return got
-		}
-
-		got, want := runNew(), runRef()
-		if len(got) != len(want) {
-			t.Fatalf("seed %d: fired %d events, reference fired %d", seed, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("seed %d: orders diverge at %d: %d vs %d", seed, i, got[i], want[i])
 			}
 		}
 	}
+}
+
+// scheduler is what runSchedule needs of an engine, so one function replays a
+// schedule on the production engine and on the reference.
+type scheduler interface {
+	now() Time
+	at(t Time, fn func()) (cancel func())
+	run()
+	runUntil(deadline Time)
+	idle() bool
+}
+
+type engineSched struct{ e *Engine }
+
+func (s engineSched) now() Time { return s.e.Now() }
+func (s engineSched) at(t Time, fn func()) func() {
+	ev := s.e.At(t, fn)
+	return ev.Cancel
+}
+func (s engineSched) run()                   { s.e.Run() }
+func (s engineSched) runUntil(deadline Time) { s.e.RunUntil(deadline) }
+func (s engineSched) idle() bool             { return s.e.Pending() == 0 }
+
+// refSched adapts the reference engine; its RunUntil also advances the
+// clock to the deadline, as the production engine's does.
+type refSched struct{ e *refEngine }
+
+func (s refSched) now() Time { return s.e.now }
+func (s refSched) at(t Time, fn func()) func() {
+	ev := s.e.at(t, fn)
+	return func() { ev.canceled = true }
+}
+func (s refSched) run() { s.e.run() }
+func (s refSched) runUntil(deadline Time) {
+	s.e.runUntil(deadline)
+	s.e.now = max(s.e.now, deadline)
+}
+func (s refSched) idle() bool { return s.e.live() == 0 }
+
+// runSchedule replays ops on s and returns the ids in fire order. With step
+// > 0 it advances in RunUntil steps and, between steps, schedules up to
+// three outside events at now or 1 ps / 10 ns after it, cancelling the
+// first of them at once when a coin says so.
+func runSchedule(ops []schedOp, step Duration, seed int64, s scheduler) []int {
+	nOps := len(ops)
+	var got []int
+	cancels := make([]func(), nOps)
+	next := 0
+	var fire func(id int) func()
+	fire = func(id int) func() {
+		return func() {
+			got = append(got, id)
+			op := ops[id%nOps]
+			for _, d := range op.delays {
+				if next < nOps {
+					id2 := next
+					next++
+					cancels[id2] = s.at(s.now().Add(d), fire(id2))
+				}
+			}
+			if op.cancelIdx >= 0 && op.cancelIdx < next && cancels[op.cancelIdx] != nil {
+				cancels[op.cancelIdx]()
+			}
+		}
+	}
+	for i := 0; i < 8; i++ {
+		id := next
+		next++
+		cancels[id] = s.at(Time(Duration(i)*Nanosecond), fire(id))
+	}
+	if step == 0 {
+		s.run()
+		return got
+	}
+	rng := rand.New(rand.NewSource(seed))
+	for deadline := Time(step); !s.idle() || next < nOps; deadline += Time(step) {
+		s.runUntil(deadline)
+		first := -1
+		for k := rng.Intn(4); k > 0 && next < nOps; k-- {
+			d := [...]Duration{0, 0, Picosecond, 10 * Nanosecond}[rng.Intn(4)]
+			id := next
+			next++
+			cancels[id] = s.at(deadline.Add(d), fire(id))
+			if first < 0 {
+				first = id
+			}
+		}
+		if first >= 0 && rng.Intn(2) == 0 {
+			cancels[first]()
+		}
+	}
+	return got
 }
 
 // live counts the reference queue's uncancelled entries.

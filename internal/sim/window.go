@@ -1,6 +1,9 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Window-execution and drain-audit primitives for the conservative parallel
 // mode (internal/sim/parallel). A partitioned run executes each domain's
@@ -11,8 +14,8 @@ import "fmt"
 // exactly at the window end can still be scheduled with At without tripping
 // the past-scheduling panic), and a pending count that ignores cancelled
 // entries (the group's quiesce loop must not wait on a cancelled
-// retransmit timer). Cancel removes heap entries eagerly, so only the tail
-// of an active same-timestamp batch can hold a cancelled entry.
+// retransmit timer). Cancel removes queued entries eagerly, so only the
+// tail of an active same-timestamp batch can hold a cancelled entry.
 
 // NextEventTime reports the timestamp of the earliest live (non-cancelled)
 // pending event without consuming it. ok is false when no live event is
@@ -25,12 +28,10 @@ func (e *Engine) NextEventTime() (Time, bool) { return e.next() }
 // inside [now, limit). Events at or beyond limit stay queued.
 func (e *Engine) RunBefore(limit Time) {
 	e.halted = false
-	for !e.halted {
-		when, ok := e.next()
-		if !ok || when >= limit {
-			return
-		}
-		e.step()
+	if limit == math.MinInt64 {
+		return // limit-1 would wrap around
+	}
+	for !e.halted && e.step(limit-1) {
 	}
 }
 
@@ -46,10 +47,10 @@ func (e *Engine) AdvanceTo(t Time) {
 
 // LivePending counts scheduled events that have not fired and have not been
 // cancelled. This is the quiesce predicate for the parallel barrier. The
-// heap holds only live entries, so just the active batch's tail is scanned;
-// outside a batch LivePending equals Pending.
+// buckets hold only live entries, so just the active batch's tail is
+// scanned; outside a batch LivePending equals Pending.
 func (e *Engine) LivePending() int {
-	n := len(e.heap)
+	n := e.queued
 	for _, ent := range e.batch[e.batchIdx:] {
 		if !e.slots[ent.slot].canceled {
 			n++

@@ -54,7 +54,7 @@ func (s *Sampler) Start() error {
 	if s.Depth < 1 {
 		return errors.New("uli: sampler depth must be >= 1")
 	}
-	s.epoch = proberEpoch.Add(1) << 32
+	s.epoch = s.CQ.NextEpoch() << 32
 	s.lenAt = make(map[uint64]int, s.Depth+1)
 	s.offAt = make(map[uint64]uint64, s.Depth+1)
 	s.running = true

@@ -10,7 +10,6 @@ package uli
 
 import (
 	"errors"
-	"sync/atomic"
 
 	"github.com/thu-has/ragnar/internal/nic"
 	"github.com/thu-has/ragnar/internal/sim"
@@ -49,13 +48,6 @@ type Prober struct {
 	IncludeRamp bool
 }
 
-// proberEpoch gives each measurement run a distinct WRID namespace so
-// completions left in flight by a previous run are never mistaken for this
-// run's probes. It is atomic because parallel sweeps measure on independent
-// engines concurrently; the epoch value itself never influences timing, so
-// allocation order does not affect results.
-var proberEpoch atomic.Uint64
-
 // Measure runs n probes and returns their samples. It drives the engine via
 // completion notifications: concurrent traffic from other actors keeps
 // flowing. The caller's engine is run until the measurement completes, and
@@ -68,7 +60,7 @@ func (p *Prober) Measure(eng *sim.Engine, n int) ([]Sample, error) {
 	if n < 1 {
 		return nil, errors.New("uli: need at least one probe")
 	}
-	epoch := proberEpoch.Add(1) << 32
+	epoch := p.CQ.NextEpoch() << 32
 	samples := make([]Sample, 0, n)
 	posted := 0
 	skipped := 0

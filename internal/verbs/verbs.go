@@ -178,6 +178,8 @@ type CQ struct {
 	// loops react without busy-polling virtual time. Only unarmed
 	// (polling-mode) CQs buffer entries and can therefore overrun.
 	Notify func(nic.Completion)
+	// epochs counts the measurement runs tagged on this CQ (NextEpoch).
+	epochs uint64
 }
 
 // CreateCQ creates a completion queue holding up to capacity entries. A
@@ -191,6 +193,15 @@ func (c *Context) CreateCQ(capacity int) *CQ {
 		capacity = 4096
 	}
 	return &CQ{ctx: c, cap: capacity, cnt: nic.NewCQCounter()}
+}
+
+// NextEpoch returns a fresh run tag for this CQ: 1, 2, 3, ... A measurement
+// loop puts it in the high half of its WRIDs so a late completion from an
+// earlier run on the same CQ is never taken for its own. The tag depends
+// only on this CQ's history, so WRIDs repeat exactly from run to run.
+func (q *CQ) NextEpoch() uint64 {
+	q.epochs++
+	return q.epochs
 }
 
 // ConsumerIndex returns the number of completions delivered on this CQ so
