@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"github.com/thu-has/ragnar/internal/host"
 	"github.com/thu-has/ragnar/internal/nic"
@@ -58,9 +59,16 @@ type Command struct {
 	RKey   uint32
 }
 
-// Marshal encodes the command into a 64-byte capsule.
+// Marshal encodes the command into a new 64-byte capsule.
 func (c Command) Marshal() []byte {
 	b := make([]byte, CapsuleSize)
+	c.put(b)
+	return b
+}
+
+// put encodes the command into b, CapsuleSize bytes.
+func (c Command) put(b []byte) {
+	clear(b[:CapsuleSize])
 	b[0] = c.Op
 	binary.LittleEndian.PutUint16(b[1:], c.CID)
 	binary.LittleEndian.PutUint32(b[4:], c.NSID)
@@ -68,7 +76,6 @@ func (c Command) Marshal() []byte {
 	binary.LittleEndian.PutUint32(b[16:], c.Length)
 	binary.LittleEndian.PutUint64(b[20:], c.RAddr)
 	binary.LittleEndian.PutUint32(b[28:], c.RKey)
-	return b
 }
 
 // UnmarshalCommand decodes a command capsule, rejecting size mismatches.
@@ -93,11 +100,11 @@ type Completion struct {
 	CID    uint16
 }
 
-func (c Completion) marshal() []byte {
-	b := make([]byte, CompletionSize)
+// put encodes the completion into b, CompletionSize bytes.
+func (c Completion) put(b []byte) {
+	clear(b)
 	b[0] = c.Status
 	binary.LittleEndian.PutUint16(b[1:], c.CID)
-	return b
 }
 
 func unmarshalCompletion(b []byte) (Completion, error) {
@@ -186,10 +193,14 @@ func CheckPattern(b []byte, salt uint32, off uint64) bool {
 	return true
 }
 
-// targetOp is one in-flight backend operation (data movement phase).
+// targetOp is one command's state on the target, from admission to the
+// CQE of its completion capsule's SEND. Ops and their buffers are recycled
+// through the queue's free list: the verbs contract gives a buffer back at
+// its CQE, so no command allocates once the list has grown.
 type targetOp struct {
 	cmd     Command
 	staging []byte // bounce buffer: READ source snapshot / WRITE landing zone
+	capsule [CompletionSize]byte
 }
 
 // TargetQueue is one served submission/completion queue: a server-side QP
@@ -198,11 +209,16 @@ type targetOp struct {
 // here would let the victim's own data-path completions overrun and pollute
 // the CQ-exhaustion markers the defense watches.
 type TargetQueue struct {
-	tgt      *Target
-	qp       *verbs.QP
-	cq       *verbs.CQ
-	depth    int
+	tgt   *Target
+	qp    *verbs.QP
+	cq    *verbs.CQ
+	depth int
+	// inflight holds the commands in their data phase, sending those whose
+	// completion capsule is on the wire, both by WRID; free holds the ops
+	// ready for reuse.
 	inflight map[uint64]*targetOp
+	sending  map[uint64]*targetOp
+	free     []*targetOp
 	nextWR   uint64
 	// Errors counts backend verbs that completed in error (transport
 	// failures surface here, e.g. a flushed QP after retry exhaustion).
@@ -216,7 +232,8 @@ func (t *Target) Serve(depth int) (*TargetQueue, error) {
 	if depth <= 0 {
 		depth = 64
 	}
-	q := &TargetQueue{tgt: t, depth: depth, inflight: map[uint64]*targetOp{}}
+	q := &TargetQueue{tgt: t, depth: depth,
+		inflight: map[uint64]*targetOp{}, sending: map[uint64]*targetOp{}}
 	q.cq = t.ctx.CreateCQ(0)
 	q.cq.Notify = q.onCompletion
 	qp, err := t.ctx.CreateQP(t.pd, q.cq, verbs.QPCap{MaxSendWR: 2 * depth})
@@ -232,6 +249,31 @@ func (t *Target) Serve(depth int) (*TargetQueue, error) {
 // QP returns the queue's server-side endpoint for connection wiring.
 func (q *TargetQueue) QP() *verbs.QP { return q.qp }
 
+// getOp takes an op from the free list, or makes one.
+func (q *TargetQueue) getOp() *targetOp {
+	k := len(q.free) - 1
+	if k < 0 {
+		return new(targetOp)
+	}
+	op := q.free[k]
+	q.free = q.free[:k]
+	return op
+}
+
+// putOp returns an op, its buffers included, to the free list.
+func (q *TargetQueue) putOp(op *targetOp) {
+	op.cmd = Command{}
+	q.free = append(q.free, op)
+}
+
+// stage sizes op's staging buffer to n bytes, reusing its backing.
+func (op *targetOp) stage(n uint32) {
+	if uint32(cap(op.staging)) < n {
+		op.staging = make([]byte, n)
+	}
+	op.staging = op.staging[:n]
+}
+
 // onCapsule admits one inbound command capsule.
 func (q *TargetQueue) onCapsule(ev nic.RecvEvent) {
 	if ev.Op != nic.OpSend {
@@ -246,15 +288,15 @@ func (q *TargetQueue) onCapsule(ev nic.RecvEvent) {
 	switch {
 	case cmd.Op != CmdRead && cmd.Op != CmdWrite && cmd.Op != CmdFlush:
 		q.tgt.counters.BadCapsules++
-		q.complete(Completion{Status: StatusInvalidField, CID: cmd.CID})
+		q.complete(q.getOp(), Completion{Status: StatusInvalidField, CID: cmd.CID})
 		return
 	case ns == nil:
 		q.tgt.counters.BadCapsules++
-		q.complete(Completion{Status: StatusInvalidField, CID: cmd.CID})
+		q.complete(q.getOp(), Completion{Status: StatusInvalidField, CID: cmd.CID})
 		return
 	case cmd.Op != CmdFlush && (cmd.Length == 0 || cmd.Offset+uint64(cmd.Length) > ns.Size()):
 		q.tgt.counters.BadCapsules++
-		q.complete(Completion{Status: StatusLBARange, CID: cmd.CID})
+		q.complete(q.getOp(), Completion{Status: StatusLBARange, CID: cmd.CID})
 		return
 	}
 	if len(q.inflight) >= q.depth {
@@ -264,7 +306,8 @@ func (q *TargetQueue) onCapsule(ev nic.RecvEvent) {
 	q.tgt.counters.Commands++
 	q.nextWR++
 	wrid := q.nextWR
-	op := &targetOp{cmd: cmd}
+	op := q.getOp()
+	op.cmd = cmd
 	remote := verbs.RemoteBuf{RKey: cmd.RKey, Addr: cmd.RAddr}
 	var postErr error
 	switch cmd.Op {
@@ -276,54 +319,69 @@ func (q *TargetQueue) onCapsule(ev nic.RecvEvent) {
 		// flight — the block-level read serves whichever version was
 		// current when the command was admitted.
 		q.tgt.counters.Reads++
-		op.staging = make([]byte, cmd.Length)
+		op.stage(cmd.Length)
 		copy(op.staging, ns.Bytes()[cmd.Offset:cmd.Offset+uint64(cmd.Length)])
 		postErr = q.qp.PostWrite(wrid, op.staging, remote, int(cmd.Length))
 	case CmdWrite:
 		// Storage write: pull the initiator's buffer into staging; the
-		// namespace copy happens when the Read retires.
+		// namespace copy happens when the Read retires. The landing zone
+		// starts zeroed, as a fresh buffer would: a completion forged
+		// before any data lands commits zeros, not an earlier command's
+		// bytes.
 		q.tgt.counters.Writes++
-		op.staging = make([]byte, cmd.Length)
+		op.stage(cmd.Length)
+		clear(op.staging)
 		postErr = q.qp.PostRead(wrid, op.staging, remote, int(cmd.Length))
 	case CmdFlush:
 		// No data phase: complete immediately.
-		q.complete(Completion{Status: StatusOK, CID: cmd.CID})
+		q.complete(op, Completion{Status: StatusOK, CID: cmd.CID})
 		return
 	}
 	if postErr != nil {
 		q.Errors++
+		q.putOp(op)
 		return
 	}
 	q.inflight[wrid] = op
 }
 
 // onCompletion retires one backend verb: the data phase of an in-flight
-// command, or the SEND of a completion capsule (not tracked).
+// command, or the SEND of a completion capsule, whose op is then free.
 func (q *TargetQueue) onCompletion(c nic.Completion) {
 	op, ok := q.inflight[c.WRID]
 	if !ok {
 		if c.Status != nic.StatusOK {
 			q.Errors++
 		}
+		if op, ok := q.sending[c.WRID]; ok {
+			delete(q.sending, c.WRID)
+			q.putOp(op)
+		}
 		return
 	}
 	delete(q.inflight, c.WRID)
 	if c.Status != nic.StatusOK {
 		q.Errors++
+		q.putOp(op)
 		return
 	}
 	if op.cmd.Op == CmdWrite {
 		ns := q.tgt.Namespace(op.cmd.NSID)
 		copy(ns.Bytes()[op.cmd.Offset:], op.staging)
 	}
-	q.complete(Completion{Status: StatusOK, CID: op.cmd.CID})
+	q.complete(op, Completion{Status: StatusOK, CID: op.cmd.CID})
 }
 
-func (q *TargetQueue) complete(c Completion) {
+// complete sends c from op's capsule; op is free again at the SEND's CQE.
+func (q *TargetQueue) complete(op *targetOp, c Completion) {
 	q.nextWR++
-	if err := q.qp.PostSend(q.nextWR, c.marshal()); err != nil {
+	c.put(op.capsule[:])
+	if err := q.qp.PostSend(q.nextWR, op.capsule[:]); err != nil {
 		q.Errors++
+		q.putOp(op)
+		return
 	}
+	q.sending[q.nextWR] = op
 }
 
 // ---------------------------------------------------------------------------
@@ -380,10 +438,13 @@ type Initiator struct {
 	qp     *verbs.QP
 	cq     *verbs.CQ
 	dataMR *verbs.MR
+	slot   int // bytes per CID slot: the largest block size
 	nsSize uint64
 	nsSalt uint32
 
-	pending  map[uint16]*pendingCmd
+	// pending[cid] is the command issued under cid and the buffer its
+	// capsule is sent from.
+	pending  []pendingCmd
 	freeCIDs []uint16
 	stats    InitiatorStats
 	lats     []float64 // completion latencies, microseconds
@@ -393,8 +454,15 @@ type Initiator struct {
 
 type pendingCmd struct {
 	cmd    Command
-	slot   int
 	issued sim.Time
+	live   bool // awaiting its completion capsule
+	// capsule is the buffer the CID's command capsules are sent from, and
+	// sending counts those capsule SENDs without a CQE yet. A CID is free
+	// again at its completion capsule, which can beat the CQE of its own
+	// SEND when that SEND's ACK is lost; its retransmission then still
+	// reads the buffer.
+	capsule *[CapsuleSize]byte
+	sending int
 }
 
 // hugePage matches the lab's Grain-III/IV MR configuration.
@@ -417,28 +485,28 @@ func NewInitiator(ctx *verbs.Context, tq *TargetQueue, cfg WorkloadConfig) (*Ini
 	ini := &Initiator{
 		ctx: ctx, eng: ctx.Engine(), cfg: cfg,
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
+		slot:    slices.Max(cfg.BlockSizes),
 		nsSize:  ns.Size(),
 		nsSalt:  cfg.NSID,
-		pending: map[uint16]*pendingCmd{},
+		pending: make([]pendingCmd, cfg.QueueDepth),
 	}
-	maxBlock := 0
-	for _, s := range cfg.BlockSizes {
-		if s > maxBlock {
-			maxBlock = s
-		}
+	capsules := make([][CapsuleSize]byte, cfg.QueueDepth)
+	for cid := range ini.pending {
+		ini.pending[cid].capsule = &capsules[cid]
 	}
 	pd := ctx.AllocPD()
-	mr, err := pd.RegMR(uint64(cfg.QueueDepth*maxBlock), hugePage,
-		verbs.AccessRemoteRead|verbs.AccessRemoteWrite)
+	size := uint64(cfg.QueueDepth * ini.slot)
+	mr, err := pd.RegMR(size, hugePage, verbs.AccessRemoteRead|verbs.AccessRemoteWrite)
 	if err != nil {
 		return nil, err
 	}
 	ini.dataMR = mr
-	// Host memory is backed on first touch. Every command writes this
-	// buffer, so back it here, at set-up, not inside the first command.
-	mr.Bytes()
+	// Host memory is backed lazily. Every command touches its slot, so back
+	// the slots here, at set-up, not inside the first command — and only
+	// them, not the rest of the huge page.
+	mr.Span(0, size)
 	ini.cq = ctx.CreateCQ(0)
-	ini.cq.Notify = func(nic.Completion) {} // capsule SENDs need no tracking
+	ini.cq.Notify = func(c nic.Completion) { ini.pending[uint16(c.WRID)].sending-- }
 	qp, err := ctx.CreateQP(pd, ini.cq, verbs.QPCap{MaxSendWR: 2 * cfg.QueueDepth})
 	if err != nil {
 		return nil, err
@@ -504,35 +572,32 @@ func (ini *Initiator) issueOne() {
 	if blocks := ini.nsSize / uint64(size); blocks > 0 {
 		offset = uint64(ini.rng.Int63n(int64(blocks))) * uint64(size)
 	}
-	slot := int(cid) * ini.slotBytes()
+	slot := int(cid) * ini.slot
 	if op == CmdWrite {
 		// Stamp the slot with the namespace pattern for that range, so a
 		// later read of the same range still verifies.
-		FillPatternAt(ini.dataMR.Bytes()[slot:slot+size], ini.nsSalt, offset)
+		FillPatternAt(ini.dataMR.Span(uint64(slot), uint64(size)), ini.nsSalt, offset)
 	}
 	cmd := Command{
 		Op: op, CID: cid, NSID: ini.cfg.NSID,
 		Offset: offset, Length: uint32(size),
 		RAddr: ini.dataMR.Addr(uint64(slot)), RKey: ini.dataMR.RKey(),
 	}
-	ini.pending[cid] = &pendingCmd{cmd: cmd, slot: slot, issued: ini.eng.Now()}
-	if err := ini.qp.PostSend(uint64(cid)|1<<32, cmd.Marshal()); err != nil {
+	pc := &ini.pending[cid]
+	if pc.sending > 0 {
+		// An earlier capsule of this CID may still be retransmitted from
+		// the buffer: leave it to that SEND and send from a new one.
+		pc.capsule = new([CapsuleSize]byte)
+	}
+	cmd.put(pc.capsule[:])
+	if err := ini.qp.PostSend(uint64(cid)|1<<32, pc.capsule[:]); err != nil {
 		// SQ full counts as a stall; the CID slot returns to the pool.
-		delete(ini.pending, cid)
 		ini.freeCIDs = append(ini.freeCIDs, cid)
 		ini.stats.Stalls++
 		return
 	}
-}
-
-func (ini *Initiator) slotBytes() int {
-	max := 0
-	for _, s := range ini.cfg.BlockSizes {
-		if s > max {
-			max = s
-		}
-	}
-	return max
+	pc.cmd, pc.issued, pc.live = cmd, ini.eng.Now(), true
+	pc.sending++
 }
 
 // FillPatternAt stamps b with the namespace pattern starting at offset off.
@@ -551,11 +616,11 @@ func (ini *Initiator) onCompletion(ev nic.RecvEvent) {
 	if err != nil {
 		return // not a completion capsule; ignore
 	}
-	pc, ok := ini.pending[comp.CID]
-	if !ok {
+	if int(comp.CID) >= len(ini.pending) || !ini.pending[comp.CID].live {
 		return // duplicate or forged CID
 	}
-	delete(ini.pending, comp.CID)
+	pc := &ini.pending[comp.CID]
+	pc.live = false
 	ini.freeCIDs = append(ini.freeCIDs, comp.CID)
 	ini.stats.Completed++
 	if comp.Status != StatusOK {
@@ -563,7 +628,8 @@ func (ini *Initiator) onCompletion(ev nic.RecvEvent) {
 		return
 	}
 	if pc.cmd.Op == CmdRead {
-		got := ini.dataMR.Bytes()[pc.slot : pc.slot+int(pc.cmd.Length)]
+		slot := int(comp.CID) * ini.slot
+		got := ini.dataMR.Span(uint64(slot), uint64(pc.cmd.Length))
 		if !CheckPattern(got, ini.nsSalt, pc.cmd.Offset) {
 			ini.stats.DataErrors++
 		}
@@ -572,4 +638,4 @@ func (ini *Initiator) onCompletion(ev nic.RecvEvent) {
 }
 
 // Outstanding reports commands issued but not yet completed.
-func (ini *Initiator) Outstanding() int { return len(ini.pending) }
+func (ini *Initiator) Outstanding() int { return ini.cfg.QueueDepth - len(ini.freeCIDs) }

@@ -288,3 +288,37 @@ func TestQueueBound(t *testing.T) {
 		t.Fatalf("shed %d + completed %d != 16", tc.QueueFull, len(rc.comps))
 	}
 }
+
+// TestWarmQueueAllocatesNothing: once the target's free lists and the
+// NICs' pools have grown, the initiator, the target and the datapath under
+// them serve further commands without allocating — capsules, staging
+// buffers, ops and pending records are all reused. The latency record is
+// reset before each batch, so its growth does not count.
+func TestWarmQueueAllocatesNothing(t *testing.T) {
+	c, _, tq := rig(t, 1)
+	ini, err := NewInitiator(c.Clients[0], tq, DefaultWorkload(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ini.Start()
+	c.RunFor(2 * sim.Millisecond)
+	const batch = 100 * sim.Microsecond
+	before := ini.Stats().Completed
+	allocs := testing.AllocsPerRun(20, func() {
+		ini.ResetLatencies()
+		c.RunFor(batch)
+	})
+	served := ini.Stats().Completed - before
+	if served < 20*50 {
+		t.Fatalf("only %d commands served in the measured batches", served)
+	}
+	if allocs != 0 {
+		t.Fatalf("%.2f allocations per %v batch (%.3f per command), want 0",
+			allocs, batch, allocs*21/float64(served))
+	}
+	ini.Stop()
+	c.Run()
+	if st := ini.Stats(); st.ErrStatus > 0 || st.DataErrors > 0 || tq.Errors > 0 {
+		t.Fatalf("stats %+v, target errors %d", st, tq.Errors)
+	}
+}

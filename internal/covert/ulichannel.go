@@ -138,12 +138,13 @@ func (ch *ULIChannel) Transmit(bits bitstream.Bits) (*ULIRun, error) {
 	// take the first observed one.
 	means := make([]float64, len(bits))
 	first := -1
+	var w []float64
 	for k := range bits {
 		from := start.Add(sim.Duration(k) * ch.SymbolTime)
 		to := from.Add(ch.SymbolTime)
-		w := sampler.Window(from.Add(ch.SymbolTime*3/10), to)
+		w = sampler.AppendWindow(w[:0], from.Add(ch.SymbolTime*3/10), to)
 		if len(w) == 0 {
-			w = sampler.Window(from, to)
+			w = sampler.AppendWindow(w, from, to)
 		}
 		switch {
 		case len(w) > 0:

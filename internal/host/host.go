@@ -85,17 +85,24 @@ func (h *Host) Config() Config { return h.cfg }
 // Region is a pinned, physically contiguous allocation. The simulation keeps
 // real backing bytes so application code (B+ tree, database pages) reads and
 // writes true data through the RDMA path. The bytes are backed lazily: Alloc
-// only reserves the range, and the backing appears on the first WriteAt or
-// Bytes call. Until then the region reads as zeros, so a region that is
-// only ever read (a covert channel's MR) never costs its size in host
-// memory or zeroing time. The pinned size is accounted at Alloc either way.
+// only reserves the range, and until something backs it the region reads as
+// zeros, so a region that is only ever read (a covert channel's MR) never
+// costs its size in host memory or zeroing time. The pinned size is
+// accounted at Alloc either way.
+//
+// Span backs a prefix [0, off+n) and nothing past it: a caller that uses the
+// start of a large region (an NVMe-oF initiator's slots in a 2 MiB huge
+// page) pays only for that. Bytes past the backed prefix read as zeros. A
+// WriteAt past the prefix, or Bytes, backs the whole region, after which the
+// backing never moves again. Growing the backing moves it, so a caller takes
+// a Span where it uses the bytes rather than keeping one.
 type Region struct {
 	host  *Host
 	base  uint64 // physical base address
 	size  uint64
 	page  PageSize
 	numa  int
-	data  []byte // nil until backed
+	data  []byte // backing for [0, len(data)): nil, a Span'd prefix or all
 	freed bool
 }
 
@@ -152,19 +159,45 @@ func (r *Region) Page() PageSize { return r.page }
 // NUMA returns the region's NUMA node.
 func (r *Region) NUMA() int { return r.numa }
 
-// Bytes exposes the backing storage for direct host-side access, backing
-// the region first if nothing has yet. A freed region has none: Bytes is
-// nil. Code that will write the region on a timed path should call Bytes
-// when it sets the region up, so the backing is not made mid-run.
-func (r *Region) Bytes() []byte {
-	if r.data == nil && !r.freed {
-		r.data = make([]byte, r.size)
+// back grows the backing to cover at least [0, end), end <= r.size; the
+// bytes already backed move with it. It is a no-op on a freed region.
+func (r *Region) back(end uint64) {
+	if end <= uint64(len(r.data)) || r.freed {
+		return
 	}
+	data := make([]byte, end)
+	copy(data, r.data)
+	r.data = data
+}
+
+// Bytes exposes the backing storage of the whole region for direct
+// host-side access, backing all of it first; from then on the backing never
+// moves. A freed region has none: Bytes is nil. Code that will write the
+// region on a timed path should back it when it sets the region up (Bytes,
+// or Span for the part it uses), so the backing is not made mid-run.
+func (r *Region) Bytes() []byte {
+	r.back(r.size)
 	return r.data
 }
 
-// ReadAt copies len(p) bytes starting at offset into p; an unbacked region
-// reads as zeros. Every access to a freed region fails.
+// Span backs the region up to off+n and returns those n bytes at off,
+// without backing the rest. Once [0, off+n) is backed, Span allocates
+// nothing. The slice aliases the backing only until the backing grows (a
+// Span past the prefix, a WriteAt past it, or Bytes), so take it where the
+// bytes are used. A freed region has no bytes: Span is nil.
+func (r *Region) Span(off, n uint64) []byte {
+	if r.freed {
+		return nil
+	}
+	if off+n > r.size {
+		panic(fmt.Sprintf("host: span [%d,%d) outside region of %d bytes", off, off+n, r.size))
+	}
+	r.back(off + n)
+	return r.data[off : off+n : off+n]
+}
+
+// ReadAt copies len(p) bytes starting at offset into p; bytes past the
+// backing read as zeros. Every access to a freed region fails.
 func (r *Region) ReadAt(offset uint64, p []byte) error {
 	if r.freed {
 		return fmt.Errorf("host: read at %d of a freed region", offset)
@@ -172,24 +205,29 @@ func (r *Region) ReadAt(offset uint64, p []byte) error {
 	if offset+uint64(len(p)) > r.size {
 		return fmt.Errorf("host: read [%d,%d) outside region of %d bytes", offset, offset+uint64(len(p)), r.size)
 	}
-	if r.data == nil {
-		clear(p)
-		return nil
+	n := 0
+	if offset < uint64(len(r.data)) {
+		n = copy(p, r.data[offset:])
 	}
-	copy(p, r.data[offset:])
+	clear(p[n:])
 	return nil
 }
 
-// WriteAt copies p into the region starting at offset, backing the region
-// first if needed. Every access to a freed region fails.
+// WriteAt copies p into the region starting at offset, backing the whole
+// region first if p reaches past the backed prefix. Every access to a freed
+// region fails.
 func (r *Region) WriteAt(offset uint64, p []byte) error {
 	if r.freed {
 		return fmt.Errorf("host: write at %d of a freed region", offset)
 	}
-	if offset+uint64(len(p)) > r.size {
-		return fmt.Errorf("host: write [%d,%d) outside region of %d bytes", offset, offset+uint64(len(p)), r.size)
+	end := offset + uint64(len(p))
+	if end > r.size {
+		return fmt.Errorf("host: write [%d,%d) outside region of %d bytes", offset, end, r.size)
 	}
-	copy(r.Bytes()[offset:], p)
+	if end > uint64(len(r.data)) {
+		r.back(r.size)
+	}
+	copy(r.data[offset:], p)
 	return nil
 }
 

@@ -250,3 +250,45 @@ func TestLazyBacking(t *testing.T) {
 		t.Fatalf("used = %d after freeing everything", h.Used())
 	}
 }
+
+// TestTouchSizedBacking: Span backs exactly the prefix up to the end of
+// the span, and writes inside the prefix are visible through it; bytes past
+// the prefix read as zeros; a WriteAt past the prefix backs the whole
+// region and keeps what was written, after which the backing never moves.
+// Pinned bytes never depend on the backing.
+func TestTouchSizedBacking(t *testing.T) {
+	h := newTestHost()
+	r, err := h.Alloc(1, Page2M, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := uint64(Page2M)
+	span := r.Span(64<<10, 4096)
+	if len(span) != 4096 || len(r.data) != 68<<10 {
+		t.Fatalf("span has %d bytes and backed %d, want 4096 and %d", len(span), len(r.data), 68<<10)
+	}
+	if err := r.WriteAt(64<<10+10, []byte{9}); err != nil || span[10] != 9 || len(r.data) != 68<<10 {
+		t.Fatal("a write inside the prefix is not visible through the span, or grew the backing")
+	}
+	got := make([]byte, 8)
+	if err := r.ReadAt(68<<10-4, got); err != nil || !bytes.Equal(got, make([]byte, 8)) {
+		t.Fatalf("read straddling the prefix = %v, %v; want zeros", got, err)
+	}
+	if err := r.WriteAt(size-1, []byte{7}); err != nil || uint64(len(r.data)) != size {
+		t.Fatalf("write past the prefix backed %d bytes (%v), want all %d", len(r.data), err, size)
+	}
+	b := r.Bytes()
+	if b[size-1] != 7 || b[64<<10+10] != 9 {
+		t.Fatal("backing the whole region lost written bytes")
+	}
+	if err := r.WriteAt(0, []byte{6}); err != nil || &r.Span(0, 1)[0] != &b[0] || b[0] != 6 {
+		t.Fatal("the backing moved after Bytes")
+	}
+	if h.Used() != size {
+		t.Fatalf("used = %d, want the pinned %d", h.Used(), size)
+	}
+	h.Free(r)
+	if r.Span(0, 8) != nil {
+		t.Fatal("a freed region spans bytes")
+	}
+}

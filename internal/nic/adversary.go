@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"github.com/thu-has/ragnar/internal/fabric"
+	"github.com/thu-has/ragnar/internal/wire"
 )
 
 // Adversarial glue between the fabric's injection surface and the NIC wire
@@ -13,8 +14,8 @@ import (
 // helpers to read departing frames and to craft frames a victim NIC will
 // accept. Everything here allocates fresh — forged envelopes never come
 // from a NIC's free list, and messages read out of an envelope get their
-// own copy of the payload, because the NICs reuse envelope buffers once the
-// packet is delivered.
+// own copy of the payload, taken from its frames, because the NICs reuse
+// envelope buffers once the packet is delivered.
 
 // forgedLaunches draws launch ids for frames no requester launched. NIC
 // launch ids carry the NIC's sequence number in their high bits, which is
@@ -25,16 +26,37 @@ func forgedLaunch() uint64 { return forgedLaunches.Add(1) }
 
 // SnoopPacket opens a fabric packet observed on a link and returns a copy of
 // the nic-level message it carries — what a machine-in-the-middle learns from
-// one captured frame: QPNs, PSN, Seq, opcode, rkey. Data is a copy too, so
-// it stays as captured after the NICs reuse the envelope.
+// one captured frame: QPNs, PSN, Seq, opcode, rkey. Data is a copy of the
+// payload the frames carry, the bytes an on-path observer sees, so it stays
+// as captured after the NICs reuse the envelope.
 func SnoopPacket(p fabric.Packet) (Message, bool) {
 	env, ok := p.Payload.(*envelope)
 	if !ok {
 		return Message{}, false
 	}
+	return env.observed(), true
+}
+
+// observed returns a copy of the envelope's message whose Data is a copy of
+// the payload its frames carry; a forged envelope has no frames, and its
+// message's own Data is copied instead.
+func (env *envelope) observed() Message {
 	m := env.msg
-	m.Data = slices.Clone(m.Data)
-	return m, true
+	if m.Data == nil || len(env.frames) == 0 {
+		m.Data = slices.Clone(m.Data)
+		return m
+	}
+	var pkt wire.Packet
+	var hdrs wire.Headers
+	data := make([]byte, 0, len(m.Data))
+	for _, f := range env.frames {
+		if err := wire.ParseInto(f, &pkt, &hdrs); err != nil {
+			panic("nic: unparsable frame in flight: " + err.Error())
+		}
+		data = append(data, pkt.Payload...)
+	}
+	m.Data = data
+	return m
 }
 
 // ForgePacket wraps a forged message as a wire packet deliverable to dst —
@@ -56,15 +78,14 @@ func ForgePacket(dst *NIC, m Message) fabric.Packet {
 }
 
 // ReplayPacket re-wraps an observed packet as a fresh injectable copy (same
-// destination NIC, deep-copied envelope and payload). Injecting the
-// observed packet verbatim would deliver one envelope twice and corrupt the
-// destination's free list; replay attacks must go through this copy.
+// destination NIC, the message with its payload copied out of the frames).
+// Injecting the observed packet verbatim would deliver one envelope twice
+// and corrupt the destination's free list; replay attacks must go through
+// this copy.
 func ReplayPacket(p fabric.Packet) (fabric.Packet, bool) {
 	env, ok := p.Payload.(*envelope)
 	if !ok || env.dst == nil {
 		return fabric.Packet{}, false
 	}
-	m := env.msg
-	m.Data = slices.Clone(m.Data)
-	return ForgePacket(env.dst, m), true
+	return ForgePacket(env.dst, env.observed()), true
 }

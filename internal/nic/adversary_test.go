@@ -391,10 +391,12 @@ func (c *captureTap) Observe(_ sim.Time, p fabric.Packet) {
 	}
 }
 
-// TestSnoopAndReplayCopyPayload: a READ response's payload lives in a
-// buffer the NICs hand on to later READs, so what SnoopPacket and
-// ReplayPacket return must own its bytes. After many more READs of other
-// data have reused every envelope, both still hold the captured payload.
+// TestSnoopAndReplayCopyPayload: a READ response's payload travels in its
+// envelope's frames, which the NICs reuse for later messages, and the
+// responder's read buffer is reused by the next READ, so what SnoopPacket
+// and ReplayPacket return must own its bytes. After many more READs of
+// other data have reused every envelope, both still hold the captured
+// payload.
 func TestSnoopAndReplayCopyPayload(t *testing.T) {
 	eng, a, b, _, ba := linkedRig(t, CX5, 0)
 	var comps []Completion

@@ -1,8 +1,8 @@
 package nic
 
 import (
-	"bytes"
 	"fmt"
+	"slices"
 
 	"github.com/thu-has/ragnar/internal/wire"
 )
@@ -40,28 +40,29 @@ func opcodeToWire(m *Message) (byte, error) {
 // allocates nothing.
 type frameBuf struct {
 	buf    []byte
-	ends   []int // end offset of each segment in buf, while encoding
 	frames [][]byte
 }
 
 // reset empties the buffer for reuse, keeping its capacity.
 func (f *frameBuf) reset() {
-	f.buf, f.ends, f.frames = f.buf[:0], f.ends[:0], f.frames[:0]
+	f.buf, f.frames = f.buf[:0], f.frames[:0]
+}
+
+// carriesPayload reports whether m's frames carry its Data: WRITE and SEND
+// requests and READ responses.
+func carriesPayload(m *Message) bool {
+	return !m.IsResp && (m.Op == OpWrite || m.Op == OpSend) || m.IsResp && m.Op == OpRead
 }
 
 // encode replaces f's contents with the full RoCEv2 transport encoding of a
 // message, segmenting payloads larger than the MTU into FIRST/MIDDLE/LAST
 // packets exactly as the RC transport does (PSNs increment per segment).
+// The payload is read from m.Data now, and buf grows at most once per
+// message.
 func (f *frameBuf) encode(m *Message, mtu int) error {
 	f.reset()
-	payloadCarrier := !m.IsResp && (m.Op == OpWrite || m.Op == OpSend) ||
-		m.IsResp && m.Op == OpRead
-	if !payloadCarrier || len(m.Data) <= mtu {
-		if err := f.appendFrame(m); err != nil {
-			return err
-		}
-		f.slice()
-		return nil
+	if !carriesPayload(m) || len(m.Data) <= mtu {
+		return f.appendFrame(m) // AppendTo grows buf at most once
 	}
 
 	var firstOp, midOp, lastOp byte
@@ -73,13 +74,14 @@ func (f *frameBuf) encode(m *Message, mtu int) error {
 	default: // send
 		firstOp, midOp, lastOp = wire.OpSendFirst, wire.OpSendMiddle, wire.OpSendLast
 	}
+	// Size buf for every segment at once: each carries at most a RETH
+	// besides its BTH, pad and ICRC.
+	segs := (len(m.Data) + mtu - 1) / mtu
+	f.buf = slices.Grow(f.buf, len(m.Data)+segs*(wire.BTHBytes+wire.RETHBytes+3+wire.ICRCBytes))
 
 	psn := m.PSN & 0xffffff
 	for off := 0; off < len(m.Data); off += mtu {
-		end := off + mtu
-		if end > len(m.Data) {
-			end = len(m.Data)
-		}
+		end := min(off+mtu, len(m.Data))
 		p := wire.Packet{
 			BTH: wire.BTH{
 				DestQP: m.DstQPN & 0xffffff,
@@ -115,28 +117,21 @@ func (f *frameBuf) encode(m *Message, mtu int) error {
 		}
 		psn = (psn + 1) & 0xffffff
 	}
-	f.slice()
 	return nil
 }
 
-// append encodes one packet onto buf and records where it ends.
+// append encodes one packet onto buf and slices it off as the next frame.
+// encode sizes buf for the whole message, so buf does not move between
+// segments; if it did, earlier frames would keep the old array, whose
+// bytes the move leaves as they were.
 func (f *frameBuf) append(p *wire.Packet) error {
+	start := len(f.buf)
 	var err error
 	if f.buf, err = p.AppendTo(f.buf); err != nil {
 		return err
 	}
-	f.ends = append(f.ends, len(f.buf))
+	f.frames = append(f.frames, f.buf[start:len(f.buf):len(f.buf)])
 	return nil
-}
-
-// slice cuts buf into frames once every segment is encoded; buf may have
-// moved while it grew, so the slices are taken only now.
-func (f *frameBuf) slice() {
-	start := 0
-	for _, end := range f.ends {
-		f.frames = append(f.frames, f.buf[start:end:end])
-		start = end
-	}
 }
 
 // appendFrame encodes a single-packet message. The PSN carries the QP's
@@ -176,7 +171,7 @@ func (f *frameBuf) appendFrame(m *Message) error {
 		atomic = wire.AtomicETH{VA: m.RemoteAddr, RKey: m.RKey, SwapAdd: m.CompareAdd}
 		p.Atomic = &atomic
 	}
-	if !m.IsResp && (m.Op == OpWrite || m.Op == OpSend) || m.IsResp && m.Op == OpRead {
+	if carriesPayload(m) {
 		p.Payload = m.Data
 	}
 	return f.append(&p)
@@ -202,19 +197,26 @@ func aethSyndrome(s Status) byte {
 type frameCheck struct {
 	pkt  wire.Packet
 	hdrs wire.Headers
+	// segs holds each verified segment's payload: views into the frames,
+	// valid until their envelope is recycled. segArr backs it up to four
+	// segments (16 KiB at a 4 KiB MTU), so a new NIC does not allocate it.
+	segs   [][]byte
+	segArr [4][]byte
 }
 
 // verify parses the encoded segments and checks them against the message
 // the simulator routed alongside them — a datapath self-check that the
-// simulated traffic and its wire encoding never diverge. Every segment's
-// ICRC is checked by the parse; each payload is compared in place against
-// its stretch of the message's data.
+// simulated traffic and its wire encoding never diverge: every segment's
+// ICRC (checked by the parse), the opcode, the destination QP, the RETH and
+// the total payload length. It records each segment's payload in c.segs;
+// the frames, not m.Data, are the payload the receiver copies.
 func (c *frameCheck) verify(raws [][]byte, m *Message) error {
 	if len(raws) == 0 {
 		return fmt.Errorf("nic: message carried no frames")
 	}
 	p := &c.pkt
-	total, diff := 0, -1
+	c.segs = c.segs[:0]
+	total := 0
 	for i, raw := range raws {
 		if err := wire.ParseInto(raw, p, &c.hdrs); err != nil {
 			return err
@@ -237,23 +239,13 @@ func (c *frameCheck) verify(raws [][]byte, m *Message) error {
 					p.Reth, m.RemoteAddr, m.RKey, m.Length)
 			}
 		}
-		// The length check below outranks a content mismatch, so the first
-		// differing byte is only recorded here.
-		if seg := p.Payload; diff < 0 && !bytes.HasPrefix(m.Data[min(total, len(m.Data)):], seg) {
-			for j, b := range seg {
-				if k := total + j; k >= len(m.Data) || b != m.Data[k] {
-					diff = k
-					break
-				}
-			}
+		if len(p.Payload) > 0 {
+			c.segs = append(c.segs, p.Payload)
 		}
 		total += len(p.Payload)
 	}
 	if total != len(m.Data) {
 		return fmt.Errorf("nic: frames carry %d payload bytes, message %d", total, len(m.Data))
-	}
-	if diff >= 0 {
-		return fmt.Errorf("nic: reassembled payload differs at byte %d", diff)
 	}
 	return nil
 }

@@ -83,6 +83,13 @@ func (s Status) String() string {
 // Message is the unit exchanged between NICs over the fabric. A request
 // carries the operation; a response carries the matching Seq with IsResp
 // set. The NIC passes messages by value: every holder keeps its own copy.
+//
+// Data is the payload of a WRITE or SEND request or a READ response. The
+// sending NIC reads it once per transmission, when it encodes the message's
+// frames; from then on the frames are the only copy on the wire, and the
+// receiver copies the payload out of them into a buffer of its own. Data
+// still travels with the message for its length and its nil-ness, but its
+// bytes may have been reused by the time the message arrives.
 type Message struct {
 	Op         Opcode
 	SrcQPN     uint32
@@ -155,9 +162,11 @@ type Completion struct {
 // RecvEvent is delivered when an inbound SEND lands in a posted receive
 // buffer or an inbound WRITE completes (for apps that watch memory).
 type RecvEvent struct {
-	QPN    uint32
-	Op     Opcode
-	Bytes  int
+	QPN   uint32
+	Op    Opcode
+	Bytes int
+	// Data is a SEND's payload. The NIC reuses its buffer once the callback
+	// returns, so a receiver that keeps the bytes copies them.
 	Data   []byte
 	SrcQPN uint32
 }
@@ -502,11 +511,16 @@ type NIC struct {
 	pendFree []*pending
 	opFree   []*respOp
 	envFree  []*envelope
+	// payFree holds the payload buffers responder operations copy WRITE
+	// and SEND payloads into; an operation takes one only while it carries
+	// a payload. payArr backs the list's first four entries, so a new NIC
+	// does not allocate it.
+	payFree [][]byte
+	payArr  [4][]byte
 
-	// rbuf is the buffer the responder reads READ payloads into. respond
-	// hands it to the response's envelope and keeps the envelope's old
-	// buffer, so payload buffers circulate between this buffer, envelopes
-	// and pending WQEs instead of being allocated per READ.
+	// rbuf is the buffer the responder reads READ payloads into. The
+	// response's frames are encoded from it inside respond, so it is free
+	// again when respond returns.
 	rbuf []byte
 
 	// rxCheck is the parse state Deliver verifies arriving frames with.
@@ -535,6 +549,8 @@ func New(eng *sim.Engine, name string, p Profile, h *host.Host, numa int) *NIC {
 		RetryTimeout: 4 * sim.Millisecond,
 		RetryLimit:   7,
 	}
+	n.rxCheck.segs = n.rxCheck.segArr[:0]
+	n.payFree = n.payArr[:0]
 	n.ip = [4]byte{10, 0, byte(seq >> 8), byte(seq)}
 	n.launchBase = uint64(seq) << 40
 	// The DMA engine holds several outstanding tags; the TPU is a single
@@ -894,9 +910,11 @@ const pfcXOFF = 32
 // transmit serialises a copy of m through the egress arbiter onto the
 // wire. ring 0 is the requester (Tx arbiter), ring 1 the responder (Rx
 // arbiter); strict priority between them is Key Finding 3. The envelope
-// that will carry the copy is the arbiter request (see envelope.granted);
-// transmit returns it so respond can hand it the payload buffer.
-func (n *NIC) transmit(dst *NIC, m *Message, ring int) *envelope {
+// that will carry the copy is the arbiter request (see envelope.granted).
+// The message's frames are encoded here, reading the payload as the launch
+// DMA does, so a retransmission reads the poster's buffer again and the
+// buffer is never read once its WQE has completed.
+func (n *NIC) transmit(dst *NIC, m *Message, ring int) {
 	bytes := n.wireBytes(m)
 	flow := flowLabel(m.SrcQPN, m.DstQPN)
 	link := n.links[dst]
@@ -914,8 +932,12 @@ func (n *NIC) transmit(dst *NIC, m *Message, ring int) *envelope {
 	env := n.getEnv()
 	env.src, env.dst, env.msg, env.link = n, dst, *m, link
 	env.bytes, env.flow, env.ring = bytes, flow, ring
+	// Every message goes out in its real RoCEv2 transport encoding, parsed
+	// and verified again on ingress.
+	if err := env.encode(m, n.prof.MTU); err != nil {
+		panic(fmt.Sprintf("nic %s: frame encode: %v", n.Name, err))
+	}
 	n.egress.SubmitMeta(service, sim.ReqMeta{Class: ring, Tenant: n.tenantOf(m.SrcQPN), Bytes: bytes}, env.fire)
-	return env
 }
 
 // flowLabel derives the packet flow label from the QP pair. Requests and
@@ -929,9 +951,9 @@ func flowLabel(srcQPN, dstQPN uint32) uint32 {
 
 // Deliver is installed as the fabric sink: it dispatches an arriving packet
 // to its destination NIC's ingress pipeline and then recycles the envelope;
-// everything that must outlive the packet has been copied out, or its
-// payload buffer taken, by then. Envelopes lost in flight with their packet
-// are simply collected by the GC.
+// everything that must outlive the packet, the payload included, has been
+// copied out of its frames by then. Envelopes lost in flight with their
+// packet are simply collected by the GC.
 func Deliver(p fabric.Packet) {
 	env, ok := p.Payload.(*envelope)
 	if !ok {
@@ -948,46 +970,67 @@ func Deliver(p fabric.Packet) {
 			Actor: dst.rxActor, TC: int8(p.TC & 7), Val: uint64(p.Bytes)})
 		return
 	}
+	chk := &dst.rxCheck
 	if len(env.frames) > 0 {
-		// Wire fidelity: the frames must decode back to exactly the message
-		// being delivered.
-		if err := dst.rxCheck.verify(env.frames, m); err != nil {
+		// Wire fidelity: the frames must decode back to the message being
+		// delivered; their payload segments are what the receiver copies.
+		if err := chk.verify(env.frames, m); err != nil {
 			panic("nic: wire/simulation divergence: " + err.Error())
 		}
+	} else {
+		// A forged envelope carries no frames: its payload is its message's.
+		chk.segs = append(chk.segs[:0], m.Data)
 	}
-	dst.ingress(m, env)
+	dst.ingress(m, chk.segs)
 	dst.putEnv(env)
 }
 
 // HandleIngress processes one arriving message (request or response) as if
-// the wire had delivered it. The NIC copies what it keeps; a request
-// without a launch id is a fresh launch, like a forged frame.
+// the wire had delivered it. The NIC copies what it keeps, the payload
+// from m.Data; a request without a launch id is a fresh launch, like a
+// forged frame.
 func (n *NIC) HandleIngress(m *Message) {
 	msg := *m
 	if msg.launch == 0 {
 		msg.launch = forgedLaunch()
 	}
-	n.ingress(&msg, nil)
+	n.ingress(&msg, [][]byte{msg.Data})
 }
 
-// ingress processes one arriving message. env is the envelope that carried
-// it, or nil when none did.
-func (n *NIC) ingress(m *Message, env *envelope) {
+// ingress processes one arriving message. segs holds its payload, in order:
+// views into the frames that carried it, or m.Data for a message that came
+// without frames.
+func (n *NIC) ingress(m *Message, segs [][]byte) {
 	n.counters.RxBytes += uint64(n.wireBytes(m))
 	n.counters.RxBytesTC[m.TC&7] += uint64(n.wireBytes(m))
 	n.rec.Emit(trace.Event{At: int64(n.eng.Now()), Kind: trace.KindRxPkt,
 		Actor: n.rxActor, QPN: m.DstQPN, PSN: m.PSN, TC: int8(m.TC & 7),
 		Val: uint64(n.wireBytes(m))})
 	if m.IsResp {
-		n.handleResponse(m, env)
+		n.handleResponse(m, segs)
 		return
 	}
-	n.handleRequest(m)
+	n.handleRequest(m, segs)
+}
+
+// gather copies a message's payload segments into buf, resized to the
+// payload, and returns it: nil when the message carries no payload.
+func gather(buf []byte, m *Message, segs [][]byte) []byte {
+	if m.Data == nil {
+		return nil
+	}
+	buf = fit(buf, len(m.Data))
+	off := 0
+	for _, s := range segs {
+		off += copy(buf[off:], s)
+	}
+	return buf
 }
 
 // handleRequest accepts an inbound request and starts its execution (see
-// respOp in pipeline.go).
-func (n *NIC) handleRequest(m *Message) {
+// respOp in pipeline.go). An executing WRITE or SEND copies its payload out
+// of segs into a buffer the operation holds until it ends.
+func (n *NIC) handleRequest(m *Message, segs [][]byte) {
 	n.counters.RxMsgs[m.Op]++
 	if n.rxPU.QueueLen()+n.tpuSrv.QueueLen() >= pfcXOFF {
 		// Receive backlog beyond the XOFF threshold: a lossless fabric
@@ -1050,6 +1093,9 @@ func (n *NIC) handleRequest(m *Message) {
 	}
 	op := n.getOp(m, rEnter)
 	op.gate, op.ticket = gate, ticket
+	if m.Data != nil {
+		op.m.Data = gather(n.getPayload(), m, segs)
+	}
 	// Encryption profiles decrypt/authenticate the inbound payload on the
 	// responder PU (for READs this is the outbound data being enciphered).
 	op.service = n.prof.RxPUTime*sim.Duration(pkts) + n.encCharge(m.Length)
@@ -1069,8 +1115,8 @@ func (n *NIC) handleRequest(m *Message) {
 }
 
 // respond sends a response back through the responder ring (class 1).
-// data, when not nil, is the READ payload in n.rbuf: the response's
-// envelope takes that buffer over.
+// data, when not nil, is the READ payload; transmit encodes it into the
+// response's frames before respond returns.
 func (n *NIC) respond(req *Message, st Status, data []byte, atomicOrig uint64) {
 	// Release the tenant's ISO credit first, before the unroutable-request
 	// early return below: every admitted request reaches respond() exactly
@@ -1101,11 +1147,7 @@ func (n *NIC) respond(req *Message, st Status, data []byte, atomicOrig uint64) {
 		// reverse path; drop (matches RC behaviour of unroutable packets).
 		return
 	}
-	env := n.transmit(qp.peer, &resp, 1)
-	if data != nil {
-		env.payload, n.rbuf = n.rbuf, env.payload
-		env.owns = true
-	}
+	n.transmit(qp.peer, &resp, 1)
 }
 
 // fit returns buf resized to n bytes, reallocated when its capacity is
@@ -1119,10 +1161,9 @@ func fit(buf []byte, n int) []byte {
 }
 
 // handleResponse finishes the pending WQE on the requester. The pending
-// keeps the status, the result and the payload; the payload buffer is
-// taken from env when env owns it, and copied otherwise (a forged
-// response, or one handed to HandleIngress).
-func (n *NIC) handleResponse(m *Message, env *envelope) {
+// keeps the status, the result and, for a READ that lands (in LocalData or
+// a LocalKey MR), a copy of the payload segments in its own buffer.
+func (n *NIC) handleResponse(m *Message, segs [][]byte) {
 	p := n.pend[m.Seq]
 	if p == nil {
 		// A response for an already-completed WQE: the original and a
@@ -1159,15 +1200,8 @@ func (n *NIC) handleResponse(m *Message, env *envelope) {
 		n.armRetransmit(qp)
 	}
 	p.qp, p.st, p.result = qp, m.Status, m.CompareAdd
-	switch {
-	case m.Data == nil:
-	case env != nil && env.owns:
-		p.buf, env.payload = env.payload, p.buf
-		env.owns = false
-		p.data = p.buf[:len(m.Data)]
-	default:
-		p.buf = fit(p.buf, len(m.Data))
-		copy(p.buf, m.Data)
+	if w := &p.wqe; w.Op == OpRead && (w.LocalData != nil || w.LocalKey != 0) && m.Data != nil {
+		p.buf = gather(p.buf, m, segs)
 		p.data = p.buf
 	}
 	// Encryption profiles decrypt an inbound READ payload on the requester's

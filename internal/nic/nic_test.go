@@ -1,6 +1,7 @@
 package nic
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/thu-has/ragnar/internal/host"
@@ -334,6 +335,16 @@ func TestVerifySegmentsRejectsTampering(t *testing.T) {
 		Length: 4, Data: []byte("1234"), Seq: 1}
 	if err := fc.verify(fb.frames, short); err == nil {
 		t.Fatal("length mismatch not caught")
+	}
+	// The payload is not compared with m.Data, which may legally hold new
+	// bytes by delivery time; a byte flipped inside the frame is caught by
+	// the ICRC.
+	if err := fc.verify(fb.frames, m); err != nil {
+		t.Fatal(err)
+	}
+	fb.frames[0][wire.BTHBytes+wire.RETHBytes+2] ^= 0x40
+	if err := fc.verify(fb.frames, m); err == nil || !strings.Contains(err.Error(), "ICRC") {
+		t.Fatalf("payload byte flipped in the frame: %v, want an ICRC mismatch", err)
 	}
 }
 

@@ -1,8 +1,6 @@
 package nic
 
 import (
-	"fmt"
-
 	"github.com/thu-has/ragnar/internal/fabric"
 	"github.com/thu-has/ragnar/internal/host"
 	"github.com/thu-has/ragnar/internal/sim"
@@ -30,20 +28,24 @@ import (
 //     → QPC/extra delay → TPU → DMA + PCIe latency → placement gate →
 //     respond. A retransmitted READ can execute while the original still
 //     is, so each execution works on its own copy of the request;
-//   - envelope, on egress: the arbiter grant, the wire encoding and the
-//     hand-off to the link; it then travels as the fabric payload and the
-//     receiver recycles it after checking its frames.
+//   - envelope, on egress: the message's frames, encoded when it is
+//     transmitted, then the arbiter grant and the hand-off to the link; it
+//     travels as the fabric payload and the receiver recycles it after
+//     checking its frames.
 //
 // Ownership. Messages are values, so nothing is shared between the stages
 // of a WQE or between the NICs of a rig: pending keeps its request for
 // go-back-N, each envelope carries a copy, each respOp copies the request
 // it executes, and responses are built on the stack and copied into their
 // envelope. Request frames need no release rule, and a forged ACK arriving
-// while the request still executes cannot disturb it. The one buffer that
-// moves instead of being copied is a READ payload: the responder reads it
-// into its rbuf, respond swaps that buffer into the response's envelope,
-// and handleResponse swaps it into the pending WQE, each side keeping the
-// buffer it gave up in exchange.
+// while the request still executes cannot disturb it. A payload is copied,
+// never handed on: transmit encodes it into the envelope's frames, which
+// are its only copy on the wire, and the receiver copies it out of the
+// frames it verified — a WRITE or SEND into a payload buffer its respOp
+// takes from the NIC's list, a READ response into the pending WQE's own
+// buffer when the READ lands somewhere. No in-flight copy points into a
+// poster's buffer, so the buffer is the poster's again at its CQE, and the
+// responder's rbuf is free again as soon as respond has encoded it.
 //
 // A fire that completes an operation recycles it as its last step, after
 // every callback it makes (a completion, a placement, a response) has
@@ -259,6 +261,9 @@ type respOp struct {
 	fire    func()
 }
 
+// getOp returns an operation executing a copy of m from stage. The copy
+// carries no payload: m.Data is not the receiver's to keep, so an
+// operation that needs the payload copies it in itself (handleRequest).
 func (n *NIC) getOp(m *Message, stage uint8) *respOp {
 	var op *respOp
 	if k := len(n.opFree) - 1; k >= 0 {
@@ -269,12 +274,30 @@ func (n *NIC) getOp(m *Message, stage uint8) *respOp {
 		op.fire = op.advance
 	}
 	op.m, op.stage = *m, stage
+	op.m.Data = nil
 	return op
 }
 
+// putOp recycles an operation and returns its payload buffer, if it held
+// one, to the NIC's list.
 func (n *NIC) putOp(op *respOp) {
+	if op.m.Data != nil {
+		n.payFree = append(n.payFree, op.m.Data)
+	}
 	*op = respOp{n: op.n, fire: op.fire}
 	n.opFree = append(n.opFree, op)
+}
+
+// getPayload takes a payload buffer from the NIC's list; nil when the list
+// is empty, and gather then allocates one.
+func (n *NIC) getPayload() []byte {
+	k := len(n.payFree) - 1
+	if k < 0 {
+		return nil
+	}
+	b := n.payFree[k]
+	n.payFree = n.payFree[:k]
+	return b
 }
 
 // dma runs a host-memory DMA against reg, then passes the placement gate
@@ -490,11 +513,11 @@ func (n *NIC) execEffect(op *respOp) {
 }
 
 // envelope routes a fabric packet to the destination NIC. On egress it is
-// also the arbiter request: transmit fills in what the grant needs and
-// submits fire. When wire fidelity is on it carries the message's real
-// RoCEv2 encoding, which the receiver parses and cross-checks before it
-// recycles the envelope, frame and payload buffers included, onto its own
-// free list.
+// also the arbiter request: transmit fills in what the grant needs, encodes
+// the message's real RoCEv2 frames and submits fire. The receiver parses
+// and cross-checks the frames, copies the payload out of them, and
+// recycles the envelope, frame buffers included, onto its own free list.
+// A forged envelope (ForgePacket) has no frames.
 type envelope struct {
 	src   *NIC // transmitting NIC
 	dst   *NIC
@@ -504,11 +527,7 @@ type envelope struct {
 	flow  uint32
 	ring  int
 	frameBuf
-	// payload is a buffer the envelope owns. When owns is set, msg.Data
-	// is payload and the receiver may take the buffer instead of copying.
-	payload []byte
-	owns    bool
-	fire    func()
+	fire func()
 }
 
 func (n *NIC) getEnv() *envelope {
@@ -527,17 +546,17 @@ func (n *NIC) getEnv() *envelope {
 // here.
 func (n *NIC) putEnv(env *envelope) {
 	env.reset()
-	fb, payload, fire := env.frameBuf, env.payload, env.fire
+	fb, fire := env.frameBuf, env.fire
 	if fire == nil {
 		fire = env.granted
 	}
-	*env = envelope{frameBuf: fb, payload: payload, fire: fire}
+	*env = envelope{frameBuf: fb, fire: fire}
 	n.envFree = append(n.envFree, env)
 }
 
 // granted runs when the egress arbiter has serialised the envelope's
-// message: it accounts the bytes, encodes the frames and puts the packet on
-// the link.
+// message: it accounts the bytes, shows the frames to the Tap and puts the
+// packet on the link.
 func (env *envelope) granted() {
 	n, dst, m, link := env.src, env.dst, &env.msg, env.link
 	n.counters.TxBytes += uint64(env.bytes)
@@ -549,11 +568,6 @@ func (env *envelope) granted() {
 		// Loopback fallback for single-NIC tests.
 		n.eng.After(sim.Nanosecond, func() { Deliver(fabric.Packet{Payload: env}) })
 		return
-	}
-	// Every message goes out in its real RoCEv2 transport encoding, parsed
-	// and verified again on ingress.
-	if err := env.encode(m, n.prof.MTU); err != nil {
-		panic(fmt.Sprintf("nic %s: frame encode: %v", n.Name, err))
 	}
 	if n.Tap != nil {
 		for _, f := range env.frames {

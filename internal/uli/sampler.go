@@ -1,8 +1,10 @@
 package uli
 
 import (
+	"cmp"
 	"errors"
 	"math"
+	"slices"
 
 	"github.com/thu-has/ragnar/internal/nic"
 	"github.com/thu-has/ragnar/internal/sim"
@@ -34,15 +36,26 @@ type Sampler struct {
 	// (the metrics registry derives sample jitter from the event stream).
 	Rec *trace.Recorder
 
+	// Samples are the recorded observations, in completion-time order.
 	Samples []TimedSample
 
-	running  bool
-	posted   int
-	epoch    uint64
-	lenAt    map[uint64]int
-	offAt    map[uint64]uint64
+	running bool
+	posted  int
+	epoch   uint64
+	// inFlight holds the outstanding probes in post order. Completions
+	// come in that order on a lossless QP, so the lookup finds its probe
+	// at the head; under loss a probe whose response was dropped completes
+	// after its successors, and the scan finds it further on.
+	inFlight []probe
 	err      error
 	recActor uint16
+}
+
+// probe is one outstanding probe: its WRID and what was recorded at post.
+type probe struct {
+	wrid  uint64
+	lenSQ int
+	off   uint64
 }
 
 // Start fills the queue and begins recording. The sampler owns the CQ's
@@ -55,8 +68,7 @@ func (s *Sampler) Start() error {
 		return errors.New("uli: sampler depth must be >= 1")
 	}
 	s.epoch = s.CQ.NextEpoch() << 32
-	s.lenAt = make(map[uint64]int, s.Depth+1)
-	s.offAt = make(map[uint64]uint64, s.Depth+1)
+	s.inFlight = make([]probe, 0, s.Depth+1)
 	s.running = true
 	s.recActor = s.Rec.RegisterActor("uli/sampler")
 	s.CQ.Notify = func(c nic.Completion) {
@@ -68,21 +80,19 @@ func (s *Sampler) Start() error {
 			s.running = false
 			return
 		}
-		lsq := s.lenAt[c.WRID]
-		delete(s.lenAt, c.WRID)
-		if lsq >= s.Depth-1 {
+		pr := s.complete(c.WRID)
+		if pr.lenSQ >= s.Depth-1 {
 			lat := c.DoneTime.Sub(c.PostTime)
-			uliNano := lat.Nanoseconds() / float64(lsq+1)
+			uliNano := lat.Nanoseconds() / float64(pr.lenSQ+1)
 			s.Samples = append(s.Samples, TimedSample{
 				At:      c.DoneTime,
 				ULINano: uliNano,
-				Offset:  s.offAt[c.WRID],
+				Offset:  pr.off,
 			})
 			s.Rec.Emit(trace.Event{At: int64(c.DoneTime), Kind: trace.KindULISample,
 				Actor: s.recActor, Val: math.Float64bits(uliNano),
-				Aux: s.offAt[c.WRID], TC: -1})
+				Aux: pr.off, TC: -1})
 		}
-		delete(s.offAt, c.WRID)
 		if err := s.post(); err != nil && err != verbs.ErrSQFull {
 			s.err = err
 			s.running = false
@@ -105,10 +115,25 @@ func (s *Sampler) post() error {
 		off = s.NextOffset(s.posted)
 	}
 	wrid := s.epoch | uint64(s.posted)
-	s.lenAt[wrid] = s.QP.Outstanding()
-	s.offAt[wrid] = off
+	s.inFlight = append(s.inFlight, probe{wrid: wrid, lenSQ: s.QP.Outstanding(), off: off})
 	s.posted++
-	return s.QP.PostRead(wrid, nil, s.Remote.At(off), s.MsgSize)
+	err := s.QP.PostRead(wrid, nil, s.Remote.At(off), s.MsgSize)
+	if err != nil {
+		s.inFlight = s.inFlight[:len(s.inFlight)-1]
+	}
+	return err
+}
+
+// complete removes the probe with the given WRID from the in-flight list
+// and returns it; an unknown WRID yields the zero probe.
+func (s *Sampler) complete(wrid uint64) probe {
+	for i, pr := range s.inFlight {
+		if pr.wrid == wrid {
+			s.inFlight = append(s.inFlight[:i], s.inFlight[i+1:]...)
+			return pr
+		}
+	}
+	return probe{}
 }
 
 // Stop ceases probing and releases the CQ hook. In-flight probes drain as
@@ -121,13 +146,18 @@ func (s *Sampler) Stop() {
 // Err returns the first probe failure, if any.
 func (s *Sampler) Err() error { return s.err }
 
-// Window returns the ULI values recorded in [from, to).
-func (s *Sampler) Window(from, to sim.Time) []float64 {
-	var out []float64
-	for _, ts := range s.Samples {
-		if ts.At >= from && ts.At < to {
-			out = append(out, ts.ULINano)
+// AppendWindow appends the ULI values recorded in [from, to) to dst and
+// returns the extended slice. Samples are in time order, so the window's
+// start is found by binary search.
+func (s *Sampler) AppendWindow(dst []float64, from, to sim.Time) []float64 {
+	i, _ := slices.BinarySearchFunc(s.Samples, from, func(ts TimedSample, t sim.Time) int {
+		return cmp.Compare(ts.At, t)
+	})
+	for _, ts := range s.Samples[i:] {
+		if ts.At >= to {
+			break
 		}
+		dst = append(dst, ts.ULINano)
 	}
-	return out
+	return dst
 }

@@ -193,3 +193,45 @@ func TestMeasureDrainError(t *testing.T) {
 	}
 	_ = sim.Nanosecond
 }
+
+// TestSamplerBookkeeping: a probe is found by its WRID even when it
+// completes after its successors, as a probe whose response was lost does
+// under loss, and a window is the samples in [from, to), appended to the
+// caller's buffer.
+func TestSamplerBookkeeping(t *testing.T) {
+	s := &Sampler{inFlight: []probe{{wrid: 1, off: 10}, {wrid: 2, lenSQ: 1, off: 20}, {wrid: 3, lenSQ: 2, off: 30}}}
+	if pr := s.complete(2); pr.lenSQ != 1 || pr.off != 20 {
+		t.Fatalf("probe 2 = %+v", pr)
+	}
+	if pr := s.complete(1); pr.lenSQ != 0 || pr.off != 10 {
+		t.Fatalf("probe 1 = %+v", pr)
+	}
+	if pr := s.complete(9); pr != (probe{}) {
+		t.Fatalf("unknown probe = %+v", pr)
+	}
+	if len(s.inFlight) != 1 || s.inFlight[0].wrid != 3 {
+		t.Fatalf("in flight = %+v, want probe 3 alone", s.inFlight)
+	}
+
+	s.Samples = []TimedSample{{At: 10, ULINano: 1}, {At: 20, ULINano: 2}, {At: 20, ULINano: 3}, {At: 30, ULINano: 4}}
+	for _, c := range []struct {
+		from, to sim.Time
+		want     []float64
+	}{
+		{0, 10, nil},
+		{10, 20, []float64{1}},
+		{20, 30, []float64{2, 3}},
+		{11, 31, []float64{2, 3, 4}},
+		{31, 40, nil},
+	} {
+		got := s.AppendWindow([]float64{-1}, c.from, c.to)
+		if len(got) != len(c.want)+1 || got[0] != -1 {
+			t.Fatalf("window [%d,%d) = %v, want -1 then %v", c.from, c.to, got, c.want)
+		}
+		for i, v := range c.want {
+			if got[i+1] != v {
+				t.Fatalf("window [%d,%d) = %v, want -1 then %v", c.from, c.to, got, c.want)
+			}
+		}
+	}
+}

@@ -144,8 +144,14 @@ func (mr *MR) Size() uint64 { return mr.region.Size() }
 // Addr returns the address at the given offset into the MR.
 func (mr *MR) Addr(offset uint64) uint64 { return mr.region.Base() + offset }
 
-// Bytes exposes the backing memory for local access.
+// Bytes exposes the backing memory for local access, backing the whole
+// region (see host.Region).
 func (mr *MR) Bytes() []byte { return mr.region.Bytes() }
+
+// Span backs the MR up to off+n and returns those n bytes for local access,
+// leaving the rest unbacked. The slice aliases the backing only until the
+// backing grows (see host.Region.Span), so take it where the bytes are used.
+func (mr *MR) Span(off, n uint64) []byte { return mr.region.Span(off, n) }
 
 // RemoteBuf names a remote target: rkey plus address, the pair a client
 // learns during connection setup.

@@ -48,9 +48,10 @@ type row struct {
 // 1000x. Composite probes build a whole CX-5 rig per op at seeds 1 and 2
 // (2x), and their allocs/op is not exact at fixed N and seed (pooled
 // buffers go with GC timing), so each ceiling is the count recorded in
-// BENCH_2026-10-17-3.json plus 1 %, rounded up (ClosForward's is from
-// BENCH_2026-10-17-2.json: its count did not move). A change that lowers a
-// count lowers its ceiling the same way.
+// BENCH_2026-10-18.json plus 1 %, rounded up, except RednChain's: its
+// count rose from 524 to 526 there and its ceiling stayed where
+// BENCH_2026-10-17-3.json put it. A change that lowers a count lowers its
+// ceiling the same way; no change raises one.
 var table = []row{
 	{"internal/sim", "BenchmarkEngineScheduleFire", 1000, 0},
 	{"internal/sim", "BenchmarkEngineHotQueue", 1000, 0},
@@ -67,13 +68,13 @@ var table = []row{
 	{"internal/nic", "BenchmarkArbiterPick/strict", 1000, 0},
 	{"internal/nic", "BenchmarkArbiterPick/dwrr", 1000, 0},
 	{"internal/verbs", "BenchmarkCQPollInto", 1000, 0},
-	{"internal/lab", "BenchmarkClosForward", 2, 973},        // 963 recorded
-	{"internal/covert", "BenchmarkChannelInterMR", 2, 1205}, // 1193 recorded
-	{"internal/covert", "BenchmarkChannelIntraMR", 2, 1312}, // 1299 recorded
-	{"internal/appnvmf", "BenchmarkNvmfIO", 2, 3311},        // 3278 recorded
-	{"internal/rednlite", "BenchmarkRednChain", 2, 530},     // 524 recorded
-	{"internal/experiments", "BenchmarkLossGrid", 2, 61304}, // 60697 recorded
-	{"internal/experiments", "BenchmarkDefGrid", 2, 43513},  // 43082 recorded
+	{"internal/lab", "BenchmarkClosForward", 2, 930},        // 920 recorded
+	{"internal/covert", "BenchmarkChannelInterMR", 2, 727},  // 719 recorded
+	{"internal/covert", "BenchmarkChannelIntraMR", 2, 739},  // 731 recorded
+	{"internal/appnvmf", "BenchmarkNvmfIO", 2, 851},         // 842 recorded
+	{"internal/rednlite", "BenchmarkRednChain", 2, 530},     // 526 recorded
+	{"internal/experiments", "BenchmarkLossGrid", 2, 37520}, // 37148 recorded
+	{"internal/experiments", "BenchmarkDefGrid", 2, 37301},  // 36931 recorded
 }
 
 // benchLine matches "BenchmarkName/sub-8  1000  123 ns/op  0 B/op ...";
