@@ -56,6 +56,9 @@ type DB struct {
 	staging []*verbs.MR
 	// stagingFill[w] tracks bytes appended to worker w's staging area.
 	stagingFill []uint64
+	// ops numbers this DB's verbs for their WRIDs, so a run's WRIDs
+	// depend only on its own history.
+	ops uint64
 }
 
 // Worker is one database executor.
@@ -140,11 +143,9 @@ func (w *Worker) rdma(op nic.Opcode, mr *verbs.MR, offset uint64, buf []byte) er
 	return nil
 }
 
-var opSeqCounter uint64
-
 func (db *DB) opSeq() uint64 {
-	opSeqCounter++
-	return opSeqCounter & 0xffffffff
+	db.ops++
+	return db.ops & 0xffffffff
 }
 
 // Shuffle hash-repartitions table so that after the call, worker

@@ -57,6 +57,23 @@ func TestShufflePlacement(t *testing.T) {
 	}
 }
 
+// Two identical shuffles in one process post the same WRIDs and so end
+// with the same completion digest: WRIDs are numbered per DB, not per
+// process.
+func TestShuffleRepeatDigest(t *testing.T) {
+	run := func() uint64 {
+		db := newDB(t, 3)
+		db.LoadTable("t", mkRows(200))
+		if err := db.Shuffle("t"); err != nil {
+			t.Fatal(err)
+		}
+		return db.cluster.CompletionDigest()
+	}
+	if a, b := run(), run(); a != b {
+		t.Fatalf("repeated shuffle digest %016x, first %016x", b, a)
+	}
+}
+
 func TestHashJoinCount(t *testing.T) {
 	db := newDB(t, 2)
 	// left has keys 0..99, right has two copies of each even key:

@@ -131,9 +131,8 @@ func TrainHarmonic(benign []Snapshot) *Harmonic {
 }
 
 // TrainHarmonicVectors fits the baseline from pre-flattened feature vectors.
-// Counter snapshots flatten via features(); the flight recorder's metrics
-// registry contributes latency-distribution features through
-// MetricsFeatures — merge the maps per window to train on both.
+// Counter snapshots flatten via features(); a caller that scores other
+// observables (redn's tenant-side ULI features) builds its own maps.
 func TrainHarmonicVectors(benign []map[string]float64) *Harmonic {
 	acc := map[string][]float64{}
 	for _, vec := range benign {

@@ -209,9 +209,9 @@ func runExhaustCell(p nic.Profile, victims int, in exhaustCellIn, seed int64) (E
 	cfg.Clients = victims + 1 // client 0 is the aggressor
 	c := lab.Star(cfg)
 
-	// Victim-side flight recorder: WQE latency distributions for the
-	// MetricsFeatures view. Attached before any traffic; recording is
-	// passive (traced ≡ untraced is a pinned invariant).
+	// Victim-side flight recorder: the WQE latency histogram behind
+	// WqeP99x. Attached before any traffic; recording is passive
+	// (traced ≡ untraced is a pinned invariant).
 	rec := trace.NewRecorder("exhaust/"+p.Name, trace.DefaultCapacity)
 	for i := 0; i < victims; i++ {
 		c.Clients[i+1].SetRecorder(rec)
@@ -352,10 +352,9 @@ func runExhaustCell(p nic.Profile, victims int, in exhaustCellIn, seed int64) (E
 
 	// Victim WQE p99: attack windows over training windows, from the
 	// flight recorder's latency registry.
-	base := defense.MetricsFeatures(mAtk0.DeltaFrom(&mTrain0))
-	atk := defense.MetricsFeatures(rec.Metrics().DeltaFrom(&mAtk0))
-	if bp := base["wqe_lat/p99"]; bp > 0 {
-		cell.WqeP99x = atk["wqe_lat/p99"] / bp
+	const ns = 1000.0 // histogram durations are picoseconds
+	if bp := float64(mAtk0.DeltaFrom(&mTrain0).WQELatency.Quantile(0.99)) / ns; bp > 0 {
+		cell.WqeP99x = float64(rec.Metrics().DeltaFrom(&mAtk0).WQELatency.Quantile(0.99)) / ns / bp
 	}
 
 	if err := vs.err(); err != nil {

@@ -127,8 +127,8 @@ func TestExhaustDistinguishability(t *testing.T) {
 		}
 	}
 
-	// Victim latency inflation is visible through MetricsFeatures in every
-	// attacked cell.
+	// Victim latency inflation is visible in the flight recorder's WQE
+	// latency histogram in every attacked cell.
 	for _, c := range r.Cells {
 		if c.WqeP99x <= 1 {
 			t.Fatalf("%s cell: victim WQE p99 did not inflate (%.2fx)", c.Regime, c.WqeP99x)

@@ -161,8 +161,6 @@ type Link struct {
 	// the wire. Nil on every benign link — the no-adversary fast path is a
 	// single nil check (benchmark-guarded at 0 allocs/op).
 	adv Adversary
-	// injected counts frames spliced onto the wire by Inject, per TC.
-	injected [NumTCs]uint64
 
 	// Telemetry, per TC.
 	txBytes   [NumTCs]uint64
@@ -449,10 +447,9 @@ func (l *Link) SetAdversary(a Adversary) { l.adv = a }
 // egress. The frame still traverses the propagation leg (or the cross-domain
 // hook), so it arrives propDelay from now, strictly after every frame already
 // in flight: injection can never reorder legitimate traffic, only interleave
-// with it. Injected frames are charged to a separate counter, not the tx
-// telemetry — a real mirror port would not see them leave this NIC.
+// with it. Injected frames are not charged to the tx telemetry — a real
+// mirror port would not see them leave this NIC.
 func (l *Link) Inject(p Packet) {
-	l.injected[p.TC&(NumTCs-1)]++
 	if l.remote != nil {
 		l.remote(l.eng.Now().Add(l.propDelay), p)
 		return
@@ -460,9 +457,6 @@ func (l *Link) Inject(p Packet) {
 	l.propPush(p)
 	l.eng.After(l.propDelay, l.propDone)
 }
-
-// Injected reports frames spliced in by Inject for one TC.
-func (l *Link) Injected(tc int) uint64 { return l.injected[tc&(NumTCs-1)] }
 
 // SetRemote installs (or, with nil, clears) the cross-domain propagation
 // hook. Wiring time only: the hook must deliver the packet to the original
@@ -473,9 +467,6 @@ func (l *Link) SetRemote(fn func(at sim.Time, p Packet)) { l.remote = fn }
 // PropDelay reports the link's propagation delay (the lookahead bound a
 // partitioner may rely on for this link).
 func (l *Link) PropDelay() sim.Duration { return l.propDelay }
-
-// Sink returns the delivery callback the link was wired with.
-func (l *Link) Sink() func(Packet) { return l.sink }
 
 // propPush appends to the propagation ring, rewinding or compacting the
 // backing slice first when the consumed prefix dominates it (same discipline

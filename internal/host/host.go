@@ -100,7 +100,6 @@ type Region struct {
 	host  *Host
 	base  uint64 // physical base address
 	size  uint64
-	page  PageSize
 	numa  int
 	data  []byte // backing for [0, len(data)): nil, a Span'd prefix or all
 	freed bool
@@ -127,7 +126,7 @@ func (h *Host) Alloc(size uint64, page PageSize, numa int) (*Region, error) {
 	base := (h.next + ps - 1) / ps * ps
 	h.next = base + alignedSize
 	h.used += alignedSize
-	r := &Region{host: h, base: base, size: alignedSize, page: page, numa: numa}
+	r := &Region{host: h, base: base, size: alignedSize, numa: numa}
 	// Bases only grow, so appending keeps allocs sorted for Lookup.
 	h.allocs = append(h.allocs, r)
 	return r, nil
@@ -152,9 +151,6 @@ func (r *Region) Base() uint64 { return r.base }
 
 // Size returns the pinned size in bytes.
 func (r *Region) Size() uint64 { return r.size }
-
-// Page returns the page granule backing the region.
-func (r *Region) Page() PageSize { return r.page }
 
 // NUMA returns the region's NUMA node.
 func (r *Region) NUMA() int { return r.numa }

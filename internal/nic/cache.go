@@ -116,9 +116,6 @@ func (c *Cache) Flush() { clear(c.valid) }
 // Stats returns cumulative hits and misses.
 func (c *Cache) Stats() (hits, misses uint64) { return c.hits, c.misses }
 
-// Sets returns the number of sets, Ways the associativity.
-func (c *Cache) Sets() int { return c.sets }
-
 // Ways returns the cache associativity.
 func (c *Cache) Ways() int { return c.ways }
 

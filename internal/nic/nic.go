@@ -301,7 +301,7 @@ type Counters struct {
 	// zero under benign operation — random wire loss produces retransmits,
 	// NAKs and duplicate ACKs, but never a request for a nonexistent QP, a
 	// NAK whose gap head is not outstanding, or a frame at exactly half the
-	// PSN space — which is what lets defense.MetricsFeatures separate
+	// PSN space — which is what lets defense.features separate
 	// protocol abuse from the loss grid's benign degradation.
 	RxBadQP     uint64 // requests addressed to a QPN this NIC never created
 	InvalidNaks uint64 // NAK-seq rejected: gap head not an outstanding PSN
@@ -421,12 +421,6 @@ type NIC struct {
 	numa int // NUMA node the NIC attaches to
 
 	links map[*NIC]*fabric.Link // egress link per peer NIC
-	// multi holds ECMP-style multipath link sets toward a peer (dual-homed
-	// hosts on a Clos fabric). The transmit path hashes the message's flow
-	// label over the set, so one QP pair sticks to one uplink and never
-	// reorders; links[peer] stays populated with the first path as the
-	// degenerate route.
-	multi map[*NIC][]*fabric.Link
 
 	tpu     *TPU
 	tpuSrv  *sim.Server   // the TPU pipeline serialises translations
@@ -675,11 +669,6 @@ func (n *NIC) Counters() *Counters {
 	for _, l := range n.links {
 		count(l)
 	}
-	for _, ls := range n.multi {
-		for _, l := range ls {
-			count(l)
-		}
-	}
 	n.counters.WireDropsTC = drops
 	n.counters.CtxHits, n.counters.CtxMisses, n.counters.CtxEvictions = n.qpc.Stats()
 	_, _, _, n.counters.MTTMisses = n.tpu.Counters()
@@ -690,22 +679,6 @@ func (n *NIC) Counters() *Counters {
 // calls this when wiring a topology. In switched topologies several peers
 // share one physical uplink — the map simply stores the same *Link for each.
 func (n *NIC) AddPeerLink(peer *NIC, l *fabric.Link) { n.links[peer] = l }
-
-// AddPeerLinks attaches an ECMP group of transmit links toward a peer. A
-// single-link group behaves exactly like AddPeerLink; larger groups are
-// hashed per flow at transmit time.
-func (n *NIC) AddPeerLinks(peer *NIC, ls []*fabric.Link) {
-	if len(ls) == 0 {
-		panic(fmt.Sprintf("nic %s: empty multipath group", n.Name))
-	}
-	n.links[peer] = ls[0]
-	if len(ls) > 1 {
-		if n.multi == nil {
-			n.multi = make(map[*NIC][]*fabric.Link)
-		}
-		n.multi[peer] = ls
-	}
-}
 
 // SetAddr installs the NIC's fabric-level address (see the addr field).
 func (n *NIC) SetAddr(a uint32) { n.addr = a }
@@ -918,9 +891,6 @@ func (n *NIC) transmit(dst *NIC, m *Message, ring int) {
 	bytes := n.wireBytes(m)
 	flow := flowLabel(m.SrcQPN, m.DstQPN)
 	link := n.links[dst]
-	if ml := n.multi[dst]; len(ml) > 1 {
-		link = ml[flow%uint32(len(ml))]
-	}
 	ser := sim.Duration(0)
 	if link != nil {
 		ser = link.SerializationDelay(bytes)

@@ -59,7 +59,6 @@ type Profile struct {
 	MTTCacheWays    int
 	MTTMissPenalty  sim.Duration // ICM fetch over PCIe on miss
 	QPCCacheEntries int
-	QPCCacheWays    int
 	QPCMissPenalty  sim.Duration
 	// MPTMissPenalty prices an MR-context (MPT) miss in the shared ICM
 	// context cache, charged on the TPU path. Zero disables MR-context
@@ -133,7 +132,7 @@ var (
 		MRSwitchCost: 55 * sim.Nanosecond,
 		TPUNoiseSig:  5 * sim.Nanosecond, TPUSpike: 120 * sim.Nanosecond, TPUSpikeP: 0.004,
 		MTTCacheEntries: 2048, MTTCacheWays: 4, MTTMissPenalty: 900 * sim.Nanosecond,
-		QPCCacheEntries: 1024, QPCCacheWays: 4, QPCMissPenalty: 800 * sim.Nanosecond,
+		QPCCacheEntries: 1024, QPCMissPenalty: 800 * sim.Nanosecond,
 		ComplexPPS: 5, NoCBoost: 2.3, NoCBoostPPS: 20, NoCSmallMsg: 256,
 		EgressArbTime: 12 * sim.Nanosecond,
 	}
@@ -150,7 +149,7 @@ var (
 		MRSwitchCost: 30 * sim.Nanosecond,
 		TPUNoiseSig:  3 * sim.Nanosecond, TPUSpike: 90 * sim.Nanosecond, TPUSpikeP: 0.004,
 		MTTCacheEntries: 4096, MTTCacheWays: 4, MTTMissPenalty: 800 * sim.Nanosecond,
-		QPCCacheEntries: 2048, QPCCacheWays: 4, QPCMissPenalty: 700 * sim.Nanosecond,
+		QPCCacheEntries: 2048, QPCMissPenalty: 700 * sim.Nanosecond,
 		ComplexPPS: 11, NoCBoost: 2.25, NoCBoostPPS: 45, NoCSmallMsg: 256,
 		EgressArbTime: 8 * sim.Nanosecond,
 	}
@@ -167,7 +166,7 @@ var (
 		MRSwitchCost: 22 * sim.Nanosecond,
 		TPUNoiseSig:  2 * sim.Nanosecond, TPUSpike: 70 * sim.Nanosecond, TPUSpikeP: 0.003,
 		MTTCacheEntries: 8192, MTTCacheWays: 8, MTTMissPenalty: 650 * sim.Nanosecond,
-		QPCCacheEntries: 4096, QPCCacheWays: 8, QPCMissPenalty: 600 * sim.Nanosecond,
+		QPCCacheEntries: 4096, QPCMissPenalty: 600 * sim.Nanosecond,
 		ComplexPPS: 22, NoCBoost: 2.2, NoCBoostPPS: 80, NoCSmallMsg: 256,
 		EgressArbTime: 6 * sim.Nanosecond,
 	}

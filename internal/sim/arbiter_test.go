@@ -17,7 +17,7 @@ func newPriorityServer(eng *Engine, name string, slots int) priorityServer {
 // Submit starts the request if a slot is free, else inserts it behind every
 // queued request of the same or a lower class.
 func (s priorityServer) Submit(service Duration, class int, done func()) {
-	req := serverReq{service: service, class: class, done: done, posted: s.eng.Now()}
+	req := serverReq{service: service, class: class, done: done}
 	if s.busy < s.slots {
 		s.start(req)
 		return

@@ -237,17 +237,6 @@ func TestPriorityServerClassOrder(t *testing.T) {
 	}
 }
 
-func TestServerUtilization(t *testing.T) {
-	e := NewEngine(1)
-	s := NewServer(e, "u", 1)
-	s.Submit(10*Nanosecond, 0, nil)
-	e.RunUntil(Time(20 * Nanosecond))
-	got := s.Utilization()
-	if got < 0.49 || got > 0.51 {
-		t.Fatalf("utilization = %v, want ~0.5", got)
-	}
-}
-
 func TestNoiseBounded(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	n := NewNoise(rng, 5*Nanosecond, 100*Nanosecond, 0.01)

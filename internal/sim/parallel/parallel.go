@@ -120,9 +120,6 @@ func (c *Chan) SendPause(at sim.Time, l *fabric.Link, tc int, pause bool) {
 	c.staged = append(c.staged, xfer{at: at, kind: k, tc: int32(tc), link: l})
 }
 
-// Lookahead reports the channel's lookahead bound.
-func (c *Chan) Lookahead() sim.Duration { return c.lookahead }
-
 // deliverHead fires on the destination engine and consumes the oldest
 // inbox entry. Arrival timestamps per channel are nondecreasing, so FIFO
 // order matches event order.

@@ -10,14 +10,12 @@ package sim
 // when the job is first allocated, so the steady-state Submit path schedules
 // its completion without allocating (benchmark-guarded).
 type Server struct {
-	eng      *Engine
-	name     string
-	slots    int
-	busy     int
-	queue    []serverReq
-	served   uint64
-	busyTime Duration
-	lastBusy Time
+	eng    *Engine
+	name   string
+	slots  int
+	busy   int
+	queue  []serverReq
+	served uint64
 	// arb, when non-nil, picks the next queued request at every dequeue
 	// instead of serving the queue in arrival order. metas runs parallel to
 	// queue (same indices) and only exists for arbitrated servers.
@@ -48,7 +46,6 @@ type serverReq struct {
 	service Duration
 	class   int
 	done    func()
-	posted  Time
 }
 
 // job is one request in service. fire is bound to the job once, at
@@ -86,24 +83,8 @@ func (s *Server) Name() string { return s.name }
 // QueueLen reports the number of requests waiting (not in service).
 func (s *Server) QueueLen() int { return len(s.queue) }
 
-// Busy reports the number of slots currently serving.
-func (s *Server) Busy() int { return s.busy }
-
 // Served reports the number of completed requests.
 func (s *Server) Served() uint64 { return s.served }
-
-// Utilization returns the fraction of elapsed time at least one slot was
-// busy, up to the current virtual time.
-func (s *Server) Utilization() float64 {
-	if s.eng.Now() == 0 {
-		return 0
-	}
-	bt := s.busyTime
-	if s.busy > 0 {
-		bt += s.eng.Now().Sub(s.lastBusy)
-	}
-	return float64(bt) / float64(s.eng.Now())
-}
 
 // Submit enqueues a request requiring the given service time; done fires when
 // service completes. Class is only meaningful for arbitrated servers.
@@ -115,7 +96,7 @@ func (s *Server) Submit(service Duration, class int, done func()) {
 	if service < 0 {
 		panic("sim: negative service time")
 	}
-	req := serverReq{service: service, class: class, done: done, posted: s.eng.Now()}
+	req := serverReq{service: service, class: class, done: done}
 	if s.busy < s.slots {
 		s.start(req)
 		return
@@ -133,7 +114,7 @@ func (s *Server) SubmitMeta(service Duration, meta ReqMeta, done func()) {
 	if service < 0 {
 		panic("sim: negative service time")
 	}
-	req := serverReq{service: service, class: meta.Class, done: done, posted: s.eng.Now()}
+	req := serverReq{service: service, class: meta.Class, done: done}
 	if s.busy < s.slots {
 		s.start(req)
 		return
@@ -143,9 +124,6 @@ func (s *Server) SubmitMeta(service Duration, meta ReqMeta, done func()) {
 }
 
 func (s *Server) start(req serverReq) {
-	if s.busy == 0 {
-		s.lastBusy = s.eng.Now()
-	}
 	s.busy++
 	var j *job
 	if k := len(s.jobFree) - 1; k >= 0 {
@@ -170,9 +148,6 @@ func (j *job) complete() {
 	s.jobFree = append(s.jobFree, j)
 	s.busy--
 	s.served++
-	if s.busy == 0 {
-		s.busyTime += s.eng.Now().Sub(s.lastBusy)
-	}
 	if done != nil {
 		done()
 	}

@@ -120,9 +120,6 @@ func percentileSorted(sorted []float64, p float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// Median returns the 50th percentile of xs.
-func Median(xs []float64) float64 { return Percentile(xs, 50) }
-
 // Pearson returns the Pearson correlation coefficient between xs and ys.
 // It errors if the lengths differ, fewer than two points are given, or
 // either series is constant.

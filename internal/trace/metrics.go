@@ -81,28 +81,15 @@ func (h *Histogram) Quantile(q float64) int64 {
 	return h.max
 }
 
-// Buckets exposes the raw bucket counts (index = bits.Len64 of the value).
-func (h *Histogram) Buckets() []uint64 { return h.counts[:] }
-
-// Metrics is the unified registry derived from the event stream: every
-// Recorder owns one and updates it on each Emit, so the flight-recorder
-// ring, the exported trace and these counters all describe the same single
-// source of truth. Unlike the ring, the registry never forgets — it keeps
-// aggregating after the ring wraps.
+// Metrics is the registry derived from the event stream: every Recorder
+// owns one and updates it on each Emit, so the flight-recorder ring, the
+// exported trace and these tallies describe the same events. Unlike the
+// ring, the registry never forgets — it keeps aggregating after the ring
+// wraps. It keeps no copy of a NIC counter: those live in nic.Counters
+// alone, and a counter with an event twin equals that kind's tally here.
 type Metrics struct {
 	// Counts tallies every event kind (index = Kind).
 	Counts [NumKinds]uint64
-
-	// Byte counters mirroring the NIC's ethtool view, derived from
-	// ArbGrant (egress) and RxPkt (ingress) events.
-	TxBytes   uint64
-	RxBytes   uint64
-	TxBytesTC [8]uint64
-	RxBytesTC [8]uint64
-
-	// Loss observables, derived from fabric and NIC events.
-	WireDropsTC [8]uint64 // tail drops + in-flight fault drops, per TC
-	PFCPauses   [8]uint64
 
 	// Latency histograms (the features HARMONIC-style counters miss).
 	QueueDelay [8]Histogram // per-TC fabric queueing delay (enqueue→dequeue)
@@ -120,20 +107,9 @@ func NewMetrics() *Metrics { return &Metrics{} }
 // path stays allocation-free.
 func (m *Metrics) observe(ev Event) {
 	m.Counts[ev.Kind]++
-	tc := int(ev.TC) & 7
 	switch ev.Kind {
-	case KindArbGrant:
-		m.TxBytes += ev.Val
-		m.TxBytesTC[tc] += ev.Val
-	case KindRxPkt:
-		m.RxBytes += ev.Val
-		m.RxBytesTC[tc] += ev.Val
-	case KindPFCPause:
-		m.PFCPauses[tc]++
-	case KindWireDrop, KindTailDrop:
-		m.WireDropsTC[tc]++
 	case KindTCDequeue:
-		m.QueueDelay[tc].Record(ev.Dur)
+		m.QueueDelay[ev.TC&7].Record(ev.Dur)
 	case KindRetransmit:
 		m.RetxStall.Record(ev.Dur)
 	case KindCQE:
@@ -171,13 +147,7 @@ func (m *Metrics) DeltaFrom(base *Metrics) *Metrics {
 	for i := range m.Counts {
 		d.Counts[i] = m.Counts[i] - base.Counts[i]
 	}
-	d.TxBytes = m.TxBytes - base.TxBytes
-	d.RxBytes = m.RxBytes - base.RxBytes
-	for i := 0; i < 8; i++ {
-		d.TxBytesTC[i] = m.TxBytesTC[i] - base.TxBytesTC[i]
-		d.RxBytesTC[i] = m.RxBytesTC[i] - base.RxBytesTC[i]
-		d.WireDropsTC[i] = m.WireDropsTC[i] - base.WireDropsTC[i]
-		d.PFCPauses[i] = m.PFCPauses[i] - base.PFCPauses[i]
+	for i := range m.QueueDelay {
 		d.QueueDelay[i] = m.QueueDelay[i].deltaFrom(base.QueueDelay[i])
 	}
 	d.RetxStall = m.RetxStall.deltaFrom(base.RetxStall)
@@ -205,13 +175,7 @@ func (m *Metrics) Merge(other *Metrics) {
 	for i := range m.Counts {
 		m.Counts[i] += other.Counts[i]
 	}
-	m.TxBytes += other.TxBytes
-	m.RxBytes += other.RxBytes
-	for i := 0; i < 8; i++ {
-		m.TxBytesTC[i] += other.TxBytesTC[i]
-		m.RxBytesTC[i] += other.RxBytesTC[i]
-		m.WireDropsTC[i] += other.WireDropsTC[i]
-		m.PFCPauses[i] += other.PFCPauses[i]
+	for i := range m.QueueDelay {
 		m.QueueDelay[i].merge(&other.QueueDelay[i])
 	}
 	m.RetxStall.merge(&other.RetxStall)

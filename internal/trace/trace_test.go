@@ -72,29 +72,35 @@ func TestMetricsDerivation(t *testing.T) {
 	r.Emit(Event{Kind: KindDupAck})
 	r.Emit(Event{Kind: KindRxCorrupt})
 	r.Emit(Event{Kind: KindTCDequeue, TC: 2, Dur: 1 << 20})
+	r.Emit(Event{Kind: KindTCDequeue, TC: -1, Dur: 300})
 	m := r.Metrics()
-	if m.TxBytes != 1500 || m.TxBytesTC[3] != 1500 {
-		t.Fatalf("tx bytes %d/%d", m.TxBytes, m.TxBytesTC[3])
+	want := map[Kind]uint64{
+		KindArbGrant: 2, KindRxPkt: 1, KindTailDrop: 1, KindWireDrop: 1,
+		KindWireCorrupt: 1, KindPFCPause: 1, KindRetransmit: 1, KindRtxTimeout: 1,
+		KindNakSend: 1, KindDupAck: 1, KindRxCorrupt: 1, KindTCDequeue: 2,
 	}
-	if m.RxBytes != 64 || m.RxBytesTC[0] != 64 {
-		t.Fatalf("rx bytes %d", m.RxBytes)
-	}
-	if m.WireDropsTC[3] != 2 {
-		t.Fatalf("drops %d, want 2 (tail + fault)", m.WireDropsTC[3])
-	}
-	if m.Count(KindWireCorrupt) != 1 || m.PFCPauses[0] != 1 {
-		t.Fatal("corrupt/pfc counters")
-	}
-	for _, k := range []Kind{KindRetransmit, KindRtxTimeout, KindNakSend, KindDupAck, KindRxCorrupt} {
-		if m.Count(k) != 1 {
-			t.Fatalf("transport counter %v = %d, want 1", k, m.Count(k))
+	for k := Kind(0); int(k) < NumKinds; k++ {
+		if got := m.Count(k); got != want[k] {
+			t.Errorf("Count(%v) = %d, want %d", k, got, want[k])
 		}
 	}
 	if m.RetxStall.Count() != 1 || m.RetxStall.Sum() != 5000 {
 		t.Fatalf("retx stall hist n=%d sum=%d", m.RetxStall.Count(), m.RetxStall.Sum())
 	}
-	if m.QueueDelay[2].Count() != 1 {
-		t.Fatal("queue delay hist")
+	// Queueing delay lands in its own TC's histogram; an event without a
+	// TC (-1) folds into TC 7.
+	for tc := range m.QueueDelay {
+		var n uint64
+		var sum int64
+		switch tc {
+		case 2:
+			n, sum = 1, 1<<20
+		case 7:
+			n, sum = 1, 300
+		}
+		if h := &m.QueueDelay[tc]; h.Count() != n || h.Sum() != sum {
+			t.Errorf("QueueDelay[%d] n=%d sum=%d, want n=%d sum=%d", tc, h.Count(), h.Sum(), n, sum)
+		}
 	}
 }
 
@@ -144,13 +150,18 @@ func TestMetricsMerge(t *testing.T) {
 	a.observe(Event{Kind: KindRetransmit, Dur: 10})
 	b.observe(Event{Kind: KindRetransmit, Dur: 20})
 	b.observe(Event{Kind: KindArbGrant, TC: 1, Val: 7})
+	a.observe(Event{Kind: KindTCDequeue, TC: 1, Dur: 100})
+	b.observe(Event{Kind: KindTCDequeue, TC: 1, Dur: 400})
 	a.Merge(b)
 	a.Merge(nil)
 	if a.Count(KindRetransmit) != 2 || a.RetxStall.Count() != 2 || a.RetxStall.Sum() != 30 {
 		t.Fatal("merge lost histogram state")
 	}
-	if a.TxBytesTC[1] != 7 {
-		t.Fatal("merge lost byte counters")
+	if a.Count(KindArbGrant) != 1 || a.Count(KindTCDequeue) != 2 {
+		t.Fatalf("merge lost kind counts: grant %d, dequeue %d", a.Count(KindArbGrant), a.Count(KindTCDequeue))
+	}
+	if h := &a.QueueDelay[1]; h.Count() != 2 || h.Sum() != 500 || h.Max() != 400 {
+		t.Fatalf("merged TC 1 queueing delay n=%d sum=%d max=%d", h.Count(), h.Sum(), h.Max())
 	}
 }
 

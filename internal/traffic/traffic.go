@@ -86,9 +86,6 @@ func (g *Generator) Stop() {
 	g.CQ.Notify = nil
 }
 
-// Running reports whether the generator is active.
-func (g *Generator) Running() bool { return g.running }
-
 // Completed returns the number of finished operations.
 func (g *Generator) Completed() uint64 { return g.completed }
 

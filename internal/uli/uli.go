@@ -42,10 +42,6 @@ type Prober struct {
 	// (rkey and address), overriding Remote/NextOffset — the inter-MR
 	// channel alternates rkeys, not just offsets.
 	NextRemote func(i int) verbs.RemoteBuf
-	// IncludeRamp also records samples posted before the queue reached its
-	// target depth. The default (false) keeps only steady-state samples,
-	// matching how the paper computes ULI.
-	IncludeRamp bool
 }
 
 // Measure runs n probes and returns their samples. It drives the engine via
@@ -103,7 +99,7 @@ func (p *Prober) Measure(eng *sim.Engine, n int) ([]Sample, error) {
 		lsq := lenAt[c.WRID]
 		delete(lenAt, c.WRID)
 		switch {
-		case !p.IncludeRamp && (lsq < p.Depth-1 || skipped < p.Depth):
+		case lsq < p.Depth-1 || skipped < p.Depth:
 			// Ramp-up probes and the first pipeline-fill completions carry
 			// startup latency, not steady-state contention.
 			skipped++

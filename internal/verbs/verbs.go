@@ -170,10 +170,9 @@ func (mr *MR) Describe(offset uint64) RemoteBuf {
 
 // CQ is a completion queue.
 type CQ struct {
-	ctx      *Context
-	entries  []nic.Completion
-	cap      int
-	overruns uint64
+	ctx     *Context
+	entries []nic.Completion
+	cap     int
 	// cnt is the CQ's consumer index: the NIC bumps it on every completion
 	// delivered to a QP bound to this CQ, and WAIT WQEs block on it — the
 	// cross-QP coupling point of the RedN chain model.
@@ -189,8 +188,8 @@ type CQ struct {
 }
 
 // CreateCQ creates a completion queue holding up to capacity entries. A
-// push onto a full CQ is an overrun: the new CQE is dropped and counted
-// (here and in the NIC's CQOverruns counter) — the simulation analogue of
+// push onto a full CQ is an overrun: the new CQE is dropped and counted in
+// the NIC's CQOverruns counter — the simulation analogue of
 // IBV_EVENT_CQ_ERR. The WQE itself still retires on the NIC, so the QP
 // keeps flowing; only the notification is lost, exactly the failure mode
 // a CQ-exhaustion aggressor induces for its victims.
@@ -223,15 +222,11 @@ func (q *CQ) push(comp nic.Completion) {
 		return
 	}
 	if len(q.entries) >= q.cap {
-		q.overruns++
 		q.ctx.dev.NoteCQOverrun()
 		return
 	}
 	q.entries = append(q.entries, comp)
 }
-
-// Overruns reports completions dropped because the CQ was full.
-func (q *CQ) Overruns() uint64 { return q.overruns }
 
 // Poll removes and returns up to n completions. It allocates a fresh slice
 // per call; hot measurement loops use PollInto instead.
@@ -399,8 +394,7 @@ func (qp *QP) PostRecv(buf []byte) error {
 
 // --- Staged posting: the post ≠ enable half of the send-queue state
 // machine. Stage* appends a WQE to the SQ ring without ringing the
-// doorbell; Ring enables staged entries; PostWait/PostEnable stage and ring
-// the RedN management verbs in one step. Staged-but-unenabled entries are
+// doorbell; Ring enables staged entries. Staged-but-unenabled entries are
 // rewritable through an ExposeSQ window (WQE self-modification). ---
 
 // stage validates a WQE and appends it to the send queue without enabling
@@ -463,14 +457,6 @@ func (qp *QP) StageReadInto(wrid uint64, local *MR, localOff uint64, remote Remo
 	})
 }
 
-// PostReadInto posts (stage + ring) an RDMA Read landing inside a local MR.
-func (qp *QP) PostReadInto(wrid uint64, local *MR, localOff uint64, remote RemoteBuf, length int) error {
-	if err := qp.StageReadInto(wrid, local, localOff, remote, length); err != nil {
-		return err
-	}
-	return qp.Ring(1)
-}
-
 // StageCAS stages a compare-and-swap without enabling it.
 func (qp *QP) StageCAS(wrid uint64, remote RemoteBuf, compare, swap uint64) error {
 	if qp.peer == nil {
@@ -502,25 +488,9 @@ func (qp *QP) StageEnable(wrid uint64, target *QP, k int) error {
 	return qp.stage(&nic.WQE{WRID: wrid, Op: nic.OpEnable, TargetQPN: target.qpn, EnableCount: k})
 }
 
-// PostWait stages and immediately enables a WAIT WQE.
-func (qp *QP) PostWait(wrid uint64, cq *CQ, thresh uint64) error {
-	if err := qp.StageWait(wrid, cq, thresh); err != nil {
-		return err
-	}
-	return qp.Ring(1)
-}
-
-// PostEnable stages and immediately enables an ENABLE WQE.
-func (qp *QP) PostEnable(wrid uint64, target *QP, k int) error {
-	if err := qp.StageEnable(wrid, target, k); err != nil {
-		return err
-	}
-	return qp.Ring(1)
-}
-
 // ExposeSQ registers mr as a self-modification window over this QP's send
 // queue: slot i of the window (64 bytes each) shadows staged entry i, and
-// RDMA writes (or PostReadInto landings) covering a slot rewrite the
+// RDMA writes (or StageReadInto landings) covering a slot rewrite the
 // corresponding not-yet-enabled WQE's fields.
 func (qp *QP) ExposeSQ(mr *MR) error {
 	slots := int(mr.Size() / nic.SQSlotBytes)
@@ -620,14 +590,6 @@ func (n *Network) AttachToSwitch(c *Context, sw *fabric.Switch, qos fabric.QoSCo
 func (n *Network) SetPath(src, dst *Context, firstHop *fabric.Link) {
 	n.Addr(dst) // ensure the destination is addressable before traffic flows
 	src.dev.AddPeerLink(dst.dev, firstHop)
-}
-
-// SetPathECMP makes dst reachable from src through any of the given
-// first-hop links, selected per flow by the NIC's flow label — the
-// host-side half of ECMP multipath. With one link it degrades to SetPath.
-func (n *Network) SetPathECMP(src, dst *Context, firstHops []*fabric.Link) {
-	n.Addr(dst)
-	src.dev.AddPeerLinks(dst.dev, firstHops)
 }
 
 // UseEngine switches the engine used for links and contexts the builder
