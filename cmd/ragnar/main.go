@@ -17,6 +17,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strings"
@@ -58,7 +59,7 @@ func main() {
 	p.Profile = prof
 
 	if flag.Arg(0) == "trace" {
-		if err := runTrace(flag.Args()[1:], prof, p.Seed); err != nil {
+		if err := runTrace(flag.Args()[1:], prof, p.Seed, os.Stdout); err != nil {
 			fatalf("trace: %v", err)
 		}
 		return
@@ -99,11 +100,12 @@ func emit(r experiments.Result, asJSON bool) error {
 
 // runTrace handles the trace subcommand: run one experiment rig with the
 // flight recorder attached, then export Chrome trace JSON (default) or the
-// text timeline. A summary of the run and the metrics digest go to stderr so
-// `-o -` keeps stdout machine-readable.
-func runTrace(argv []string, prof nic.Profile, seed int64) error {
+// text timeline. Without -o, JSON goes to trace.json and the text timeline
+// to stdout. A summary of the run and the metrics digest go to stderr so
+// stdout stays machine-readable.
+func runTrace(argv []string, prof nic.Profile, seed int64, stdout io.Writer) error {
 	fs := flag.NewFlagSet("trace", flag.ExitOnError)
-	out := fs.String("o", "trace.json", "output path (- for stdout)")
+	out := fs.String("o", "", "output path, - for stdout (default trace.json, or stdout with -text)")
 	text := fs.Bool("text", false, "emit the text timeline instead of Chrome JSON")
 	if err := fs.Parse(argv); err != nil {
 		return err
@@ -111,11 +113,17 @@ func runTrace(argv []string, prof nic.Profile, seed int64) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("usage: ragnar trace [-o out.json] [-text] <%s>", strings.Join(experiments.TraceRigs, "|"))
 	}
+	if *out == "" {
+		*out = "trace.json"
+		if *text {
+			*out = "-"
+		}
+	}
 	o, err := experiments.Trace(fs.Arg(0), prof, seed)
 	if err != nil {
 		return err
 	}
-	w := os.Stdout
+	w := stdout
 	if *out != "-" {
 		f, err := os.Create(*out)
 		if err != nil {

@@ -130,44 +130,84 @@ type TargetCounters struct {
 	QueueFull   uint64 // commands dropped at the per-queue outstanding bound
 }
 
-// Target is the NVMe-oF storage target: namespaces backed by registered MRs,
+// Target is the NVMe-oF storage target: namespaces on registered MRs,
 // served over any number of queues.
 type Target struct {
 	ctx *verbs.Context
 	pd  *verbs.PD
-	// namespaces[nsid-1] backs namespace nsid (NSIDs are 1-based, as in NVMe).
-	namespaces []*verbs.MR
+	// namespaces[nsid-1] is namespace nsid (NSIDs are 1-based, as in NVMe).
+	namespaces []*namespace
 	queues     []*TargetQueue
 	counters   TargetCounters
 }
 
-// NewTarget creates a target with one namespace of nsBytes, its blocks
-// filled with a deterministic per-block pattern so initiators can verify
-// read payloads end to end.
+// namespace is one served namespace: FillPattern's pattern, salted with the
+// NSID, until a write stores other bytes. Holding the pattern costs nothing.
+// The MR is registered, so its key, address and ICM entry are what a filled
+// one's would be, but it is neither backed nor filled. A read generates the
+// pattern into the op's bounce buffer, and a write of the pattern's own
+// bytes for its range commits nothing. The first write of other bytes backs
+// the MR, fills it once, and the namespace is stored in it from then on.
+//
+// Until the namespace is stored, the MR's host bytes are zeros, not the
+// namespace. That is sound only because no RDMA peer addresses a namespace
+// MR: capsules carry the initiator's keys, the target moves data through
+// bounce buffers, and nothing hands out the namespace's key. Code that gives
+// a peer that key must store the namespace first.
+type namespace struct {
+	mr     *verbs.MR
+	salt   uint32
+	stored bool
+}
+
+// read snapshots the namespace bytes at [off, off+len(b)) into b.
+func (ns *namespace) read(b []byte, off uint64) {
+	if ns.stored {
+		copy(b, ns.mr.Bytes()[off:])
+		return
+	}
+	patternRange(b, ns.salt, off)
+}
+
+// write commits b at namespace offset off.
+func (ns *namespace) write(b []byte, off uint64) {
+	if !ns.stored {
+		if isPattern(b, ns.salt, off) {
+			return
+		}
+		FillPattern(ns.mr.Bytes(), ns.salt)
+		ns.stored = true
+	}
+	copy(ns.mr.Bytes()[off:], b)
+}
+
+// NewTarget creates a target with one namespace of nsBytes, holding a
+// deterministic per-word pattern so initiators can verify read payloads end
+// to end.
 func NewTarget(ctx *verbs.Context, nsBytes uint64) (*Target, error) {
 	t := &Target{ctx: ctx, pd: ctx.AllocPD()}
-	if _, err := t.AddNamespace(nsBytes); err != nil {
+	if err := t.addNamespace(nsBytes); err != nil {
 		return nil, err
 	}
 	return t, nil
 }
 
-// AddNamespace registers one more namespace MR and returns its NSID.
-func (t *Target) AddNamespace(nsBytes uint64) (uint32, error) {
+// addNamespace registers one more namespace MR; its NSID is the new
+// len(t.namespaces).
+func (t *Target) addNamespace(nsBytes uint64) error {
 	mr, err := t.pd.RegMR(nsBytes, hugePage, verbs.AccessRemoteRead|verbs.AccessRemoteWrite)
 	if err != nil {
-		return 0, err
+		return err
 	}
-	FillPattern(mr.Bytes(), uint32(len(t.namespaces)+1))
-	t.namespaces = append(t.namespaces, mr)
-	return uint32(len(t.namespaces)), nil
+	t.namespaces = append(t.namespaces, &namespace{mr: mr, salt: uint32(len(t.namespaces) + 1)})
+	return nil
 }
 
 // Counters returns the target's service counters.
 func (t *Target) Counters() TargetCounters { return t.counters }
 
-// Namespace returns the MR backing the given NSID (nil if unknown).
-func (t *Target) Namespace(nsid uint32) *verbs.MR {
+// namespace returns the namespace with the given NSID (nil if unknown).
+func (t *Target) namespace(nsid uint32) *namespace {
 	if nsid == 0 || int(nsid) > len(t.namespaces) {
 		return nil
 	}
@@ -177,20 +217,85 @@ func (t *Target) Namespace(nsid uint32) *verbs.MR {
 // FillPattern writes the verifiable namespace pattern: every 8-byte word
 // holds its own namespace-salted offset, so a read of any aligned range is
 // checkable without reference data.
-func FillPattern(b []byte, salt uint32) {
-	for off := 0; off+8 <= len(b); off += 8 {
-		binary.LittleEndian.PutUint64(b[off:], uint64(off)^(uint64(salt)<<56))
+func FillPattern(b []byte, salt uint32) { FillPatternAt(b, salt, 0) }
+
+// FillPatternAt stamps b with the namespace pattern starting at offset off:
+// the word at b[i:] holds (off+i) ^ salt<<56. Bytes past the last whole
+// word are left as they are.
+func FillPatternAt(b []byte, salt uint32, off uint64) {
+	s := uint64(salt) << 56
+	for ; len(b) >= 32; b = b[32:] {
+		binary.LittleEndian.PutUint64(b[0:8], off^s)
+		binary.LittleEndian.PutUint64(b[8:16], (off+8)^s)
+		binary.LittleEndian.PutUint64(b[16:24], (off+16)^s)
+		binary.LittleEndian.PutUint64(b[24:32], (off+24)^s)
+		off += 32
+	}
+	for ; len(b) >= 8; b = b[8:] {
+		binary.LittleEndian.PutUint64(b, off^s)
+		off += 8
 	}
 }
 
-// CheckPattern verifies a buffer read from namespace offset off.
+// CheckPattern verifies a buffer read from namespace offset off: every whole
+// word must hold the pattern; bytes past the last one are not checked.
 func CheckPattern(b []byte, salt uint32, off uint64) bool {
-	for i := 0; i+8 <= len(b); i += 8 {
-		if binary.LittleEndian.Uint64(b[i:]) != (off+uint64(i))^(uint64(salt)<<56) {
+	s := uint64(salt) << 56
+	// Every word's difference from the pattern is ORed in, and the sum
+	// tested once. The parentheses matter: | and ^ share a precedence.
+	var diff uint64
+	for ; len(b) >= 32; b = b[32:] {
+		diff |= (binary.LittleEndian.Uint64(b[0:8]) ^ (off ^ s)) |
+			(binary.LittleEndian.Uint64(b[8:16]) ^ ((off + 8) ^ s)) |
+			(binary.LittleEndian.Uint64(b[16:24]) ^ ((off + 16) ^ s)) |
+			(binary.LittleEndian.Uint64(b[24:32]) ^ ((off + 24) ^ s))
+		off += 32
+	}
+	for ; len(b) >= 8; b = b[8:] {
+		diff |= binary.LittleEndian.Uint64(b) ^ (off ^ s)
+		off += 8
+	}
+	return diff == 0
+}
+
+// patternByte is the pattern's byte at namespace offset p.
+func patternByte(salt uint32, p uint64) byte {
+	return byte(((p &^ 7) ^ (uint64(salt) << 56)) >> (8 * (p & 7)))
+}
+
+// patternRange writes the namespace pattern's bytes at [off, off+len(b))
+// into b — FillPattern's output at that range, at any offset and length:
+// the head bytes before the first word boundary and the tail bytes after
+// the last whole word one by one, the words between by FillPatternAt. A
+// namespace is whole huge pages, so every byte of it lies in a whole word.
+func patternRange(b []byte, salt uint32, off uint64) {
+	head := min(int(-off&7), len(b))
+	words := (len(b) - head) &^ 7
+	for i := range head {
+		b[i] = patternByte(salt, off+uint64(i))
+	}
+	FillPatternAt(b[head:head+words], salt, off+uint64(head))
+	for i := head + words; i < len(b); i++ {
+		b[i] = patternByte(salt, off+uint64(i))
+	}
+}
+
+// isPattern reports whether b equals the namespace pattern's bytes at
+// [off, off+len(b)), every byte of it.
+func isPattern(b []byte, salt uint32, off uint64) bool {
+	head := min(int(-off&7), len(b))
+	words := (len(b) - head) &^ 7
+	for i := range head {
+		if b[i] != patternByte(salt, off+uint64(i)) {
 			return false
 		}
 	}
-	return true
+	for i := head + words; i < len(b); i++ {
+		if b[i] != patternByte(salt, off+uint64(i)) {
+			return false
+		}
+	}
+	return CheckPattern(b[head:head+words], salt, off+uint64(head))
 }
 
 // targetOp is one command's state on the target, from admission to the
@@ -284,7 +389,7 @@ func (q *TargetQueue) onCapsule(ev nic.RecvEvent) {
 		q.tgt.counters.BadCapsules++
 		return // unframeable: no CID to answer
 	}
-	ns := q.tgt.Namespace(cmd.NSID)
+	ns := q.tgt.namespace(cmd.NSID)
 	switch {
 	case cmd.Op != CmdRead && cmd.Op != CmdWrite && cmd.Op != CmdFlush:
 		q.tgt.counters.BadCapsules++
@@ -294,7 +399,7 @@ func (q *TargetQueue) onCapsule(ev nic.RecvEvent) {
 		q.tgt.counters.BadCapsules++
 		q.complete(q.getOp(), Completion{Status: StatusInvalidField, CID: cmd.CID})
 		return
-	case cmd.Op != CmdFlush && (cmd.Length == 0 || cmd.Offset+uint64(cmd.Length) > ns.Size()):
+	case cmd.Op != CmdFlush && (cmd.Length == 0 || cmd.Offset+uint64(cmd.Length) > ns.mr.Size()):
 		q.tgt.counters.BadCapsules++
 		q.complete(q.getOp(), Completion{Status: StatusLBARange, CID: cmd.CID})
 		return
@@ -320,11 +425,11 @@ func (q *TargetQueue) onCapsule(ev nic.RecvEvent) {
 		// current when the command was admitted.
 		q.tgt.counters.Reads++
 		op.stage(cmd.Length)
-		copy(op.staging, ns.Bytes()[cmd.Offset:cmd.Offset+uint64(cmd.Length)])
+		ns.read(op.staging, cmd.Offset)
 		postErr = q.qp.PostWrite(wrid, op.staging, remote, int(cmd.Length))
 	case CmdWrite:
 		// Storage write: pull the initiator's buffer into staging; the
-		// namespace copy happens when the Read retires. The landing zone
+		// namespace commit happens when the Read retires. The landing zone
 		// starts zeroed, as a fresh buffer would: a completion forged
 		// before any data lands commits zeros, not an earlier command's
 		// bytes.
@@ -366,8 +471,7 @@ func (q *TargetQueue) onCompletion(c nic.Completion) {
 		return
 	}
 	if op.cmd.Op == CmdWrite {
-		ns := q.tgt.Namespace(op.cmd.NSID)
-		copy(ns.Bytes()[op.cmd.Offset:], op.staging)
+		q.tgt.namespace(op.cmd.NSID).write(op.staging, op.cmd.Offset)
 	}
 	q.complete(op, Completion{Status: StatusOK, CID: op.cmd.CID})
 }
@@ -478,7 +582,7 @@ func NewInitiator(ctx *verbs.Context, tq *TargetQueue, cfg WorkloadConfig) (*Ini
 	if cfg.NSID == 0 {
 		cfg.NSID = 1
 	}
-	ns := tq.tgt.Namespace(cfg.NSID)
+	ns := tq.tgt.namespace(cfg.NSID)
 	if ns == nil {
 		return nil, fmt.Errorf("appnvmf: namespace %d not served", cfg.NSID)
 	}
@@ -486,7 +590,7 @@ func NewInitiator(ctx *verbs.Context, tq *TargetQueue, cfg WorkloadConfig) (*Ini
 		ctx: ctx, eng: ctx.Engine(), cfg: cfg,
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		slot:    slices.Max(cfg.BlockSizes),
-		nsSize:  ns.Size(),
+		nsSize:  ns.mr.Size(),
 		nsSalt:  cfg.NSID,
 		pending: make([]pendingCmd, cfg.QueueDepth),
 	}
@@ -598,13 +702,6 @@ func (ini *Initiator) issueOne() {
 	}
 	pc.cmd, pc.issued, pc.live = cmd, ini.eng.Now(), true
 	pc.sending++
-}
-
-// FillPatternAt stamps b with the namespace pattern starting at offset off.
-func FillPatternAt(b []byte, salt uint32, off uint64) {
-	for i := 0; i+8 <= len(b); i += 8 {
-		binary.LittleEndian.PutUint64(b[i:], (off+uint64(i))^(uint64(salt)<<56))
-	}
 }
 
 // onCompletion handles one inbound completion capsule.

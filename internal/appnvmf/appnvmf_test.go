@@ -1,6 +1,9 @@
 package appnvmf
 
 import (
+	"bytes"
+	"encoding/binary"
+	"runtime"
 	"testing"
 
 	"github.com/thu-has/ragnar/internal/host"
@@ -321,4 +324,165 @@ func TestWarmQueueAllocatesNothing(t *testing.T) {
 	if st := ini.Stats(); st.ErrStatus > 0 || st.DataErrors > 0 || tq.Errors > 0 {
 		t.Fatalf("stats %+v, target errors %d", st, tq.Errors)
 	}
+}
+
+// TestNamespaceIsPatternUntilForeignWrite: a namespace written only with its
+// own pattern is never stored, and costs its target nothing to set up; the
+// first write of other bytes stores it, and both that range and the rest
+// read back right.
+func TestNamespaceIsPatternUntilForeignWrite(t *testing.T) {
+	cfg := lab.DefaultConfig(nic.CX5)
+	cfg.Clients = 1
+	c := lab.New(cfg)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	tgt, err := NewTarget(c.Server, 2<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tq, err := tgt.Serve(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&m1)
+	if got := m1.TotalAlloc - m0.TotalAlloc; got >= 64<<10 {
+		t.Fatalf("NewTarget and Serve allocated %d bytes, want under 64 KiB", got)
+	}
+
+	ini, err := NewInitiator(c.Clients[0], tq, DefaultWorkload(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ini.Start()
+	c.RunFor(sim.Millisecond)
+	ini.Stop()
+	c.Run()
+	ns := tgt.namespace(1)
+	if st := ini.Stats(); st.Completed == 0 || st.DataErrors != 0 || st.ErrStatus != 0 || tq.Errors != 0 {
+		t.Fatalf("benign run: stats %+v, target errors %d", st, tq.Errors)
+	}
+	if tc := tgt.Counters(); tc.Writes == 0 {
+		t.Fatalf("benign run wrote nothing: %+v", tc)
+	}
+	if ns.stored {
+		t.Fatal("pattern-only writes stored the namespace")
+	}
+
+	// A raw write of other bytes, on a second queue.
+	tq2, err := tgt.Serve(32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc := dialRaw(t, c, 0, tq2)
+	const size, off = 4096, uint64(64<<10 + 24)
+	wbuf := rc.mr.Bytes()[:size]
+	for i := range wbuf {
+		wbuf[i] = byte(i*7 + 3)
+	}
+	post := func(cmd Command) {
+		t.Helper()
+		if err := rc.qp.PostSend(uint64(cmd.CID), cmd.Marshal()); err != nil {
+			t.Fatal(err)
+		}
+		c.Run()
+		if last := rc.comps[len(rc.comps)-1]; last != (Completion{Status: StatusOK, CID: cmd.CID}) {
+			t.Fatalf("completion = %+v", last)
+		}
+	}
+	post(Command{Op: CmdWrite, CID: 1, NSID: 1, Offset: off, Length: size,
+		RAddr: rc.mr.Addr(0), RKey: rc.mr.RKey()})
+	if !ns.stored {
+		t.Fatal("a write of other bytes left the namespace unstored")
+	}
+	post(Command{Op: CmdRead, CID: 2, NSID: 1, Offset: off, Length: size,
+		RAddr: rc.mr.Addr(size), RKey: rc.mr.RKey()})
+	if rbuf := rc.mr.Bytes()[size : 2*size]; !bytes.Equal(rbuf, wbuf) {
+		t.Fatal("the written range did not read back as written")
+	}
+	const other = uint64(1 << 20)
+	post(Command{Op: CmdRead, CID: 3, NSID: 1, Offset: other, Length: size,
+		RAddr: rc.mr.Addr(2 * size), RKey: rc.mr.RKey()})
+	if !CheckPattern(rc.mr.Bytes()[2*size:3*size], 1, other) {
+		t.Fatal("a range no write touched lost its pattern once the namespace was stored")
+	}
+}
+
+// refFillPatternAt and refCheckPattern are the pattern loops as first
+// written, one word per iteration: the reference the kernels must match.
+func refFillPatternAt(b []byte, salt uint32, off uint64) {
+	for i := 0; i+8 <= len(b); i += 8 {
+		binary.LittleEndian.PutUint64(b[i:], (off+uint64(i))^(uint64(salt)<<56))
+	}
+}
+
+func refCheckPattern(b []byte, salt uint32, off uint64) bool {
+	for i := 0; i+8 <= len(b); i += 8 {
+		if binary.LittleEndian.Uint64(b[i:]) != (off+uint64(i))^(uint64(salt)<<56) {
+			return false
+		}
+	}
+	return true
+}
+
+// refRange is what FillPattern puts at [off, off+n) of a namespace: the
+// reference fill of the whole words around the range, sliced.
+func refRange(salt uint32, off uint64, n int) []byte {
+	base := off &^ 7
+	buf := make([]byte, (off-base+uint64(n)+7)&^7)
+	refFillPatternAt(buf, salt, base)
+	return buf[off-base:][:n]
+}
+
+// FuzzNamespacePattern checks an unstored namespace's reads, the
+// pattern-equality check on writes and the two pattern kernels against the
+// byte-wise reference, at any offset (past 2^56 included) and length, and
+// that one flipped byte fails the checks.
+func FuzzNamespacePattern(f *testing.F) {
+	f.Add(uint64(0), uint16(4096), uint32(1), uint32(0))
+	f.Add(uint64(3), uint16(13), uint32(1), uint32(0x0501))
+	// A flipped word that an OR of unparenthesised x^w terms misses.
+	f.Add(uint64(65434), uint16(517), uint32(0), uint32(0x1080))
+	f.Add(uint64(1<<56-20), uint16(96), uint32(7), uint32(0x2aff))
+	f.Fuzz(func(t *testing.T, off uint64, n uint16, salt uint32, flip uint32) {
+		want := refRange(salt, off, int(n))
+		ns := &namespace{salt: salt}
+		got := make([]byte, n)
+		ns.read(got, off)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("read [%d,+%d) salt %d:\n got %x\nwant %x", off, n, salt, got, want)
+		}
+		if !isPattern(got, salt, off) {
+			t.Fatalf("read [%d,+%d) salt %d is not its own pattern", off, n, salt)
+		}
+		ns.write(got, off) // an unstored namespace has no MR bytes to touch
+		if ns.stored {
+			t.Fatal("a write of the pattern stored the namespace")
+		}
+
+		fill, ref := make([]byte, n), make([]byte, n)
+		FillPatternAt(fill, salt, off)
+		refFillPatternAt(ref, salt, off)
+		if !bytes.Equal(fill, ref) {
+			t.Fatalf("FillPatternAt at %d salt %d:\n got %x\nwant %x", off, salt, fill, ref)
+		}
+		if !CheckPattern(ref, salt, off) {
+			t.Fatalf("CheckPattern rejects the pattern at %d salt %d", off, salt)
+		}
+
+		if n == 0 {
+			return
+		}
+		pos, mask := int(flip>>8)%int(n), byte(flip)
+		if mask == 0 {
+			mask = 0x80
+		}
+		got[pos] ^= mask
+		if isPattern(got, salt, off) {
+			t.Fatalf("byte %d flipped by %#x passes the pattern-equality check", pos, mask)
+		}
+		ref[pos] ^= mask
+		if g, w := CheckPattern(ref, salt, off), refCheckPattern(ref, salt, off); g != w {
+			t.Fatalf("byte %d of %d flipped by %#x: CheckPattern %v, reference %v", pos, n, mask, g, w)
+		}
+	})
 }
