@@ -110,20 +110,7 @@ func (db *DB) LoadTable(name string, rows []Row) {
 
 // rdma issues one verb from worker w and waits for completion.
 func (w *Worker) rdma(op nic.Opcode, mr *verbs.MR, offset uint64, buf []byte) error {
-	eng := w.db.cluster.Eng
-	done := false
-	var status nic.Status
-	prev := w.conn.CQ.Notify
-	defer func() { w.conn.CQ.Notify = prev }()
 	wrid := uint64(w.ID)<<56 | uint64(w.conn.QP.QPN())<<32 | w.db.opSeq()
-	w.conn.CQ.Notify = func(c nic.Completion) {
-		if c.WRID != wrid {
-			return
-		}
-		status = c.Status
-		done = true
-		eng.Halt()
-	}
 	var err error
 	if op == nic.OpRead {
 		err = w.conn.QP.PostRead(wrid, buf, mr.Describe(offset), len(buf))
@@ -133,12 +120,12 @@ func (w *Worker) rdma(op nic.Opcode, mr *verbs.MR, offset uint64, buf []byte) er
 	if err != nil {
 		return err
 	}
-	eng.Run()
-	if !done {
+	c, ok := w.conn.CQ.Await(wrid)
+	if !ok {
 		return errors.New("appdb: verb did not complete")
 	}
-	if status != nic.StatusOK {
-		return fmt.Errorf("appdb: verb failed: %v", status)
+	if c.Status != nic.StatusOK {
+		return fmt.Errorf("appdb: verb failed: %v", c.Status)
 	}
 	return nil
 }

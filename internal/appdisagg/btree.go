@@ -93,9 +93,8 @@ func NodeOffset(nodeID uint64) uint64 { return nodeID * NodeBytes }
 // caches internal nodes; a path cache is modelled by optional reuse of the
 // last traversal).
 type Client struct {
-	cluster *lab.Cluster
-	conn    *lab.Conn
-	ms      *MemoryServer
+	conn *lab.Conn
+	ms   *MemoryServer
 
 	// PathCache keeps the last root->leaf path, Sherman's optimisation that
 	// turns most lookups into a single leaf read.
@@ -115,26 +114,13 @@ func NewClient(c *lab.Cluster, ms *MemoryServer, clientIdx int) (*Client, error)
 	if err := c.Warm(conn, ms.MR); err != nil {
 		return nil, err
 	}
-	return &Client{cluster: c, conn: conn, ms: ms}, nil
+	return &Client{conn: conn, ms: ms}, nil
 }
 
 // rdma runs one read or write and waits for its completion.
 func (cl *Client) rdma(op nic.Opcode, offset uint64, buf []byte) error {
-	eng := cl.cluster.Eng
 	target := cl.ms.MR.Describe(offset)
-	done := false
-	var status nic.Status
-	prev := cl.conn.CQ.Notify
-	defer func() { cl.conn.CQ.Notify = prev }()
 	wrid := cl.Reads + cl.Writes + 1<<48
-	cl.conn.CQ.Notify = func(c nic.Completion) {
-		if c.WRID != wrid {
-			return
-		}
-		status = c.Status
-		done = true
-		eng.Halt()
-	}
 	var err error
 	if op == nic.OpRead {
 		cl.Reads++
@@ -146,12 +132,12 @@ func (cl *Client) rdma(op nic.Opcode, offset uint64, buf []byte) error {
 	if err != nil {
 		return err
 	}
-	eng.Run()
-	if !done {
+	c, ok := cl.conn.CQ.Await(wrid)
+	if !ok {
 		return errors.New("appdisagg: verb did not complete")
 	}
-	if status != nic.StatusOK {
-		return fmt.Errorf("appdisagg: verb failed: %v", status)
+	if c.Status != nic.StatusOK {
+		return fmt.Errorf("appdisagg: verb failed: %v", c.Status)
 	}
 	return nil
 }

@@ -304,6 +304,8 @@ func isPattern(b []byte, salt uint32, off uint64) bool {
 // its CQE, so no command allocates once the list has grown.
 type targetOp struct {
 	cmd     Command
+	wrid    uint64 // the op's verb in flight: its data phase or capsule SEND
+	sending bool   // the verb in flight is the capsule SEND
 	staging []byte // bounce buffer: READ source snapshot / WRITE landing zone
 	capsule [CompletionSize]byte
 }
@@ -318,13 +320,13 @@ type TargetQueue struct {
 	qp    *verbs.QP
 	cq    *verbs.CQ
 	depth int
-	// inflight holds the commands in their data phase, sending those whose
-	// completion capsule is on the wire, both by WRID; free holds the ops
-	// ready for reuse.
-	inflight map[uint64]*targetOp
-	sending  map[uint64]*targetOp
-	free     []*targetOp
-	nextWR   uint64
+	// active holds the ops with a verb in flight, in post order, and
+	// inData counts those in their data phase (the queue-full bound); free
+	// holds the ops ready for reuse.
+	active []*targetOp
+	inData int
+	free   []*targetOp
+	nextWR uint64
 	// Errors counts backend verbs that completed in error (transport
 	// failures surface here, e.g. a flushed QP after retry exhaustion).
 	Errors uint64
@@ -337,8 +339,7 @@ func (t *Target) Serve(depth int) (*TargetQueue, error) {
 	if depth <= 0 {
 		depth = 64
 	}
-	q := &TargetQueue{tgt: t, depth: depth,
-		inflight: map[uint64]*targetOp{}, sending: map[uint64]*targetOp{}}
+	q := &TargetQueue{tgt: t, depth: depth}
 	q.cq = t.ctx.CreateCQ(0)
 	q.cq.Notify = q.onCompletion
 	qp, err := t.ctx.CreateQP(t.pd, q.cq, verbs.QPCap{MaxSendWR: 2 * depth})
@@ -404,7 +405,7 @@ func (q *TargetQueue) onCapsule(ev nic.RecvEvent) {
 		q.complete(q.getOp(), Completion{Status: StatusLBARange, CID: cmd.CID})
 		return
 	}
-	if len(q.inflight) >= q.depth {
+	if q.inData >= q.depth {
 		q.tgt.counters.QueueFull++
 		return // open-loop overrun: shed, as a full hardware SQ would
 	}
@@ -447,26 +448,29 @@ func (q *TargetQueue) onCapsule(ev nic.RecvEvent) {
 		q.putOp(op)
 		return
 	}
-	q.inflight[wrid] = op
+	op.wrid, op.sending = wrid, false
+	q.active = append(q.active, op)
+	q.inData++
 }
 
 // onCompletion retires one backend verb: the data phase of an in-flight
 // command, or the SEND of a completion capsule, whose op is then free.
+// Verbs complete in post order on a lossless QP, so the op is found at the
+// head of the active list.
 func (q *TargetQueue) onCompletion(c nic.Completion) {
-	op, ok := q.inflight[c.WRID]
-	if !ok {
-		if c.Status != nic.StatusOK {
-			q.Errors++
-		}
-		if op, ok := q.sending[c.WRID]; ok {
-			delete(q.sending, c.WRID)
-			q.putOp(op)
-		}
-		return
-	}
-	delete(q.inflight, c.WRID)
 	if c.Status != nic.StatusOK {
 		q.Errors++
+	}
+	i := slices.IndexFunc(q.active, func(op *targetOp) bool { return op.wrid == c.WRID })
+	if i < 0 {
+		return
+	}
+	op := q.active[i]
+	q.active = slices.Delete(q.active, i, i+1)
+	if !op.sending {
+		q.inData--
+	}
+	if op.sending || c.Status != nic.StatusOK {
 		q.putOp(op)
 		return
 	}
@@ -485,7 +489,8 @@ func (q *TargetQueue) complete(op *targetOp, c Completion) {
 		q.putOp(op)
 		return
 	}
-	q.sending[q.nextWR] = op
+	op.wrid, op.sending = q.nextWR, true
+	q.active = append(q.active, op)
 }
 
 // ---------------------------------------------------------------------------

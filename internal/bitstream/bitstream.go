@@ -1,7 +1,7 @@
 // Package bitstream provides the bit-level plumbing shared by every Ragnar
 // covert channel: converting between byte payloads and bit slices, framing
-// with synchronisation preambles, computing bit-error rates and the paper's
-// effective-bandwidth metric, and simple majority-vote repetition coding.
+// with synchronisation preambles, and computing bit-error rates and the
+// paper's effective-bandwidth metric.
 package bitstream
 
 import (
@@ -117,47 +117,6 @@ func BinaryEntropy(p float64) float64 {
 		return 0
 	}
 	return -p*math.Log2(p) - (1-p)*math.Log2(1-p)
-}
-
-// Repeat applies an n-fold repetition code to bits.
-func Repeat(b Bits, n int) Bits {
-	if n < 1 {
-		panic("bitstream: repetition factor must be >= 1")
-	}
-	out := make(Bits, 0, len(b)*n)
-	for _, v := range b {
-		for i := 0; i < n; i++ {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-// MajorityDecode inverts an n-fold repetition code by majority vote. Ties
-// (even n with split votes) decode to 1: in the ULI channels the "1" symbol
-// is the contended state, which a noisy tie most resembles.
-func MajorityDecode(b Bits, n int) (Bits, error) {
-	if n < 1 {
-		return nil, errors.New("bitstream: repetition factor must be >= 1")
-	}
-	if len(b)%n != 0 {
-		return nil, fmt.Errorf("bitstream: length %d not a multiple of %d", len(b), n)
-	}
-	out := make(Bits, 0, len(b)/n)
-	for i := 0; i < len(b); i += n {
-		ones := 0
-		for j := 0; j < n; j++ {
-			if b[i+j] != 0 {
-				ones++
-			}
-		}
-		if ones*2 >= n {
-			out = append(out, 1)
-		} else {
-			out = append(out, 0)
-		}
-	}
-	return out, nil
 }
 
 // Preamble is the alternating synchronisation header prepended by Frame.

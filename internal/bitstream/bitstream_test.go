@@ -110,34 +110,6 @@ func TestEffectiveBandwidthMatchesTableV(t *testing.T) {
 	}
 }
 
-func TestRepeatMajorityRoundTrip(t *testing.T) {
-	b := MustParseBits("1100101")
-	r := Repeat(b, 3)
-	if len(r) != 21 {
-		t.Fatalf("repeat length = %d", len(r))
-	}
-	// Flip one vote per symbol; majority still wins.
-	for i := 0; i < len(r); i += 3 {
-		r[i] ^= 1
-	}
-	dec, err := MajorityDecode(r, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dec.String() != b.String() {
-		t.Fatalf("decoded = %s, want %s", dec, b)
-	}
-}
-
-func TestMajorityDecodeErrors(t *testing.T) {
-	if _, err := MajorityDecode(MustParseBits("101"), 2); err == nil {
-		t.Fatal("misaligned decode should error")
-	}
-	if _, err := MajorityDecode(MustParseBits("10"), 0); err == nil {
-		t.Fatal("zero factor should error")
-	}
-}
-
 func TestFrameDeframe(t *testing.T) {
 	payload := MustParseBits("110111110101001011")
 	framed := Frame(payload)

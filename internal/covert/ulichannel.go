@@ -56,7 +56,7 @@ type ULIRun struct {
 	Result      Result
 	Decoded     bitstream.Bits
 	SymbolMeans []float64
-	Samples     []uli.TimedSample
+	Samples     []uli.Sample
 	// Folded is the Figure 10/11 view over the two-symbol period.
 	Folded FoldedTrace
 }
@@ -73,7 +73,7 @@ func (ch *ULIChannel) Transmit(bits bitstream.Bits) (*ULIRun, error) {
 	eng := ch.Cluster.Eng
 	rng := eng.Rand()
 
-	sampler := &uli.Sampler{
+	prober := &uli.Prober{
 		QP: ch.RxConn.QP, CQ: ch.RxConn.CQ,
 		Remote: ch.RxRemote, MsgSize: ch.RxSize, Depth: ch.RxDepth,
 		Rec: ch.Trace,
@@ -115,13 +115,13 @@ func (ch *ULIChannel) Transmit(bits bitstream.Bits) (*ULIRun, error) {
 	if err := gen.Start(); err != nil {
 		return nil, err
 	}
-	if err := sampler.Start(); err != nil {
+	if err := prober.Start(); err != nil {
 		return nil, err
 	}
 	eng.RunUntil(start.Add(sim.Duration(len(bits)) * ch.SymbolTime))
-	sampler.Stop()
+	prober.Stop()
 	gen.Stop()
-	if err := sampler.Err(); err != nil {
+	if err := prober.Err(); err != nil {
 		return nil, err
 	}
 	if gen.Errors() > 0 {
@@ -142,9 +142,9 @@ func (ch *ULIChannel) Transmit(bits bitstream.Bits) (*ULIRun, error) {
 	for k := range bits {
 		from := start.Add(sim.Duration(k) * ch.SymbolTime)
 		to := from.Add(ch.SymbolTime)
-		w = sampler.AppendWindow(w[:0], from.Add(ch.SymbolTime*3/10), to)
+		w = prober.AppendWindow(w[:0], from.Add(ch.SymbolTime*3/10), to)
 		if len(w) == 0 {
-			w = sampler.AppendWindow(w, from, to)
+			w = prober.AppendWindow(w, from, to)
 		}
 		switch {
 		case len(w) > 0:
@@ -164,9 +164,9 @@ func (ch *ULIChannel) Transmit(bits bitstream.Bits) (*ULIRun, error) {
 	}
 	decoded := decodeByThreshold(means, ch.OneIsHigher)
 
-	times := make([]float64, len(sampler.Samples))
-	vals := make([]float64, len(sampler.Samples))
-	for i, s := range sampler.Samples {
+	times := make([]float64, len(prober.Samples))
+	vals := make([]float64, len(prober.Samples))
+	for i, s := range prober.Samples {
 		times[i] = s.At.Sub(start).Seconds()
 		vals[i] = s.ULINano
 	}
@@ -175,7 +175,7 @@ func (ch *ULIChannel) Transmit(bits bitstream.Bits) (*ULIRun, error) {
 		Result:      newResult(ch.Name, ch.Cluster.Profile.Name, bps, bits, decoded),
 		Decoded:     decoded,
 		SymbolMeans: means,
-		Samples:     sampler.Samples,
+		Samples:     prober.Samples,
 		Folded:      Fold(times, vals, 2*ch.SymbolTime.Seconds(), 32),
 	}, nil
 }

@@ -558,26 +558,9 @@ func (l *Link) FaultDrops(tc int) uint64 { return l.faultDrops[tc] }
 // Corrupts reports packets delivered with the Corrupt flag for one TC.
 func (l *Link) Corrupts(tc int) uint64 { return l.corrupts[tc] }
 
-// TotalTxBytes sums bytes across all TCs.
-func (l *Link) TotalTxBytes() uint64 {
-	var s uint64
-	for _, b := range l.txBytes {
-		s += b
-	}
-	return s
-}
-
 // Wire is a full-duplex connection: two independent links between endpoints
 // A and B.
 type Wire struct {
 	AtoB *Link
 	BtoA *Link
-}
-
-// NewWire builds both directions with shared rate and propagation delay.
-func NewWire(eng *sim.Engine, name string, rateGbps float64, prop sim.Duration, maxQueue int, sinkB, sinkA func(Packet)) *Wire {
-	return &Wire{
-		AtoB: NewLink(eng, name+":a->b", rateGbps, prop, maxQueue, sinkB),
-		BtoA: NewLink(eng, name+":b->a", rateGbps, prop, maxQueue, sinkA),
-	}
 }

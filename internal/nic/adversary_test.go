@@ -18,7 +18,8 @@ import (
 //     is rejected without consuming the single per-epoch rewind;
 //   - a NAK burst triggers at most one rewind per progress epoch;
 //   - completion forgery requires knowing both the pending Seq AND its PSN
-//     (snooping, not guessing);
+//     (snooping, not guessing), and completes only a WQE of the QP the
+//     forged ACK names;
 //   - replayed requests are answered without re-execution — memory and the
 //     receive queue are touched at most once per PSN;
 //   - a duplicate atomic whose replay record was displaced is dropped, never
@@ -107,9 +108,10 @@ func TestForgedNakValidation(t *testing.T) {
 
 // TestForgedAckRequiresSeqAndPSN: an ACK naming an unknown Seq is coalesced
 // as a duplicate; an ACK naming a pending Seq but the wrong PSN is rejected
-// as forged; only an ACK carrying both the snooped Seq and its exact PSN
-// fakes a completion — the NeVerMore injection that still works, priced at
-// full wire visibility.
+// as forged; an ACK carrying them but addressed to another QP is coalesced
+// too; only an ACK carrying both the snooped Seq and its exact PSN, to the
+// QP that posted the WQE, fakes a completion — the NeVerMore injection that
+// still works, priced at full wire visibility.
 func TestForgedAckRequiresSeqAndPSN(t *testing.T) {
 	eng, a, _, comps := stalledRig(t, 2) // outstanding Seq 0/PSN 0, Seq 1/PSN 1
 
@@ -134,6 +136,24 @@ func TestForgedAckRequiresSeqAndPSN(t *testing.T) {
 	}
 	if len(*comps) != 0 {
 		t.Fatalf("wrong-PSN ACK delivered a CQE: %+v", *comps)
+	}
+
+	// QP 1's pending Seq and PSN, addressed to another QP of the same NIC:
+	// the window of the QP a response names is the only place its WQE is
+	// looked up, so the ACK completes nothing.
+	var idle []Completion
+	if err := a.CreateQP(3, func(c Completion) { idle = append(idle, c) }, nil); err != nil {
+		t.Fatal(err)
+	}
+	crossQP := ack(1, 1)
+	crossQP.DstQPN = 3
+	a.HandleIngress(crossQP)
+	eng.RunFor(10 * sim.Microsecond)
+	if got := a.Counters().DupAcks; got != 2 {
+		t.Fatalf("DupAcks = %d after cross-QP ACK, want 2", got)
+	}
+	if len(*comps) != 0 || len(idle) != 0 {
+		t.Fatalf("cross-QP ACK delivered a CQE: QP 1 %+v, QP 3 %+v", *comps, idle)
 	}
 
 	a.HandleIngress(ack(0, 0)) // fully snooped forgery

@@ -3,6 +3,7 @@ package nic
 import (
 	"fmt"
 	"maps"
+	"slices"
 	"sync/atomic"
 
 	"github.com/thu-has/ragnar/internal/fabric"
@@ -190,12 +191,10 @@ type qpState struct {
 	onComplete func(Completion)
 	onRecv     func(RecvEvent)
 	recvQueue  [][]byte
-	posted     uint64
-	completed  uint64
 
 	// Requester-side go-back-N transport state.
 	nextPSN       uint32     // next PSN to assign (24-bit)
-	outstanding   []*pending // in PSN order; retransmit set on timeout/NAK
+	outstanding   []*pending // launched, unanswered requests in PSN order (their only record); retransmit set on timeout/NAK
 	retries       int        // consecutive timeouts without progress
 	rtxTimer      sim.Event  // pending retransmit timeout (zero/stale when idle)
 	rtxFire       func()     // onRetryTimeout bound to this QP once, at CreateQP
@@ -432,7 +431,6 @@ type NIC struct {
 
 	qps     map[uint32]*qpState
 	mrs     map[uint32]*MRInfo
-	pend    map[uint64]*pending
 	nextSeq uint64
 
 	// sqWins holds the registered SQ self-modification windows (see sq.go).
@@ -461,13 +459,6 @@ type NIC struct {
 	// base keeps them apart from every other NIC's and from forged frames'.
 	launchBase uint64
 	nextLaunch uint64
-
-	// RC retransmission defaults, overridable per QP via SetQPRetry. The
-	// default timeout is deliberately far above any in-sim RTT so that a
-	// lossless run never arms a spurious retransmission; lossy experiments
-	// tune it down per QP (as real stacks tune ibv_modify_qp timeout).
-	RetryTimeout sim.Duration
-	RetryLimit   int
 
 	counters Counters
 	// cqeDigest folds every delivered CQE (see CompletionDigest).
@@ -535,13 +526,8 @@ func New(eng *sim.Engine, name string, p Profile, h *host.Host, numa int) *NIC {
 		links:     make(map[*NIC]*fabric.Link),
 		qps:       make(map[uint32]*qpState),
 		mrs:       make(map[uint32]*MRInfo),
-		pend:      make(map[uint64]*pending),
 		counters:  newCounters(),
 		cqeDigest: cqeDigestBasis,
-		// ~IB defaults: retry_cnt 7 with a multi-ms timeout (real HW uses
-		// 4.096 us << timeout, commonly tens of ms).
-		RetryTimeout: 4 * sim.Millisecond,
-		RetryLimit:   7,
 	}
 	n.rxCheck.segs = n.rxCheck.segArr[:0]
 	n.payFree = n.payArr[:0]
@@ -716,11 +702,8 @@ func (n *NIC) DestroyQP(qpn uint32) error {
 	}
 	qp.rtxTimer.Cancel()
 	qp.rtxTimer = sim.Event{}
-	// Drop the tracking entries, so responses still in flight find no
-	// pending and count as duplicates; the pendings are left to the GC.
-	for _, p := range qp.outstanding {
-		delete(n.pend, p.seq)
-	}
+	// Responses still in flight find no QP and count as duplicates; the
+	// pendings are left to the GC.
 	qp.outstanding = nil
 	// Abandon the staged ring: a WAIT armed on a counter may still fire its
 	// wake, but with head == enabled == 0 the advance is a no-op. Windows
@@ -832,7 +815,6 @@ func (n *NIC) PostSend(qpn uint32, wqe *WQE) error {
 // (see pending in pipeline.go). Every event it schedules is byte-identical
 // to the pre-state-machine direct path (pinned by TestSQSeamByteIdentical).
 func (n *NIC) dispatchWQE(qp *qpState, wqe *WQE) {
-	qp.posted++
 	n.counters.TxMsgs[wqe.Op]++
 	n.counters.PerQPMsgs[qp.qpn]++
 	p := n.getPending()
@@ -867,7 +849,6 @@ func (n *NIC) launch(p *pending) {
 	p.seq, p.psn, p.lastSent = seq, psn, n.eng.Now()
 	n.rec.Emit(trace.Event{At: int64(n.eng.Now()), Kind: trace.KindPSNSend,
 		Actor: n.psnActor, QPN: qp.qpn, PSN: psn, Val: seq, TC: int8(wqe.TC)})
-	n.pend[seq] = p
 	qp.outstanding = append(qp.outstanding, p)
 	if !qp.rtxTimer.Pending() {
 		n.armRetransmit(qp)
@@ -1130,12 +1111,20 @@ func fit(buf []byte, n int) []byte {
 	return buf[:n]
 }
 
-// handleResponse finishes the pending WQE on the requester. The pending
-// keeps the status, the result and, for a READ that lands (in LocalData or
-// a LocalKey MR), a copy of the payload segments in its own buffer.
+// handleResponse finishes the pending WQE on the requester. The WQE is
+// found in the go-back-N window of the QP the response names, by Seq; on a
+// lossless QP it is the window's head. A response naming a QP that has no
+// such WQE in flight completes nothing, so an ACK addressed to one QP can
+// never complete another's WQE. The pending keeps the status, the result
+// and, for a READ that lands (in LocalData or a LocalKey MR), a copy of the
+// payload segments in its own buffer.
 func (n *NIC) handleResponse(m *Message, segs [][]byte) {
-	p := n.pend[m.Seq]
-	if p == nil {
+	qp := n.qps[m.DstQPN]
+	i := -1
+	if qp != nil {
+		i = slices.IndexFunc(qp.outstanding, func(p *pending) bool { return p.seq == m.Seq })
+	}
+	if i < 0 {
 		// A response for an already-completed WQE: the original and a
 		// retransmission both drew an ACK. Coalesce — count it, deliver no
 		// second CQE.
@@ -1144,15 +1133,13 @@ func (n *NIC) handleResponse(m *Message, segs [][]byte) {
 			Actor: n.psnActor, QPN: m.DstQPN, PSN: m.PSN, TC: int8(m.TC & 7)})
 		return
 	}
-	qp := n.qps[p.qpn]
 	if m.Status == StatusSeqNak {
 		// Transport NAK: the responder is missing earlier requests. Rewind
 		// and retransmit; the WQE completes when a real ACK arrives.
-		if qp != nil {
-			n.handleSeqNak(qp, m)
-		}
+		n.handleSeqNak(qp, m)
 		return
 	}
+	p := qp.outstanding[i]
 	if m.PSN != p.psn {
 		// A response naming a pending Seq but the wrong PSN: benign
 		// responders echo the request's PSN exactly (retransmissions reuse
@@ -1162,14 +1149,11 @@ func (n *NIC) handleResponse(m *Message, segs [][]byte) {
 		n.counters.InvalidAcks++
 		return
 	}
-	delete(n.pend, m.Seq)
-	if qp != nil {
-		qp.removeOutstanding(p)
-		qp.progressEpoch++
-		qp.retries = 0
-		n.armRetransmit(qp)
-	}
-	p.qp, p.st, p.result = qp, m.Status, m.CompareAdd
+	qp.outstanding = slices.Delete(qp.outstanding, i, i+1)
+	qp.progressEpoch++
+	qp.retries = 0
+	n.armRetransmit(qp)
+	p.st, p.result = m.Status, m.CompareAdd
 	if w := &p.wqe; w.Op == OpRead && (w.LocalData != nil || w.LocalKey != 0) && m.Data != nil {
 		p.buf = gather(p.buf, m, segs)
 		p.data = p.buf
@@ -1183,9 +1167,6 @@ func (n *NIC) handleResponse(m *Message, segs [][]byte) {
 	p.stage = pLand
 	n.rxPU.Submit(n.prof.RxPUTime+encExtra, 0, p.fire)
 }
-
-// Outstanding reports requester WQEs in flight.
-func (n *NIC) Outstanding() int { return len(n.pend) }
 
 // QPC exposes the ICM context cache (QP contexts, plus MR contexts when the
 // profile prices MPT misses).

@@ -66,10 +66,11 @@ const (
 
 // pending is one requester WQE from doorbell to CQE. From launch until its
 // response (or a retry-exhausted flush) it is also the go-back-N transport
-// record: n.pend and the QP's outstanding window point at it.
+// record, and the only record of the request in flight: it sits in its
+// QP's outstanding window, where a response finds it by Seq.
 type pending struct {
 	n           *NIC
-	qp          *qpState // dispatching QP; after a response, the QP looked up then (nil once destroyed)
+	qp          *qpState // dispatching QP
 	wqe         WQE      // copy of the posted WQE
 	qpn         uint32
 	postTime    sim.Time
@@ -166,13 +167,11 @@ func (p *pending) advance() {
 		}
 		p.writeCQE(pCQE)
 	case pCQE:
-		if qp := p.qp; qp != nil {
-			n.deliverCQE(qp, wqe.TC, Completion{
-				QPN: p.qpn, WRID: wqe.WRID, Op: wqe.Op,
-				Status: p.st, Bytes: wqe.Length, Result: p.result,
-				PostTime: p.postTime, DoneTime: n.eng.Now(),
-			})
-		}
+		n.deliverCQE(p.qp, wqe.TC, Completion{
+			QPN: p.qpn, WRID: wqe.WRID, Op: wqe.Op,
+			Status: p.st, Bytes: wqe.Length, Result: p.result,
+			PostTime: p.postTime, DoneTime: n.eng.Now(),
+		})
 		n.putPending(p)
 	case pFlushCQE:
 		n.deliverCQE(p.qp, wqe.TC, Completion{
@@ -189,7 +188,6 @@ func (p *pending) advance() {
 // so each lands once in the trace, the completion digest, the QP's callback
 // and the CQ counter, in that order.
 func (n *NIC) deliverCQE(qp *qpState, tc int, c Completion) {
-	qp.completed++
 	n.rec.Emit(trace.Event{At: int64(c.DoneTime), Kind: trace.KindCQE,
 		Actor: n.cqeActor, QPN: c.QPN, TC: int8(tc),
 		Dur: int64(c.DoneTime.Sub(c.PostTime)), Aux: uint64(c.Status)})

@@ -42,9 +42,19 @@ func psnHalfAway(a, b uint32) bool {
 	return (a-b)&psnMask == 1<<23
 }
 
+// RC retransmission defaults, ~IB's: retry_cnt 7 with a multi-ms timeout
+// (real HW uses 4.096 us << timeout, commonly tens of ms). The timeout is
+// deliberately far above any in-sim RTT so that a lossless run never arms a
+// spurious retransmission; lossy experiments tune it down per QP with
+// SetQPRetry (as real stacks tune ibv_modify_qp timeout).
+const (
+	retryTimeout = 4 * sim.Millisecond
+	retryLimit   = 7
+)
+
 // SetQPRetry overrides the retransmission parameters of one QP, mirroring
-// ibv_modify_qp's timeout/retry_cnt. Zero values fall back to the NIC-wide
-// defaults.
+// ibv_modify_qp's timeout/retry_cnt. Zero values fall back to the defaults
+// above.
 func (n *NIC) SetQPRetry(qpn uint32, timeout sim.Duration, limit int) error {
 	qp, ok := n.qps[qpn]
 	if !ok {
@@ -62,25 +72,15 @@ func (n *NIC) QPFailed(qpn uint32) bool {
 	return ok && qp.failed
 }
 
-// removeOutstanding unlinks one pending entry from the QP's transport window.
-func (qp *qpState) removeOutstanding(p *pending) {
-	for i, q := range qp.outstanding {
-		if q == p {
-			qp.outstanding = append(qp.outstanding[:i], qp.outstanding[i+1:]...)
-			return
-		}
-	}
-}
-
 // retryParams resolves the QP's effective timeout base and retry limit.
 func (n *NIC) retryParams(qp *qpState) (sim.Duration, int) {
 	base := qp.retryTimeout
 	if base <= 0 {
-		base = n.RetryTimeout
+		base = retryTimeout
 	}
 	limit := qp.retryLimit
 	if limit <= 0 {
-		limit = n.RetryLimit
+		limit = retryLimit
 	}
 	return base, limit
 }
@@ -214,7 +214,6 @@ func (n *NIC) failQP(qp *qpState) {
 	n.rec.Emit(trace.Event{At: int64(n.eng.Now()), Kind: trace.KindRetryExc,
 		Actor: n.psnActor, QPN: qp.qpn, Val: uint64(len(flush)), TC: -1})
 	for _, p := range flush {
-		delete(n.pend, p.seq)
 		p.writeCQE(pFlushCQE)
 	}
 }

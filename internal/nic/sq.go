@@ -207,7 +207,6 @@ func (n *NIC) advanceSQ(qp *qpState) {
 // stages capture a copy of the entry: its ring slot is reused once the ring
 // drains.
 func (n *NIC) execManagement(qp *qpState, entry *WQE) {
-	qp.posted++
 	post := n.eng.Now()
 	wqe := *entry
 	n.eng.After(n.prof.DoorbellTime, func() {

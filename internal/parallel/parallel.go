@@ -149,15 +149,3 @@ func ForEach[T any](ctx context.Context, workers int, items []T, fn func(ctx con
 	})
 	return err
 }
-
-// MapN is Map over the index range [0, n): for sweeps whose "items" are
-// just cell indices into a parameter grid.
-func MapN[R any](ctx context.Context, workers int, n int, fn func(ctx context.Context, index int) (R, error)) ([]R, error) {
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	return Map(ctx, workers, idx, func(ctx context.Context, i int, _ int) (R, error) {
-		return fn(ctx, i)
-	})
-}

@@ -183,20 +183,6 @@ func TestForEach(t *testing.T) {
 	}
 }
 
-func TestMapN(t *testing.T) {
-	out, err := MapN(context.Background(), 4, 10, func(_ context.Context, i int) (int, error) {
-		return i * 2, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range out {
-		if v != i*2 {
-			t.Fatalf("out[%d] = %d", i, v)
-		}
-	}
-}
-
 func TestWorkersNormalization(t *testing.T) {
 	if Workers(0) != runtime.NumCPU() || Workers(-3) != runtime.NumCPU() {
 		t.Fatal("non-positive should select NumCPU")

@@ -162,30 +162,17 @@ type Result struct {
 // read posts one read and runs the engine until its completion, returning
 // the post-to-completion latency.
 func (ch *Channel) read(conn *lab.Conn, target verbs.RemoteBuf, wrid uint64) (sim.Duration, error) {
-	eng := ch.Cluster.Eng
-	var lat sim.Duration
-	got := false
-	prev := conn.CQ.Notify
-	defer func() { conn.CQ.Notify = prev }()
-	conn.CQ.Notify = func(c nic.Completion) {
-		if c.WRID != wrid {
-			return
-		}
-		if c.Status != nic.StatusOK {
-			return
-		}
-		lat = c.DoneTime.Sub(c.PostTime)
-		got = true
-		eng.Halt()
-	}
 	if err := conn.QP.PostRead(wrid, nil, target, 64); err != nil {
 		return 0, err
 	}
-	eng.Run()
-	if !got {
+	c, ok := conn.CQ.Await(wrid)
+	switch {
+	case !ok:
 		return 0, errors.New("pythia: probe did not complete")
+	case c.Status != nic.StatusOK:
+		return 0, fmt.Errorf("pythia: probe failed: %v", c.Status)
 	}
-	return lat, nil
+	return c.DoneTime.Sub(c.PostTime), nil
 }
 
 // Transmit sends the bits: per symbol, the sender evicts the target's MTT

@@ -59,9 +59,6 @@ func (d Duration) Nanoseconds() float64 { return float64(d) / float64(Nanosecond
 // precision is truncated.
 func (d Duration) Std() time.Duration { return time.Duration(d/Nanosecond) * time.Nanosecond }
 
-// FromStd converts a time.Duration to a virtual Duration.
-func FromStd(d time.Duration) Duration { return Duration(d.Nanoseconds()) * Nanosecond }
-
 // Scale multiplies d by a dimensionless factor, rounding to the nearest
 // picosecond. It is the canonical way to derate or boost service times.
 func (d Duration) Scale(f float64) Duration {

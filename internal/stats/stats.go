@@ -203,28 +203,6 @@ func ZScore(xs []float64) []float64 {
 	return out
 }
 
-// MovingAverage returns the centered moving average of xs with the given
-// window (clamped at the edges). window must be >= 1.
-func MovingAverage(xs []float64, window int) []float64 {
-	if window < 1 {
-		panic("stats: window must be >= 1")
-	}
-	out := make([]float64, len(xs))
-	half := window / 2
-	for i := range xs {
-		lo := i - half
-		if lo < 0 {
-			lo = 0
-		}
-		hi := i + half
-		if hi >= len(xs) {
-			hi = len(xs) - 1
-		}
-		out[i] = Mean(xs[lo : hi+1])
-	}
-	return out
-}
-
 // Histogram counts xs into nbins uniform bins over [lo, hi]. Values outside
 // the range clamp to the edge bins.
 func Histogram(xs []float64, lo, hi float64, nbins int) []int {
@@ -250,28 +228,6 @@ func Histogram(xs []float64, lo, hi float64, nbins int) []int {
 	return counts
 }
 
-// ArgMax returns the index of the maximum element; -1 for empty input.
-func ArgMax(xs []float64) int {
-	best, idx := math.Inf(-1), -1
-	for i, x := range xs {
-		if x > best {
-			best, idx = x, i
-		}
-	}
-	return idx
-}
-
-// ArgMin returns the index of the minimum element; -1 for empty input.
-func ArgMin(xs []float64) int {
-	best, idx := math.Inf(1), -1
-	for i, x := range xs {
-		if x < best {
-			best, idx = x, i
-		}
-	}
-	return idx
-}
-
 // CrossCorrelate returns the normalised cross-correlation of a sliding
 // template over a signal: out[i] is the Pearson correlation of
 // signal[i:i+len(template)] with the template. Positions where the window
@@ -287,23 +243,6 @@ func CrossCorrelate(signal, template []float64) []float64 {
 		if err == nil {
 			out[i] = r
 		}
-	}
-	return out
-}
-
-// EWMA returns the exponentially weighted moving average of xs with
-// smoothing factor alpha in (0,1].
-func EWMA(xs []float64, alpha float64) []float64 {
-	if alpha <= 0 || alpha > 1 {
-		panic("stats: alpha must be in (0,1]")
-	}
-	out := make([]float64, len(xs))
-	if len(xs) == 0 {
-		return out
-	}
-	out[0] = xs[0]
-	for i := 1; i < len(xs); i++ {
-		out[i] = alpha*xs[i] + (1-alpha)*out[i-1]
 	}
 	return out
 }

@@ -158,16 +158,6 @@ func TestZScore(t *testing.T) {
 	}
 }
 
-func TestMovingAverage(t *testing.T) {
-	out := MovingAverage([]float64{1, 2, 3, 4, 5}, 3)
-	if !almost(out[2], 3, 1e-12) {
-		t.Fatalf("ma center = %v", out[2])
-	}
-	if !almost(out[0], 1.5, 1e-12) { // edge clamps to [0,1]
-		t.Fatalf("ma edge = %v", out[0])
-	}
-}
-
 func TestHistogram(t *testing.T) {
 	xs := []float64{0.1, 0.2, 0.5, 0.9, -5, 99}
 	h := Histogram(xs, 0, 1, 2)
@@ -177,19 +167,6 @@ func TestHistogram(t *testing.T) {
 	}
 	if n := Sum([]float64{float64(h[0]), float64(h[1])}); n != float64(len(xs)) {
 		t.Fatalf("histogram loses samples: %v", h)
-	}
-}
-
-func TestArgMaxMin(t *testing.T) {
-	xs := []float64{3, 9, 1, 9}
-	if ArgMax(xs) != 1 {
-		t.Fatalf("argmax = %d", ArgMax(xs))
-	}
-	if ArgMin(xs) != 2 {
-		t.Fatalf("argmin = %d", ArgMin(xs))
-	}
-	if ArgMax(nil) != -1 || ArgMin(nil) != -1 {
-		t.Fatal("empty arg should be -1")
 	}
 }
 
@@ -208,22 +185,6 @@ func TestCrossCorrelate(t *testing.T) {
 	if CrossCorrelate([]float64{1}, template) != nil {
 		t.Fatal("short signal should give nil")
 	}
-}
-
-func TestEWMA(t *testing.T) {
-	out := EWMA([]float64{1, 1, 1, 10}, 0.5)
-	if out[0] != 1 || !almost(out[3], 5.5, 1e-12) {
-		t.Fatalf("ewma = %v", out)
-	}
-}
-
-func TestEWMABadAlphaPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("alpha 0 should panic")
-		}
-	}()
-	EWMA([]float64{1}, 0)
 }
 
 // Property: Normalize output is always within [0,1].

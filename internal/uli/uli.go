@@ -9,16 +9,21 @@
 package uli
 
 import (
+	"cmp"
 	"errors"
+	"math"
+	"slices"
 
 	"github.com/thu-has/ragnar/internal/nic"
 	"github.com/thu-has/ragnar/internal/sim"
 	"github.com/thu-has/ragnar/internal/stats"
+	"github.com/thu-has/ragnar/internal/trace"
 	"github.com/thu-has/ragnar/internal/verbs"
 )
 
 // Sample is one probe measurement.
 type Sample struct {
+	At      sim.Time     // completion time
 	Lat     sim.Duration // post-to-completion latency
 	LenSQ   int          // WQEs ahead of this probe at post time
 	ULINano float64      // Lat/(LenSQ+1) in nanoseconds
@@ -26,7 +31,10 @@ type Sample struct {
 }
 
 // Prober issues RDMA Reads in a closed loop, keeping Depth requests
-// outstanding, and records a Sample per completion.
+// outstanding, and records a Sample per steady-state completion. It runs
+// in one of two modes: Measure takes a fixed number of samples and
+// returns, while Start records until Stop as the caller advances the
+// engine (covert receivers bin those samples into symbol windows).
 type Prober struct {
 	QP      *verbs.QP
 	CQ      *verbs.CQ
@@ -42,114 +50,210 @@ type Prober struct {
 	// (rkey and address), overriding Remote/NextOffset — the inter-MR
 	// channel alternates rkeys, not just offsets.
 	NextRemote func(i int) verbs.RemoteBuf
+	// Rec, when set, receives one KindULISample event per recorded sample
+	// (the metrics registry derives sample jitter from the event stream).
+	Rec *trace.Recorder
+
+	// Samples are the recorded observations, in completion-time order.
+	Samples []Sample
+
+	running bool
+	posted  int
+	epoch   uint64
+	// inFlight holds the outstanding probes in post order. Completions
+	// come in that order on a lossless QP, so the lookup finds its probe
+	// at the head; under loss a probe whose response was dropped completes
+	// after its successors, and the scan finds it further on.
+	inFlight []probe
+	err      error
+	recActor uint16
+	// Measure's stop rules: the completions still to skip as pipeline
+	// fill, the sample count at which to halt eng, and the drain after it.
+	// Start leaves them zero and never halts the engine.
+	eng      *sim.Engine
+	skip     int
+	limit    int
+	draining bool
 }
 
-// Measure runs n probes and returns their samples. It drives the engine via
-// completion notifications: concurrent traffic from other actors keeps
-// flowing. The caller's engine is run until the measurement completes, and
-// in-flight probes are drained before returning so back-to-back
-// measurements on one connection do not contaminate each other.
-func (p *Prober) Measure(eng *sim.Engine, n int) ([]Sample, error) {
+// probe is one outstanding probe: its WRID and what was recorded at post.
+type probe struct {
+	wrid  uint64
+	lenSQ int
+	off   uint64
+}
+
+// Start fills the queue and begins recording into Samples. The prober owns
+// the CQ's Notify slot until Stop.
+func (p *Prober) Start() error { return p.start(nil, 0, 0) }
+
+func (p *Prober) start(eng *sim.Engine, skip, limit int) error {
+	if p.running {
+		return errors.New("uli: prober already running")
+	}
 	if p.Depth < 1 {
-		return nil, errors.New("uli: depth must be >= 1")
+		return errors.New("uli: depth must be >= 1")
 	}
-	if n < 1 {
-		return nil, errors.New("uli: need at least one probe")
-	}
-	epoch := p.CQ.NextEpoch() << 32
-	samples := make([]Sample, 0, n)
-	posted := 0
-	skipped := 0
-	lenAt := make(map[uint64]int, p.Depth+1)
-	offAt := make(map[uint64]uint64, p.Depth+1)
-	done := false
-
-	post := func() error {
-		target := p.Remote
-		var off uint64
-		switch {
-		case p.NextRemote != nil:
-			target = p.NextRemote(posted)
-			off = target.Addr - p.Remote.Addr
-		case p.NextOffset != nil:
-			off = p.NextOffset(posted)
-			target = p.Remote.At(off)
-		}
-		wrid := epoch | uint64(posted)
-		lenAt[wrid] = p.QP.Outstanding()
-		offAt[wrid] = off
-		posted++
-		return p.QP.PostRead(wrid, nil, target, p.MsgSize)
-	}
-
-	prevNotify := p.CQ.Notify
-	defer func() { p.CQ.Notify = prevNotify }()
-	var measureErr error
-	p.CQ.Notify = func(c nic.Completion) {
-		if done || c.WRID&^uint64(0xffffffff) != epoch {
-			return // stale probe from an earlier measurement
-		}
-		if c.Status != nic.StatusOK {
-			measureErr = errors.New("uli: probe failed: " + c.Status.String())
-			done = true
-			eng.Halt()
-			return
-		}
-		lat := c.DoneTime.Sub(c.PostTime)
-		lsq := lenAt[c.WRID]
-		delete(lenAt, c.WRID)
-		switch {
-		case lsq < p.Depth-1 || skipped < p.Depth:
-			// Ramp-up probes and the first pipeline-fill completions carry
-			// startup latency, not steady-state contention.
-			skipped++
-		default:
-			samples = append(samples, Sample{
-				Lat:     lat,
-				LenSQ:   lsq,
-				ULINano: lat.Nanoseconds() / float64(lsq+1),
-				Offset:  offAt[c.WRID],
-			})
-		}
-		delete(offAt, c.WRID)
-		if len(samples) >= n {
-			done = true
-			eng.Halt()
-			return
-		}
-		if err := post(); err != nil && err != verbs.ErrSQFull {
-			measureErr = err
-			done = true
-			eng.Halt()
-		}
-	}
-
+	p.eng, p.skip, p.limit = eng, skip, limit
+	p.epoch = p.CQ.NextEpoch() << 32
+	p.posted, p.err = 0, nil
+	p.inFlight = make([]probe, 0, p.Depth+1)
+	p.running = true
+	p.recActor = p.Rec.RegisterActor("uli/sampler")
+	p.CQ.Notify = p.onCQE
 	for i := 0; i < p.Depth; i++ {
-		if err := post(); err != nil {
+		if err := p.post(); err != nil {
 			if err == verbs.ErrSQFull {
 				break
 			}
-			return nil, err
+			p.running = false
+			return err
 		}
+	}
+	return nil
+}
+
+// onCQE is the prober's completion handler in both modes.
+func (p *Prober) onCQE(c nic.Completion) {
+	if p.draining {
+		if p.QP.Outstanding() == 0 {
+			p.eng.Halt()
+		}
+		return
+	}
+	if !p.running || c.WRID&^uint64(0xffffffff) != p.epoch {
+		return // stopped, or a stale probe from an earlier run
+	}
+	if c.Status != nic.StatusOK {
+		p.halt(errors.New("uli: probe failed: " + c.Status.String()))
+		return
+	}
+	pr := p.complete(c.WRID)
+	switch {
+	case p.skip > 0:
+		// Measure's first Depth completions carry pipeline-fill latency.
+		p.skip--
+	case pr.lenSQ >= p.Depth-1:
+		// Ramp-up probes, posted behind fewer than Depth-1 others, carry
+		// startup latency, not steady-state contention; the rest count.
+		lat := c.DoneTime.Sub(c.PostTime)
+		uliNano := lat.Nanoseconds() / float64(pr.lenSQ+1)
+		p.Samples = append(p.Samples, Sample{At: c.DoneTime, Lat: lat,
+			LenSQ: pr.lenSQ, ULINano: uliNano, Offset: pr.off})
+		p.Rec.Emit(trace.Event{At: int64(c.DoneTime), Kind: trace.KindULISample,
+			Actor: p.recActor, Val: math.Float64bits(uliNano), Aux: pr.off, TC: -1})
+	}
+	if p.limit > 0 && len(p.Samples) >= p.limit {
+		p.halt(nil)
+		return
+	}
+	if err := p.post(); err != nil && err != verbs.ErrSQFull {
+		p.halt(err)
+	}
+}
+
+// halt ends probing with err (nil at Measure's sample limit) and halts
+// Measure's engine.
+func (p *Prober) halt(err error) {
+	p.running, p.err = false, err
+	if p.eng != nil {
+		p.eng.Halt()
+	}
+}
+
+func (p *Prober) post() error {
+	target := p.Remote
+	var off uint64
+	switch {
+	case p.NextRemote != nil:
+		target = p.NextRemote(p.posted)
+		off = target.Addr - p.Remote.Addr
+	case p.NextOffset != nil:
+		off = p.NextOffset(p.posted)
+		target = p.Remote.At(off)
+	}
+	wrid := p.epoch | uint64(p.posted)
+	p.inFlight = append(p.inFlight, probe{wrid: wrid, lenSQ: p.QP.Outstanding(), off: off})
+	p.posted++
+	err := p.QP.PostRead(wrid, nil, target, p.MsgSize)
+	if err != nil {
+		p.inFlight = p.inFlight[:len(p.inFlight)-1]
+	}
+	return err
+}
+
+// complete removes the probe with the given WRID from the in-flight list
+// and returns it; an unknown WRID yields the zero probe.
+func (p *Prober) complete(wrid uint64) probe {
+	for i, pr := range p.inFlight {
+		if pr.wrid == wrid {
+			p.inFlight = append(p.inFlight[:i], p.inFlight[i+1:]...)
+			return pr
+		}
+	}
+	return probe{}
+}
+
+// Stop ceases probing and releases the CQ hook. In-flight probes drain as
+// the engine continues.
+func (p *Prober) Stop() {
+	p.running = false
+	p.CQ.Notify = nil
+}
+
+// Err returns the first probe failure of a Start run, if any.
+func (p *Prober) Err() error { return p.err }
+
+// Measure runs the prober until it holds n samples and returns them. It
+// drives the engine via completion notifications: concurrent traffic from
+// other actors keeps flowing. The first Depth completions are skipped as
+// pipeline fill; the caller's engine is run until the n-th sample, and
+// in-flight probes are drained before returning so back-to-back
+// measurements on one connection do not contaminate each other. The CQ's
+// Notify is restored on return.
+func (p *Prober) Measure(eng *sim.Engine, n int) ([]Sample, error) {
+	if n < 1 {
+		return nil, errors.New("uli: need at least one probe")
+	}
+	prevNotify := p.CQ.Notify
+	defer func() { p.CQ.Notify = prevNotify }()
+	p.Samples = make([]Sample, 0, n)
+	if err := p.start(eng, p.Depth, n); err != nil {
+		return nil, err
 	}
 	eng.Run()
-	if measureErr != nil {
-		return nil, measureErr
+	p.running = false
+	if p.err != nil {
+		return nil, p.err
 	}
-	if len(samples) < n {
-		return samples, errors.New("uli: engine drained before measurement completed")
+	if len(p.Samples) < n {
+		return p.Samples, errors.New("uli: engine drained before measurement completed")
 	}
 	// Drain remaining in-flight probes so the next measurement on this
-	// connection starts from an idle queue.
+	// connection starts from an idle queue: onCQE halts the engine at the
+	// completion that leaves the QP idle.
 	if p.QP.Outstanding() > 0 {
-		p.CQ.Notify = func(nic.Completion) {
-			if p.QP.Outstanding() == 0 {
-				eng.Halt()
-			}
-		}
+		p.draining = true
 		eng.Run()
+		p.draining = false
 	}
-	return samples, nil
+	return p.Samples, nil
+}
+
+// AppendWindow appends the ULI values recorded in [from, to) to dst and
+// returns the extended slice. Samples are in time order, so the window's
+// start is found by binary search.
+func (p *Prober) AppendWindow(dst []float64, from, to sim.Time) []float64 {
+	i, _ := slices.BinarySearchFunc(p.Samples, from, func(s Sample, t sim.Time) int {
+		return cmp.Compare(s.At, t)
+	})
+	for _, s := range p.Samples[i:] {
+		if s.At >= to {
+			break
+		}
+		dst = append(dst, s.ULINano)
+	}
+	return dst
 }
 
 // ULIs extracts the ULI values (ns) from samples.

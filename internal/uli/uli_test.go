@@ -194,12 +194,12 @@ func TestMeasureDrainError(t *testing.T) {
 	_ = sim.Nanosecond
 }
 
-// TestSamplerBookkeeping: a probe is found by its WRID even when it
+// TestSamplerBookkeeping: the prober finds a probe by its WRID even when it
 // completes after its successors, as a probe whose response was lost does
-// under loss, and a window is the samples in [from, to), appended to the
-// caller's buffer.
+// under loss, and a window of its samples is those in [from, to), appended
+// to the caller's buffer.
 func TestSamplerBookkeeping(t *testing.T) {
-	s := &Sampler{inFlight: []probe{{wrid: 1, off: 10}, {wrid: 2, lenSQ: 1, off: 20}, {wrid: 3, lenSQ: 2, off: 30}}}
+	s := &Prober{inFlight: []probe{{wrid: 1, off: 10}, {wrid: 2, lenSQ: 1, off: 20}, {wrid: 3, lenSQ: 2, off: 30}}}
 	if pr := s.complete(2); pr.lenSQ != 1 || pr.off != 20 {
 		t.Fatalf("probe 2 = %+v", pr)
 	}
@@ -213,7 +213,7 @@ func TestSamplerBookkeeping(t *testing.T) {
 		t.Fatalf("in flight = %+v, want probe 3 alone", s.inFlight)
 	}
 
-	s.Samples = []TimedSample{{At: 10, ULINano: 1}, {At: 20, ULINano: 2}, {At: 20, ULINano: 3}, {At: 30, ULINano: 4}}
+	s.Samples = []Sample{{At: 10, ULINano: 1}, {At: 20, ULINano: 2}, {At: 20, ULINano: 3}, {At: 30, ULINano: 4}}
 	for _, c := range []struct {
 		from, to sim.Time
 		want     []float64

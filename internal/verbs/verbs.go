@@ -256,6 +256,25 @@ func (q *CQ) PollInto(dst []nic.Completion) int {
 // Len reports queued completions.
 func (q *CQ) Len() int { return len(q.entries) }
 
+// Await runs the context's engine until the completion of wrid arrives on
+// q and returns it; ok is false when the engine ran out of events first.
+// Other completions arriving meanwhile are dropped, and Notify is restored
+// on return. It is the blocking verb of a ULP that issues one request at a
+// time.
+func (q *CQ) Await(wrid uint64) (c nic.Completion, ok bool) {
+	prev := q.Notify
+	defer func() { q.Notify = prev }()
+	eng := q.ctx.eng
+	q.Notify = func(got nic.Completion) {
+		if got.WRID == wrid {
+			c, ok = got, true
+			eng.Halt()
+		}
+	}
+	eng.Run()
+	return c, ok
+}
+
 // QPCap configures queue pair limits.
 type QPCap struct {
 	MaxSendWR int // send queue depth (the paper's len_sq,max knob)

@@ -504,3 +504,39 @@ func TestDeregMRWithTrafficInFlight(t *testing.T) {
 		})
 	}
 }
+
+// TestCQAwait: Await returns the awaited WRID's completion, failed ones
+// included, drops the other completions that arrive while it runs, puts the
+// previous Notify back, and reports an engine that drains without the CQE.
+func TestCQAwait(t *testing.T) {
+	r := newRig(t, nic.CX4, 16)
+	var seen []uint64
+	prev := func(c nic.Completion) { seen = append(seen, c.WRID) }
+	r.cq.Notify = prev
+	for wrid := uint64(1); wrid <= 3; wrid++ {
+		if err := r.qp.PostRead(wrid, nil, r.serverMR.Describe(0), 64); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c, ok := r.cq.Await(2)
+	if !ok || c.WRID != 2 || c.Status != nic.StatusOK {
+		t.Fatalf("Await(2) = %+v, %v", c, ok)
+	}
+	if len(seen) != 0 {
+		t.Fatalf("completions reached the previous Notify while awaiting: %v", seen)
+	}
+	r.eng.Run() // WRID 3 completes after Await returned
+	if len(seen) != 1 || seen[0] != 3 {
+		t.Fatalf("previous Notify saw %v, want [3]", seen)
+	}
+
+	if err := r.qp.PostRead(4, nil, r.serverMR.Describe(r.serverMR.Size()), 64); err != nil {
+		t.Fatal(err)
+	}
+	if c, ok := r.cq.Await(4); !ok || c.Status == nic.StatusOK {
+		t.Fatalf("out-of-bounds Await(4) = %+v, %v; want its failed CQE", c, ok)
+	}
+	if _, ok := r.cq.Await(5); ok {
+		t.Fatal("Await of a WRID never posted reported a completion")
+	}
+}

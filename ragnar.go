@@ -167,11 +167,9 @@ func NewDualRail(cfg ClusterConfig) *Topology { return lab.DualRail(cfg) }
 // ULI measurement (Section IV-C)
 // ---------------------------------------------------------------------------
 
-// Prober measures Unit Latency Increase with a sustained queue depth.
+// Prober measures Unit Latency Increase with a sustained queue depth, for
+// a fixed sample count (Measure) or until stopped (Start/Stop).
 type Prober = uli.Prober
-
-// ULISampler measures ULI continuously with timestamps (covert receivers).
-type ULISampler = uli.Sampler
 
 // ULISample is one probe observation; ULITrace a mean/percentile summary.
 type (
