@@ -37,7 +37,7 @@ import (
 //     storms with zero wire drops, plus a nonzero invalid-NAK marker.
 //   - ack-forge: the adversary taps the target's downlink and answers the
 //     target's data-phase verbs before the victim can — forged OK responses
-//     carrying the snooped Seq AND PSN (full wire visibility, the forgery
+//     carrying the snooped QPN and PSN (full wire visibility, the forgery
 //     the reliability layer provably cannot reject). Read responses carry
 //     attacker bytes, so NVMe writes commit garbage: silent namespace
 //     corruption the victim only sees as end-to-end DataErrors. Counter
@@ -175,7 +175,7 @@ func (a *nakSpoofer) Observe(_ sim.Time, p fabric.Packet) {
 	}
 	a.injected++
 	a.back.Inject(nic.ForgePacket(a.requester, nic.Message{
-		Op: m.Op, SrcQPN: m.DstQPN, DstQPN: m.SrcQPN, Seq: m.Seq,
+		Op: m.Op, SrcQPN: m.DstQPN, DstQPN: m.SrcQPN,
 		IsResp: true, Status: nic.StatusSeqNak, TC: m.TC,
 		PSN: m.PSN, AckPSN: ack,
 	}))
@@ -183,7 +183,7 @@ func (a *nakSpoofer) Observe(_ sim.Time, p fabric.Packet) {
 
 // ackForger taps the target's downlink and completes the target's data-phase
 // verbs itself: every outbound request is answered with a forged OK carrying
-// the snooped Seq and exact PSN — the one forgery the hardened requester
+// the snooped QPN and exact PSN — the one forgery the hardened requester
 // accepts, priced at full wire visibility. READ responses (the data pull
 // behind an NVMe write) carry attacker bytes, so the target commits garbage
 // to the namespace; the victim's later reads fail end-to-end verification.
@@ -199,7 +199,7 @@ func (a *ackForger) Observe(_ sim.Time, p fabric.Packet) {
 	if !ok || m.IsResp {
 		return
 	}
-	resp := nic.Message{Op: m.Op, SrcQPN: m.DstQPN, DstQPN: m.SrcQPN, Seq: m.Seq,
+	resp := nic.Message{Op: m.Op, SrcQPN: m.DstQPN, DstQPN: m.SrcQPN,
 		IsResp: true, Status: nic.StatusOK, TC: m.TC, PSN: m.PSN, AckPSN: m.PSN}
 	if m.Op == nic.OpRead {
 		if len(a.junk) < m.Length {
@@ -238,8 +238,7 @@ func (g *qpGuesser) tick() {
 	}
 	g.up.Inject(nic.ForgePacket(g.server, nic.Message{
 		Op: nic.OpWrite, SrcQPN: 0x7fff, DstQPN: 0x4000 + uint32(g.guesses%256),
-		RKey: 1, Length: 64,
-		Seq: 1<<40 + g.guesses, PSN: uint32(g.guesses) & psn24,
+		RKey: 1, Length: 64, PSN: uint32(g.guesses) & psn24,
 	}))
 	g.guesses++
 	g.eng.After(nvmfGuessPeriod, g.tickFn)

@@ -64,8 +64,8 @@ func TestNvmfDistinguishability(t *testing.T) {
 		t.Fatalf("nak-spoof AbuseScore = %v, want > %d", nak.AbuseScore, threshold)
 	}
 
-	// ACK forgery: the stealthy row. Full-visibility forgeries carry exact
-	// Seq+PSN, so no counter moves — the only trace is end-to-end corruption
+	// ACK forgery: the stealthy row. Full-visibility forgeries carry the
+	// exact PSN, so no counter moves — the only trace is end-to-end corruption
 	// (DataErrs) plus DupAcks when the real responses echo in.
 	forge := cells["ack-forge"]
 	if forge.DataErrs == 0 {

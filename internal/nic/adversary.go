@@ -1,9 +1,6 @@
 package nic
 
 import (
-	"slices"
-	"sync/atomic"
-
 	"github.com/thu-has/ragnar/internal/fabric"
 	"github.com/thu-has/ragnar/internal/wire"
 )
@@ -17,16 +14,9 @@ import (
 // own copy of the payload, taken from its frames, because the NICs reuse
 // envelope buffers once the packet is delivered.
 
-// forgedLaunches draws launch ids for frames no requester launched. NIC
-// launch ids carry the NIC's sequence number in their high bits, which is
-// never 0, so the two ranges never meet.
-var forgedLaunches atomic.Uint64
-
-func forgedLaunch() uint64 { return forgedLaunches.Add(1) }
-
 // SnoopPacket opens a fabric packet observed on a link and returns a copy of
 // the nic-level message it carries — what a machine-in-the-middle learns from
-// one captured frame: QPNs, PSN, Seq, opcode, rkey. Data is a copy of the
+// one captured frame: QPNs, PSN, opcode, rkey. Data is a copy of the
 // payload the frames carry, the bytes an on-path observer sees, so it stays
 // as captured after the NICs reuse the envelope.
 func SnoopPacket(p fabric.Packet) (Message, bool) {
@@ -38,12 +28,10 @@ func SnoopPacket(p fabric.Packet) (Message, bool) {
 }
 
 // observed returns a copy of the envelope's message whose Data is a copy of
-// the payload its frames carry; a forged envelope has no frames, and its
-// message's own Data is copied instead.
+// the payload its frames carry.
 func (env *envelope) observed() Message {
 	m := env.msg
-	if m.Data == nil || len(env.frames) == 0 {
-		m.Data = slices.Clone(m.Data)
+	if m.Data == nil {
 		return m
 	}
 	var pkt wire.Packet
@@ -60,14 +48,18 @@ func (env *envelope) observed() Message {
 }
 
 // ForgePacket wraps a forged message as a wire packet deliverable to dst —
-// the frame an adversary hands to fabric.Link.Inject. Wire size and flow
-// label are derived exactly as the legitimate transmit path derives them, so
-// a forged frame is indistinguishable on the wire from a genuine one. Each
-// call is a launch of its own: the responder never takes the frame for a
-// retransmission of a request it holds a credit for.
+// the frame an adversary hands to fabric.Link.Inject. Its frames are encoded
+// at dst's MTU, and its wire size and flow label derived, exactly as the
+// legitimate transmit path does, so a forged frame is indistinguishable on
+// the wire from a genuine one: a copy of a request names the same QP and
+// PSN as the request. m.Data is nil unless the frames carry a payload (a
+// WRITE or SEND request, a READ response).
 func ForgePacket(dst *NIC, m Message) fabric.Packet {
-	m.launch = forgedLaunch()
 	env := &envelope{dst: dst, msg: m}
+	env.fire = env.granted
+	if err := env.encode(&m, dst.prof.MTU); err != nil {
+		panic("nic: forged frame encode: " + err.Error())
+	}
 	return fabric.Packet{
 		TC:      m.TC & (fabric.NumTCs - 1),
 		Bytes:   dst.wireBytes(&m),

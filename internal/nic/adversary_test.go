@@ -17,7 +17,7 @@ import (
 //   - a forged NAK must name a gap head that is actually outstanding, or it
 //     is rejected without consuming the single per-epoch rewind;
 //   - a NAK burst triggers at most one rewind per progress epoch;
-//   - completion forgery requires knowing both the pending Seq AND its PSN
+//   - completion forgery requires knowing the PSN of a request in flight
 //     (snooping, not guessing), and completes only a WQE of the QP the
 //     forged ACK names;
 //   - replayed requests are answered without re-execution — memory and the
@@ -56,8 +56,8 @@ func stalledRig(t *testing.T, writes int) (*sim.Engine, *NIC, *NIC, *[]Completio
 }
 
 // forgedNak builds the frame a NAK-spoofing adversary sends at a requester.
-func forgedNak(seq uint64, psn, ackPSN uint32) *Message {
-	return &Message{Op: OpWrite, SrcQPN: 2, DstQPN: 1, Seq: seq, IsResp: true,
+func forgedNak(psn, ackPSN uint32) *Message {
+	return &Message{Op: OpWrite, SrcQPN: 2, DstQPN: 1, IsResp: true,
 		Status: StatusSeqNak, PSN: psn, AckPSN: ackPSN}
 }
 
@@ -79,7 +79,7 @@ func TestForgedNakValidation(t *testing.T) {
 		{"half-space", 1<<23 - 1}, // gap head 2^23: unordered vs everything
 	}
 	for i, c := range invalid {
-		a.HandleIngress(forgedNak(0, 0, c.ackPSN))
+		a.HandleIngress(forgedNak(0, c.ackPSN))
 		if got := a.Counters().InvalidNaks; got != uint64(i+1) {
 			t.Fatalf("%s: InvalidNaks = %d, want %d", c.name, got, i+1)
 		}
@@ -89,14 +89,14 @@ func TestForgedNakValidation(t *testing.T) {
 	}
 
 	// A valid NAK (gap head 0 is outstanding) rewinds the whole window.
-	a.HandleIngress(forgedNak(0, 0, psnMask))
+	a.HandleIngress(forgedNak(0, psnMask))
 	if got := a.Counters().Retransmits; got != 4 {
 		t.Fatalf("valid NAK retransmitted %d, want 4", got)
 	}
 	// A burst of equally valid NAKs in the same progress epoch is inert:
 	// progressEpoch pins the single rewind.
 	for i := 0; i < 10; i++ {
-		a.HandleIngress(forgedNak(0, 0, psnMask))
+		a.HandleIngress(forgedNak(0, psnMask))
 	}
 	if got := a.Counters().Retransmits; got != 4 {
 		t.Fatalf("NAK burst multiplied retransmits to %d, want 4", got)
@@ -106,57 +106,58 @@ func TestForgedNakValidation(t *testing.T) {
 	}
 }
 
-// TestForgedAckRequiresSeqAndPSN: an ACK naming an unknown Seq is coalesced
-// as a duplicate; an ACK naming a pending Seq but the wrong PSN is rejected
-// as forged; an ACK carrying them but addressed to another QP is coalesced
-// too; only an ACK carrying both the snooped Seq and its exact PSN, to the
-// QP that posted the WQE, fakes a completion — the NeVerMore injection that
-// still works, priced at full wire visibility.
-func TestForgedAckRequiresSeqAndPSN(t *testing.T) {
-	eng, a, _, comps := stalledRig(t, 2) // outstanding Seq 0/PSN 0, Seq 1/PSN 1
+// TestForgedAckRequiresPSN: a frame carries no request id besides its QP
+// and PSN, so an ACK carrying the PSN of a WQE in flight on the QP it names
+// completes that WQE, as on a real RC requester — the NeVerMore injection
+// that still works, priced at full wire visibility. Every other forged ACK
+// completes nothing: one at a PSN behind the window is coalesced as a
+// duplicate, and one at a PSN the QP never launched, or addressed to a QP
+// that launched nothing, is rejected as forged.
+func TestForgedAckRequiresPSN(t *testing.T) {
+	eng, a, _, comps := stalledRig(t, 2) // outstanding PSNs 0 and 1
 
-	ack := func(seq uint64, psn uint32) *Message {
-		return &Message{Op: OpWrite, SrcQPN: 2, DstQPN: 1, Seq: seq, IsResp: true,
+	ack := func(psn uint32) *Message {
+		return &Message{Op: OpWrite, SrcQPN: 2, DstQPN: 1, IsResp: true,
 			Status: StatusOK, PSN: psn, AckPSN: psn}
 	}
 
-	a.HandleIngress(ack(999, 0)) // guessed Seq: no pending entry
+	a.HandleIngress(ack(psnMask)) // stale PSN, behind the window
 	eng.RunFor(10 * sim.Microsecond)
 	if got := a.Counters().DupAcks; got != 1 {
 		t.Fatalf("DupAcks = %d, want 1", got)
 	}
 	if len(*comps) != 0 {
-		t.Fatalf("unknown-Seq ACK delivered a CQE: %+v", *comps)
+		t.Fatalf("stale-PSN ACK delivered a CQE: %+v", *comps)
 	}
 
-	a.HandleIngress(ack(0, 5)) // valid Seq, guessed PSN
+	a.HandleIngress(ack(5)) // guessed PSN, never launched
 	eng.RunFor(10 * sim.Microsecond)
 	if got := a.Counters().InvalidAcks; got != 1 {
 		t.Fatalf("InvalidAcks = %d, want 1", got)
 	}
 	if len(*comps) != 0 {
-		t.Fatalf("wrong-PSN ACK delivered a CQE: %+v", *comps)
+		t.Fatalf("unlaunched-PSN ACK delivered a CQE: %+v", *comps)
 	}
 
-	// QP 1's pending Seq and PSN, addressed to another QP of the same NIC:
-	// the window of the QP a response names is the only place its WQE is
-	// looked up, so the ACK completes nothing.
+	// QP 1's pending PSN, addressed to another QP of the same NIC: the
+	// window of the QP a response names is the only place its WQE is
+	// looked up, and QP 3 has launched nothing, so the ACK is forged.
 	var idle []Completion
 	if err := a.CreateQP(3, func(c Completion) { idle = append(idle, c) }, nil); err != nil {
 		t.Fatal(err)
 	}
-	crossQP := ack(1, 1)
+	crossQP := ack(1)
 	crossQP.DstQPN = 3
 	a.HandleIngress(crossQP)
 	eng.RunFor(10 * sim.Microsecond)
-	if got := a.Counters().DupAcks; got != 2 {
-		t.Fatalf("DupAcks = %d after cross-QP ACK, want 2", got)
+	if got := a.Counters().InvalidAcks; got != 2 {
+		t.Fatalf("InvalidAcks = %d after cross-QP ACK, want 2", got)
 	}
 	if len(*comps) != 0 || len(idle) != 0 {
 		t.Fatalf("cross-QP ACK delivered a CQE: QP 1 %+v, QP 3 %+v", *comps, idle)
 	}
 
-	a.HandleIngress(ack(0, 0)) // fully snooped forgery
+	a.HandleIngress(ack(0)) // fully snooped forgery
 	eng.RunFor(10 * sim.Microsecond)
 	if len(*comps) != 1 || (*comps)[0].Status != StatusOK || (*comps)[0].WRID != 0 {
 		t.Fatalf("snooped forged ACK should fake exactly one OK CQE, got %+v", *comps)
@@ -181,10 +182,9 @@ func TestReplayedWriteNotReExecuted(t *testing.T) {
 		t.Fatalf("completions = %d", len(comps))
 	}
 
-	// Replay the same PSN/Seq with attacker-altered bytes.
+	// Replay the same PSN with attacker-altered bytes.
 	b.HandleIngress(&Message{Op: OpWrite, SrcQPN: 1, DstQPN: 2, RKey: 77,
-		RemoteAddr: region.Base(), Length: len(orig), Data: []byte("TAMPERED PAYLOAD"),
-		Seq: 0, PSN: 0})
+		RemoteAddr: region.Base(), Length: len(orig), Data: []byte("TAMPERED PAYLOAD"), PSN: 0})
 	eng.Run()
 
 	if got := string(region.Bytes()[:len(orig)]); got != string(orig) {
@@ -229,7 +229,7 @@ func TestAtomicReplayDisplacedDropped(t *testing.T) {
 	// Duplicate of the FIRST atomic: its replay record was displaced by the
 	// second. Must be dropped — not re-executed, not answered.
 	b.HandleIngress(&Message{Op: OpAtomicFAA, SrcQPN: 1, DstQPN: 2, RKey: 77,
-		RemoteAddr: region.Base(), Length: 8, CompareAdd: 5, Seq: 0, PSN: 0})
+		RemoteAddr: region.Base(), Length: 8, CompareAdd: 5, PSN: 0})
 	eng.Run()
 	if got := le64(region.Bytes()[:8]); got != 12 {
 		t.Fatalf("displaced duplicate atomic re-executed: memory = %d, want 12", got)
@@ -241,7 +241,7 @@ func TestAtomicReplayDisplacedDropped(t *testing.T) {
 	// Duplicate of the SECOND atomic: record present, replayed from the
 	// buffer — the recorded original value, no re-execution.
 	b.HandleIngress(&Message{Op: OpAtomicFAA, SrcQPN: 1, DstQPN: 2, RKey: 77,
-		RemoteAddr: region.Base(), Length: 8, CompareAdd: 7, Seq: 1, PSN: 1})
+		RemoteAddr: region.Base(), Length: 8, CompareAdd: 7, PSN: 1})
 	eng.Run()
 	if got := le64(region.Bytes()[:8]); got != 12 {
 		t.Fatalf("replayed atomic re-executed: memory = %d, want 12", got)
@@ -283,8 +283,7 @@ func TestHalfSpacePSNConvention(t *testing.T) {
 
 	req := func(psn uint32) *Message {
 		return &Message{Op: OpWrite, SrcQPN: 1, DstQPN: 2, RKey: 77,
-			RemoteAddr: region.Base(), Length: 8, Data: []byte("12345678"),
-			Seq: 0, PSN: psn}
+			RemoteAddr: region.Base(), Length: 8, Data: []byte("12345678"), PSN: psn}
 	}
 	// Exactly half the space ahead of ePSN 0: discarded, not classified.
 	b.HandleIngress(req(half))
@@ -327,8 +326,7 @@ func TestOutOfWindowSingleNak(t *testing.T) {
 	// which is fine — the counter is charged when the NAK is generated.
 	req := func(psn uint32) *Message {
 		return &Message{Op: OpWrite, SrcQPN: 9, DstQPN: 2, RKey: 77,
-			RemoteAddr: region.Base(), Length: 8, Data: []byte("xxxxxxxx"),
-			Seq: 0, PSN: psn}
+			RemoteAddr: region.Base(), Length: 8, Data: []byte("xxxxxxxx"), PSN: psn}
 	}
 	for _, psn := range []uint32{5, 6, 7, 100} {
 		b.HandleIngress(req(psn))
@@ -385,8 +383,7 @@ func TestQPGuessingCounted(t *testing.T) {
 	connect(t, a, b, func(c Completion) { comps = append(comps, c) })
 	for qpn := uint32(100); qpn < 116; qpn++ {
 		b.HandleIngress(&Message{Op: OpWrite, SrcQPN: 9, DstQPN: qpn, RKey: 77,
-			RemoteAddr: region.Base(), Length: 8, Data: []byte("guessing"),
-			Seq: 0, PSN: 0})
+			RemoteAddr: region.Base(), Length: 8, Data: []byte("guessing"), PSN: 0})
 	}
 	eng.Run()
 	if got := b.Counters().RxBadQP; got != 16 {

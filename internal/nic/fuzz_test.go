@@ -179,20 +179,16 @@ func (s *scriptedAdversary) Observe(at sim.Time, p fabric.Packet) {
 	switch op % 5 {
 	case 1: // forged NAK at the requester, AckPSN skewed by the script
 		s.toReq.Inject(ForgePacket(s.reqNIC, Message{
-			Op: m.Op, SrcQPN: m.DstQPN, DstQPN: m.SrcQPN, Seq: m.Seq,
+			Op: m.Op, SrcQPN: m.DstQPN, DstQPN: m.SrcQPN,
 			IsResp: true, Status: StatusSeqNak, TC: m.TC,
 			PSN: m.PSN, AckPSN: (m.PSN + uint32(param)) & psnMask,
 		}))
-	case 2: // forged ACK: guessed Seq, or valid Seq with a wrong PSN
-		fm := Message{Op: m.Op, SrcQPN: m.DstQPN, DstQPN: m.SrcQPN,
-			IsResp: true, Status: StatusOK, TC: m.TC, PSN: m.PSN, AckPSN: m.PSN}
-		if param%2 == 0 {
-			fm.Seq = m.Seq + 1000 + uint64(param) // never a live Seq
-		} else {
-			fm.Seq = m.Seq
-			fm.PSN = (m.PSN + 1 + uint32(param%100)) & psnMask // wrong PSN
-		}
-		s.toReq.Inject(ForgePacket(s.reqNIC, fm))
+	case 2: // forged ACK a quarter of the PSN space ahead: never launched here
+		psn := (m.PSN + 1<<22 + uint32(param)) & psnMask
+		s.toReq.Inject(ForgePacket(s.reqNIC, Message{
+			Op: m.Op, SrcQPN: m.DstQPN, DstQPN: m.SrcQPN,
+			IsResp: true, Status: StatusOK, TC: m.TC, PSN: psn, AckPSN: psn,
+		}))
 	case 3: // replay the captured request at the responder
 		if cp, ok := ReplayPacket(p); ok {
 			s.toResp.Inject(cp)
@@ -202,7 +198,7 @@ func (s *scriptedAdversary) Observe(at sim.Time, p fabric.Packet) {
 		s.toResp.Inject(ForgePacket(s.respNIC, Message{
 			Op: OpWrite, SrcQPN: m.SrcQPN, DstQPN: 100 + uint32(param),
 			RKey: m.RKey, RemoteAddr: m.RemoteAddr, Length: 8,
-			Seq: 5000 + uint64(s.pos), PSN: uint32(param), TC: m.TC,
+			PSN: uint32(param), TC: m.TC,
 		}))
 	}
 }
@@ -210,12 +206,12 @@ func (s *scriptedAdversary) Observe(at sim.Time, p fabric.Packet) {
 // FuzzAdversarialFrames interleaves legitimate traffic with script-driven
 // forged and replayed frames under fuzzer-chosen wire loss. Whatever the
 // adversary does within this envelope (forged NAKs with arbitrary AckPSN
-// skew, forged ACKs that guess either the Seq or the PSN, request replays,
-// QP-guessing sprays), the reliability invariants must hold:
+// skew, forged ACKs at PSNs the requester has not launched, request
+// replays, QP-guessing sprays), the reliability invariants must hold:
 //
 //   - every posted WQE completes exactly once — no duplicate CQEs, and no
-//     forged CQE (the forged ACKs here never carry both a live Seq and its
-//     exact PSN, which is the only combination that can fake a completion);
+//     forged CQE (only an ACK at the PSN of a request in flight can fake a
+//     completion, and the forged ACKs here never carry one);
 //   - byte conservation: on an all-OK run responder memory saw each posted
 //     byte exactly once, replays notwithstanding;
 //   - the QP either completes everything or lands in StatusRetryExcErr with

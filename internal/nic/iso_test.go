@@ -350,3 +350,47 @@ func TestISORetransmittedReadKeepsOneCredit(t *testing.T) {
 		t.Fatalf("completion %v, %d credits after drain, want OK and %d", comps[0].Status, b.isoCredits[0], pool)
 	}
 }
+
+// readReplayer is an on-path tap that replays the first READ request it
+// sees back onto its own link.
+type readReplayer struct {
+	link     *fabric.Link
+	replayed bool
+}
+
+func (r *readReplayer) Observe(_ sim.Time, p fabric.Packet) {
+	if m, ok := SnoopPacket(p); ok && !r.replayed && !m.IsResp && m.Op == OpRead {
+		cp, _ := ReplayPacket(p)
+		r.link.Inject(cp)
+		r.replayed = true
+	}
+}
+
+// TestISOReplayedReadSharesCredit: a replayed READ request names the QP and
+// PSN of the READ it copies, as a retransmission does, so the responder
+// executes it as a duplicate under the original's credit and the pool is
+// full once both have answered.
+func TestISOReplayedReadSharesCredit(t *testing.T) {
+	eng, a, b, ab, _ := linkedRig(t, CX5ISO, 0)
+	ab.SetAdversary(&readReplayer{link: ab})
+	var comps []Completion
+	connect(t, a, b, func(c Completion) { comps = append(comps, c) })
+	if err := a.PostSend(1, &WQE{WRID: 1, Op: OpRead, RemoteKey: 77,
+		RemoteAddr: b.mrs[77].Base, Length: 64}); err != nil {
+		t.Fatal(err)
+	}
+	pool := CX5ISO.ISOCredits
+	minCredits := pool
+	isoSample(t, eng, func() bool { return len(comps) == 1 }, func() {
+		minCredits = min(minCredits, b.isoCredits[0])
+	})
+	if got := b.Counters().DupReqs; got != 1 {
+		t.Fatalf("DupReqs = %d, want 1: the replay did not reach the responder as a duplicate", got)
+	}
+	if minCredits != pool-1 {
+		t.Fatalf("credits fell to %d with one READ and its replay, want %d", minCredits, pool-1)
+	}
+	if comps[0].Status != StatusOK || b.isoCredits[0] != pool {
+		t.Fatalf("completion %v, %d credits after drain, want OK and %d", comps[0].Status, b.isoCredits[0], pool)
+	}
+}

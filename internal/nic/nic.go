@@ -82,8 +82,9 @@ func (s Status) String() string {
 }
 
 // Message is the unit exchanged between NICs over the fabric. A request
-// carries the operation; a response carries the matching Seq with IsResp
-// set. The NIC passes messages by value: every holder keeps its own copy.
+// carries the operation; a response carries the request's PSN with IsResp
+// set, so a request is named by its QP and PSN, as its frames name it. The
+// NIC passes messages by value: every holder keeps its own copy.
 //
 // Data is the payload of a WRITE or SEND request or a READ response. The
 // sending NIC reads it once per transmission, when it encodes the message's
@@ -99,7 +100,6 @@ type Message struct {
 	RemoteAddr uint64
 	Length     int
 	Data       []byte
-	Seq        uint64
 	IsResp     bool
 	Status     Status
 	// PSN is the QP's 24-bit packet sequence number: assigned per request
@@ -112,13 +112,6 @@ type Message struct {
 	CompareAdd uint64
 	Swap       uint64
 	TC         int
-
-	// launch names one launch of a request: the requester draws it when the
-	// request first goes out and every retransmission carries it again,
-	// while each forged or replayed frame gets a fresh one. Isolation
-	// profiles use it to give a launch at most one responder credit at a
-	// time (see handleRequest).
-	launch uint64
 }
 
 // WQE is a posted work queue element.
@@ -304,7 +297,7 @@ type Counters struct {
 	// protocol abuse from the loss grid's benign degradation.
 	RxBadQP     uint64 // requests addressed to a QPN this NIC never created
 	InvalidNaks uint64 // NAK-seq rejected: gap head not an outstanding PSN
-	InvalidAcks uint64 // responses whose PSN disagrees with the pending request
+	InvalidAcks uint64 // responses at a PSN the QP has not launched
 	RxBadPSN    uint64 // requests at the unordered half-space PSN distance
 
 	// Finite-resource observables (the exhaustion surface): ICM context
@@ -429,9 +422,8 @@ type NIC struct {
 	rxPU    *sim.Server
 	egress  *sim.Server // priority: class 0 = requester ring, 1 = responder ring
 
-	qps     map[uint32]*qpState
-	mrs     map[uint32]*MRInfo
-	nextSeq uint64
+	qps map[uint32]*qpState
+	mrs map[uint32]*MRInfo
 
 	// sqWins holds the registered SQ self-modification windows (see sq.go).
 	// Empty outside offload workloads: every patch hook gates on its length,
@@ -449,16 +441,11 @@ type NIC struct {
 	isoOn      bool
 	isoCredits [MaxTenants]int
 	isoWait    [MaxTenants][]func() // waiting ops' fire, FIFO per tenant
-	// isoHeld holds the launch ids of requests that hold (or wait for) a
-	// credit. A retransmission of a held launch re-enters the pipeline
-	// without a second credit, and respond releases each launch's credit
-	// once. Nil outside isolation profiles.
+	// isoHeld holds the requests, by responder QPN and PSN, that hold (or
+	// wait for) a credit. A copy of a held request (a retransmission or a
+	// replay) re-enters the pipeline without a second credit, and respond
+	// releases each request's credit once. Nil outside isolation profiles.
 	isoHeld map[uint64]struct{}
-
-	// launchBase and nextLaunch draw this NIC's request launch ids; the
-	// base keeps them apart from every other NIC's and from forged frames'.
-	launchBase uint64
-	nextLaunch uint64
 
 	counters Counters
 	// cqeDigest folds every delivered CQE (see CompletionDigest).
@@ -532,7 +519,6 @@ func New(eng *sim.Engine, name string, p Profile, h *host.Host, numa int) *NIC {
 	n.rxCheck.segs = n.rxCheck.segArr[:0]
 	n.payFree = n.payArr[:0]
 	n.ip = [4]byte{10, 0, byte(seq >> 8), byte(seq)}
-	n.launchBase = uint64(seq) << 40
 	// The DMA engine holds several outstanding tags; the TPU is a single
 	// in-order translation pipeline — that is what makes the remote-address
 	// offset the first-order term of ULI (Key Finding 4).
@@ -565,6 +551,11 @@ func (n *NIC) SetQPTenant(qpn uint32, tenant int) {
 }
 
 func (n *NIC) tenantOf(qpn uint32) int { return n.qpTenant[qpn] }
+
+// isoKey names a request in the held-credit set by what its frames carry:
+// the responder QPN and the PSN. A retransmission or a replay of a request
+// names the same key as the request.
+func isoKey(m *Message) uint64 { return uint64(m.DstQPN)<<32 | uint64(m.PSN) }
 
 // isoAdmit runs fn once the tenant holds a responder credit; with the pools
 // disabled it runs fn immediately.
@@ -832,23 +823,19 @@ func (n *NIC) dispatchWQE(qp *qpState, wqe *WQE) {
 // ring (class 0: the logical Tx arbiter outranks the responder ring).
 func (n *NIC) launch(p *pending) {
 	qp, wqe := p.qp, &p.wqe
-	seq := n.nextSeq
-	n.nextSeq++
 	psn := qp.nextPSN
 	qp.nextPSN = (qp.nextPSN + 1) & psnMask
-	n.nextLaunch++
 	p.msg = Message{
 		Op: wqe.Op, SrcQPN: qp.qpn, DstQPN: qp.peerQPN,
 		RKey: wqe.RemoteKey, RemoteAddr: wqe.RemoteAddr, Length: wqe.Length,
-		Seq: seq, PSN: psn, TC: wqe.TC, CompareAdd: wqe.CompareAdd, Swap: wqe.Swap,
-		launch: n.launchBase | n.nextLaunch,
+		PSN: psn, TC: wqe.TC, CompareAdd: wqe.CompareAdd, Swap: wqe.Swap,
 	}
 	if wqe.Op == OpWrite || wqe.Op == OpSend {
 		p.msg.Data = wqe.LocalData
 	}
-	p.seq, p.psn, p.lastSent = seq, psn, n.eng.Now()
+	p.psn, p.lastSent = psn, n.eng.Now()
 	n.rec.Emit(trace.Event{At: int64(n.eng.Now()), Kind: trace.KindPSNSend,
-		Actor: n.psnActor, QPN: qp.qpn, PSN: psn, Val: seq, TC: int8(wqe.TC)})
+		Actor: n.psnActor, QPN: qp.qpn, PSN: psn, TC: int8(wqe.TC)})
 	qp.outstanding = append(qp.outstanding, p)
 	if !qp.rtxTimer.Pending() {
 		n.armRetransmit(qp)
@@ -921,16 +908,11 @@ func Deliver(p fabric.Packet) {
 			Actor: dst.rxActor, TC: int8(p.TC & 7), Val: uint64(p.Bytes)})
 		return
 	}
+	// Wire fidelity: the frames must decode back to the message being
+	// delivered; their payload segments are what the receiver copies.
 	chk := &dst.rxCheck
-	if len(env.frames) > 0 {
-		// Wire fidelity: the frames must decode back to the message being
-		// delivered; their payload segments are what the receiver copies.
-		if err := chk.verify(env.frames, m); err != nil {
-			panic("nic: wire/simulation divergence: " + err.Error())
-		}
-	} else {
-		// A forged envelope carries no frames: its payload is its message's.
-		chk.segs = append(chk.segs[:0], m.Data)
+	if err := chk.verify(env.frames, m); err != nil {
+		panic("nic: wire/simulation divergence: " + err.Error())
 	}
 	dst.ingress(m, chk.segs)
 	dst.putEnv(env)
@@ -938,19 +920,14 @@ func Deliver(p fabric.Packet) {
 
 // HandleIngress processes one arriving message (request or response) as if
 // the wire had delivered it. The NIC copies what it keeps, the payload
-// from m.Data; a request without a launch id is a fresh launch, like a
-// forged frame.
+// from m.Data.
 func (n *NIC) HandleIngress(m *Message) {
-	msg := *m
-	if msg.launch == 0 {
-		msg.launch = forgedLaunch()
-	}
-	n.ingress(&msg, [][]byte{msg.Data})
+	n.ingress(m, [][]byte{m.Data})
 }
 
 // ingress processes one arriving message. segs holds its payload, in order:
-// views into the frames that carried it, or m.Data for a message that came
-// without frames.
+// views into the frames that carried it, or m.Data for a message handed to
+// HandleIngress.
 func (n *NIC) ingress(m *Message, segs [][]byte) {
 	n.counters.RxBytes += uint64(n.wireBytes(m))
 	n.counters.RxBytesTC[m.TC&7] += uint64(n.wireBytes(m))
@@ -1051,16 +1028,17 @@ func (n *NIC) handleRequest(m *Message, segs [][]byte) {
 	// responder PU (for READs this is the outbound data being enciphered).
 	op.service = n.prof.RxPUTime*sim.Duration(pkts) + n.encCharge(m.Length)
 	// Isolation profiles gate responder-PU entry on the tenant's credit
-	// pool. A retransmitted frame re-entering the pipeline while the
-	// original still holds its admission (both carry one launch id) keeps
+	// pool. A copy of a request re-entering the pipeline while the
+	// original still holds its admission (both name one QP and PSN) keeps
 	// the original credit instead of taking a second one, so respond()'s
 	// exactly-once release stays balanced under loss.
 	if n.isoOn {
-		if _, held := n.isoHeld[m.launch]; held {
+		key := isoKey(m)
+		if _, held := n.isoHeld[key]; held {
 			op.fire()
 			return
 		}
-		n.isoHeld[m.launch] = struct{}{}
+		n.isoHeld[key] = struct{}{}
 	}
 	n.isoAdmit(n.tenantOf(m.DstQPN), op.fire)
 }
@@ -1073,8 +1051,9 @@ func (n *NIC) respond(req *Message, st Status, data []byte, atomicOrig uint64) {
 	// early return below: every admitted request reaches respond() exactly
 	// once, so this is the one release point.
 	if n.isoOn {
-		if _, held := n.isoHeld[req.launch]; held {
-			delete(n.isoHeld, req.launch)
+		key := isoKey(req)
+		if _, held := n.isoHeld[key]; held {
+			delete(n.isoHeld, key)
 			n.isoRelease(n.tenantOf(req.DstQPN))
 		}
 	}
@@ -1084,7 +1063,7 @@ func (n *NIC) respond(req *Message, st Status, data []byte, atomicOrig uint64) {
 	}
 	resp := Message{
 		Op: req.Op, SrcQPN: req.DstQPN, DstQPN: req.SrcQPN,
-		Seq: req.Seq, IsResp: true, Status: st, TC: req.TC,
+		IsResp: true, Status: st, TC: req.TC,
 		PSN: req.PSN, AckPSN: req.PSN,
 		Length: 0, Data: data, CompareAdd: atomicOrig,
 	}
@@ -1112,7 +1091,7 @@ func fit(buf []byte, n int) []byte {
 }
 
 // handleResponse finishes the pending WQE on the requester. The WQE is
-// found in the go-back-N window of the QP the response names, by Seq; on a
+// found in the go-back-N window of the QP the response names, by PSN; on a
 // lossless QP it is the window's head. A response naming a QP that has no
 // such WQE in flight completes nothing, so an ACK addressed to one QP can
 // never complete another's WQE. The pending keeps the status, the result
@@ -1122,9 +1101,17 @@ func (n *NIC) handleResponse(m *Message, segs [][]byte) {
 	qp := n.qps[m.DstQPN]
 	i := -1
 	if qp != nil {
-		i = slices.IndexFunc(qp.outstanding, func(p *pending) bool { return p.seq == m.Seq })
+		i = slices.IndexFunc(qp.outstanding, func(p *pending) bool { return p.psn == m.PSN })
 	}
 	if i < 0 {
+		if qp != nil && !psnAfter(qp.nextPSN, m.PSN) {
+			// A PSN this QP has not launched: no responder echoes one, so
+			// the response is forged. Completing a WQE takes the PSN of
+			// one in flight, which means snooping the wire, not guessing
+			// (the conformance suite pins this).
+			n.counters.InvalidAcks++
+			return
+		}
 		// A response for an already-completed WQE: the original and a
 		// retransmission both drew an ACK. Coalesce — count it, deliver no
 		// second CQE.
@@ -1140,15 +1127,6 @@ func (n *NIC) handleResponse(m *Message, segs [][]byte) {
 		return
 	}
 	p := qp.outstanding[i]
-	if m.PSN != p.psn {
-		// A response naming a pending Seq but the wrong PSN: benign
-		// responders echo the request's PSN exactly (retransmissions reuse
-		// it), so only a forged ACK can disagree. Discard it — completion
-		// forgery requires knowing both the Seq and the PSN, which means
-		// snooping the wire, not guessing (the conformance suite pins this).
-		n.counters.InvalidAcks++
-		return
-	}
 	qp.outstanding = slices.Delete(qp.outstanding, i, i+1)
 	qp.progressEpoch++
 	qp.retries = 0

@@ -281,7 +281,7 @@ func TestLargeWriteSegmentsOnWire(t *testing.T) {
 		payload[i] = byte(i * 7)
 	}
 	m := &Message{Op: OpWrite, DstQPN: 9, RemoteAddr: 0x1000, RKey: 5,
-		Length: len(payload), Data: payload, Seq: 7, PSN: 41}
+		Length: len(payload), Data: payload, PSN: 41}
 	var fb frameBuf
 	if err := fb.encode(m, CX4.MTU); err != nil {
 		t.Fatal(err)
@@ -320,19 +320,19 @@ func TestLargeWriteSegmentsOnWire(t *testing.T) {
 // The self-check must reject divergent frames.
 func TestVerifySegmentsRejectsTampering(t *testing.T) {
 	m := &Message{Op: OpWrite, DstQPN: 9, RemoteAddr: 0x1000, RKey: 5,
-		Length: 8, Data: []byte("12345678"), Seq: 1}
+		Length: 8, Data: []byte("12345678")}
 	var fb frameBuf
 	if err := fb.encode(m, 4096); err != nil {
 		t.Fatal(err)
 	}
 	var fc frameCheck
 	wrong := &Message{Op: OpWrite, DstQPN: 9, RemoteAddr: 0x2000, RKey: 5,
-		Length: 8, Data: []byte("12345678"), Seq: 1}
+		Length: 8, Data: []byte("12345678")}
 	if err := fc.verify(fb.frames, wrong); err == nil {
 		t.Fatal("address mismatch not caught")
 	}
 	short := &Message{Op: OpWrite, DstQPN: 9, RemoteAddr: 0x1000, RKey: 5,
-		Length: 4, Data: []byte("1234"), Seq: 1}
+		Length: 4, Data: []byte("1234")}
 	if err := fc.verify(fb.frames, short); err == nil {
 		t.Fatal("length mismatch not caught")
 	}

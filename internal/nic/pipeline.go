@@ -67,14 +67,13 @@ const (
 // pending is one requester WQE from doorbell to CQE. From launch until its
 // response (or a retry-exhausted flush) it is also the go-back-N transport
 // record, and the only record of the request in flight: it sits in its
-// QP's outstanding window, where a response finds it by Seq.
+// QP's outstanding window, where a response finds it by PSN.
 type pending struct {
 	n           *NIC
 	qp          *qpState // dispatching QP
 	wqe         WQE      // copy of the posted WQE
 	qpn         uint32
 	postTime    sim.Time
-	seq         uint64
 	psn         uint32
 	msg         Message  // the request, retained for retransmission
 	lastSent    sim.Time // aging base for the retransmit timeout
@@ -515,7 +514,6 @@ func (n *NIC) execEffect(op *respOp) {
 // the message's real RoCEv2 frames and submits fire. The receiver parses
 // and cross-checks the frames, copies the payload out of them, and
 // recycles the envelope, frame buffers included, onto its own free list.
-// A forged envelope (ForgePacket) has no frames.
 type envelope struct {
 	src   *NIC // transmitting NIC
 	dst   *NIC
@@ -539,16 +537,10 @@ func (n *NIC) getEnv() *envelope {
 	return env
 }
 
-// putEnv recycles an envelope, keeping its frame buffers for reuse. A forged
-// envelope (see ForgePacket) arrives without a fire callback and gets one
-// here.
+// putEnv recycles an envelope, keeping its frame buffers for reuse.
 func (n *NIC) putEnv(env *envelope) {
 	env.reset()
-	fb, fire := env.frameBuf, env.fire
-	if fire == nil {
-		fire = env.granted
-	}
-	*env = envelope{frameBuf: fb, fire: fire}
+	*env = envelope{frameBuf: env.frameBuf, fire: env.fire}
 	n.envFree = append(n.envFree, env)
 }
 

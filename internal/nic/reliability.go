@@ -232,7 +232,7 @@ func (n *NIC) respondNak(req *Message, ackPSN uint32) {
 	}
 	n.transmit(qp.peer, &Message{
 		Op: req.Op, SrcQPN: req.DstQPN, DstQPN: req.SrcQPN,
-		Seq: req.Seq, IsResp: true, Status: StatusSeqNak, TC: req.TC,
+		IsResp: true, Status: StatusSeqNak, TC: req.TC,
 		PSN: req.PSN, AckPSN: ackPSN,
 	}, 1)
 }

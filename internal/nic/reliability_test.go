@@ -220,7 +220,7 @@ func TestDupAckCoalescing(t *testing.T) {
 		t.Fatalf("completions = %d", len(comps))
 	}
 	// A retransmission's second ACK arrives after the first completed.
-	a.HandleIngress(&Message{Op: OpWrite, SrcQPN: 2, DstQPN: 1, Seq: 0, IsResp: true,
+	a.HandleIngress(&Message{Op: OpWrite, SrcQPN: 2, DstQPN: 1, IsResp: true,
 		Status: StatusOK, PSN: 0, AckPSN: 0})
 	eng.Run()
 	if len(comps) != 1 {

@@ -117,8 +117,6 @@ func eventArgs(ev Event) map[string]any {
 		if ev.Kind == KindTCEnqueue {
 			args["qdepth"] = ev.Aux
 		}
-	case KindPSNSend:
-		args["seq"] = ev.Val
 	case KindNakSend, KindRewind:
 		args["ack_psn"] = ev.Aux
 		if ev.Kind == KindRewind {

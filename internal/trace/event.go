@@ -42,7 +42,7 @@ const (
 	KindCQE       // completion written; QPN, Dur = post→done latency, Aux = status
 
 	// NIC go-back-N transport.
-	KindPSNSend    // request put on the wire; QPN, PSN, Val = seq
+	KindPSNSend    // request put on the wire; QPN, PSN
 	KindNakSend    // responder sent a NAK-sequence-error; QPN, PSN = offending, Aux = last in-order PSN
 	KindRewind     // requester rewound after a NAK; QPN, Aux = ack PSN, Val = packets to resend
 	KindRetransmit // one packet re-sent; QPN, PSN, Dur = stall since it was last on the wire
@@ -163,7 +163,7 @@ func (k Kind) Counter() bool { return k == KindBWSample || k == KindULISample }
 type Event struct {
 	At    int64  // virtual time, picoseconds
 	Dur   int64  // span length or delay, picoseconds (Span kinds)
-	Val   uint64 // primary argument (bytes, WRID, seq, Float64bits...)
+	Val   uint64 // primary argument (bytes, WRID, Float64bits...)
 	Aux   uint64 // secondary argument (ring, status, depth, ack PSN...)
 	QPN   uint32 // queue pair, when applicable
 	PSN   uint32 // 24-bit packet sequence number, when applicable

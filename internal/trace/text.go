@@ -53,7 +53,7 @@ func WriteText(w io.Writer, r *Recorder) error {
 		}
 		switch ev.Kind {
 		case KindPSNSend:
-			line += fmt.Sprintf(" psn=%d seq=%d", ev.PSN, ev.Val)
+			line += fmt.Sprintf(" psn=%d", ev.PSN)
 		case KindNakSend:
 			line += fmt.Sprintf(" psn=%d ack_psn=%d", ev.PSN, ev.Aux)
 		case KindRewind:
