@@ -33,7 +33,7 @@ func TestCompletionDigestPinned(t *testing.T) {
 		{"tenants-lossy-cx5", func(t *testing.T) *lab.Topology { return digestTenants(t, nic.CX5) }, 0x0d82871846462f9b},
 		{"tenants-lossy-cx5iso", func(t *testing.T) *lab.Topology { return digestTenants(t, nic.CX5ISO) }, 0xd8e9e3ab910ff283},
 		{"nvmf-loss-0.5pct", digestNvmfLossy, 0x489377af61ca60fe},
-		{"pair-lossy-payload", digestPayloads, 0x3d4d784df16d19cb},
+		{"pair-lossy-payload", func(t *testing.T) *lab.Topology { return digestPayloads(t, nil) }, 0x3d4d784df16d19cb},
 	}
 	for _, r := range rigs {
 		t.Run(r.name, func(t *testing.T) {
@@ -269,13 +269,17 @@ func checkRetransmissions(t *testing.T, n *nic.NIC) *int {
 // digestPayloads runs three closed loops on one client of a Pair with 1 %
 // loss on both links and a 20 µs retry timeout: 6 KiB WRITEs (two frames
 // each), 1 KiB SENDs into posted receive buffers, and 6 KiB READs landing
-// in a local buffer. Every payload is checked where it lands.
-func digestPayloads(t *testing.T) *lab.Topology {
+// in a local buffer. Every payload is checked where it lands. tap, when not
+// nil, sees the topology before any traffic flows.
+func digestPayloads(t *testing.T, tap func(*lab.Topology)) *lab.Topology {
 	const size, sendSize, window = 6 << 10, 1 << 10, 200 * sim.Microsecond
 	cfg := lab.DefaultConfig(nic.CX5)
 	cfg.Seed = 1
 	cfg.Clients = 1
 	topo := lab.Pair(cfg)
+	if tap != nil {
+		tap(topo)
+	}
 	mr, err := topo.RegisterServerMR(1 << 20)
 	if err != nil {
 		t.Fatal(err)

@@ -1,9 +1,6 @@
 package nic
 
-import (
-	"github.com/thu-has/ragnar/internal/fabric"
-	"github.com/thu-has/ragnar/internal/wire"
-)
+import "github.com/thu-has/ragnar/internal/fabric"
 
 // Adversarial glue between the fabric's injection surface and the NIC wire
 // format. The fabric carries *envelope payloads that only this package can
@@ -14,11 +11,12 @@ import (
 // own copy of the payload, taken from its frames, because the NICs reuse
 // envelope buffers once the packet is delivered.
 
-// SnoopPacket opens a fabric packet observed on a link and returns a copy of
-// the nic-level message it carries — what a machine-in-the-middle learns from
-// one captured frame: QPNs, PSN, opcode, rkey. Data is a copy of the
-// payload the frames carry, the bytes an on-path observer sees, so it stays
-// as captured after the NICs reuse the envelope.
+// SnoopPacket opens a fabric packet observed on a link and returns the
+// nic-level message it carries — what a machine-in-the-middle learns from
+// one captured frame: the message a receiving NIC decodes from its frames
+// (see frameReader.decode), with Data a copy of their payload, so it stays
+// as captured after the NICs reuse the envelope, and SrcQPN and TC taken
+// from the encapsulation around them, the UDP source port and the DSCP.
 func SnoopPacket(p fabric.Packet) (Message, bool) {
 	env, ok := p.Payload.(*envelope)
 	if !ok {
@@ -27,23 +25,17 @@ func SnoopPacket(p fabric.Packet) (Message, bool) {
 	return env.observed(), true
 }
 
-// observed returns a copy of the envelope's message whose Data is a copy of
-// the payload its frames carry.
+// observed decodes the envelope's frames as SnoopPacket describes.
 func (env *envelope) observed() Message {
-	m := env.msg
-	if m.Data == nil {
-		return m
+	var r frameReader
+	var m Message
+	if err := r.decode(env.frames, &m); err != nil {
+		panic("nic: undecodable frames in flight: " + err.Error())
 	}
-	var pkt wire.Packet
-	var hdrs wire.Headers
-	data := make([]byte, 0, len(m.Data))
-	for _, f := range env.frames {
-		if err := wire.ParseInto(f, &pkt, &hdrs); err != nil {
-			panic("nic: unparsable frame in flight: " + err.Error())
-		}
-		data = append(data, pkt.Payload...)
+	if len(r.segs) > 0 {
+		m.Data = gather(nil, r.segs)
 	}
-	m.Data = data
+	m.SrcQPN, m.TC = env.srcQPN, env.tc
 	return m
 }
 
@@ -52,16 +44,18 @@ func (env *envelope) observed() Message {
 // at dst's MTU, and its wire size and flow label derived, exactly as the
 // legitimate transmit path does, so a forged frame is indistinguishable on
 // the wire from a genuine one: a copy of a request names the same QP and
-// PSN as the request. m.Data is nil unless the frames carry a payload (a
-// WRITE or SEND request, a READ response).
+// PSN as the request. m.Data is encoded only for a WRITE or SEND request or
+// a READ response. dst gets what the frames carry and the packet's TC;
+// m.SrcQPN only sets the flow label and the UDP source port, since a
+// responder answers the peer in the context of the QP a request names.
 func ForgePacket(dst *NIC, m Message) fabric.Packet {
-	env := &envelope{dst: dst, msg: m}
+	env := &envelope{dst: dst, srcQPN: m.SrcQPN, psn: m.PSN, tc: m.TC & (fabric.NumTCs - 1)}
 	env.fire = env.granted
 	if err := env.encode(&m, dst.prof.MTU); err != nil {
 		panic("nic: forged frame encode: " + err.Error())
 	}
 	return fabric.Packet{
-		TC:      m.TC & (fabric.NumTCs - 1),
+		TC:      env.tc,
 		Bytes:   dst.wireBytes(&m),
 		Dst:     dst.addr,
 		Flow:    flowLabel(m.SrcQPN, m.DstQPN),

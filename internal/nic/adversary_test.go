@@ -10,9 +10,9 @@ import (
 
 // Adversarial-frame conformance suite: the go-back-N layer's implicit
 // invariants, restated as an explicitly attacked contract. Every test feeds
-// forged or replayed frames directly at a QP (HandleIngress is the wire) and
-// asserts what the reliability layer now promises under the NeVerMore threat
-// model:
+// forged or replayed frames at a QP the way an on-path adversary does,
+// through Deliver(ForgePacket(...)), and asserts what the reliability layer
+// now promises under the NeVerMore threat model:
 //
 //   - a forged NAK must name a gap head that is actually outstanding, or it
 //     is rejected without consuming the single per-epoch rewind;
@@ -20,6 +20,9 @@ import (
 //   - completion forgery requires knowing the PSN of a request in flight
 //     (snooping, not guessing), and completes only a WQE of the QP the
 //     forged ACK names;
+//   - no frame carries a source QPN, so a forged request is answered to the
+//     peer in the context of the QP it names, whatever QPN the forger
+//     claims;
 //   - replayed requests are answered without re-execution — memory and the
 //     receive queue are touched at most once per PSN;
 //   - a duplicate atomic whose replay record was displaced is dropped, never
@@ -56,9 +59,9 @@ func stalledRig(t *testing.T, writes int) (*sim.Engine, *NIC, *NIC, *[]Completio
 }
 
 // forgedNak builds the frame a NAK-spoofing adversary sends at a requester.
-func forgedNak(psn, ackPSN uint32) *Message {
-	return &Message{Op: OpWrite, SrcQPN: 2, DstQPN: 1, IsResp: true,
-		Status: StatusSeqNak, PSN: psn, AckPSN: ackPSN}
+func forgedNak(a *NIC, psn, ackPSN uint32) fabric.Packet {
+	return ForgePacket(a, Message{Op: OpWrite, SrcQPN: 2, DstQPN: 1, IsResp: true,
+		Status: StatusSeqNak, PSN: psn, AckPSN: ackPSN})
 }
 
 // TestForgedNakValidation: NAKs with a gap head that is not an outstanding
@@ -79,7 +82,7 @@ func TestForgedNakValidation(t *testing.T) {
 		{"half-space", 1<<23 - 1}, // gap head 2^23: unordered vs everything
 	}
 	for i, c := range invalid {
-		a.HandleIngress(forgedNak(0, c.ackPSN))
+		Deliver(forgedNak(a, 0, c.ackPSN))
 		if got := a.Counters().InvalidNaks; got != uint64(i+1) {
 			t.Fatalf("%s: InvalidNaks = %d, want %d", c.name, got, i+1)
 		}
@@ -89,14 +92,14 @@ func TestForgedNakValidation(t *testing.T) {
 	}
 
 	// A valid NAK (gap head 0 is outstanding) rewinds the whole window.
-	a.HandleIngress(forgedNak(0, psnMask))
+	Deliver(forgedNak(a, 0, psnMask))
 	if got := a.Counters().Retransmits; got != 4 {
 		t.Fatalf("valid NAK retransmitted %d, want 4", got)
 	}
 	// A burst of equally valid NAKs in the same progress epoch is inert:
 	// progressEpoch pins the single rewind.
 	for i := 0; i < 10; i++ {
-		a.HandleIngress(forgedNak(0, psnMask))
+		Deliver(forgedNak(a, 0, psnMask))
 	}
 	if got := a.Counters().Retransmits; got != 4 {
 		t.Fatalf("NAK burst multiplied retransmits to %d, want 4", got)
@@ -116,12 +119,12 @@ func TestForgedNakValidation(t *testing.T) {
 func TestForgedAckRequiresPSN(t *testing.T) {
 	eng, a, _, comps := stalledRig(t, 2) // outstanding PSNs 0 and 1
 
-	ack := func(psn uint32) *Message {
-		return &Message{Op: OpWrite, SrcQPN: 2, DstQPN: 1, IsResp: true,
+	ack := func(psn uint32) Message {
+		return Message{Op: OpWrite, SrcQPN: 2, DstQPN: 1, IsResp: true,
 			Status: StatusOK, PSN: psn, AckPSN: psn}
 	}
 
-	a.HandleIngress(ack(psnMask)) // stale PSN, behind the window
+	Deliver(ForgePacket(a, ack(psnMask))) // stale PSN, behind the window
 	eng.RunFor(10 * sim.Microsecond)
 	if got := a.Counters().DupAcks; got != 1 {
 		t.Fatalf("DupAcks = %d, want 1", got)
@@ -130,7 +133,7 @@ func TestForgedAckRequiresPSN(t *testing.T) {
 		t.Fatalf("stale-PSN ACK delivered a CQE: %+v", *comps)
 	}
 
-	a.HandleIngress(ack(5)) // guessed PSN, never launched
+	Deliver(ForgePacket(a, ack(5))) // guessed PSN, never launched
 	eng.RunFor(10 * sim.Microsecond)
 	if got := a.Counters().InvalidAcks; got != 1 {
 		t.Fatalf("InvalidAcks = %d, want 1", got)
@@ -148,7 +151,7 @@ func TestForgedAckRequiresPSN(t *testing.T) {
 	}
 	crossQP := ack(1)
 	crossQP.DstQPN = 3
-	a.HandleIngress(crossQP)
+	Deliver(ForgePacket(a, crossQP))
 	eng.RunFor(10 * sim.Microsecond)
 	if got := a.Counters().InvalidAcks; got != 2 {
 		t.Fatalf("InvalidAcks = %d after cross-QP ACK, want 2", got)
@@ -157,10 +160,30 @@ func TestForgedAckRequiresPSN(t *testing.T) {
 		t.Fatalf("cross-QP ACK delivered a CQE: QP 1 %+v, QP 3 %+v", *comps, idle)
 	}
 
-	a.HandleIngress(ack(0)) // fully snooped forgery
+	Deliver(ForgePacket(a, ack(0))) // fully snooped forgery
 	eng.RunFor(10 * sim.Microsecond)
 	if len(*comps) != 1 || (*comps)[0].Status != StatusOK || (*comps)[0].WRID != 0 {
 		t.Fatalf("snooped forged ACK should fake exactly one OK CQE, got %+v", *comps)
+	}
+}
+
+// TestForgedSourceQPNIgnored: no frame carries a source QPN, so a request
+// is answered to the peer in the context of the QP it names. A WRITE forged
+// at B's QP 2 claiming source QPN 9 draws its ACK to A's QP 1, B's peer,
+// which never launched PSN 0 and so rejects the ACK as forged; it is not
+// addressed to a QP 9 that A does not have.
+func TestForgedSourceQPNIgnored(t *testing.T) {
+	eng, a, b, region := loopRig(t, CX4)
+	var comps []Completion
+	connect(t, a, b, func(c Completion) { comps = append(comps, c) })
+	Deliver(ForgePacket(b, Message{Op: OpWrite, SrcQPN: 9, DstQPN: 2, RKey: 77,
+		RemoteAddr: region.Base(), Length: 8, Data: []byte("forged!!"), PSN: 0}))
+	eng.Run()
+	if c := a.Counters(); c.InvalidAcks != 1 || c.DupAcks != 0 {
+		t.Fatalf("InvalidAcks = %d, DupAcks = %d; want 1, 0", c.InvalidAcks, c.DupAcks)
+	}
+	if len(comps) != 0 {
+		t.Fatalf("forged WRITE completed a WQE: %+v", comps)
 	}
 }
 
@@ -183,8 +206,8 @@ func TestReplayedWriteNotReExecuted(t *testing.T) {
 	}
 
 	// Replay the same PSN with attacker-altered bytes.
-	b.HandleIngress(&Message{Op: OpWrite, SrcQPN: 1, DstQPN: 2, RKey: 77,
-		RemoteAddr: region.Base(), Length: len(orig), Data: []byte("TAMPERED PAYLOAD"), PSN: 0})
+	Deliver(ForgePacket(b, Message{Op: OpWrite, SrcQPN: 1, DstQPN: 2, RKey: 77,
+		RemoteAddr: region.Base(), Length: len(orig), Data: []byte("TAMPERED PAYLOAD"), PSN: 0}))
 	eng.Run()
 
 	if got := string(region.Bytes()[:len(orig)]); got != string(orig) {
@@ -228,8 +251,8 @@ func TestAtomicReplayDisplacedDropped(t *testing.T) {
 
 	// Duplicate of the FIRST atomic: its replay record was displaced by the
 	// second. Must be dropped — not re-executed, not answered.
-	b.HandleIngress(&Message{Op: OpAtomicFAA, SrcQPN: 1, DstQPN: 2, RKey: 77,
-		RemoteAddr: region.Base(), Length: 8, CompareAdd: 5, PSN: 0})
+	Deliver(ForgePacket(b, Message{Op: OpAtomicFAA, SrcQPN: 1, DstQPN: 2, RKey: 77,
+		RemoteAddr: region.Base(), Length: 8, CompareAdd: 5, PSN: 0}))
 	eng.Run()
 	if got := le64(region.Bytes()[:8]); got != 12 {
 		t.Fatalf("displaced duplicate atomic re-executed: memory = %d, want 12", got)
@@ -240,8 +263,8 @@ func TestAtomicReplayDisplacedDropped(t *testing.T) {
 
 	// Duplicate of the SECOND atomic: record present, replayed from the
 	// buffer — the recorded original value, no re-execution.
-	b.HandleIngress(&Message{Op: OpAtomicFAA, SrcQPN: 1, DstQPN: 2, RKey: 77,
-		RemoteAddr: region.Base(), Length: 8, CompareAdd: 7, PSN: 1})
+	Deliver(ForgePacket(b, Message{Op: OpAtomicFAA, SrcQPN: 1, DstQPN: 2, RKey: 77,
+		RemoteAddr: region.Base(), Length: 8, CompareAdd: 7, PSN: 1}))
 	eng.Run()
 	if got := le64(region.Bytes()[:8]); got != 12 {
 		t.Fatalf("replayed atomic re-executed: memory = %d, want 12", got)
@@ -281,12 +304,12 @@ func TestHalfSpacePSNConvention(t *testing.T) {
 	var comps []Completion
 	connect(t, a, b, func(c Completion) { comps = append(comps, c) })
 
-	req := func(psn uint32) *Message {
-		return &Message{Op: OpWrite, SrcQPN: 1, DstQPN: 2, RKey: 77,
-			RemoteAddr: region.Base(), Length: 8, Data: []byte("12345678"), PSN: psn}
+	req := func(psn uint32) fabric.Packet {
+		return ForgePacket(b, Message{Op: OpWrite, SrcQPN: 1, DstQPN: 2, RKey: 77,
+			RemoteAddr: region.Base(), Length: 8, Data: []byte("12345678"), PSN: psn})
 	}
 	// Exactly half the space ahead of ePSN 0: discarded, not classified.
-	b.HandleIngress(req(half))
+	Deliver(req(half))
 	eng.Run()
 	bc := b.Counters()
 	if bc.RxBadPSN != 1 || bc.DupReqs != 0 || bc.SeqNaks != 0 {
@@ -297,13 +320,13 @@ func TestHalfSpacePSNConvention(t *testing.T) {
 		t.Fatalf("half-space frame drew a response: DupAcks = %d", got)
 	}
 	// Just under half: a legitimate (huge) gap — one NAK.
-	b.HandleIngress(req(half - 1))
+	Deliver(req(half - 1))
 	eng.Run()
 	if got := b.Counters().SeqNaks; got != 1 {
 		t.Fatalf("SeqNaks = %d, want 1", got)
 	}
 	// Just over half (counted from ePSN backwards): the duplicate region.
-	b.HandleIngress(req(psnMask))
+	Deliver(req(psnMask))
 	eng.Run()
 	if got := b.Counters().DupReqs; got != 1 {
 		t.Fatalf("DupReqs = %d, want 1", got)
@@ -324,12 +347,9 @@ func TestOutOfWindowSingleNak(t *testing.T) {
 	}
 	// No reverse path wired: the NAK attempt itself is dropped at respondNak,
 	// which is fine — the counter is charged when the NAK is generated.
-	req := func(psn uint32) *Message {
-		return &Message{Op: OpWrite, SrcQPN: 9, DstQPN: 2, RKey: 77,
-			RemoteAddr: region.Base(), Length: 8, Data: []byte("xxxxxxxx"), PSN: psn}
-	}
 	for _, psn := range []uint32{5, 6, 7, 100} {
-		b.HandleIngress(req(psn))
+		Deliver(ForgePacket(b, Message{Op: OpWrite, SrcQPN: 9, DstQPN: 2, RKey: 77,
+			RemoteAddr: region.Base(), Length: 8, Data: []byte("xxxxxxxx"), PSN: psn}))
 	}
 	eng.Run()
 	if got := b.Counters().SeqNaks; got != 1 {
@@ -382,8 +402,8 @@ func TestQPGuessingCounted(t *testing.T) {
 	var comps []Completion
 	connect(t, a, b, func(c Completion) { comps = append(comps, c) })
 	for qpn := uint32(100); qpn < 116; qpn++ {
-		b.HandleIngress(&Message{Op: OpWrite, SrcQPN: 9, DstQPN: qpn, RKey: 77,
-			RemoteAddr: region.Base(), Length: 8, Data: []byte("guessing"), PSN: 0})
+		Deliver(ForgePacket(b, Message{Op: OpWrite, SrcQPN: 9, DstQPN: qpn, RKey: 77,
+			RemoteAddr: region.Base(), Length: 8, Data: []byte("guessing"), PSN: 0}))
 	}
 	eng.Run()
 	if got := b.Counters().RxBadQP; got != 16 {

@@ -25,13 +25,14 @@ func BenchmarkContextCacheHit(b *testing.B) {
 	}
 }
 
-// BenchmarkFrameRoundTrip is the CI-guarded wire-fidelity path every packet
-// takes: encode a message into an envelope's
-// reusable frame buffer, then parse and verify the frames against the
-// message the way Deliver does. Each iteration round-trips a READ request,
-// a READ response and a 4 KiB WRITE that a 1 KiB path MTU segments into
-// FIRST/MIDDLE/MIDDLE/LAST packets. Once the buffers have grown it must stay allocation-free —
-// scripts/benchguard.go fails the bench-guard job if allocs/op > 0.
+// BenchmarkFrameRoundTrip is the CI-guarded wire path every packet takes:
+// encode a message into an envelope's reusable frame buffer, then decode
+// the frames back into a message the way Deliver does. Each iteration
+// round-trips a READ request, a READ response, an ACK, a NAK, both atomics
+// and a 4 KiB WRITE that a 1 KiB path MTU segments into
+// FIRST/MIDDLE/MIDDLE/LAST packets. Once the buffers have grown it must stay
+// allocation-free — scripts/benchguard.go fails the bench-guard job if
+// allocs/op > 0.
 func BenchmarkFrameRoundTrip(b *testing.B) {
 	const mtu = 1024
 	payload := make([]byte, 4096)
@@ -41,23 +42,31 @@ func BenchmarkFrameRoundTrip(b *testing.B) {
 	msgs := []*Message{
 		{Op: OpRead, DstQPN: 9, RemoteAddr: 0x1000, RKey: 5, Length: 64, PSN: 41},
 		{Op: OpRead, IsResp: true, DstQPN: 3, Length: 64, Data: payload[:64], PSN: 41, AckPSN: 41},
-		{Op: OpWrite, DstQPN: 9, RemoteAddr: 0x2000, RKey: 5, Length: len(payload), Data: payload, PSN: 42},
+		{Op: OpWrite, IsResp: true, DstQPN: 3, PSN: 40, AckPSN: 40},
+		{Op: OpWrite, IsResp: true, DstQPN: 3, Status: StatusSeqNak, PSN: 41, AckPSN: 40},
+		{Op: OpAtomicCAS, DstQPN: 9, RemoteAddr: 0x3000, RKey: 5, Length: 8, CompareAdd: 1, Swap: 2, PSN: 42},
+		{Op: OpAtomicFAA, DstQPN: 9, RemoteAddr: 0x3008, RKey: 5, Length: 8, CompareAdd: 3, PSN: 43},
+		{Op: OpWrite, DstQPN: 9, RemoteAddr: 0x2000, RKey: 5, Length: len(payload), Data: payload, PSN: 44},
 	}
 	var fb frameBuf
-	var fc frameCheck
+	var r frameReader
+	var m Message
 	roundTrip := func() {
-		for _, m := range msgs {
-			if err := fb.encode(m, mtu); err != nil {
+		for _, want := range msgs {
+			if err := fb.encode(want, mtu); err != nil {
 				b.Fatal(err)
 			}
-			if err := fc.verify(fb.frames, m); err != nil {
+			if err := r.decode(fb.frames, &m); err != nil {
 				b.Fatal(err)
+			}
+			if m.PSN != want.PSN {
+				b.Fatalf("decoded PSN %d, want %d", m.PSN, want.PSN)
 			}
 		}
 	}
 	roundTrip() // grow the buffers
-	if len(fb.frames) != 4 {
-		b.Fatalf("4 KiB WRITE encoded as %d frames, want 4", len(fb.frames))
+	if len(fb.frames) != 4 || len(r.segs) != 4 {
+		b.Fatalf("4 KiB WRITE encoded as %d frames, decoded as %d segments, want 4", len(fb.frames), len(r.segs))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -1,37 +1,91 @@
 package nic
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 
 	"github.com/thu-has/ragnar/internal/wire"
 )
 
-// opcodeToWire maps the simulator's opcode/direction onto IBA opcodes.
-func opcodeToWire(m *Message) (byte, error) {
-	if m.IsResp {
-		switch m.Op {
-		case OpRead:
-			return wire.OpReadResponseOnly, nil
-		case OpAtomicFAA, OpAtomicCAS:
-			return wire.OpAtomicAck, nil
-		default:
-			return wire.OpAcknowledge, nil
+// opNone is the verb of a decoded Acknowledge, whose frame names none.
+const opNone Opcode = -1
+
+// frameKind is a verb in one direction with the IBA opcodes of its frames:
+// ops[0] of a message sent in one frame and, for a kind that carries its
+// payload and so may be segmented at the MTU, ops[1:] of the FIRST, MIDDLE
+// and LAST segments. Other kinds leave ops[1:] unset; zero cannot mean
+// "none", since it is wire.OpSendFirst.
+type frameKind struct {
+	op      Opcode
+	resp    bool
+	payload bool
+	ops     [4]byte
+}
+
+// Rows of frameKinds after the requests, which are indexed by their verb
+// (the wire verbs are the Opcodes up to OpAtomicCAS).
+const (
+	kindReadResp = int(OpAtomicCAS) + 1 + iota
+	kindAtomicAck
+	kindAck
+)
+
+// frameKinds is the opcode table both directions read: encode picks a row
+// by the message (kindOf), decode by the opcode of its first frame
+// (kindStarting).
+var frameKinds = [...]frameKind{
+	OpWrite:      {OpWrite, false, true, [4]byte{wire.OpWriteOnly, wire.OpWriteFirst, wire.OpWriteMiddle, wire.OpWriteLast}},
+	OpRead:       {OpRead, false, false, [4]byte{wire.OpReadRequest}},
+	OpSend:       {OpSend, false, true, [4]byte{wire.OpSendOnly, wire.OpSendFirst, wire.OpSendMiddle, wire.OpSendLast}},
+	OpAtomicFAA:  {OpAtomicFAA, false, false, [4]byte{wire.OpFetchAdd}},
+	OpAtomicCAS:  {OpAtomicCAS, false, false, [4]byte{wire.OpCompareSwap}},
+	kindReadResp: {OpRead, true, true, [4]byte{wire.OpReadResponseOnly, wire.OpReadRespFirst, wire.OpReadRespMiddle, wire.OpReadRespLast}},
+	// Both atomics are answered with one opcode; it decodes as a FAA's.
+	kindAtomicAck: {OpAtomicFAA, true, false, [4]byte{wire.OpAtomicAck}},
+	kindAck:       {opNone, true, false, [4]byte{wire.OpAcknowledge}},
+}
+
+// kindStarting maps the opcode of a message's first frame, an ONLY or a
+// FIRST, to one plus its row of frameKinds; any other opcode maps to zero.
+var kindStarting = func() (t [256]uint8) {
+	for i, k := range frameKinds {
+		t[k.ops[0]] = uint8(i + 1)
+		if k.payload {
+			t[k.ops[1]] = uint8(i + 1)
 		}
 	}
-	switch m.Op {
-	case OpSend:
-		return wire.OpSendOnly, nil
-	case OpWrite:
-		return wire.OpWriteOnly, nil
-	case OpRead:
-		return wire.OpReadRequest, nil
-	case OpAtomicCAS:
-		return wire.OpCompareSwap, nil
-	case OpAtomicFAA:
-		return wire.OpFetchAdd, nil
+	return t
+}()
+
+// kindOf returns the kind of m's frames. A response to any verb but a READ
+// or an atomic is an Acknowledge.
+func kindOf(m *Message) (*frameKind, error) {
+	switch {
+	case m.IsResp && m.Op == OpRead:
+		return &frameKinds[kindReadResp], nil
+	case m.IsResp && (m.Op == OpAtomicFAA || m.Op == OpAtomicCAS):
+		return &frameKinds[kindAtomicAck], nil
+	case m.IsResp:
+		return &frameKinds[kindAck], nil
+	case m.Op < OpWrite || m.Op > OpAtomicCAS:
+		return nil, fmt.Errorf("nic: no wire opcode for %v", m.Op)
 	}
-	return 0, fmt.Errorf("nic: no wire opcode for %v", m.Op)
+	return &frameKinds[m.Op], nil
+}
+
+// segPos returns the index into frameKind.ops of frame i of a message sent
+// in n frames.
+func segPos(i, n int) int {
+	switch {
+	case n == 1:
+		return 0
+	case i == 0:
+		return 1
+	case i < n-1:
+		return 2
+	}
+	return 3
 }
 
 // frameBuf holds one message's RoCEv2 encoding: every segment's bytes back
@@ -48,133 +102,60 @@ func (f *frameBuf) reset() {
 	f.buf, f.frames = f.buf[:0], f.frames[:0]
 }
 
-// carriesPayload reports whether m's frames carry its Data: WRITE and SEND
-// requests and READ responses.
-func carriesPayload(m *Message) bool {
-	return !m.IsResp && (m.Op == OpWrite || m.Op == OpSend) || m.IsResp && m.Op == OpRead
-}
-
 // encode replaces f's contents with the full RoCEv2 transport encoding of a
 // message, segmenting payloads larger than the MTU into FIRST/MIDDLE/LAST
-// packets exactly as the RC transport does (PSNs increment per segment).
-// The payload is read from m.Data now, and buf grows at most once per
-// message.
+// packets exactly as the RC transport does: segment i carries PSN m.PSN+i
+// and, in an AETH, MSN m.AckPSN+i. The payload is read from m.Data now,
+// and buf grows at most once per message.
 func (f *frameBuf) encode(m *Message, mtu int) error {
 	f.reset()
-	if !carriesPayload(m) || len(m.Data) <= mtu {
-		return f.appendFrame(m) // AppendTo grows buf at most once
-	}
-
-	var firstOp, midOp, lastOp byte
-	switch {
-	case m.IsResp: // read response
-		firstOp, midOp, lastOp = wire.OpReadRespFirst, wire.OpReadRespMiddle, wire.OpReadRespLast
-	case m.Op == OpWrite:
-		firstOp, midOp, lastOp = wire.OpWriteFirst, wire.OpWriteMiddle, wire.OpWriteLast
-	default: // send
-		firstOp, midOp, lastOp = wire.OpSendFirst, wire.OpSendMiddle, wire.OpSendLast
-	}
-	// Size buf for every segment at once: each carries at most a RETH
-	// besides its BTH, pad and ICRC.
-	segs := (len(m.Data) + mtu - 1) / mtu
-	f.buf = slices.Grow(f.buf, len(m.Data)+segs*(wire.BTHBytes+wire.RETHBytes+3+wire.ICRCBytes))
-
-	psn := m.PSN & 0xffffff
-	for off := 0; off < len(m.Data); off += mtu {
-		end := min(off+mtu, len(m.Data))
-		p := wire.Packet{
-			BTH: wire.BTH{
-				DestQP: m.DstQPN & 0xffffff,
-				PSN:    psn,
-				AckReq: !m.IsResp && end == len(m.Data),
-			},
-			Payload: m.Data[off:end],
-		}
-		var reth wire.RETH
-		var aeth wire.AETH
-		switch {
-		case off == 0:
-			p.BTH.Opcode = firstOp
-			if firstOp == wire.OpWriteFirst {
-				reth = wire.RETH{VA: m.RemoteAddr, RKey: m.RKey, DMALen: uint32(m.Length)}
-				p.Reth = &reth
-			}
-			if firstOp == wire.OpReadRespFirst {
-				aeth = wire.AETH{Syndrome: aethSyndrome(m.Status), MSN: psn}
-				p.Aeth = &aeth
-			}
-		case end == len(m.Data):
-			p.BTH.Opcode = lastOp
-			if lastOp == wire.OpReadRespLast {
-				aeth = wire.AETH{Syndrome: aethSyndrome(m.Status), MSN: psn}
-				p.Aeth = &aeth
-			}
-		default:
-			p.BTH.Opcode = midOp
-		}
-		if err := f.append(&p); err != nil {
-			return err
-		}
-		psn = (psn + 1) & 0xffffff
-	}
-	return nil
-}
-
-// append encodes one packet onto buf and slices it off as the next frame.
-// encode sizes buf for the whole message, so buf does not move between
-// segments; if it did, earlier frames would keep the old array, whose
-// bytes the move leaves as they were.
-func (f *frameBuf) append(p *wire.Packet) error {
-	start := len(f.buf)
-	var err error
-	if f.buf, err = p.AppendTo(f.buf); err != nil {
-		return err
-	}
-	f.frames = append(f.frames, f.buf[start:len(f.buf):len(f.buf)])
-	return nil
-}
-
-// appendFrame encodes a single-packet message. The PSN carries the QP's
-// 24-bit packet sequence number; an ACK's AETH MSN carries the cumulative
-// acknowledgement PSN.
-func (f *frameBuf) appendFrame(m *Message) error {
-	op, err := opcodeToWire(m)
+	k, err := kindOf(m)
 	if err != nil {
 		return err
 	}
-	p := wire.Packet{
-		BTH: wire.BTH{
-			Opcode: op,
-			DestQP: m.DstQPN & 0xffffff,
-			PSN:    m.PSN & 0xffffff,
-			AckReq: !m.IsResp,
-		},
+	var payload []byte
+	if k.payload {
+		payload = m.Data
 	}
-	var reth wire.RETH
-	var aeth wire.AETH
-	var atomic wire.AtomicETH
-	switch op {
-	case wire.OpWriteOnly, wire.OpReadRequest:
-		reth = wire.RETH{VA: m.RemoteAddr, RKey: m.RKey, DMALen: uint32(m.Length)}
-		p.Reth = &reth
-	case wire.OpReadResponseOnly, wire.OpAcknowledge:
-		aeth = wire.AETH{Syndrome: aethSyndrome(m.Status), MSN: m.AckPSN & 0xffffff}
-		p.Aeth = &aeth
-	case wire.OpAtomicAck:
-		aeth = wire.AETH{Syndrome: aethSyndrome(m.Status), MSN: m.AckPSN & 0xffffff}
-		p.Aeth = &aeth
-		p.AtomicAck = m.CompareAdd
-	case wire.OpCompareSwap:
-		atomic = wire.AtomicETH{VA: m.RemoteAddr, RKey: m.RKey, SwapAdd: m.Swap, Compare: m.CompareAdd}
-		p.Atomic = &atomic
-	case wire.OpFetchAdd:
-		atomic = wire.AtomicETH{VA: m.RemoteAddr, RKey: m.RKey, SwapAdd: m.CompareAdd}
-		p.Atomic = &atomic
+	// Size buf for every segment at once (each carries at most an
+	// AtomicETH besides its BTH, pad and ICRC), so it does not move between
+	// segments; if it did, earlier frames would keep the old array.
+	segs := max(1, (len(payload)+mtu-1)/mtu)
+	f.buf = slices.Grow(f.buf, len(payload)+segs*(wire.BTHBytes+wire.AtomicETHBytes+3+wire.ICRCBytes))
+
+	var h wire.Headers
+	for i := 0; i < segs; i++ {
+		p := wire.Packet{
+			BTH: wire.BTH{
+				Opcode: k.ops[segPos(i, segs)],
+				DestQP: m.DstQPN & 0xffffff,
+				PSN:    (m.PSN + uint32(i)) & 0xffffff,
+				AckReq: !m.IsResp && i == segs-1,
+			},
+			Payload: payload[i*mtu : min((i+1)*mtu, len(payload))],
+		}
+		switch p.BTH.Opcode {
+		case wire.OpWriteOnly, wire.OpWriteFirst, wire.OpReadRequest:
+			h.Reth = wire.RETH{VA: m.RemoteAddr, RKey: m.RKey, DMALen: uint32(m.Length)}
+			p.Reth = &h.Reth
+		case wire.OpReadResponseOnly, wire.OpReadRespFirst, wire.OpReadRespLast, wire.OpAcknowledge, wire.OpAtomicAck:
+			h.Aeth = wire.AETH{Syndrome: aethSyndrome(m.Status), MSN: (m.AckPSN + uint32(i)) & 0xffffff}
+			p.Aeth = &h.Aeth
+			p.AtomicAck = m.CompareAdd
+		case wire.OpCompareSwap:
+			h.Atomic = wire.AtomicETH{VA: m.RemoteAddr, RKey: m.RKey, SwapAdd: m.Swap, Compare: m.CompareAdd}
+			p.Atomic = &h.Atomic
+		case wire.OpFetchAdd:
+			h.Atomic = wire.AtomicETH{VA: m.RemoteAddr, RKey: m.RKey, SwapAdd: m.CompareAdd}
+			p.Atomic = &h.Atomic
+		}
+		start := len(f.buf)
+		if f.buf, err = p.AppendTo(f.buf); err != nil {
+			return err
+		}
+		f.frames = append(f.frames, f.buf[start:len(f.buf):len(f.buf)])
 	}
-	if carriesPayload(m) {
-		p.Payload = m.Data
-	}
-	return f.append(&p)
+	return nil
 }
 
 // aethSyndrome encodes the completion status in the ACK syndrome field
@@ -192,60 +173,78 @@ func aethSyndrome(s Status) byte {
 	}
 }
 
-// frameCheck is the reusable parse state for verifying arriving frames.
-// Each NIC keeps one, so decoding a frame into it allocates nothing.
-type frameCheck struct {
+// statusOf decodes an AETH syndrome. The invalid-request class, and any
+// syndrome aethSyndrome does not produce, reads as StatusBadQP.
+func statusOf(syndrome byte) Status {
+	for _, s := range [...]Status{StatusOK, StatusSeqNak, StatusRemoteAccessError} {
+		if aethSyndrome(s) == syndrome {
+			return s
+		}
+	}
+	return StatusBadQP
+}
+
+// frameReader is the reusable parse state for decoding arriving frames.
+// Each NIC keeps one, so decoding a message into it allocates nothing.
+type frameReader struct {
 	pkt  wire.Packet
 	hdrs wire.Headers
-	// segs holds each verified segment's payload: views into the frames,
+	// segs holds each decoded segment's payload: views into the frames,
 	// valid until their envelope is recycled. segArr backs it up to four
 	// segments (16 KiB at a 4 KiB MTU), so a new NIC does not allocate it.
 	segs   [][]byte
 	segArr [4][]byte
 }
 
-// verify parses the encoded segments and checks them against the message
-// the simulator routed alongside them — a datapath self-check that the
-// simulated traffic and its wire encoding never diverge: every segment's
-// ICRC (checked by the parse), the opcode, the destination QP, the RETH and
-// the total payload length. It records each segment's payload in c.segs;
-// the frames, not m.Data, are the payload the receiver copies.
-func (c *frameCheck) verify(raws [][]byte, m *Message) error {
+// decode rebuilds in m the message the frames raws encode, the inverse of
+// frameBuf.encode: the verb and direction from the opcodes, the
+// destination QP and PSN from the first BTH, and the RETH, AETH or
+// AtomicETH fields from the first frame. Every ICRC is checked, and so is
+// each frame's opcode against its place in the message. Length is the
+// RETH's DMA length for a WRITE or a READ request, 8 for an atomic, and
+// for a SEND or a READ response its payload's length. The payload is not
+// copied: r.segs holds each segment's non-empty payload, and m.Data stays
+// nil. No frame carries SrcQPN or TC, so both stay zero.
+func (r *frameReader) decode(raws [][]byte, m *Message) error {
+	r.segs = r.segs[:0]
 	if len(raws) == 0 {
-		return fmt.Errorf("nic: message carried no frames")
+		return errors.New("nic: message carried no frames")
 	}
-	p := &c.pkt
-	c.segs = c.segs[:0]
-	total := 0
+	p := &r.pkt
+	var k *frameKind
 	for i, raw := range raws {
-		if err := wire.ParseInto(raw, p, &c.hdrs); err != nil {
+		if err := wire.ParseInto(raw, p, &r.hdrs); err != nil {
 			return err
 		}
-		if p.BTH.DestQP != m.DstQPN&0xffffff {
-			return fmt.Errorf("nic: frame destQP %d, message %d", p.BTH.DestQP, m.DstQPN)
+		if i == 0 {
+			j := kindStarting[p.BTH.Opcode]
+			if j == 0 {
+				return fmt.Errorf("nic: no message starts with opcode %#x", p.BTH.Opcode)
+			}
+			k = &frameKinds[j-1]
+			*m = Message{Op: k.op, IsResp: k.resp, DstQPN: p.BTH.DestQP, PSN: p.BTH.PSN}
+			if h := p.Reth; h != nil {
+				m.RemoteAddr, m.RKey, m.Length = h.VA, h.RKey, int(h.DMALen)
+			}
+			if h := p.Aeth; h != nil {
+				m.Status, m.AckPSN, m.CompareAdd = statusOf(h.Syndrome), h.MSN, p.AtomicAck
+			}
+			if h := p.Atomic; h != nil {
+				m.RemoteAddr, m.RKey, m.Length, m.CompareAdd = h.VA, h.RKey, 8, h.SwapAdd
+				if k.op == OpAtomicCAS {
+					m.CompareAdd, m.Swap = h.Compare, h.SwapAdd
+				}
+			}
 		}
-		if i == 0 && len(raws) == 1 {
-			wantOp, err := opcodeToWire(m)
-			if err != nil {
-				return err
-			}
-			if p.BTH.Opcode != wantOp {
-				return fmt.Errorf("nic: frame opcode %#x, message %v", p.BTH.Opcode, m.Op)
-			}
-		}
-		if i == 0 && p.Reth != nil {
-			if p.Reth.VA != m.RemoteAddr || p.Reth.RKey != m.RKey || p.Reth.DMALen != uint32(m.Length) {
-				return fmt.Errorf("nic: RETH mismatch: %+v vs msg addr=%d rkey=%d len=%d",
-					p.Reth, m.RemoteAddr, m.RKey, m.Length)
-			}
+		if want := k.ops[segPos(i, len(raws))]; p.BTH.Opcode != want {
+			return fmt.Errorf("nic: frame %d of %d has opcode %#x, want %#x", i, len(raws), p.BTH.Opcode, want)
 		}
 		if len(p.Payload) > 0 {
-			c.segs = append(c.segs, p.Payload)
+			r.segs = append(r.segs, p.Payload)
+			if k.op != OpWrite {
+				m.Length += len(p.Payload)
+			}
 		}
-		total += len(p.Payload)
-	}
-	if total != len(m.Data) {
-		return fmt.Errorf("nic: frames carry %d payload bytes, message %d", total, len(m.Data))
 	}
 	return nil
 }

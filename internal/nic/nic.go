@@ -86,12 +86,12 @@ func (s Status) String() string {
 // set, so a request is named by its QP and PSN, as its frames name it. The
 // NIC passes messages by value: every holder keeps its own copy.
 //
-// Data is the payload of a WRITE or SEND request or a READ response. The
-// sending NIC reads it once per transmission, when it encodes the message's
-// frames; from then on the frames are the only copy on the wire, and the
-// receiver copies the payload out of them into a buffer of its own. Data
-// still travels with the message for its length and its nil-ness, but its
-// bytes may have been reused by the time the message arrives.
+// A message travels only as its frames. The sending NIC encodes them when
+// it transmits, reading Data, the payload of a WRITE or SEND request or a
+// READ response, once per transmission; the receiver decodes its own
+// Message from them and copies the payload out of them into a buffer of its
+// own. No frame carries SrcQPN: a responder answers the peer QP in the
+// context of the QP a request names.
 type Message struct {
 	Op         Opcode
 	SrcQPN     uint32
@@ -161,8 +161,7 @@ type RecvEvent struct {
 	Bytes int
 	// Data is a SEND's payload. The NIC reuses its buffer once the callback
 	// returns, so a receiver that keeps the bytes copies them.
-	Data   []byte
-	SrcQPN uint32
+	Data []byte
 }
 
 // MRInfo registers a memory region with the responder pipeline.
@@ -475,9 +474,9 @@ type NIC struct {
 	// engine is single-threaded, so these are plain slices (no sync.Pool —
 	// its GC-coupled reuse would be nondeterministic across runs; an
 	// explicit free list recycles at fixed points in the event order,
-	// keeping runs byte-identical). Messages are values: each envelope,
-	// pending WQE and responder operation holds its own copy, so no frame
-	// is shared between the NICs of a rig. Envelopes migrate: the receiver
+	// keeping runs byte-identical). Messages are values: each responder
+	// operation holds its own copy, and an envelope holds only frames, so
+	// nothing is shared between the NICs of a rig. Envelopes migrate: the receiver
 	// recycles them. Across engine domains the hand-over happens at the
 	// window barrier, so never a race.
 	pendFree []*pending
@@ -495,8 +494,8 @@ type NIC struct {
 	// again when respond returns.
 	rbuf []byte
 
-	// rxCheck is the parse state Deliver verifies arriving frames with.
-	rxCheck frameCheck
+	// rx is the parse state Deliver decodes arriving frames with.
+	rx frameReader
 }
 
 // New creates a NIC on a host. Call AddPeerLink before any traffic flows.
@@ -516,7 +515,7 @@ func New(eng *sim.Engine, name string, p Profile, h *host.Host, numa int) *NIC {
 		counters:  newCounters(),
 		cqeDigest: cqeDigestBasis,
 	}
-	n.rxCheck.segs = n.rxCheck.segArr[:0]
+	n.rx.segs = n.rx.segArr[:0]
 	n.payFree = n.payArr[:0]
 	n.ip = [4]byte{10, 0, byte(seq >> 8), byte(seq)}
 	// The DMA engine holds several outstanding tags; the TPU is a single
@@ -819,28 +818,35 @@ func (n *NIC) dispatchWQE(qp *qpState, wqe *WQE) {
 	n.eng.After(n.prof.DoorbellTime, p.fire)
 }
 
-// launch builds the request message and hands it to the requester egress
+// launch assigns the request its PSN and hands it to the requester egress
 // ring (class 0: the logical Tx arbiter outranks the responder ring).
 func (n *NIC) launch(p *pending) {
-	qp, wqe := p.qp, &p.wqe
-	psn := qp.nextPSN
+	qp := p.qp
+	p.psn, p.lastSent = qp.nextPSN, n.eng.Now()
 	qp.nextPSN = (qp.nextPSN + 1) & psnMask
-	p.msg = Message{
-		Op: wqe.Op, SrcQPN: qp.qpn, DstQPN: qp.peerQPN,
-		RKey: wqe.RemoteKey, RemoteAddr: wqe.RemoteAddr, Length: wqe.Length,
-		PSN: psn, TC: wqe.TC, CompareAdd: wqe.CompareAdd, Swap: wqe.Swap,
-	}
-	if wqe.Op == OpWrite || wqe.Op == OpSend {
-		p.msg.Data = wqe.LocalData
-	}
-	p.psn, p.lastSent = psn, n.eng.Now()
 	n.rec.Emit(trace.Event{At: int64(n.eng.Now()), Kind: trace.KindPSNSend,
-		Actor: n.psnActor, QPN: qp.qpn, PSN: psn, TC: int8(wqe.TC)})
+		Actor: n.psnActor, QPN: qp.qpn, PSN: p.psn, TC: int8(p.wqe.TC)})
 	qp.outstanding = append(qp.outstanding, p)
 	if !qp.rtxTimer.Pending() {
 		n.armRetransmit(qp)
 	}
-	n.transmit(qp.peer, &p.msg, 0)
+	n.transmitRequest(p)
+}
+
+// transmitRequest transmits p's request, built from its WQE and PSN at each
+// transmission, so a retransmission reads the poster's buffer again as the
+// launch did.
+func (n *NIC) transmitRequest(p *pending) {
+	wqe := &p.wqe
+	m := Message{
+		Op: wqe.Op, SrcQPN: p.qpn, DstQPN: p.qp.peerQPN,
+		RKey: wqe.RemoteKey, RemoteAddr: wqe.RemoteAddr, Length: wqe.Length,
+		PSN: p.psn, TC: wqe.TC, CompareAdd: wqe.CompareAdd, Swap: wqe.Swap,
+	}
+	if wqe.Op == OpWrite || wqe.Op == OpSend {
+		m.Data = wqe.LocalData
+	}
+	n.transmit(p.qp.peer, &m, 0)
 }
 
 // pfcXOFF is the ingress backlog (requests queued at the responder
@@ -848,30 +854,21 @@ func (n *NIC) launch(p *pending) {
 // the point at which a real lossless fabric would send PRIO pause frames.
 const pfcXOFF = 32
 
-// transmit serialises a copy of m through the egress arbiter onto the
-// wire. ring 0 is the requester (Tx arbiter), ring 1 the responder (Rx
-// arbiter); strict priority between them is Key Finding 3. The envelope
-// that will carry the copy is the arbiter request (see envelope.granted).
-// The message's frames are encoded here, reading the payload as the launch
-// DMA does, so a retransmission reads the poster's buffer again and the
-// buffer is never read once its WQE has completed.
+// transmit serialises m through the egress arbiter onto the wire. ring 0
+// is the requester (Tx arbiter), ring 1 the responder (Rx arbiter); strict
+// priority between them is Key Finding 3. The envelope that will carry the
+// message is the arbiter request (see envelope.granted). The message's
+// frames are encoded here, reading the payload as the launch DMA does, so
+// a retransmission reads the poster's buffer again and the buffer is never
+// read once its WQE has completed; the frames are all the receiver gets.
 func (n *NIC) transmit(dst *NIC, m *Message, ring int) {
 	bytes := n.wireBytes(m)
-	flow := flowLabel(m.SrcQPN, m.DstQPN)
 	link := n.links[dst]
-	ser := sim.Duration(0)
-	if link != nil {
-		ser = link.SerializationDelay(bytes)
-	}
-	service := n.prof.EgressArbTime
-	if ser > service {
-		service = ser
-	}
+	service := max(n.prof.EgressArbTime, link.SerializationDelay(bytes))
 	env := n.getEnv()
-	env.src, env.dst, env.msg, env.link = n, dst, *m, link
-	env.bytes, env.flow, env.ring = bytes, flow, ring
-	// Every message goes out in its real RoCEv2 transport encoding, parsed
-	// and verified again on ingress.
+	env.src, env.dst, env.link = n, dst, link
+	env.bytes, env.flow, env.ring = bytes, flowLabel(m.SrcQPN, m.DstQPN), ring
+	env.srcQPN, env.psn, env.tc = m.SrcQPN, m.PSN, m.TC
 	if err := env.encode(m, n.prof.MTU); err != nil {
 		panic(fmt.Sprintf("nic %s: frame encode: %v", n.Name, err))
 	}
@@ -887,67 +884,54 @@ func flowLabel(srcQPN, dstQPN uint32) uint32 {
 	return srcQPN*2654435761 + dstQPN
 }
 
-// Deliver is installed as the fabric sink: it dispatches an arriving packet
-// to its destination NIC's ingress pipeline and then recycles the envelope;
-// everything that must outlive the packet, the payload included, has been
-// copied out of its frames by then. Envelopes lost in flight with their
-// packet are simply collected by the GC.
+// Deliver is installed as the fabric sink, and is the only way a message
+// enters a NIC: it decodes an arriving packet's frames into the message
+// they carry, with the packet's TC, dispatches it to the destination NIC's
+// ingress pipeline and then recycles the envelope; everything that must
+// outlive the packet, the payload included, has been copied out of its
+// frames by then. Envelopes lost in flight are simply collected by the GC.
 func Deliver(p fabric.Packet) {
 	env, ok := p.Payload.(*envelope)
 	if !ok {
 		panic("nic: foreign payload on fabric")
 	}
-	dst, m := env.dst, &env.msg
+	n := env.dst
 	if p.Corrupt {
 		// ICRC failure: the payload cannot be trusted, so the packet is
 		// dropped before any parsing — the transport recovers it exactly
 		// like an in-flight loss.
-		dst.putEnv(env)
-		dst.counters.RxCorrupt++
-		dst.rec.Emit(trace.Event{At: int64(dst.eng.Now()), Kind: trace.KindRxCorrupt,
-			Actor: dst.rxActor, TC: int8(p.TC & 7), Val: uint64(p.Bytes)})
+		n.putEnv(env)
+		n.counters.RxCorrupt++
+		n.rec.Emit(trace.Event{At: int64(n.eng.Now()), Kind: trace.KindRxCorrupt,
+			Actor: n.rxActor, TC: int8(p.TC & 7), Val: uint64(p.Bytes)})
 		return
 	}
-	// Wire fidelity: the frames must decode back to the message being
-	// delivered; their payload segments are what the receiver copies.
-	chk := &dst.rxCheck
-	if err := chk.verify(env.frames, m); err != nil {
-		panic("nic: wire/simulation divergence: " + err.Error())
+	var m Message
+	if err := n.rx.decode(env.frames, &m); err != nil {
+		panic("nic: undecodable frames: " + err.Error())
 	}
-	dst.ingress(m, chk.segs)
-	dst.putEnv(env)
-}
-
-// HandleIngress processes one arriving message (request or response) as if
-// the wire had delivered it. The NIC copies what it keeps, the payload
-// from m.Data.
-func (n *NIC) HandleIngress(m *Message) {
-	n.ingress(m, [][]byte{m.Data})
-}
-
-// ingress processes one arriving message. segs holds its payload, in order:
-// views into the frames that carried it, or m.Data for a message handed to
-// HandleIngress.
-func (n *NIC) ingress(m *Message, segs [][]byte) {
-	n.counters.RxBytes += uint64(n.wireBytes(m))
-	n.counters.RxBytesTC[m.TC&7] += uint64(n.wireBytes(m))
+	m.TC = p.TC
+	n.counters.RxBytes += uint64(p.Bytes)
+	n.counters.RxBytesTC[p.TC&7] += uint64(p.Bytes)
 	n.rec.Emit(trace.Event{At: int64(n.eng.Now()), Kind: trace.KindRxPkt,
-		Actor: n.rxActor, QPN: m.DstQPN, PSN: m.PSN, TC: int8(m.TC & 7),
-		Val: uint64(n.wireBytes(m))})
+		Actor: n.rxActor, QPN: m.DstQPN, PSN: m.PSN, TC: int8(p.TC & 7),
+		Val: uint64(p.Bytes)})
 	if m.IsResp {
-		n.handleResponse(m, segs)
-		return
+		n.handleResponse(&m, n.rx.segs)
+	} else {
+		n.handleRequest(&m, n.rx.segs)
 	}
-	n.handleRequest(m, segs)
+	n.putEnv(env)
 }
 
-// gather copies a message's payload segments into buf, resized to the
-// payload, and returns it: nil when the message carries no payload.
-func gather(buf []byte, m *Message, segs [][]byte) []byte {
-	if m.Data == nil {
-		return nil
+// gather copies payload segments into buf, resized to their total length,
+// and returns it.
+func gather(buf []byte, segs [][]byte) []byte {
+	size := 0
+	for _, s := range segs {
+		size += len(s)
 	}
-	buf = fit(buf, len(m.Data))
+	buf = fit(buf, size)
 	off := 0
 	for _, s := range segs {
 		off += copy(buf[off:], s)
@@ -956,8 +940,9 @@ func gather(buf []byte, m *Message, segs [][]byte) []byte {
 }
 
 // handleRequest accepts an inbound request and starts its execution (see
-// respOp in pipeline.go). An executing WRITE or SEND copies its payload out
-// of segs into a buffer the operation holds until it ends.
+// respOp in pipeline.go). segs holds the payload segments the request's
+// frames carry, if any; an executing WRITE or SEND copies them into a
+// buffer the operation holds until it ends.
 func (n *NIC) handleRequest(m *Message, segs [][]byte) {
 	n.counters.RxMsgs[m.Op]++
 	if n.rxPU.QueueLen()+n.tpuSrv.QueueLen() >= pfcXOFF {
@@ -1021,8 +1006,8 @@ func (n *NIC) handleRequest(m *Message, segs [][]byte) {
 	}
 	op := n.getOp(m, rEnter)
 	op.gate, op.ticket = gate, ticket
-	if m.Data != nil {
-		op.m.Data = gather(n.getPayload(), m, segs)
+	if len(segs) > 0 {
+		op.m.Data = gather(n.getPayload(), segs)
 	}
 	// Encryption profiles decrypt/authenticate the inbound payload on the
 	// responder PU (for READs this is the outbound data being enciphered).
@@ -1061,28 +1046,28 @@ func (n *NIC) respond(req *Message, st Status, data []byte, atomicOrig uint64) {
 	if st != StatusOK {
 		n.counters.NAKs++
 	}
-	resp := Message{
-		Op: req.Op, SrcQPN: req.DstQPN, DstQPN: req.SrcQPN,
-		IsResp: true, Status: st, TC: req.TC,
-		PSN: req.PSN, AckPSN: req.PSN,
-		Length: 0, Data: data, CompareAdd: atomicOrig,
-	}
-	if req.Op == OpRead && st == StatusOK {
-		resp.Length = req.Length
-	}
-	// Find the requester NIC: the source QP's peer pointer on our side.
+	// Find the requester in the context of the QP the request names: no
+	// frame carries a source QPN.
 	qp := n.qps[req.DstQPN]
 	if qp == nil || qp.peer == nil {
 		// Request targeted an unknown QP: we cannot route a NAK without a
 		// reverse path; drop (matches RC behaviour of unroutable packets).
 		return
 	}
+	resp := Message{
+		Op: req.Op, SrcQPN: req.DstQPN, DstQPN: qp.peerQPN,
+		IsResp: true, Status: st, TC: req.TC,
+		PSN: req.PSN, AckPSN: req.PSN,
+		Data: data, CompareAdd: atomicOrig,
+	}
+	if req.Op == OpRead && st == StatusOK {
+		resp.Length = req.Length
+	}
 	n.transmit(qp.peer, &resp, 1)
 }
 
 // fit returns buf resized to n bytes, reallocated when its capacity is
-// short. The result is never nil, so an empty READ payload stays distinct
-// from no payload.
+// short.
 func fit(buf []byte, n int) []byte {
 	if buf == nil || cap(buf) < n {
 		return make([]byte, n, max(n, 64))
@@ -1132,8 +1117,8 @@ func (n *NIC) handleResponse(m *Message, segs [][]byte) {
 	qp.retries = 0
 	n.armRetransmit(qp)
 	p.st, p.result = m.Status, m.CompareAdd
-	if w := &p.wqe; w.Op == OpRead && (w.LocalData != nil || w.LocalKey != 0) && m.Data != nil {
-		p.buf = gather(p.buf, m, segs)
+	if w := &p.wqe; w.Op == OpRead && (w.LocalData != nil || w.LocalKey != 0) && len(segs) > 0 {
+		p.buf = gather(p.buf, segs)
 		p.data = p.buf
 	}
 	// Encryption profiles decrypt an inbound READ payload on the requester's

@@ -4,20 +4,34 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/thu-has/ragnar/internal/fabric"
 	"github.com/thu-has/ragnar/internal/host"
 	"github.com/thu-has/ragnar/internal/sim"
 	"github.com/thu-has/ragnar/internal/wire"
 )
 
-// loopRig builds two NICs connected via the loopback fallback (no fabric
-// link), enough to exercise the DES pipeline in isolation.
+// loopRig builds two NICs joined by 1 ns fabric links, enough to exercise
+// the DES pipeline in isolation. B registers a 2 MiB MR under key 77.
 func loopRig(t *testing.T, p Profile) (*sim.Engine, *NIC, *NIC, *host.Region) {
+	t.Helper()
+	eng, a, b, _, _ := rig(t, p, sim.Nanosecond, 0)
+	return eng, a, b, b.mrs[77].Region
+}
+
+// rig builds two NICs joined by fabric links of the given latency, each
+// with egress queues of maxQueue packets per TC (0: unbounded). B
+// registers a 2 MiB MR under key 77.
+func rig(t *testing.T, p Profile, latency sim.Duration, maxQueue int) (*sim.Engine, *NIC, *NIC, *fabric.Link, *fabric.Link) {
 	t.Helper()
 	eng := sim.NewEngine(1)
 	hA := host.New(eng, host.H2)
 	hB := host.New(eng, host.H3)
 	a := New(eng, "a", p, hA, 0)
 	b := New(eng, "b", p, hB, 0)
+	ab := fabric.NewLink(eng, "a->b", p.LineRateGbps, latency, maxQueue, Deliver)
+	ba := fabric.NewLink(eng, "b->a", p.LineRateGbps, latency, maxQueue, Deliver)
+	a.AddPeerLink(b, ab)
+	b.AddPeerLink(a, ba)
 	region, err := hB.Alloc(2<<20, host.Page2M, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -28,7 +42,7 @@ func loopRig(t *testing.T, p Profile) (*sim.Engine, *NIC, *NIC, *host.Region) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	return eng, a, b, region
+	return eng, a, b, ab, ba
 }
 
 // connect creates and binds QPs 1<->2 with the given completion sink on a.
@@ -311,13 +325,17 @@ func TestLargeWriteSegmentsOnWire(t *testing.T) {
 	if string(reassembled) != string(payload) {
 		t.Fatal("reassembled payload differs")
 	}
-	var fc frameCheck
-	if err := fc.verify(frames, m); err != nil {
+	var r frameReader
+	var got Message
+	if err := r.decode(frames, &got); err != nil {
 		t.Fatal(err)
+	}
+	if got.Op != OpWrite || got.Length != len(payload) || len(r.segs) != 3 {
+		t.Fatalf("decoded %+v from %d segments", got, len(r.segs))
 	}
 }
 
-// The self-check must reject divergent frames.
+// A byte flipped inside a frame fails its ICRC, and decoding rejects it.
 func TestVerifySegmentsRejectsTampering(t *testing.T) {
 	m := &Message{Op: OpWrite, DstQPN: 9, RemoteAddr: 0x1000, RKey: 5,
 		Length: 8, Data: []byte("12345678")}
@@ -325,25 +343,13 @@ func TestVerifySegmentsRejectsTampering(t *testing.T) {
 	if err := fb.encode(m, 4096); err != nil {
 		t.Fatal(err)
 	}
-	var fc frameCheck
-	wrong := &Message{Op: OpWrite, DstQPN: 9, RemoteAddr: 0x2000, RKey: 5,
-		Length: 8, Data: []byte("12345678")}
-	if err := fc.verify(fb.frames, wrong); err == nil {
-		t.Fatal("address mismatch not caught")
-	}
-	short := &Message{Op: OpWrite, DstQPN: 9, RemoteAddr: 0x1000, RKey: 5,
-		Length: 4, Data: []byte("1234")}
-	if err := fc.verify(fb.frames, short); err == nil {
-		t.Fatal("length mismatch not caught")
-	}
-	// The payload is not compared with m.Data, which may legally hold new
-	// bytes by delivery time; a byte flipped inside the frame is caught by
-	// the ICRC.
-	if err := fc.verify(fb.frames, m); err != nil {
+	var r frameReader
+	var got Message
+	if err := r.decode(fb.frames, &got); err != nil {
 		t.Fatal(err)
 	}
 	fb.frames[0][wire.BTHBytes+wire.RETHBytes+2] ^= 0x40
-	if err := fc.verify(fb.frames, m); err == nil || !strings.Contains(err.Error(), "ICRC") {
+	if err := r.decode(fb.frames, &got); err == nil || !strings.Contains(err.Error(), "ICRC") {
 		t.Fatalf("payload byte flipped in the frame: %v, want an ICRC mismatch", err)
 	}
 }

@@ -31,20 +31,21 @@ import (
 //   - envelope, on egress: the message's frames, encoded when it is
 //     transmitted, then the arbiter grant and the hand-off to the link; it
 //     travels as the fabric payload and the receiver recycles it after
-//     checking its frames.
+//     decoding its frames.
 //
 // Ownership. Messages are values, so nothing is shared between the stages
-// of a WQE or between the NICs of a rig: pending keeps its request for
-// go-back-N, each envelope carries a copy, each respOp copies the request
-// it executes, and responses are built on the stack and copied into their
-// envelope. Request frames need no release rule, and a forged ACK arriving
-// while the request still executes cannot disturb it. A payload is copied,
-// never handed on: transmit encodes it into the envelope's frames, which
-// are its only copy on the wire, and the receiver copies it out of the
-// frames it verified — a WRITE or SEND into a payload buffer its respOp
-// takes from the NIC's list, a READ response into the pending WQE's own
-// buffer when the READ lands somewhere. No in-flight copy points into a
-// poster's buffer, so the buffer is the poster's again at its CQE, and the
+// of a WQE or between the NICs of a rig: a request is built on the stack
+// from its pending WQE at each transmission, responses are built on the
+// stack, and an envelope carries only the frames transmit encodes from
+// them. The receiver decodes its own message from the frames, and each
+// respOp copies the request it executes, so a forged ACK arriving while
+// the request still executes cannot disturb it. A payload is copied, never
+// handed on: transmit encodes it into the envelope's frames, which are its
+// only copy on the wire, and the receiver copies it out of the frames it
+// decoded — a WRITE or SEND into a payload buffer its respOp takes from
+// the NIC's list, a READ response into the pending WQE's own buffer when
+// the READ lands somewhere. No in-flight copy points into a poster's
+// buffer, so the buffer is the poster's again at its CQE, and the
 // responder's rbuf is free again as soon as respond has encoded it.
 //
 // A fire that completes an operation recycles it as its last step, after
@@ -67,7 +68,8 @@ const (
 // pending is one requester WQE from doorbell to CQE. From launch until its
 // response (or a retry-exhausted flush) it is also the go-back-N transport
 // record, and the only record of the request in flight: it sits in its
-// QP's outstanding window, where a response finds it by PSN.
+// QP's outstanding window, where a response finds it by PSN, and its WQE
+// and PSN are all a retransmission needs.
 type pending struct {
 	n           *NIC
 	qp          *qpState // dispatching QP
@@ -75,7 +77,6 @@ type pending struct {
 	qpn         uint32
 	postTime    sim.Time
 	psn         uint32
-	msg         Message  // the request, retained for retransmission
 	lastSent    sim.Time // aging base for the retransmit timeout
 	retransmits int
 
@@ -258,9 +259,9 @@ type respOp struct {
 	fire    func()
 }
 
-// getOp returns an operation executing a copy of m from stage. The copy
-// carries no payload: m.Data is not the receiver's to keep, so an
-// operation that needs the payload copies it in itself (handleRequest).
+// getOp returns an operation executing a copy of m from stage. A decoded
+// message carries no payload, so an operation that needs one copies it out
+// of the frames itself (handleRequest).
 func (n *NIC) getOp(m *Message, stage uint8) *respOp {
 	var op *respOp
 	if k := len(n.opFree) - 1; k >= 0 {
@@ -271,7 +272,6 @@ func (n *NIC) getOp(m *Message, stage uint8) *respOp {
 		op.fire = op.advance
 	}
 	op.m, op.stage = *m, stage
-	op.m.Data = nil
 	return op
 }
 
@@ -447,7 +447,7 @@ func (n *NIC) execEffect(op *respOp) {
 			copy(buf, m.Data)
 		}
 		if qp.onRecv != nil {
-			qp.onRecv(RecvEvent{QPN: qp.qpn, Op: OpSend, Bytes: m.Length, Data: m.Data, SrcQPN: m.SrcQPN})
+			qp.onRecv(RecvEvent{QPN: qp.qpn, Op: OpSend, Bytes: m.Length, Data: m.Data})
 		}
 		n.respond(m, StatusOK, nil, 0)
 	case rWrite:
@@ -464,7 +464,7 @@ func (n *NIC) execEffect(op *respOp) {
 			}
 		}
 		if qp.onRecv != nil {
-			qp.onRecv(RecvEvent{QPN: qp.qpn, Op: OpWrite, Bytes: m.Length, SrcQPN: m.SrcQPN})
+			qp.onRecv(RecvEvent{QPN: qp.qpn, Op: OpWrite, Bytes: m.Length})
 		}
 		n.respond(m, StatusOK, nil, 0)
 	case rRead:
@@ -511,17 +511,23 @@ func (n *NIC) execEffect(op *respOp) {
 
 // envelope routes a fabric packet to the destination NIC. On egress it is
 // also the arbiter request: transmit fills in what the grant needs, encodes
-// the message's real RoCEv2 frames and submits fire. The receiver parses
-// and cross-checks the frames, copies the payload out of them, and
-// recycles the envelope, frame buffers included, onto its own free list.
+// the message's real RoCEv2 frames and submits fire. The frames are the
+// message: the receiver decodes it from them, copies the payload out of
+// them, and recycles the envelope, frame buffers included, onto its own
+// free list.
 type envelope struct {
 	src   *NIC // transmitting NIC
 	dst   *NIC
-	msg   Message
-	link  *fabric.Link // nil: loopback (single-NIC tests)
-	bytes int          // wire bytes
+	link  *fabric.Link
+	bytes int // wire bytes
 	flow  uint32
-	ring  int
+	// srcQPN and tc are what the encapsulation around the frames carries:
+	// the UDP source port derives from the one, the traffic class is the
+	// other. psn is the first frame's, for the arbiter's trace.
+	srcQPN uint32
+	psn    uint32
+	tc     int
+	ring   int
 	frameBuf
 	fire func()
 }
@@ -548,23 +554,18 @@ func (n *NIC) putEnv(env *envelope) {
 // message: it accounts the bytes, shows the frames to the Tap and puts the
 // packet on the link.
 func (env *envelope) granted() {
-	n, dst, m, link := env.src, env.dst, &env.msg, env.link
+	n, dst := env.src, env.dst
 	n.counters.TxBytes += uint64(env.bytes)
-	n.counters.TxBytesTC[m.TC&7] += uint64(env.bytes)
+	n.counters.TxBytesTC[env.tc&7] += uint64(env.bytes)
 	n.rec.Emit(trace.Event{At: int64(n.eng.Now()), Kind: trace.KindArbGrant,
-		Actor: n.arbActor, QPN: m.SrcQPN, PSN: m.PSN, TC: int8(m.TC & 7),
+		Actor: n.arbActor, QPN: env.srcQPN, PSN: env.psn, TC: int8(env.tc & 7),
 		Val: uint64(env.bytes), Aux: uint64(env.ring)})
-	if link == nil {
-		// Loopback fallback for single-NIC tests.
-		n.eng.After(sim.Nanosecond, func() { Deliver(fabric.Packet{Payload: env}) })
-		return
-	}
 	if n.Tap != nil {
 		for _, f := range env.frames {
-			n.Tap(n.eng.Now(), wire.Encapsulate(f, n.ip, dst.ip, 49152+uint16(m.SrcQPN&0x3fff)))
+			n.Tap(n.eng.Now(), wire.Encapsulate(f, n.ip, dst.ip, 49152+uint16(env.srcQPN&0x3fff)))
 		}
 	}
-	if err := link.Send(fabric.Packet{TC: m.TC, Bytes: env.bytes, Dst: dst.addr, Flow: env.flow, Payload: env}); err != nil {
+	if err := env.link.Send(fabric.Packet{TC: env.tc, Bytes: env.bytes, Dst: dst.addr, Flow: env.flow, Payload: env}); err != nil {
 		// Tail drop at the egress queue: the packet never reaches the
 		// wire. The RC transport recovers it — a lost request draws a
 		// NAK-seq or a retransmit timeout, a lost response a duplicate

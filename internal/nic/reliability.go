@@ -138,7 +138,7 @@ func (n *NIC) onRetryTimeout(qp *qpState) {
 			Dur: int64(n.eng.Now().Sub(p.lastSent))})
 		p.lastSent = n.eng.Now()
 		n.counters.Retransmits++
-		n.transmit(qp.peer, &p.msg, 0)
+		n.transmitRequest(p)
 	}
 	n.armRetransmit(qp)
 }
@@ -197,7 +197,7 @@ func (n *NIC) handleSeqNak(qp *qpState, m *Message) {
 				Dur: int64(n.eng.Now().Sub(p.lastSent))})
 			p.lastSent = n.eng.Now()
 			n.counters.Retransmits++
-			n.transmit(qp.peer, &p.msg, 0)
+			n.transmitRequest(p)
 		}
 	}
 	n.armRetransmit(qp)
@@ -218,8 +218,9 @@ func (n *NIC) failQP(qp *qpState) {
 	}
 }
 
-// respondNak sends a NAK-sequence-error for an out-of-order request. AckPSN
-// carries the last in-order PSN so the requester knows where to rewind.
+// respondNak sends a NAK-sequence-error for an out-of-order request to the
+// peer of the QP it names. AckPSN carries the last in-order PSN so the
+// requester knows where to rewind.
 func (n *NIC) respondNak(req *Message, ackPSN uint32) {
 	n.counters.Responses++
 	n.counters.NAKs++
@@ -231,7 +232,7 @@ func (n *NIC) respondNak(req *Message, ackPSN uint32) {
 		return
 	}
 	n.transmit(qp.peer, &Message{
-		Op: req.Op, SrcQPN: req.DstQPN, DstQPN: req.SrcQPN,
+		Op: req.Op, SrcQPN: req.DstQPN, DstQPN: qp.peerQPN,
 		IsResp: true, Status: StatusSeqNak, TC: req.TC,
 		PSN: req.PSN, AckPSN: ackPSN,
 	}, 1)

@@ -10,30 +10,12 @@ import (
 	"github.com/thu-has/ragnar/internal/sim"
 )
 
-// linkedRig builds two NICs joined by real fabric links (unlike loopRig's
-// loopback fallback), so tail drops and fault plans apply.
+// linkedRig builds two NICs joined by 200 ns fabric links whose egress
+// queues hold maxQueue packets per TC (0: unbounded), so tail drops and
+// fault plans apply.
 func linkedRig(t *testing.T, p Profile, maxQueue int) (*sim.Engine, *NIC, *NIC, *fabric.Link, *fabric.Link) {
 	t.Helper()
-	eng := sim.NewEngine(1)
-	hA := host.New(eng, host.H2)
-	hB := host.New(eng, host.H3)
-	a := New(eng, "a", p, hA, 0)
-	b := New(eng, "b", p, hB, 0)
-	ab := fabric.NewLink(eng, "a->b", p.LineRateGbps, 200*sim.Nanosecond, maxQueue, Deliver)
-	ba := fabric.NewLink(eng, "b->a", p.LineRateGbps, 200*sim.Nanosecond, maxQueue, Deliver)
-	a.AddPeerLink(b, ab)
-	b.AddPeerLink(a, ba)
-	region, err := hB.Alloc(2<<20, host.Page2M, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.RegisterMR(MRInfo{
-		Key: 77, Base: region.Base(), Size: region.Size(), Region: region,
-		PageSize: uint64(host.Page2M), RemoteRead: true, RemoteWrite: true, Atomic: true,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	return eng, a, b, ab, ba
+	return rig(t, p, 200*sim.Nanosecond, maxQueue)
 }
 
 // TestSaturatedTCQueueNoPanic is the regression for the removed
@@ -220,8 +202,8 @@ func TestDupAckCoalescing(t *testing.T) {
 		t.Fatalf("completions = %d", len(comps))
 	}
 	// A retransmission's second ACK arrives after the first completed.
-	a.HandleIngress(&Message{Op: OpWrite, SrcQPN: 2, DstQPN: 1, IsResp: true,
-		Status: StatusOK, PSN: 0, AckPSN: 0})
+	Deliver(ForgePacket(a, Message{Op: OpWrite, SrcQPN: 2, DstQPN: 1, IsResp: true,
+		Status: StatusOK, PSN: 0, AckPSN: 0}))
 	eng.Run()
 	if len(comps) != 1 {
 		t.Fatalf("duplicate ACK delivered a second CQE: completions = %d", len(comps))
