@@ -1,8 +1,9 @@
 # Canonical verification entry points (wired into README).
 #
-#   make check      - everything CI needs: vet, build, race-enabled tests,
-#                     the parallel-vs-sequential equivalence check, and vet
-#                     plus tests of the perfbench module
+#   make check      - everything CI needs: vet and gofmt, build,
+#                     race-enabled tests, the parallel-vs-sequential
+#                     equivalence check, and vet plus tests of the
+#                     perfbench module
 #   make test       - plain test run (tier-1: go build ./... && go test ./...)
 #   make bench      - host cost of every registered experiment
 #                     (BenchmarkRegistry) plus the ablation benchmarks
@@ -22,8 +23,12 @@ SHELL := /bin/bash
 
 check: vet build race equivalence perfbench
 
+# gofmt reads the tracked Go files only, so build output such as
+# .bench_build/ stays out of the check.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 
 build:
 	$(GO) build ./...

@@ -219,8 +219,11 @@ type MitigationPoint struct {
 // translations on a NIC — the Section VII "hardware partitioning / fixing
 // hardware features" defense. Unlike noise, it removes the Grain-III/IV
 // carrier entirely; the price is that every translation pays the slowest
-// path. It returns an uninstall function.
+// path. It returns an uninstall function that restores the state it found,
+// so undoing it on a constant-time profile (nic.WithConstTPU) keeps the
+// profile's own TPU.
 func ConstantTimeMitigation(n *nic.NIC, on bool) func() {
+	was := n.TPU().ConstantTimeEnabled()
 	n.TPU().SetConstantTime(on)
-	return func() { n.TPU().SetConstantTime(false) }
+	return func() { n.TPU().SetConstantTime(was) }
 }

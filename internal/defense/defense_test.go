@@ -5,6 +5,7 @@ import (
 
 	"github.com/thu-has/ragnar/internal/bitstream"
 	"github.com/thu-has/ragnar/internal/covert"
+	"github.com/thu-has/ragnar/internal/host"
 	"github.com/thu-has/ragnar/internal/nic"
 	"github.com/thu-has/ragnar/internal/sim"
 	"github.com/thu-has/ragnar/internal/stats"
@@ -209,6 +210,22 @@ func TestConstantTimeFlattensOffsetSurface(t *testing.T) {
 	}
 	if diff > 40*sim.Nanosecond {
 		t.Fatalf("constant-time translations differ by %v", diff)
+	}
+}
+
+// Undoing the mitigation restores what it found: on a profile whose TPU is
+// constant-time by construction, the TPU stays constant-time.
+func TestConstantTimeMitigationUninstallRestores(t *testing.T) {
+	eng := sim.NewEngine(1)
+	n := nic.New(eng, "n", nic.WithConstTPU(nic.CX5), host.New(eng, host.H2), 0)
+	ConstantTimeMitigation(n, true)()
+	if !n.TPU().ConstantTimeEnabled() {
+		t.Fatal("uninstalling the mitigation turned the profile's constant-time TPU off")
+	}
+	n = nic.New(eng, "m", nic.CX5, host.New(eng, host.H2), 0)
+	ConstantTimeMitigation(n, true)()
+	if n.TPU().ConstantTimeEnabled() {
+		t.Fatal("uninstalling the mitigation left constant time on")
 	}
 }
 

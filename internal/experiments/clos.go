@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -182,8 +181,8 @@ func Clos(p nic.Profile, domains int, full bool, seed int64, workers int) (ClosR
 	for i, sz := range ClosAggSizes {
 		cells = append(cells, closCellIn{op: nic.OpWrite, size: sz, cellID: uint64(i)})
 	}
-	outs, err := parallel.Map(context.Background(), workers, cells,
-		func(_ context.Context, _ int, in closCellIn) (ClosCell, error) {
+	outs, err := parallel.Map(workers, cells,
+		func(in closCellIn) (ClosCell, error) {
 			return runClosCell(p, fab, in, seed)
 		})
 	if err != nil {

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -25,8 +24,8 @@ type Fig9Result struct {
 // adapter, one worker per NIC. Every run keeps the same per-NIC seed it had
 // sequentially, so the traces are unchanged at any worker count.
 func Fig9(seed int64, workers int) Fig9Result {
-	runs, err := parallel.Map(context.Background(), workers, nic.PaperProfiles,
-		func(_ context.Context, _ int, p nic.Profile) (*covert.PriorityRun, error) {
+	runs, err := parallel.Map(workers, nic.PaperProfiles,
+		func(p nic.Profile) (*covert.PriorityRun, error) {
 			return covert.NewPriorityChannel(p).Transmit(Fig9Bits, seed), nil
 		})
 	if err != nil {
@@ -128,8 +127,8 @@ func Fig11(seed int64, workers int) (Fig11Result, error) {
 	for i := range bits {
 		bits[i] = byte(i % 2)
 	}
-	folds, err := parallel.Map(context.Background(), workers, nic.PaperProfiles,
-		func(_ context.Context, _ int, p nic.Profile) (covert.FoldedTrace, error) {
+	folds, err := parallel.Map(workers, nic.PaperProfiles,
+		func(p nic.Profile) (covert.FoldedTrace, error) {
 			ch, err := covert.NewInterMRChannel(p, seed)
 			if err != nil {
 				return covert.FoldedTrace{}, err
@@ -207,8 +206,8 @@ func table5Cells() []table5Cell {
 // at any worker count and stay in canonical order.
 func Table5(bits int, seed int64, workers int) (Table5Result, error) {
 	payload := bitstream.RandomBits(uint64(seed)|1, bits)
-	rows, err := parallel.Map(context.Background(), workers, table5Cells(),
-		func(_ context.Context, _ int, cell table5Cell) (Table5Row, error) {
+	rows, err := parallel.Map(workers, table5Cells(),
+		func(cell table5Cell) (Table5Row, error) {
 			switch cell.kind {
 			case "priority":
 				// The ~1 bps channel uses a short payload or it would take

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -26,7 +25,7 @@ const (
 )
 
 // DefGridVariants is the defense ladder evaluated against a base adapter:
-// the unmodified profile, weighted-partitioned ISO, ISO plus constant-time
+// the unmodified profile, partitioned ISO, ISO plus constant-time
 // translations, and ISO plus AES-per-verb pricing.
 func DefGridVariants(p nic.Profile) []nic.Profile {
 	iso := nic.Isolated(p)
@@ -169,8 +168,8 @@ func DefGrid(p nic.Profile, seed int64, workers int) (DefGridResult, error) {
 	variants := DefGridVariants(p)
 	res := DefGridResult{Base: p.Name, Victims: defgridVictims}
 	cells := defgridCells(len(variants))
-	outs, err := parallel.Map(context.Background(), workers, cells,
-		func(_ context.Context, _ int, cell defCell) (defCellOut, error) {
+	outs, err := parallel.Map(workers, cells,
+		func(cell defCell) (defCellOut, error) {
 			return runDefCell(variants, cell, seed)
 		})
 	if err != nil {

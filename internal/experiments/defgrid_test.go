@@ -60,11 +60,11 @@ func TestDefGridDistinguishability(t *testing.T) {
 	}
 }
 
-// One golden experiment per channel family on CX5, rendered across the
-// strategy seam: the strict arbiter + empirical TPU defaults must reproduce
-// the byte streams these channels produced before ArbiterStrategy and
-// TPUStrategy existed. Drift here means the refactor changed a legacy
-// schedule.
+// One golden experiment per channel family on CX5: a paper profile (ISO
+// and ConstTPU false, so the strict arbiter and the empirical TPU) must
+// reproduce the byte streams these channels produced before the profile
+// could select isolation or a constant-time TPU. Drift here means a change
+// moved a legacy schedule.
 func TestDefaultStrategiesByteIdentical(t *testing.T) {
 	checkGolden(t, "seam_cx5", func(workers int) string {
 		var b []byte

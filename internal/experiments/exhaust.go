@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -374,8 +373,8 @@ func Exhaust(p nic.Profile, victims int, seed int64, workers int) (ExhaustResult
 	if victims < 1 {
 		victims = 3
 	}
-	outs, err := parallel.Map(context.Background(), workers, exhaustSweep,
-		func(_ context.Context, _ int, in exhaustCellIn) (ExhaustCell, error) {
+	outs, err := parallel.Map(workers, exhaustSweep,
+		func(in exhaustCellIn) (ExhaustCell, error) {
 			return runExhaustCell(p, victims, in, seed)
 		})
 	if err != nil {

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -143,8 +142,8 @@ func LossGrid(p nic.Profile, bits, reps int, losses []float64, seed int64, worke
 	}
 	channels := []string{"intermr", "intramr"}
 	repsList := lossGridReps(channels, losses, reps)
-	outs, err := parallel.Map(context.Background(), workers, repsList,
-		func(_ context.Context, _ int, r lossRep) (lossRepOut, error) {
+	outs, err := parallel.Map(workers, repsList,
+		func(r lossRep) (lossRepOut, error) {
 			return runLossRep(p, r, bits, seed)
 		})
 	if err != nil {

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -452,8 +451,8 @@ func runNvmfCell(p nic.Profile, in nvmfCellIn, seed int64) (NvmfCell, error) {
 // is an independent rig seeded with sim.DeriveSeed(seed, cellID), so rows
 // are identical at any worker count.
 func Nvmf(p nic.Profile, seed int64, workers int) (NvmfResult, error) {
-	outs, err := parallel.Map(context.Background(), workers, nvmfSweep,
-		func(_ context.Context, _ int, in nvmfCellIn) (NvmfCell, error) {
+	outs, err := parallel.Map(workers, nvmfSweep,
+		func(in nvmfCellIn) (NvmfCell, error) {
 			return runNvmfCell(p, in, seed)
 		})
 	if err != nil {

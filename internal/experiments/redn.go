@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -196,8 +195,8 @@ func Redn(p nic.Profile, seed int64, workers int) (RednResult, error) {
 	variants := []nic.Profile{p, nic.Isolated(p)}
 	res := RednResult{Base: p.Name}
 	cells := rednCells(len(variants))
-	outs, err := parallel.Map(context.Background(), workers, cells,
-		func(_ context.Context, _ int, cell rednCell) (rednCellOut, error) {
+	outs, err := parallel.Map(workers, cells,
+		func(cell rednCell) (rednCellOut, error) {
 			return runRednCell(variants, cell, seed)
 		})
 	if err != nil {

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -170,8 +169,8 @@ func Tenants(p nic.Profile, victims int, sizes []int, seed int64, workers int) (
 			id++
 		}
 	}
-	outs, err := parallel.Map(context.Background(), workers, cells,
-		func(_ context.Context, _ int, in tenantCellIn) (TenantCell, error) {
+	outs, err := parallel.Map(workers, cells,
+		func(in tenantCellIn) (TenantCell, error) {
 			return runTenantCell(p, victims, in, seed)
 		})
 	if err != nil {

@@ -43,11 +43,29 @@ func TestFrameDigestPinned(t *testing.T) {
 	}
 }
 
+// TestWholeFramesRepeat builds the same rig twice in one process: both taps
+// hash the same whole frames, Ethernet and IP headers included, because a
+// NIC's addresses come from its place in the rig, not from how many NICs
+// the process built before.
+func TestWholeFramesRepeat(t *testing.T) {
+	run := func() uint64 {
+		h := fnv.New64a()
+		digestPayloads(t, func(topo *lab.Topology) {
+			for _, n := range []*nic.NIC{topo.Server.NIC(), topo.Clients[0].NIC()} {
+				n.Tap = func(_ sim.Time, frame []byte) { h.Write(frame) }
+			}
+		})
+		return h.Sum64()
+	}
+	if a, b := run(), run(); a != b {
+		t.Fatalf("whole-frame digests %#016x then %#016x: the frames depend on what the process built before", a, b)
+	}
+}
+
 // frameDigest hashes the frames the NICs it watches put on the wire, in
 // departure order: which NIC sent each, when, its UDP source port and its
 // RoCEv2 transport bytes (BTH to ICRC). The Ethernet and IP headers are
-// left out: their addresses number NICs process-wide, so they depend on
-// which tests ran before.
+// left out; TestWholeFramesRepeat checks that they repeat.
 type frameDigest struct {
 	h      hash.Hash64
 	frames int

@@ -2,52 +2,20 @@ package nic
 
 import "github.com/thu-has/ragnar/internal/sim"
 
-// ArbiterKind names the egress-arbiter strategy a Profile composes. The
-// zero value is the legacy strict-priority pick, so profiles that predate
-// the strategy seam keep their exact schedules.
-type ArbiterKind int
-
-const (
-	// ArbiterStrict serves the lowest class first (requester ring before
-	// responder ring), FIFO within a class — byte-identical to the old
-	// priority-server egress.
-	ArbiterStrict ArbiterKind = iota
-	// ArbiterDWRR serves tenants by deficit-weighted round-robin over
-	// bytes, the GLSVLSI'23 isolation TX architecture: each tenant earns
-	// quantum x weight credit per cycle and spends it on its head-of-line
-	// request, so one tenant's burst cannot starve another's schedule.
-	ArbiterDWRR
-)
-
-func (k ArbiterKind) String() string {
-	switch k {
-	case ArbiterStrict:
-		return "strict"
-	case ArbiterDWRR:
-		return "dwrr"
-	}
-	return "unknown"
-}
-
 // MaxTenants bounds the per-tenant state in the DWRR arbiter and the ISO
 // credit pools. Fixed arrays keep the hot path allocation-free.
 const MaxTenants = 8
 
-// ArbiterStrategy is the profile-selectable egress scheduling policy. It is
-// a sim.Arbiter plus a self-describing kind; Pick must be allocation-free
-// (guarded by BenchmarkArbiterPick in CI).
-type ArbiterStrategy interface {
-	sim.Arbiter
-	Kind() ArbiterKind
-}
+// dwrrQuantum is the byte credit a DWRR tenant earns per visit: half an MTU
+// on the modeled parts, small enough that interleaving happens at message
+// granularity.
+const dwrrQuantum = 2048
 
 // StrictArbiter reproduces the legacy priority server: first index of the
 // minimum class. Because the arbitrated queue is FIFO by arrival, picking
 // the first minimum-class entry at every dequeue yields exactly the
 // schedule of the old sorted-insert + pop-front priority queue.
 type StrictArbiter struct{}
-
-func (StrictArbiter) Kind() ArbiterKind { return ArbiterStrict }
 
 func (StrictArbiter) Pick(q []sim.ReqMeta) int {
 	best := 0
@@ -59,40 +27,19 @@ func (StrictArbiter) Pick(q []sim.ReqMeta) int {
 	return best
 }
 
-// DWRRArbiter is a deficit-weighted round-robin scheduler over tenants.
-// Each tenant accumulates quantum x weight bytes of credit per visit; a
-// tenant whose head-of-line request fits its deficit is served and charged.
-// Tenant IDs outside [0, MaxTenants) fold into slot 0.
+// DWRRArbiter is a deficit round-robin scheduler over tenants, the
+// GLSVLSI'23 isolation TX architecture. Each tenant accumulates
+// dwrrQuantum bytes of credit per visit; a tenant whose head-of-line
+// request fits its deficit is served and charged, so one tenant's burst
+// cannot starve another's schedule. Tenant IDs outside [0, MaxTenants)
+// fold into slot 0.
 type DWRRArbiter struct {
-	weights [MaxTenants]int
 	deficit [MaxTenants]int64
-	quantum int64
 	next    int // round-robin cursor, persists across picks
 }
 
-// NewDWRRArbiter builds a DWRR arbiter. Weights of zero or below are
-// clamped to 1 so every tenant makes progress and the credit loop
-// terminates; a zero quantum defaults to 2048 bytes (half an MTU on the
-// modeled parts — small enough that interleaving happens at message
-// granularity).
-func NewDWRRArbiter(weights [MaxTenants]int, quantum int) *DWRRArbiter {
-	a := &DWRRArbiter{quantum: int64(quantum)}
-	if a.quantum <= 0 {
-		a.quantum = 2048
-	}
-	for i, w := range weights {
-		if w < 1 {
-			w = 1
-		}
-		a.weights[i] = w
-	}
-	return a
-}
-
-func (a *DWRRArbiter) Kind() ArbiterKind { return ArbiterDWRR }
-
-// Weights returns the (clamped) per-tenant weight table.
-func (a *DWRRArbiter) Weights() [MaxTenants]int { return a.weights }
+// NewDWRRArbiter builds a DWRR arbiter with every deficit empty.
+func NewDWRRArbiter() *DWRRArbiter { return &DWRRArbiter{} }
 
 func tenantSlot(t int) int {
 	if t < 0 || t >= MaxTenants {
@@ -105,9 +52,9 @@ func tenantSlot(t int) int {
 // entry (lowest queue index — arrival order within a tenant is preserved),
 // then cycles the round-robin cursor topping up deficits until some
 // tenant's head-of-line cost fits. The cycle count is bounded: one top-up
-// adds quantum x weight >= quantum bytes, so at most maxBytes/quantum +
-// MaxTenants visits are needed; a hard cap keeps adversarial inputs from
-// looping, falling back to the first present tenant.
+// adds dwrrQuantum bytes, so at most maxBytes/dwrrQuantum + MaxTenants
+// visits are needed; a hard cap keeps adversarial inputs from looping,
+// falling back to the first present tenant.
 func (a *DWRRArbiter) Pick(q []sim.ReqMeta) int {
 	if len(q) == 1 {
 		return 0
@@ -134,7 +81,7 @@ func (a *DWRRArbiter) Pick(q []sim.ReqMeta) int {
 	}
 	// Bounded credit cycle: visit tenants round-robin from the persistent
 	// cursor; serve the first whose deficit covers its head-of-line bytes,
-	// topping up one quantum x weight per unsatisfied visit.
+	// topping up one quantum per unsatisfied visit.
 	const maxVisits = 4096
 	for visit := 0; visit < maxVisits; visit++ {
 		t := (a.next + visit) % MaxTenants
@@ -150,12 +97,11 @@ func (a *DWRRArbiter) Pick(q []sim.ReqMeta) int {
 			// Keep the cursor on t: a tenant holds the scheduler until its
 			// deficit is spent (classic DWRR visit semantics). Advancing past
 			// it after every single pick would top up the other tenants once
-			// per pick instead of once per round and skew service toward the
-			// light weights.
+			// per pick instead of once per round.
 			a.next = t
 			return head[t]
 		}
-		a.deficit[t] += a.quantum * int64(a.weights[t])
+		a.deficit[t] += dwrrQuantum
 	}
 	// Unreachable for sane quanta; serve the first present tenant so the
 	// server always makes progress.
@@ -167,13 +113,12 @@ func (a *DWRRArbiter) Pick(q []sim.ReqMeta) int {
 	return 0
 }
 
-// arbiterFor instantiates the profile's egress arbiter strategy. Each NIC
-// gets its own instance (DWRR carries per-tenant deficit state).
-func arbiterFor(p Profile) ArbiterStrategy {
-	switch p.ArbiterKind {
-	case ArbiterDWRR:
-		return NewDWRRArbiter(p.ISOWeights, p.ISOQuantum)
-	default:
-		return StrictArbiter{}
+// arbiterFor builds the profile's egress arbiter: DWRR over tenants on an
+// isolation profile, strict priority otherwise. Each NIC gets its own
+// (DWRR carries per-tenant deficit state).
+func arbiterFor(p Profile) sim.Arbiter {
+	if p.ISO {
+		return NewDWRRArbiter()
 	}
+	return StrictArbiter{}
 }

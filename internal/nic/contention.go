@@ -61,9 +61,9 @@ const (
 // Per-client extra wire resources (client<->server direction pair), plus —
 // for isolation profiles — this tenant's partitioned share of each server
 // NIC resource. A flow's server-side demands are mirrored into its client's
-// share resources, whose capacities are the server capacities scaled by the
-// tenant's DWRR weight fraction; under non-ISO profiles the mirrors carry
-// zero demand and never bind.
+// share resources, whose capacities are the server capacities split
+// equally among the tenants; under non-ISO profiles the mirrors carry zero
+// demand and never bind.
 const (
 	rWireUp   = nicResources + iota // client -> server
 	rWireDown                       // server -> client
@@ -93,10 +93,6 @@ type fluid struct {
 	caps     []float64
 	capacity []float64 // static capacities (priority Rx/NonPost handled separately)
 	insig    [][]bool
-	// iso selects the isolation-hardened server model: per-tenant weighted
-	// shares of the server complex and host interface replace the strict
-	// Tx-over-Rx / posted-over-non-posted priority damping there.
-	iso bool
 }
 
 // serverRes indexes a server NIC resource; clientRes a client NIC resource.
@@ -177,32 +173,13 @@ func (fl *fluid) demandsInto(f FlowSpec, d []float64) {
 	}
 
 	// Isolation profiles: mirror this flow's server-NIC demands into its
-	// tenant's share resources, which cap the flow at the tenant's weighted
+	// tenant's share resources, which cap the flow at the tenant's equal
 	// fraction of each server resource.
-	if fl.iso {
+	if p.ISO {
 		for r := 0; r < nicResources; r++ {
 			d[fl.clientRes(f.Client, rShareComplexTx+r)] = d[fl.serverRes(r)]
 		}
 	}
-}
-
-// isoWeight returns a tenant's DWRR weight with the arbiter's >=1 clamp.
-func isoWeight(p Profile, c int) float64 {
-	w := p.ISOWeights[tenantSlot(c)]
-	if w < 1 {
-		w = 1
-	}
-	return float64(w)
-}
-
-// isoShare returns the fraction of each server resource tenant c owns:
-// its weight over the sum of all present tenants' weights.
-func isoShare(p Profile, c, nClients int) float64 {
-	var sum float64
-	for i := 0; i < nClients; i++ {
-		sum += isoWeight(p, i)
-	}
-	return isoWeight(p, c) / sum
 }
 
 // requesterCap returns a flow's requester-side message-rate cap (msgs/us).
@@ -317,7 +294,7 @@ func Solve(p Profile, flows []FlowSpec) []FlowResult {
 			nClients = f.Client + 1
 		}
 	}
-	fl := &fluid{p: p, nClients: nClients, iso: p.ArbiterKind == ArbiterDWRR}
+	fl := &fluid{p: p, nClients: nClients}
 	fl.nRes = nicResources + nClients*clientResources
 	fl.dem = make([][]float64, n)
 	fl.caps = make([]float64, n)
@@ -356,13 +333,14 @@ func Solve(p Profile, flows []FlowSpec) []FlowResult {
 		setNIC(base)
 		capacity[base+rWireUp] = wireCap
 		capacity[base+rWireDown] = wireCap
-		// Tenant shares of the server NIC. A lone tenant owns the full
+		// Tenant shares of the server NIC: on an isolation profile every
+		// tenant owns an equal fraction. A lone tenant owns the full
 		// capacities, so a solo ISO flow pays nothing for the partition;
 		// under non-ISO profiles the mirrors carry zero demand and the
 		// full-capacity setting keeps them inert.
 		share := 1.0
-		if fl.iso && nClients > 1 {
-			share = isoShare(p, c, nClients)
+		if p.ISO && nClients > 1 {
+			share = 1 / float64(nClients)
 		}
 		capacity[base+rShareComplexTx] = complexCap * share
 		capacity[base+rShareComplexRx] = complexCap * share
@@ -397,11 +375,11 @@ func Solve(p Profile, flows []FlowSpec) []FlowResult {
 			cur[base+rPCIeNonPost] = 0.5*cur[base+rPCIeNonPost] + 0.5*want
 		}
 		// The isolation architecture replaces the server's strict priorities
-		// (Tx over Rx, posted over non-posted) with the weighted shares
+		// (Tx over Rx, posted over non-posted) with the tenant shares
 		// above, so the server keeps its full static capacities — that is
 		// exactly what kills the KF3 priority channel. Client NICs are
 		// unmodified hardware and keep the priority damping.
-		if !fl.iso {
+		if !p.ISO {
 			lower(0)
 		}
 		for c := 0; c < nClients; c++ {

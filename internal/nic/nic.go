@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"sync/atomic"
 
 	"github.com/thu-has/ragnar/internal/fabric"
 	"github.com/thu-has/ragnar/internal/host"
@@ -433,11 +432,10 @@ type NIC struct {
 	// to its tenant slot (unmapped QPs fold into slot 0). The lab layer
 	// tags server-side QPs by client index at connection time.
 	qpTenant map[uint32]int
-	// Per-tenant responder credit pools (profile ISOCredits > 0): a request
+	// Per-tenant responder credit pools (isolation profiles): a request
 	// must take a credit before entering the responder PU; requests beyond
-	// the pool wait FIFO per tenant, so one tenant cannot occupy the whole
-	// processing complex.
-	isoOn      bool
+	// the pool of isoPoolDepth wait FIFO per tenant, so one tenant cannot
+	// occupy the whole processing complex.
 	isoCredits [MaxTenants]int
 	isoWait    [MaxTenants][]func() // waiting ops' fire, FIFO per tenant
 	// isoHeld holds the requests, by responder QPN and PSN, that hold (or
@@ -498,13 +496,12 @@ type NIC struct {
 	rx frameReader
 }
 
-// New creates a NIC on a host. Call AddPeerLink before any traffic flows.
-// nicSeq is atomic because parallel sweeps build clusters concurrently; it
-// only feeds the synthetic IP below, which never influences timing.
-var nicSeq atomic.Uint32
+// isoPoolDepth is how many responder credits each tenant's pool holds on
+// an isolation profile.
+const isoPoolDepth = 8
 
+// New creates a NIC on a host. Call AddPeerLink before any traffic flows.
 func New(eng *sim.Engine, name string, p Profile, h *host.Host, numa int) *NIC {
-	seq := nicSeq.Add(1)
 	n := &NIC{
 		Name: name, eng: eng, prof: p, hst: h, numa: numa,
 		tpu:       NewTPU(p, eng.Rand()),
@@ -517,7 +514,6 @@ func New(eng *sim.Engine, name string, p Profile, h *host.Host, numa int) *NIC {
 	}
 	n.rx.segs = n.rx.segArr[:0]
 	n.payFree = n.payArr[:0]
-	n.ip = [4]byte{10, 0, byte(seq >> 8), byte(seq)}
 	// The DMA engine holds several outstanding tags; the TPU is a single
 	// in-order translation pipeline — that is what makes the remote-address
 	// offset the first-order term of ULI (Key Finding 4).
@@ -525,16 +521,15 @@ func New(eng *sim.Engine, name string, p Profile, h *host.Host, numa int) *NIC {
 	n.tpuSrv = sim.NewServer(eng, name+"/tpu", 1)
 	n.txPU = sim.NewServer(eng, name+"/txpu", p.RequesterSlots)
 	n.rxPU = sim.NewServer(eng, name+"/rxpu", p.ResponderSlots)
-	// The egress server is arbitrated by the profile's strategy. The strict
+	// The egress server is arbitrated by the profile's arbiter. The strict
 	// arbiter reproduces the old priority server's schedule exactly (first
 	// index of the minimum class over a FIFO queue == sorted-insert +
 	// pop-front), so legacy profiles stay byte-identical.
 	n.egress = sim.NewArbitratedServer(eng, name+"/egress", 1, arbiterFor(p))
-	if p.ISOCredits > 0 {
-		n.isoOn = true
+	if p.ISO {
 		n.isoHeld = make(map[uint64]struct{})
 		for i := range n.isoCredits {
-			n.isoCredits[i] = p.ISOCredits
+			n.isoCredits[i] = isoPoolDepth
 		}
 	}
 	return n
@@ -559,7 +554,7 @@ func isoKey(m *Message) uint64 { return uint64(m.DstQPN)<<32 | uint64(m.PSN) }
 // isoAdmit runs fn once the tenant holds a responder credit; with the pools
 // disabled it runs fn immediately.
 func (n *NIC) isoAdmit(tenant int, fn func()) {
-	if !n.isoOn {
+	if !n.prof.ISO {
 		fn()
 		return
 	}
@@ -575,7 +570,7 @@ func (n *NIC) isoAdmit(tenant int, fn func()) {
 // isoRelease returns a tenant's credit, handing it straight to the oldest
 // waiter if one is queued.
 func (n *NIC) isoRelease(tenant int) {
-	if !n.isoOn {
+	if !n.prof.ISO {
 		return
 	}
 	t := tenantSlot(tenant)
@@ -656,8 +651,13 @@ func (n *NIC) Counters() *Counters {
 // share one physical uplink — the map simply stores the same *Link for each.
 func (n *NIC) AddPeerLink(peer *NIC, l *fabric.Link) { n.links[peer] = l }
 
-// SetAddr installs the NIC's fabric-level address (see the addr field).
-func (n *NIC) SetAddr(a uint32) { n.addr = a }
+// SetAddr installs the NIC's fabric-level address (see the addr field) and
+// numbers the synthetic IP (and so the MACs) a Tap sees from it, so the
+// frames of one rig do not depend on what else the process built.
+func (n *NIC) SetAddr(a uint32) {
+	n.addr = a
+	n.ip = [4]byte{10, byte(a >> 16), byte(a >> 8), byte(a)}
+}
 
 // Addr returns the fabric-level address (0 until the NIC joins a topology).
 func (n *NIC) Addr() uint32 { return n.addr }
@@ -1017,7 +1017,7 @@ func (n *NIC) handleRequest(m *Message, segs [][]byte) {
 	// original still holds its admission (both name one QP and PSN) keeps
 	// the original credit instead of taking a second one, so respond()'s
 	// exactly-once release stays balanced under loss.
-	if n.isoOn {
+	if n.prof.ISO {
 		key := isoKey(m)
 		if _, held := n.isoHeld[key]; held {
 			op.fire()
@@ -1035,7 +1035,7 @@ func (n *NIC) respond(req *Message, st Status, data []byte, atomicOrig uint64) {
 	// Release the tenant's ISO credit first, before the unroutable-request
 	// early return below: every admitted request reaches respond() exactly
 	// once, so this is the one release point.
-	if n.isoOn {
+	if n.prof.ISO {
 		key := isoKey(req)
 		if _, held := n.isoHeld[key]; held {
 			delete(n.isoHeld, key)

@@ -74,26 +74,18 @@ type Profile struct {
 	NoCSmallMsg   int          // only messages <= this size count towards activation
 	EgressArbTime sim.Duration // per-packet decision time of the egress arbiter
 
-	// Strategy selection (the seam ROADMAP item 5 asks for). The zero
-	// values select the legacy strict arbiter and empirical TPU, so the
-	// paper profiles above stay byte-identical without naming them.
-	ArbiterKind ArbiterKind
-	TPUKind     TPUKind
+	// ISO selects the isolation architecture (see Isolated): DWRR egress
+	// scheduling over tenants and per-tenant responder credit pools.
+	// ConstTPU pads every translation to the worst case (see WithConstTPU).
+	// Both are false on the paper profiles.
+	ISO      bool
+	ConstTPU bool
 
 	// Base names the paper profile a derived (hardened) profile was built
 	// from; empty for the paper profiles themselves. Channel calibration
 	// tables key on it so CX5-ISO measures with CX5's modulation
 	// parameters rather than silently falling into another adapter's.
 	Base string
-
-	// Isolation (CX5-ISO) knobs, inert unless ArbiterKind selects DWRR.
-	// ISOWeights apportions egress bandwidth across tenant slots (zero
-	// entries clamp to 1); ISOQuantum is the DWRR byte quantum; ISOCredits
-	// caps each tenant's outstanding responder-PU admissions, partitioning
-	// the processing complex into per-tenant credit pools.
-	ISOWeights [MaxTenants]int
-	ISOQuantum int
-	ISOCredits int
 
 	// Encryption-latency knobs (the AES-in-RDMA pricing study): when
 	// non-zero, every verb pays EncPerMsg plus EncPerKB per KB of payload
@@ -181,20 +173,15 @@ func baseName(p Profile) string {
 }
 
 // Isolated derives an isolation-hardened variant of a paper profile, the
-// GLSVLSI'23 TX architecture: DWRR egress scheduling over tenants with
-// equal weights, per-tenant responder credit pools, and no shared-clock NoC
-// boost (the boost is a cross-tenant amplifier — KF2's carrier — so the
-// hardened part pins the NoC at its base clock).
+// GLSVLSI'23 TX architecture: DWRR egress scheduling over tenants,
+// per-tenant responder credit pools, and no shared-clock NoC boost (the
+// boost is a cross-tenant amplifier — KF2's carrier — so the hardened part
+// pins the NoC at its base clock).
 func Isolated(p Profile) Profile {
 	iso := p
 	iso.Name = p.Name + "-ISO"
 	iso.Base = baseName(p)
-	iso.ArbiterKind = ArbiterDWRR
-	for i := range iso.ISOWeights {
-		iso.ISOWeights[i] = 1
-	}
-	iso.ISOQuantum = 2048
-	iso.ISOCredits = 8
+	iso.ISO = true
 	iso.NoCBoost = 1.0
 	return iso
 }
@@ -205,7 +192,7 @@ func WithConstTPU(p Profile) Profile {
 	ct := p
 	ct.Name = p.Name + "+ctTPU"
 	ct.Base = baseName(p)
-	ct.TPUKind = TPUConstTime
+	ct.ConstTPU = true
 	return ct
 }
 

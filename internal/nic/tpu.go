@@ -22,10 +22,9 @@ type TPU struct {
 	// ExtraService, when set, adds defensive service-time noise to every
 	// translation (the Section VII noise mitigation).
 	ExtraService func() sim.Duration
-	// strat computes the deterministic service core; see TPUStrategy. The
-	// profile selects it at construction and SetConstantTime swaps it at
-	// runtime (the Section VII hardware-partitioning mitigation).
-	strat TPUStrategy
+	// constTime pads every translation to the worst case (see
+	// SetConstantTime). Profile.ConstTPU sets it at construction.
+	constTime bool
 
 	// Pipeline state: the previous translation's bank and MR, which create
 	// the relative-offset and MR-switch effects.
@@ -42,10 +41,10 @@ type TPU struct {
 // NewTPU builds the unit for a profile, drawing jitter from rng.
 func NewTPU(p Profile, rng *rand.Rand) *TPU {
 	return &TPU{
-		p:     p,
-		noise: sim.NewNoise(rng, p.TPUNoiseSig, p.TPUSpike, p.TPUSpikeP),
-		mtt:   NewCache(p.MTTCacheEntries, p.MTTCacheWays),
-		strat: tpuFor(p),
+		p:         p,
+		noise:     sim.NewNoise(rng, p.TPUNoiseSig, p.TPUSpike, p.TPUSpikeP),
+		mtt:       NewCache(p.MTTCacheEntries, p.MTTCacheWays),
+		constTime: p.ConstTPU,
 	}
 }
 
@@ -116,19 +115,18 @@ func (t *TPU) bank(offset uint64) int {
 }
 
 // Translate returns the service time for one request and advances pipeline
-// state. The deterministic core comes from the profile's TPUStrategy — for
-// the empirical surface:
-//
-//	base per beat + offset component per beat (+ beat stride)
-//	+ bank conflict against the previous translation (relative offset effect)
-//	+ MR switch penalty when the MR changed (inter-MR effect, Fig 5)
-//	+ MTT miss penalty when the page's translation is not cached
-//
-// — and every strategy then gets the same seeded jitter, defensive extra
-// service and 1 ns floor, in that order, so the noise stream advances
-// identically regardless of strategy.
+// state. The deterministic core is either the empirical surface (see
+// empirical) or, with constant time on, the worst-case beat times the beat
+// count; both then get the same seeded jitter, defensive extra service and
+// 1 ns floor, in that order, so the noise stream advances identically
+// whichever core ran.
 func (t *TPU) Translate(req Request) sim.Duration {
-	d := t.strat.Service(t, req)
+	var d sim.Duration
+	if t.constTime {
+		d = t.worstCaseBeat() * sim.Duration(t.beats(req.Length))
+	} else {
+		d = t.empirical(req)
+	}
 	d += t.noise.Sample()
 	if t.ExtraService != nil {
 		d += t.ExtraService()
@@ -137,6 +135,51 @@ func (t *TPU) Translate(req Request) sim.Duration {
 		d = sim.Nanosecond
 	}
 	t.served++
+	return d
+}
+
+// empirical is the measured ConnectX translation core, the carrier for the
+// paper's Grain-III/IV channels:
+//
+//	base per beat + offset component per beat (+ beat stride)
+//	+ bank conflict against the previous translation (relative offset effect)
+//	+ MR switch penalty when the MR changed (inter-MR effect, Fig 5)
+//	+ MTT miss penalty when the page's translation is not cached
+func (t *TPU) empirical(req Request) sim.Duration {
+	d := sim.Duration(0)
+	nb := t.beats(req.Length)
+	for i := 0; i < nb; i++ {
+		beatOff := req.Offset + uint64(i*t.p.TPUBeatBytes)
+		d += t.p.TPUBase + t.OffsetComponent(beatOff)
+	}
+
+	b := t.bank(req.Offset)
+	if t.havePrev && b == t.lastBank {
+		d += t.p.TPUBankCost
+		t.conflicts++
+	}
+	if t.havePrev && req.MRKey != t.lastMR {
+		d += t.p.MRSwitchCost
+		t.mrSwitch++
+	}
+	t.lastBank = b
+	t.lastMR = req.MRKey
+	t.havePrev = true
+
+	// MTT lookup per page touched (usually one: MRs sit on 2 MB pages).
+	ps := req.PageSize
+	if ps == 0 {
+		ps = 2 << 20
+	}
+	first := (req.MRBase + req.Offset) / ps
+	last := (req.MRBase + req.Offset + uint64(max(req.Length, 1)) - 1) / ps
+	for page := first; page <= last; page++ {
+		key := MTTKey(req.MRKey, page)
+		if !t.mtt.Access(key) {
+			d += t.p.MTTMissPenalty
+			t.mttMisses++
+		}
+	}
 	return d
 }
 
@@ -153,23 +196,14 @@ func (t *TPU) Counters() (served, conflicts, mrSwitches, mttMisses uint64) {
 // SetConstantTime, when enabled, makes every translation take the worst-case
 // service time for its beat count — the Section VII "hardware partitioning /
 // fixing hardware features" mitigation: with no offset-, bank- or MR-
-// dependent variation left, Grain-III/IV channels lose their carrier. The
-// cost is that every request pays the slowest path. It swaps the TPU's
-// strategy at runtime, so a profile-selected constant-time TPU and the
-// defense toggle share one implementation.
-func (t *TPU) SetConstantTime(on bool) {
-	if on {
-		t.strat = constTimeTPU{}
-	} else {
-		t.strat = empiricalTPU{}
-	}
-}
+// dependent variation left, Grain-III/IV channels lose their carrier, and
+// no pipeline state advances and no effect counter moves. The cost is that
+// every request pays the slowest path. A profile with ConstTPU starts with
+// it on.
+func (t *TPU) SetConstantTime(on bool) { t.constTime = on }
 
 // ConstantTimeEnabled reports whether the mitigation is active.
-func (t *TPU) ConstantTimeEnabled() bool { return t.strat.Kind() == TPUConstTime }
-
-// Strategy reports the active translation strategy kind.
-func (t *TPU) Strategy() TPUKind { return t.strat.Kind() }
+func (t *TPU) ConstantTimeEnabled() bool { return t.constTime }
 
 // worstCaseBeat is the slowest possible per-beat service: base plus the full
 // sawtooth, no alignment drops, plus a bank conflict and an MR switch.

@@ -1,7 +1,6 @@
 package parallel
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -17,7 +16,7 @@ func TestMapOrdersResults(t *testing.T) {
 		items[i] = i
 	}
 	for _, workers := range []int{1, 2, 7, runtime.NumCPU(), 200} {
-		out, err := Map(context.Background(), workers, items, func(_ context.Context, i int, v int) (int, error) {
+		out, err := Map(workers, items, func(v int) (int, error) {
 			return v * v, nil
 		})
 		if err != nil {
@@ -31,27 +30,11 @@ func TestMapOrdersResults(t *testing.T) {
 	}
 }
 
-func TestMapIndexMatchesItem(t *testing.T) {
-	items := []string{"a", "b", "c", "d", "e"}
-	out, err := Map(context.Background(), 3, items, func(_ context.Context, i int, v string) (string, error) {
-		return fmt.Sprintf("%d:%s", i, v), nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range out {
-		want := fmt.Sprintf("%d:%s", i, items[i])
-		if v != want {
-			t.Fatalf("out[%d] = %q, want %q", i, v, want)
-		}
-	}
-}
-
 func TestMapBoundsConcurrency(t *testing.T) {
 	const workers = 3
 	var cur, peak atomic.Int64
 	items := make([]int, 64)
-	_, err := Map(context.Background(), workers, items, func(_ context.Context, _ int, _ int) (int, error) {
+	_, err := Map(workers, items, func(int) (int, error) {
 		n := cur.Add(1)
 		for {
 			p := peak.Load()
@@ -73,7 +56,7 @@ func TestMapBoundsConcurrency(t *testing.T) {
 
 func TestMapPanicBecomesError(t *testing.T) {
 	items := []int{0, 1, 2, 3}
-	_, err := Map(context.Background(), 2, items, func(_ context.Context, i int, v int) (int, error) {
+	_, err := Map(2, items, func(v int) (int, error) {
 		if v == 2 {
 			panic("boom")
 		}
@@ -92,7 +75,7 @@ func TestMapPanicBecomesError(t *testing.T) {
 }
 
 func TestMapSequentialPanicCapturedToo(t *testing.T) {
-	_, err := Map(context.Background(), 1, []int{1}, func(_ context.Context, _ int, _ int) (int, error) {
+	_, err := Map(1, []int{1}, func(int) (int, error) {
 		panic("inline")
 	})
 	var pe *PanicError
@@ -106,7 +89,10 @@ func TestMapReportsLowestIndexError(t *testing.T) {
 	// the lowest-index one among those that ran — with workers=1 that is
 	// deterministically cell 0.
 	items := make([]int, 10)
-	_, err := Map(context.Background(), 1, items, func(_ context.Context, i int, _ int) (int, error) {
+	for i := range items {
+		items[i] = i
+	}
+	_, err := Map(1, items, func(i int) (int, error) {
 		return 0, fmt.Errorf("cell %d failed", i)
 	})
 	if err == nil || err.Error() != "cell 0 failed" {
@@ -117,7 +103,10 @@ func TestMapReportsLowestIndexError(t *testing.T) {
 func TestMapStopsDispatchAfterError(t *testing.T) {
 	var ran atomic.Int64
 	items := make([]int, 1000)
-	_, err := Map(context.Background(), 2, items, func(_ context.Context, i int, _ int) (int, error) {
+	for i := range items {
+		items[i] = i
+	}
+	_, err := Map(2, items, func(i int) (int, error) {
 		ran.Add(1)
 		if i == 0 {
 			return 0, errors.New("early failure")
@@ -133,53 +122,14 @@ func TestMapStopsDispatchAfterError(t *testing.T) {
 	}
 }
 
-func TestMapContextCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	var ran atomic.Int64
-	items := make([]int, 1000)
-	done := make(chan struct{})
-	var err error
-	go func() {
-		defer close(done)
-		_, err = Map(ctx, 2, items, func(ctx context.Context, _ int, _ int) (int, error) {
-			ran.Add(1)
-			time.Sleep(time.Millisecond)
-			return 0, nil
-		})
-	}()
-	time.Sleep(5 * time.Millisecond)
-	cancel()
-	<-done
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if n := ran.Load(); n == 1000 {
-		t.Fatal("cancellation did not stop dispatch")
-	}
-}
-
 func TestMapEmptyAndSingleton(t *testing.T) {
-	out, err := Map(context.Background(), 8, []int(nil), func(_ context.Context, _ int, v int) (int, error) { return v, nil })
+	out, err := Map(8, []int(nil), func(v int) (int, error) { return v, nil })
 	if err != nil || len(out) != 0 {
 		t.Fatalf("empty: out=%v err=%v", out, err)
 	}
-	out, err = Map(context.Background(), 8, []int{42}, func(_ context.Context, _ int, v int) (int, error) { return v + 1, nil })
+	out, err = Map(8, []int{42}, func(v int) (int, error) { return v + 1, nil })
 	if err != nil || len(out) != 1 || out[0] != 43 {
 		t.Fatalf("singleton: out=%v err=%v", out, err)
-	}
-}
-
-func TestForEach(t *testing.T) {
-	var sum atomic.Int64
-	items := []int{1, 2, 3, 4, 5}
-	if err := ForEach(context.Background(), 3, items, func(_ context.Context, _ int, v int) error {
-		sum.Add(int64(v))
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if sum.Load() != 15 {
-		t.Fatalf("sum = %d", sum.Load())
 	}
 }
 
@@ -197,8 +147,11 @@ func TestWorkersNormalization(t *testing.T) {
 // at every worker count.
 func TestMapDeterministicAcrossWorkerCounts(t *testing.T) {
 	items := make([]int, 257)
+	for i := range items {
+		items[i] = i
+	}
 	run := func(workers int) string {
-		out, err := Map(context.Background(), workers, items, func(_ context.Context, i int, _ int) (string, error) {
+		out, err := Map(workers, items, func(i int) (string, error) {
 			return fmt.Sprintf("%d-%x", i, i*2654435761), nil
 		})
 		if err != nil {

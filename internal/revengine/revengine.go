@@ -6,7 +6,6 @@
 package revengine
 
 import (
-	"context"
 	"fmt"
 	"sync"
 
@@ -179,8 +178,8 @@ func PrioritySweep(p nic.Profile, space SweepSpace, workers int) []SweepCell {
 		soloCache.Store(key, r)
 		return r
 	}
-	cells, err := parallel.Map(context.Background(), workers, space.Cells(),
-		func(_ context.Context, _ int, pair [2]nic.FlowSpec) (SweepCell, error) {
+	cells, err := parallel.Map(workers, space.Cells(),
+		func(pair [2]nic.FlowSpec) (SweepCell, error) {
 			return evalCell(p, pair[0], pair[1], solo), nil
 		})
 	if err != nil {
@@ -255,8 +254,8 @@ func newProbeRig(p nic.Profile, seed int64, mrs int, depth int) (*lab.Cluster, *
 // worker ran it or what other cells did. Traces are identical at any
 // worker count.
 func AbsOffsetSweep(p nic.Profile, msgSize int, offsets []uint64, probesPer int, seed int64, workers int) ([]OffsetPoint, error) {
-	return parallel.Map(context.Background(), workers, offsets,
-		func(_ context.Context, _ int, off uint64) (OffsetPoint, error) {
+	return parallel.Map(workers, offsets,
+		func(off uint64) (OffsetPoint, error) {
 			c, conn, mrs, err := newProbeRig(p, sim.DeriveSeed(seed, off), 1, 8)
 			if err != nil {
 				return OffsetPoint{}, err
@@ -296,8 +295,8 @@ func RelOffsetSweep(p nic.Profile, msgSize int, deltas []uint64, probesPer int, 
 	// Fixed unaligned base so the absolute-offset structure stays constant
 	// while delta varies.
 	const base = 8192 + 4
-	return parallel.Map(context.Background(), workers, deltas,
-		func(_ context.Context, _ int, d uint64) (OffsetPoint, error) {
+	return parallel.Map(workers, deltas,
+		func(d uint64) (OffsetPoint, error) {
 			c, conn, mrs, err := newProbeRig(p, sim.DeriveSeed(seed, d), 1, 8)
 			if err != nil {
 				return OffsetPoint{}, err
@@ -334,8 +333,8 @@ type InterMRPoint struct {
 // measurements of one cell share that rig (the figure compares them on
 // identical plumbing) and run back-to-back in fixed order.
 func InterMRSweep(p nic.Profile, sizes []int, probesPer int, seed int64, workers int) ([]InterMRPoint, error) {
-	return parallel.Map(context.Background(), workers, sizes,
-		func(_ context.Context, _ int, size int) (InterMRPoint, error) {
+	return parallel.Map(workers, sizes,
+		func(size int) (InterMRPoint, error) {
 			c, conn, mrs, err := newProbeRig(p, sim.DeriveSeed(seed, uint64(size)), 2, 8)
 			if err != nil {
 				return InterMRPoint{}, err

@@ -49,7 +49,7 @@ func (strictPick) Pick(q []ReqMeta) int {
 	return best
 }
 
-// The strategy seam's core equivalence: an arbitrated server whose arbiter
+// The arbiter seam's core equivalence: an arbitrated server whose arbiter
 // picks the first index of the minimum class over the FIFO arrival queue
 // produces exactly the schedule of the priority server's sorted-insert +
 // pop-front queue — for any submission pattern. Every legacy golden rests

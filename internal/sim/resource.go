@@ -27,7 +27,7 @@ type Server struct {
 
 // ReqMeta is the arbiter-visible description of one queued request. Class
 // is its priority class (lower is more urgent); Tenant and Bytes feed
-// weighted schedulers that apportion service across traffic sources.
+// schedulers such as DWRR that apportion service across traffic sources.
 type ReqMeta struct {
 	Class  int
 	Tenant int
