@@ -36,16 +36,16 @@ build:
 test: build
 	$(GO) test ./...
 
-# -race across the whole tree also covers the partitioned engine: the clos
-# determinism tests run the window protocol's goroutines under the detector.
+# -race across the whole tree also covers the worker pools: the determinism
+# tests run parallel.Map's goroutines under the detector.
 race:
 	$(GO) test -race ./...
 
-# Short-mode equivalence: the determinism suites (worker sweeps AND engine
-# partitioning), the golden tests (TestGoldenRegistry renders every
-# registered experiment with a golden row at 1 and 4 workers), plus an
-# end-to-end CLI diff of -workers=1 vs -workers=4 and -domains=1 vs 2 vs 6
-# output on every registered experiment (`ragnar all`).
+# Short-mode equivalence: the determinism suites (worker sweeps), the
+# golden tests (TestGoldenRegistry renders every registered experiment with
+# a golden row at 1 and 4 workers), plus an end-to-end CLI diff of
+# -workers=1 vs -workers=4 output on every registered experiment
+# (`ragnar all`).
 equivalence:
 	$(GO) test -run 'Deterministic|Golden|StableAcross' ./internal/parallel ./internal/revengine ./internal/experiments ./internal/lab
 	./scripts/equivalence.sh

@@ -33,7 +33,6 @@ func main() {
 	flag.BoolVar(&p.Full, "full", p.Full, "run paper-scale parameter spaces (slower)")
 	flag.Int64Var(&p.Seed, "seed", p.Seed, "deterministic seed")
 	flag.IntVar(&p.Workers, "workers", runtime.NumCPU(), "worker goroutines for sweeps (1 = sequential; results are identical at any count)")
-	flag.IntVar(&p.Domains, "domains", p.Domains, "engine domains for partitionable fabrics (results are identical at any count)")
 	flag.IntVar(&p.PerClass, "perclass", p.PerClass, "CNN side-channel traces per class (paper: ~395)")
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON instead of rendered tables")
 	flag.Parse()

@@ -41,14 +41,12 @@ func newResult(channel, nicName string, bps float64, sent, got bitstream.Bits) R
 }
 
 // decodeByThreshold converts per-symbol observable means into bits with
-// 2-means clustering. oneIsHigher selects the polarity: whether the "1"
-// symbol produces the higher observable.
-func decodeByThreshold(symbolMeans []float64, oneIsHigher bool) bitstream.Bits {
+// 2-means clustering: a mean above the threshold decodes as 1.
+func decodeByThreshold(symbolMeans []float64) bitstream.Bits {
 	_, _, th := stats.TwoMeans(symbolMeans)
 	out := make(bitstream.Bits, len(symbolMeans))
 	for i, m := range symbolMeans {
-		high := m > th
-		if high == oneIsHigher {
+		if m > th {
 			out[i] = 1
 		}
 	}

@@ -35,13 +35,9 @@ func TestFold(t *testing.T) {
 
 func TestDecodeByThreshold(t *testing.T) {
 	means := []float64{10, 20, 10, 20, 20}
-	bits := decodeByThreshold(means, true)
+	bits := decodeByThreshold(means)
 	if bits.String() != "01011" {
 		t.Fatalf("decoded %s", bits)
-	}
-	bits = decodeByThreshold(means, false)
-	if bits.String() != "10100" {
-		t.Fatalf("inverted decode %s", bits)
 	}
 }
 

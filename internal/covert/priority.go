@@ -106,7 +106,7 @@ func (ch *PriorityChannel) Transmit(bits bitstream.Bits, seed int64) *PriorityRu
 	}
 	// Bit 0 is the *significant* drop (Figure 9): one maps to the higher
 	// bandwidth.
-	decoded := decodeByThreshold(symbolMeans, true)
+	decoded := decodeByThreshold(symbolMeans)
 	bps := 1.0 / ch.SymbolTime.Seconds()
 	run := &PriorityRun{
 		Decoded: decoded,

@@ -42,9 +42,6 @@ type ULIChannel struct {
 	// uniformly within ±BoundaryJitter. This — not Gaussian ULI noise — is
 	// what produces the paper's few-percent error rates.
 	BoundaryJitter sim.Duration
-	// OneIsHigher gives the decode polarity (state 1 raises the Rx ULI in
-	// both Ragnar channels: MR switching and unaligned offsets are slower).
-	OneIsHigher bool
 	// Trace, when set, records sender symbol switches and receiver ULI
 	// samples. Recording is passive: a traced run is byte-identical to an
 	// untraced one.
@@ -162,7 +159,9 @@ func (ch *ULIChannel) Transmit(bits bitstream.Bits) (*ULIRun, error) {
 	for k := 0; k < first; k++ {
 		means[k] = means[first]
 	}
-	decoded := decodeByThreshold(means, ch.OneIsHigher)
+	// State 1 raises the Rx ULI in both Ragnar channels (MR switching and
+	// unaligned offsets are slower), so a high mean decodes as 1.
+	decoded := decodeByThreshold(means)
 
 	times := make([]float64, len(prober.Samples))
 	vals := make([]float64, len(prober.Samples))
@@ -278,7 +277,6 @@ func NewInterMRChannelOn(c *lab.Cluster) (*ULIChannel, error) {
 		TxSize: prm.msgSize, TxDepth: prm.depth,
 		SymbolTime:     prm.symbolTime,
 		BoundaryJitter: prm.symbolTime * 2 / 5,
-		OneIsHigher:    true,
 	}, nil
 }
 
@@ -329,6 +327,5 @@ func NewIntraMRChannelOn(c *lab.Cluster) (*ULIChannel, error) {
 		TxSize: prm.msgSize, TxDepth: prm.depth,
 		SymbolTime:     prm.symbolTime,
 		BoundaryJitter: prm.symbolTime * 2 / 5,
-		OneIsHigher:    true,
 	}, nil
 }

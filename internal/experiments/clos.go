@@ -23,11 +23,6 @@ import (
 // every leaf — a cross-switch congestion tree, the fabric-scale spreading
 // NeVerMore exploits. The per-tier PFC columns and the Tree column show
 // that transition directly.
-//
-// The experiment is also the end-to-end harness for the partitioned
-// engine: the same cells run on 1..Leaves+Spines engine domains and must
-// render byte-identically (TestClosExperimentDeterministic pins domains x
-// workers jointly; scripts/equivalence.sh re-checks the shipped binary).
 
 const (
 	closVictimSize  = 2048
@@ -61,7 +56,6 @@ type ClosResult struct {
 	Leaves       int
 	Spines       int
 	HostsPerLeaf int
-	Domains      int // engine domains each cell ran on (after clamping)
 	Cells        []ClosCell
 }
 
@@ -163,20 +157,18 @@ func closSwitch() fabric.SwitchConfig {
 // closFabric picks the fabric scale: 4x2 leaves/spines with 2 hosts per
 // leaf (8 hosts) by default, 8x4 with 8 hosts per leaf (64 hosts) in full
 // mode — the paper-scale multi-tenant pod.
-func closFabric(full bool, domains int) lab.ClosConfig {
+func closFabric(full bool) lab.ClosConfig {
 	if full {
-		return lab.ClosConfig{Leaves: 8, Spines: 4, HostsPerLeaf: 8, Domains: domains, Switch: closSwitch()}
+		return lab.ClosConfig{Leaves: 8, Spines: 4, HostsPerLeaf: 8, Switch: closSwitch()}
 	}
-	return lab.ClosConfig{Leaves: 4, Spines: 2, HostsPerLeaf: 2, Domains: domains, Switch: closSwitch()}
+	return lab.ClosConfig{Leaves: 4, Spines: 2, HostsPerLeaf: 2, Switch: closSwitch()}
 }
 
-// Clos sweeps aggressor size on the leaf-spine fabric. domains selects the
-// engine partitioning each cell runs on (1 = serial; results are identical
-// at any value — that is the partitioned engine's equivalence contract).
-// Every cell is an independent fabric seeded with sim.DeriveSeed(seed,
-// cellID), so rows are identical at any worker count too.
-func Clos(p nic.Profile, domains int, full bool, seed int64, workers int) (ClosResult, error) {
-	fab := closFabric(full, domains)
+// Clos sweeps aggressor size on the leaf-spine fabric. Every cell is an
+// independent fabric seeded with sim.DeriveSeed(seed, cellID), so rows are
+// identical at any worker count.
+func Clos(p nic.Profile, full bool, seed int64, workers int) (ClosResult, error) {
+	fab := closFabric(full)
 	var cells []closCellIn
 	for i, sz := range ClosAggSizes {
 		cells = append(cells, closCellIn{op: nic.OpWrite, size: sz, cellID: uint64(i)})
@@ -190,7 +182,7 @@ func Clos(p nic.Profile, domains int, full bool, seed int64, workers int) (ClosR
 	}
 	return ClosResult{
 		NIC: p.Name, Leaves: fab.Leaves, Spines: fab.Spines, HostsPerLeaf: fab.HostsPerLeaf,
-		Domains: min(max(fab.Domains, 1), fab.Leaves+fab.Spines), Cells: outs,
+		Cells: outs,
 	}, nil
 }
 
@@ -198,8 +190,8 @@ func Clos(p nic.Profile, domains int, full bool, seed int64, workers int) (ClosR
 func (r ClosResult) Render() string {
 	var b strings.Builder
 	hosts := r.Leaves * r.HostsPerLeaf
-	fmt.Fprintf(&b, "CLOS: cross-switch congestion trees on a leaf-spine fabric (%s, %dx%d leaf/spine, %d hosts, %d engine domain(s))\n",
-		r.NIC, r.Leaves, r.Spines, hosts, r.Domains)
+	fmt.Fprintf(&b, "CLOS: cross-switch congestion trees on a leaf-spine fabric (%s, %dx%d leaf/spine, %d hosts)\n",
+		r.NIC, r.Leaves, r.Spines, hosts)
 	fmt.Fprintf(&b, "%-6s %9s %10s %12s %8s %9s %9s %6s %s\n",
 		"AggOp", "AggSize", "AggGbps", "VictimGbps", "%solo", "LeafPFC", "SpinePFC", "Tree", "SpinePkts")
 	total := r.Leaves + r.Spines

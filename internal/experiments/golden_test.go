@@ -77,9 +77,7 @@ var goldenRows = []struct {
 	{"defense", "defense_cx6", Params{Profile: nic.CX6, Seed: 1}},
 	{"defgrid", "defgrid_cx5", Params{Profile: nic.CX5, Seed: 5}},
 	{"redn", "redn_cx5", Params{Profile: nic.CX5, Seed: 7}},
-	// Two engine domains, so the golden check exercises the partitioned
-	// engine's window protocol, not just the serial path.
-	{"clos", "clos_cx5", Params{Profile: nic.CX5, Seed: 1, Domains: 2}},
+	{"clos", "clos_cx5", Params{Profile: nic.CX5, Seed: 1}},
 }
 
 // goldenOptOut names each registered experiment without a golden row, and

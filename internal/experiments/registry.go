@@ -9,7 +9,6 @@ type Params struct {
 	Full     bool        // paper-scale parameter spaces
 	Seed     int64
 	Workers  int // sweep worker goroutines (0 = NumCPU); output is identical at any count
-	Domains  int // engine domains for partitionable fabrics; output is identical at any count
 	PerClass int // CNN corpus traces per class; Full uses the paper's 395
 }
 
@@ -17,7 +16,7 @@ type Params struct {
 // cmd/ragnar's flag defaults and BenchmarkRegistry both read them. Workers
 // stays 0 (NumCPU), which is also the CLI's default.
 func DefaultParams() Params {
-	return Params{Profile: nic.CX4, Seed: 1, Domains: 1, PerClass: 12}
+	return Params{Profile: nic.CX4, Seed: 1, PerClass: 12}
 }
 
 // size picks an experiment's default or paper-scale parameter.
@@ -80,7 +79,7 @@ var Registry = []Experiment{
 	{"defense", func(p Params) (Result, error) { return result(DefenseEval(p.Profile, p.Seed)) }},
 	{"defgrid", func(p Params) (Result, error) { return result(DefGrid(p.Profile, p.Seed, p.Workers)) }},
 	{"redn", func(p Params) (Result, error) { return result(Redn(p.Profile, p.Seed, p.Workers)) }},
-	{"clos", func(p Params) (Result, error) { return result(Clos(p.Profile, p.Domains, p.Full, p.Seed, p.Workers)) }},
+	{"clos", func(p Params) (Result, error) { return result(Clos(p.Profile, p.Full, p.Seed, p.Workers)) }},
 }
 
 // Lookup returns the registered experiment with the given name.

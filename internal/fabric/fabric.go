@@ -147,14 +147,6 @@ type Link struct {
 	propHead int
 	propDone func()
 
-	// remote, when set, replaces the local propagation leg: the packet and
-	// its arrival time (now + propDelay) are handed to the hook instead of
-	// the engine's own queue. The parallel partitioner installs an
-	// inter-domain channel stage here for links whose sink lives on another
-	// domain's engine; everything upstream of propagation (queueing, ETS,
-	// serialization, fault injection) is unchanged.
-	remote func(at sim.Time, p Packet)
-
 	// adv, when set, is an on-path adversary (NeVerMore threat model): its
 	// Observe hook sees every frame that survives serialization and the fault
 	// decision, and Link.Inject lets it splice forged or replayed frames onto
@@ -417,11 +409,6 @@ func (l *Link) finishTx() {
 	if l.adv != nil {
 		l.adv.Observe(l.eng.Now(), p)
 	}
-	if l.remote != nil {
-		l.remote(l.eng.Now().Add(l.propDelay), p)
-		l.drain()
-		return
-	}
 	l.propPush(p)
 	l.eng.After(l.propDelay, l.propDone)
 	l.drain()
@@ -444,29 +431,15 @@ func (l *Link) SetAdversary(a Adversary) { l.adv = a }
 // Inject splices a forged or replayed frame directly onto the wire,
 // bypassing the TC queues, the ETS scheduler and the serialization slot — an
 // adversary with its own line-rate port does not contend with the victim's
-// egress. The frame still traverses the propagation leg (or the cross-domain
-// hook), so it arrives propDelay from now, strictly after every frame already
-// in flight: injection can never reorder legitimate traffic, only interleave
-// with it. Injected frames are not charged to the tx telemetry — a real
-// mirror port would not see them leave this NIC.
+// egress. The frame still traverses the propagation leg, so it arrives
+// propDelay from now, strictly after every frame already in flight:
+// injection can never reorder legitimate traffic, only interleave with it.
+// Injected frames are not charged to the tx telemetry — a real mirror port
+// would not see them leave this NIC.
 func (l *Link) Inject(p Packet) {
-	if l.remote != nil {
-		l.remote(l.eng.Now().Add(l.propDelay), p)
-		return
-	}
 	l.propPush(p)
 	l.eng.After(l.propDelay, l.propDone)
 }
-
-// SetRemote installs (or, with nil, clears) the cross-domain propagation
-// hook. Wiring time only: the hook must deliver the packet to the original
-// sink at exactly the given arrival time on the destination engine, or the
-// partitioned run diverges from the serial one.
-func (l *Link) SetRemote(fn func(at sim.Time, p Packet)) { l.remote = fn }
-
-// PropDelay reports the link's propagation delay (the lookahead bound a
-// partitioner may rely on for this link).
-func (l *Link) PropDelay() sim.Duration { return l.propDelay }
 
 // propPush appends to the propagation ring, rewinding or compacting the
 // backing slice first when the consumed prefix dominates it (same discipline

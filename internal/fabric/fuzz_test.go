@@ -65,7 +65,7 @@ func FuzzSwitchForward(f *testing.F) {
 					seen[id] = true
 				})
 			ps.up = NewLink(e, fmt.Sprintf("h%d->fuzz", i), rate, 50*sim.Nanosecond, 0, sw.Ingress)
-			sw.SetUpstream(port, ps.up)
+			sw.SetUpstream(port, ps.up, 0)
 			sw.Route(uint32(i), port)
 			ports[i] = ps
 		}

@@ -75,21 +75,37 @@ type swPort struct {
 	name     string
 	egress   *Link
 	upstream *Link
-	queuedTC [NumTCs]int // bytes backlogged at this port's egress, per TC
-	pausedTC [NumTCs]bool
+	// pauseDelay is the pause frame's flight time to the upstream's sender:
+	// zero for a host port, whose NIC stops at once, and the trunk's
+	// propagation delay for a port facing another switch.
+	pauseDelay sim.Duration
+	queuedTC   [NumTCs]int // bytes backlogged at this port's egress, per TC
+	pausedTC   [NumTCs]bool
 	// Pause frames received *from* the attached device (PortPause): while
 	// set, this port's egress link is paused for the class. Each class holds
 	// at most one armed expiry event; a refreshing frame cancels and
 	// re-arms it, so no stale expiry callbacks linger in the queue after a
-	// run (the parallel barrier's quiesce check audits exactly that).
+	// run (DrainCheck audits exactly that).
 	rxPaused  [NumTCs]bool
 	rxPauseEv [NumTCs]sim.Event
 	rxExpire  [NumTCs]func() // pre-bound expiry callbacks, built lazily
-	// relay, when set, replaces the direct upstream.PauseTC/ResumeTC call
-	// for this port's PFC propagation. Trunk ports use it to model the
-	// pause frame's flight time to the peer switch — and, in a partitioned
-	// run, to carry the state change across the domain boundary.
-	relay func(tc int, pause bool)
+}
+
+// signalUpstream pauses or resumes tc on the link feeding this port,
+// pauseDelay after now.
+func (p *swPort) signalUpstream(eng *sim.Engine, tc int, pause bool) {
+	up := p.upstream
+	switch {
+	case up == nil:
+	case p.pauseDelay > 0 && pause:
+		eng.After(p.pauseDelay, func() { up.PauseTC(tc) })
+	case p.pauseDelay > 0:
+		eng.After(p.pauseDelay, func() { up.ResumeTC(tc) })
+	case pause:
+		up.PauseTC(tc)
+	default:
+		up.ResumeTC(tc)
+	}
 }
 
 // swPending is one packet in the forwarding pipeline (FwdDelay latency).
@@ -179,17 +195,12 @@ func (s *Switch) AddPort(name string, rateGbps float64, prop sim.Duration, maxQu
 }
 
 // SetUpstream registers the link feeding the switch from the device on the
-// given port — the target PFC pause frames are sent to.
-func (s *Switch) SetUpstream(port int, l *Link) { s.ports[port].upstream = l }
-
-// SetPauseRelay replaces the port's direct upstream PauseTC/ResumeTC call
-// with relay (nil restores the direct call). Wiring time only. The lab
-// builder installs relays on trunk ports so the pause frame takes the
-// trunk's propagation delay to reach the peer switch — identically in
-// serial runs (a delayed event) and partitioned runs (an inter-domain
-// channel transfer).
-func (s *Switch) SetPauseRelay(port int, relay func(tc int, pause bool)) {
-	s.ports[port].relay = relay
+// given port — the target PFC pause frames are sent to — and how long a
+// pause frame takes to reach it: 0 for a host, the trunk's propagation
+// delay for another switch.
+func (s *Switch) SetUpstream(port int, l *Link, pauseDelay sim.Duration) {
+	s.ports[port].upstream = l
+	s.ports[port].pauseDelay = pauseDelay
 }
 
 // EgressLink exposes a port's egress link (fault plans, counters, QoS).
@@ -375,11 +386,7 @@ func (s *Switch) enqueue(port int, pkt Packet) {
 			Actor: s.recActor, TC: int8(pkt.TC & 7), Val: uint64(p.queuedTC[pkt.TC]), Aux: 1})
 		if s.pauseRef[pkt.TC] == 1 {
 			for _, up := range s.ports {
-				if up.relay != nil {
-					up.relay(pkt.TC, true)
-				} else if up.upstream != nil {
-					up.upstream.PauseTC(pkt.TC)
-				}
+				up.signalUpstream(s.eng, pkt.TC, true)
 			}
 		}
 	}
@@ -399,11 +406,7 @@ func (s *Switch) release(port, tc, bytes int) {
 			Actor: s.recActor, TC: int8(tc & 7), Val: uint64(p.queuedTC[tc]), Aux: 0})
 		if s.pauseRef[tc] == 0 {
 			for _, up := range s.ports {
-				if up.relay != nil {
-					up.relay(tc, false)
-				} else if up.upstream != nil {
-					up.upstream.ResumeTC(tc)
-				}
+				up.signalUpstream(s.eng, tc, false)
 			}
 		}
 	}

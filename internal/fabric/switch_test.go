@@ -23,7 +23,7 @@ func newTwoPortRig(t *testing.T, cfg SwitchConfig) *twoPortRig {
 	p0 := r.sw.AddPort("h0", 100, 100*sim.Nanosecond, 0, DefaultQoS(), func(p Packet) { r.got0 = append(r.got0, p) })
 	p1 := r.sw.AddPort("h1", 100, 100*sim.Nanosecond, 0, DefaultQoS(), func(p Packet) { r.got1 = append(r.got1, p) })
 	r.up = NewLink(r.eng, "h0->sw", 100, 100*sim.Nanosecond, 0, r.sw.Ingress)
-	r.sw.SetUpstream(p0, r.up)
+	r.sw.SetUpstream(p0, r.up, 0)
 	r.sw.Route(0, p0)
 	r.sw.Route(1, p1)
 	return r
@@ -158,7 +158,7 @@ func TestSwitchPFCPauseResume(t *testing.T) {
 	p := sw.AddPort("h", 1, 0, 0, DefaultQoS(), func(Packet) { delivered++ })
 	up := NewLink(eng, "up", 100, 0, 0, sw.Ingress)
 	upIdx := sw.AddPort("src", 100, 0, 0, DefaultQoS(), nil)
-	sw.SetUpstream(upIdx, up)
+	sw.SetUpstream(upIdx, up, 0)
 	sw.Route(1, p)
 	eng.After(0, func() {
 		for i := 0; i < 10; i++ {
@@ -198,7 +198,7 @@ func TestSwitchPFCRefcountAcrossPorts(t *testing.T) {
 	pb := sw.AddPort("b", 2, 0, 0, DefaultQoS(), func(Packet) {})
 	up := NewLink(eng, "up", 100, 0, 0, sw.Ingress)
 	src := sw.AddPort("src", 100, 0, 0, DefaultQoS(), nil)
-	sw.SetUpstream(src, up)
+	sw.SetUpstream(src, up, 0)
 	sw.Route(1, pa)
 	sw.Route(2, pb)
 	eng.After(0, func() {
@@ -365,5 +365,142 @@ func TestPortPausePropagatesCongestionUpstream(t *testing.T) {
 	}
 	if r.sw.PFCPauses(0) == 0 {
 		t.Fatal("XOFF never asserted")
+	}
+}
+
+// TestRouteECMPFlowStickiness: every packet of one flow takes one egress;
+// different flows spread across the group.
+func TestRouteECMPFlowStickiness(t *testing.T) {
+	e := sim.NewEngine(1)
+	sw := NewSwitch(e, SwitchConfig{Name: "ecmp"})
+	var got [3][]uint32
+	ports := make([]int, 3)
+	for i := range ports {
+		i := i
+		ports[i] = sw.AddPort("up", 100, 100*sim.Nanosecond, 0, DefaultQoS(),
+			func(p Packet) { got[i] = append(got[i], p.Flow) })
+	}
+	sw.RouteECMP(7, ports)
+
+	const flows = 64
+	for round := 0; round < 4; round++ {
+		for f := uint32(0); f < flows; f++ {
+			sw.Ingress(Packet{TC: 0, Bytes: 256, Dst: 7, Flow: f})
+		}
+	}
+	e.Run()
+
+	seen := map[uint32]int{}
+	total := 0
+	for port, fls := range got {
+		if len(fls) == 0 {
+			t.Errorf("ECMP left port %d completely idle across %d flows", port, flows)
+		}
+		total += len(fls)
+		for _, f := range fls {
+			if prev, ok := seen[f]; ok && prev != port {
+				t.Fatalf("flow %d crossed ports %d and %d — per-packet spraying reorders", f, prev, port)
+			}
+			seen[f] = port
+		}
+	}
+	if total != 4*flows {
+		t.Fatalf("delivered %d packets, want %d", total, 4*flows)
+	}
+}
+
+// TestRouteECMPSinglePortDegrades pins that a one-port group is a plain
+// table entry (no map lookup on the forwarding path).
+func TestRouteECMPSinglePortDegrades(t *testing.T) {
+	e := sim.NewEngine(1)
+	sw := NewSwitch(e, SwitchConfig{Name: "ecmp1"})
+	n := 0
+	p0 := sw.AddPort("only", 100, sim.Nanosecond, 0, DefaultQoS(), func(Packet) { n++ })
+	sw.RouteECMP(3, []int{p0})
+	sw.Ingress(Packet{TC: 0, Bytes: 64, Dst: 3, Flow: 9})
+	e.Run()
+	if n != 1 || sw.ecmp != nil {
+		t.Fatalf("single-port group: delivered=%d ecmp=%v, want 1 and nil", n, sw.ecmp)
+	}
+}
+
+// TestTrunkPauseDelay: a trunk port pauses and resumes its upstream
+// exactly its pause delay after XOFF and XON, a host port at once.
+func TestTrunkPauseDelay(t *testing.T) {
+	const delay = 250 * sim.Nanosecond
+	e := sim.NewEngine(1)
+	sw := NewSwitch(e, SwitchConfig{Name: "pfc", SharedBufBytes: 1 << 20, XOffBytes: 2048, XOnBytes: 1024})
+	hot := sw.AddPort("hot", 1, 10*sim.Nanosecond, 0, DefaultQoS(), func(Packet) {})
+	trunk := sw.AddPort("trunk", 100, delay, 0, DefaultQoS(), func(Packet) {})
+	host := sw.AddPort("host", 100, 10*sim.Nanosecond, 0, DefaultQoS(), func(Packet) {})
+	trunkUp := NewLink(e, "trunk-up", 100, delay, 0, sw.Ingress)
+	hostUp := NewLink(e, "host-up", 100, 10*sim.Nanosecond, 0, sw.Ingress)
+	sw.SetUpstream(trunk, trunkUp, delay)
+	sw.SetUpstream(host, hostUp, 0)
+	sw.Route(1, hot)
+
+	// Three 1 KiB packets at once: the first goes straight onto the slow
+	// wire, the next two fill the queue to XOFF. XON comes when the first
+	// has left and the second dequeues.
+	xoff := sim.Time(sim.Microsecond)
+	xon := xoff.Add(sw.EgressLink(hot).SerializationDelay(1024))
+	e.At(xoff, func() {
+		for i := 0; i < 3; i++ {
+			sw.Ingress(Packet{TC: 0, Bytes: 1024, Dst: 1})
+		}
+	})
+	for _, step := range []struct {
+		at          sim.Time
+		trunk, host bool // paused
+	}{
+		{xoff, false, true},
+		{xoff.Add(delay - 1), false, true},
+		{xoff.Add(delay), true, true},
+		{xon, true, false},
+		{xon.Add(delay - 1), true, false},
+		{xon.Add(delay), false, false},
+	} {
+		e.RunUntil(step.at)
+		if trunkUp.PausedTC(0) != step.trunk || hostUp.PausedTC(0) != step.host {
+			t.Fatalf("at %v: trunk upstream paused %v, host upstream paused %v; want %v, %v",
+				step.at, trunkUp.PausedTC(0), hostUp.PausedTC(0), step.trunk, step.host)
+		}
+	}
+	e.Run()
+	if sw.PFCPauses(0) != 1 {
+		t.Fatalf("PFCPauses = %d, want 1", sw.PFCPauses(0))
+	}
+	if err := e.DrainCheck(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPortPauseNoEventLeak is the satellite regression: refreshed pause
+// frames must not leave stale expiry events pending after the run
+// quiesces. Before the cancellable-event fix, every refresh stacked one
+// no-op event at its old expiry time.
+func TestPortPauseNoEventLeak(t *testing.T) {
+	e := sim.NewEngine(1)
+	sw := NewSwitch(e, SwitchConfig{Name: "leak", PauseQuanta: 10 * sim.Microsecond})
+	port := sw.AddPort("victim", 100, sim.Nanosecond, 0, DefaultQoS(), func(Packet) {})
+
+	// 5 refreshes, 1µs apart: one pause window ending 10µs after the last.
+	for i := 0; i < 5; i++ {
+		at := sim.Time(int64(i) * int64(sim.Microsecond))
+		e.At(at, func() { sw.PortPause(port, 3) })
+	}
+	e.RunUntil(sim.Time(2 * int64(sim.Microsecond)))
+	if got := e.LivePending(); got != 3 {
+		t.Fatalf("mid-run LivePending = %d, want 3 (2 future pause frames + 1 armed expiry)", got)
+	}
+	e.Run()
+	if err := e.DrainCheck(); err != nil {
+		t.Fatalf("stale pause expiries leaked: %v", err)
+	}
+	if sw.PortPaused(port, 3) {
+		t.Fatal("pause never expired")
+	}
+	if got := sw.RxPauses(3); got != 5 {
+		t.Fatalf("RxPauses = %d, want 5", got)
 	}
 }

@@ -13,9 +13,8 @@ import (
 // closRun builds the given Clos, drives a cross-leaf workload of mixed
 // reads and writes from every client, and folds every observable — each
 // completion's virtual timestamp, switch forwarding and PFC counters, NIC
-// counters — into one string. Two configs that differ only in Domains must
-// produce the same string: that is the partitioned-engine equivalence
-// contract.
+// counters, a failed drain check — into one string, so two runs of one
+// config must produce the same string.
 func closRun(cfg ClosConfig) (string, error) {
 	c := Clos(cfg)
 	mr, err := c.RegisterServerMR(4 << 20)
@@ -67,51 +66,29 @@ func closRun(cfg ClosConfig) (string, error) {
 	return b.String(), nil
 }
 
-func smallClos(domains int) ClosConfig {
+func smallClos() ClosConfig {
 	return ClosConfig{
 		Seed: 7, Profile: nic.CX5,
 		Leaves: 2, Spines: 2, HostsPerLeaf: 2,
-		Domains: domains,
 	}
 }
 
-// TestClosDeterministicAcrossDomains is the tentpole oracle at unit-test
-// scale: the same fabric partitioned over 1, 2, 3 and 4 engine domains
-// (4 = one per component; 8 exercises the clamp) must produce
-// byte-identical completion timelines and counters.
-func TestClosDeterministicAcrossDomains(t *testing.T) {
-	want, err := closRun(smallClos(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(want, "client2:") || strings.Contains(want, "drain:") {
-		t.Fatalf("serial baseline looks broken:\n%s", want)
-	}
-	for _, domains := range []int{2, 3, 4, 8} {
-		got, err := closRun(smallClos(domains))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Errorf("domains=%d diverged from serial:\n--- serial ---\n%s--- domains=%d ---\n%s",
-				domains, want, domains, got)
-		}
-	}
-}
-
-// TestClosRunToRunDeterministic pins that a partitioned run is reproducible
-// against itself — goroutine scheduling must not leak into virtual time.
+// TestClosRunToRunDeterministic pins that a Clos run is reproducible
+// against itself, and that its workload reaches every client and drains.
 func TestClosRunToRunDeterministic(t *testing.T) {
-	a, err := closRun(smallClos(3))
+	a, err := closRun(smallClos())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := closRun(smallClos(3))
+	if !strings.Contains(a, "client2:") || strings.Contains(a, "drain:") {
+		t.Fatalf("run looks broken:\n%s", a)
+	}
+	b, err := closRun(smallClos())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != b {
-		t.Errorf("two identical partitioned runs diverged:\n--- first ---\n%s--- second ---\n%s", a, b)
+		t.Errorf("two identical runs diverged:\n--- first ---\n%s--- second ---\n%s", a, b)
 	}
 }
 
@@ -143,33 +120,14 @@ func TestClosECMPSpreadsAcrossSpines(t *testing.T) {
 	}
 }
 
-// TestClosDomainClamp: domain counts outside [1, leaves+spines] must clamp,
-// and the topology must report its engines accordingly.
-func TestClosDomainClamp(t *testing.T) {
-	for _, tc := range []struct{ domains, wantEngines int }{
-		{-3, 1}, {0, 1}, {1, 1}, {2, 2}, {4, 4}, {99, 4},
-	} {
-		c := Clos(smallClos(tc.domains))
-		if got := len(c.Engines); got != tc.wantEngines {
-			t.Errorf("Domains=%d: %d engines, want %d", tc.domains, got, tc.wantEngines)
-		}
-		if tc.wantEngines == 1 && c.Group != nil {
-			t.Errorf("Domains=%d: single-engine build still got a Group", tc.domains)
-		}
-		if c.Eng != c.Engines[0] {
-			t.Errorf("Domains=%d: Eng is not Engines[0]", tc.domains)
-		}
-	}
-}
-
-// FuzzDomainPartition hammers the equivalence contract over random fabric
-// shapes: any (leaves, spines, hosts, seed) combination partitioned over
-// any domain count must match its single-engine build byte for byte.
-func FuzzDomainPartition(f *testing.F) {
-	f.Add(int8(2), int8(2), int8(2), int8(3), int64(7))
-	f.Add(int8(3), int8(1), int8(1), int8(2), int64(1))
-	f.Add(int8(1), int8(2), int8(2), int8(4), int64(42))
-	f.Fuzz(func(t *testing.T, leaves, spines, hosts, domains int8, seed int64) {
+// FuzzClosShape runs random fabric shapes twice each: both runs of any
+// (leaves, spines, hosts, seed) combination must drain and match byte for
+// byte.
+func FuzzClosShape(f *testing.F) {
+	f.Add(int8(2), int8(2), int8(2), int64(7))
+	f.Add(int8(3), int8(1), int8(1), int64(1))
+	f.Add(int8(1), int8(2), int8(2), int64(42))
+	f.Fuzz(func(t *testing.T, leaves, spines, hosts int8, seed int64) {
 		abs := func(v int8) int {
 			if v < 0 {
 				return -int(v)
@@ -181,20 +139,22 @@ func FuzzDomainPartition(f *testing.F) {
 			Leaves:       abs(leaves)%3 + 1,
 			Spines:       abs(spines)%2 + 1,
 			HostsPerLeaf: abs(hosts)%2 + 1,
-			Domains:      1,
 		}
 		want, err := closRun(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg.Domains = abs(domains) % 8 // Clos clamps to [1, leaves+spines]
+		if strings.Contains(want, "drain:") {
+			t.Fatalf("leaves=%d spines=%d hosts=%d seed=%d did not drain:\n%s",
+				cfg.Leaves, cfg.Spines, cfg.HostsPerLeaf, seed, want)
+		}
 		got, err := closRun(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got != want {
-			t.Errorf("leaves=%d spines=%d hosts=%d seed=%d: domains=%d diverged from serial:\n--- serial ---\n%s--- partitioned ---\n%s",
-				cfg.Leaves, cfg.Spines, cfg.HostsPerLeaf, seed, cfg.Domains, want, got)
+			t.Errorf("leaves=%d spines=%d hosts=%d seed=%d: two runs diverged:\n--- first ---\n%s--- second ---\n%s",
+				cfg.Leaves, cfg.Spines, cfg.HostsPerLeaf, seed, want, got)
 		}
 	})
 }

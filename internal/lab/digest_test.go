@@ -8,6 +8,7 @@ import (
 	"github.com/thu-has/ragnar/internal/appnvmf"
 	"github.com/thu-has/ragnar/internal/bitstream"
 	"github.com/thu-has/ragnar/internal/covert"
+	"github.com/thu-has/ragnar/internal/fabric"
 	"github.com/thu-has/ragnar/internal/host"
 	"github.com/thu-has/ragnar/internal/lab"
 	"github.com/thu-has/ragnar/internal/nic"
@@ -17,7 +18,7 @@ import (
 	"github.com/thu-has/ragnar/internal/wire"
 )
 
-// TestCompletionDigestPinned pins the completion digest of six rigs at seed
+// TestCompletionDigestPinned pins the completion digest of seven rigs at seed
 // 1: every CQE's done time in picoseconds, QPN, WRID and status. A change to
 // the engine or the datapath that should leave the schedule alone must keep
 // these values; one that moves any completion by a picosecond changes them,
@@ -34,6 +35,7 @@ func TestCompletionDigestPinned(t *testing.T) {
 		{"tenants-lossy-cx5iso", func(t *testing.T) *lab.Topology { return digestTenants(t, nic.CX5ISO) }, 0xd8e9e3ab910ff283},
 		{"nvmf-loss-0.5pct", digestNvmfLossy, 0x489377af61ca60fe},
 		{"pair-lossy-payload", func(t *testing.T) *lab.Topology { return digestPayloads(t, nil) }, 0x3d4d784df16d19cb},
+		{"clos-pfc-cx5", digestClosPFC, 0xc224f35fbe7093a0},
 	}
 	for _, r := range rigs {
 		t.Run(r.name, func(t *testing.T) {
@@ -152,6 +154,47 @@ func digestTenants(t *testing.T, p nic.Profile) *lab.Topology {
 		if g.Errors() > 0 || g.Completed() == 0 {
 			t.Fatalf("generator %d: %d completed, %d errors", i, g.Completed(), g.Errors())
 		}
+	}
+	return topo
+}
+
+// digestClosPFC drains a burst of 8 KiB WRITEs from every client of a
+// CX-5 Clos (two leaves, two spines, two hosts a leaf) to the server, on
+// switches as shallow as the clos experiment's. The far leaf's two clients
+// converge on the server's leaf port, which crosses XOFF, so its pause
+// reaches the spines over the trunks one trunk delay later and backs the
+// burst up across the fabric.
+func digestClosPFC(t *testing.T) *lab.Topology {
+	topo := lab.Clos(lab.ClosConfig{Seed: 1, Profile: nic.CX5, Switch: fabric.SwitchConfig{
+		FwdDelay:       300 * sim.Nanosecond,
+		SharedBufBytes: 256 << 10,
+		XOffBytes:      16 << 10,
+		XOnBytes:       8 << 10,
+	}})
+	mr, err := topo.RegisterServerMR(4 << 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range topo.Clients {
+		conn, err := topo.Dial(i, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for w := 0; w < 16; w++ {
+			if err := conn.QP.PostWrite(uint64(w), nil, mr.Describe(uint64(i)<<20+uint64(w)<<13), 8<<10); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	topo.Run()
+	var spinePFC uint64
+	for _, sw := range topo.Switches[2:] { // the spines, whose every port is a trunk
+		for tc := 0; tc < fabric.NumTCs; tc++ {
+			spinePFC += sw.PFCPauses(tc)
+		}
+	}
+	if spinePFC == 0 {
+		t.Fatal("no spine asserted PFC: the rig does not pause a trunk")
 	}
 	return topo
 }

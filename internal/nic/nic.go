@@ -474,9 +474,8 @@ type NIC struct {
 	// explicit free list recycles at fixed points in the event order,
 	// keeping runs byte-identical). Messages are values: each responder
 	// operation holds its own copy, and an envelope holds only frames, so
-	// nothing is shared between the NICs of a rig. Envelopes migrate: the receiver
-	// recycles them. Across engine domains the hand-over happens at the
-	// window barrier, so never a race.
+	// nothing is shared between the NICs of a rig. Envelopes migrate: the
+	// receiver recycles them.
 	pendFree []*pending
 	opFree   []*respOp
 	envFree  []*envelope

@@ -53,9 +53,9 @@ func NewTPU(p Profile, rng *rand.Rand) *TPU {
 func (t *TPU) MTT() *Cache { return t.mtt }
 
 // ReseedNoise gives the TPU a private jitter stream in place of the shared
-// engine RNG it was built with. Partitioned topologies reseed every NIC
-// from (seed, host index) so jitter draws are identical regardless of how
-// hosts are split across engine domains.
+// engine RNG it was built with. The Clos rig reseeds every NIC from (seed,
+// host index), so one host's jitter draws do not depend on when the other
+// hosts draw theirs.
 func (t *TPU) ReseedNoise(seed int64) { t.noise.Reseed(seed) }
 
 // Request describes one translation: which MR (by key), the offset of the

@@ -137,6 +137,30 @@ func (e *Engine) Pending() int {
 	return e.queued + (len(e.batch) - e.batchIdx)
 }
 
+// LivePending counts scheduled events that have not fired and have not been
+// cancelled. The buckets hold only live entries, so just the active batch's
+// tail is scanned; outside a batch LivePending equals Pending.
+func (e *Engine) LivePending() int {
+	n := e.queued
+	for _, ent := range e.batch[e.batchIdx:] {
+		if !e.slots[ent.slot].canceled {
+			n++
+		}
+	}
+	return n
+}
+
+// DrainCheck returns an error when live events remain queued. Call it after
+// a run that is supposed to have quiesced; a non-nil result means some
+// component leaked a timer or a self-rescheduling callback past the end of
+// the run.
+func (e *Engine) DrainCheck() error {
+	if n := e.LivePending(); n > 0 {
+		return fmt.Errorf("sim: %d live event(s) still pending at %v", n, e.now)
+	}
+	return nil
+}
+
 // At schedules fn at absolute virtual time t. Scheduling in the past panics:
 // it is always a model bug, and silently clamping would mask causality
 // violations.
@@ -221,27 +245,6 @@ func (e *Engine) step(deadline Time) bool {
 			return false
 		}
 	}
-}
-
-// next reports the earliest pending timestamp without consuming the event.
-// It reaps cancelled entries off the front of the active batch; queued
-// entries are always live, because Cancel removes them eagerly. It never
-// refills, so the caller may still schedule anywhere at or after now.
-func (e *Engine) next() (Time, bool) {
-	if e.batchOn {
-		for e.batchIdx < len(e.batch) {
-			ent := e.batch[e.batchIdx]
-			if !e.slots[ent.slot].canceled {
-				return ent.when, true
-			}
-			e.freeSlot(ent.slot)
-			e.batchIdx++
-		}
-		e.batch = e.batch[:0]
-		e.batchIdx = 0
-		e.batchOn = false
-	}
-	return e.queueMin()
 }
 
 // Run executes events until the queue drains or Halt is called.

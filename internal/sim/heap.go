@@ -151,18 +151,6 @@ func (e *Engine) queueDelete(s *eventSlot) {
 	e.queued--
 }
 
-// queueMin reports the earliest queued time without moving anything.
-func (e *Engine) queueMin() (Time, bool) {
-	if e.nonEmpty == 0 {
-		return 0, false
-	}
-	k := bits.TrailingZeros64(e.nonEmpty)
-	if k == 0 {
-		return e.last, true
-	}
-	return minWhen(e.buckets[k]), true
-}
-
 func minWhen(b []heapEntry) Time {
 	t := b[0].when
 	for _, ent := range b[1:] {

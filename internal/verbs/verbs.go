@@ -598,7 +598,7 @@ func (n *Network) AttachToSwitch(c *Context, sw *fabric.Switch, qos fabric.QoSCo
 	port = sw.AddPort(c.Name, rate, n.PropDelay, 0, qos, nic.Deliver)
 	up = fabric.NewLink(n.eng, c.Name+"->"+sw.Name(), rate, n.PropDelay, 0, sw.Ingress)
 	up.SetQoS(qos)
-	sw.SetUpstream(port, up)
+	sw.SetUpstream(port, up, 0)
 	sw.Route(n.Addr(c), port)
 	return port, up
 }
@@ -611,28 +611,17 @@ func (n *Network) SetPath(src, dst *Context, firstHop *fabric.Link) {
 	src.dev.AddPeerLink(dst.dev, firstHop)
 }
 
-// UseEngine switches the engine used for links and contexts the builder
-// creates from now on. Topology builders that partition a fabric across
-// several engines call this between components; single-engine callers never
-// need it. It returns the network so wiring code can chain it.
-func (n *Network) UseEngine(eng *sim.Engine) *Network {
-	n.eng = eng
-	return n
-}
-
-// Engine returns the engine new links are currently created on.
-func (n *Network) Engine() *sim.Engine { return n.eng }
-
 // ConnectSwitches trunks two switches with a full-duplex pair of ports at
 // the given rate. Each switch's trunk port names the other switch's egress
-// link as its upstream, so PFC pause propagates across the trunk. Routing
-// across the trunk is the topology builder's job (Route entries per address).
-// It returns the port index of the trunk on each switch (a's, then b's).
+// link as its upstream, so PFC pause propagates across the trunk, and
+// reaches the peer PropDelay after the switch asserts it. Routing across
+// the trunk is the topology builder's job (Route entries per address). It
+// returns the port index of the trunk on each switch (a's, then b's).
 func (n *Network) ConnectSwitches(a, b *fabric.Switch, rateGbps float64, qos fabric.QoSConfig) (int, int) {
 	pa := a.AddPort("trunk:"+b.Name(), rateGbps, n.PropDelay, 0, qos, b.Ingress)
 	pb := b.AddPort("trunk:"+a.Name(), rateGbps, n.PropDelay, 0, qos, a.Ingress)
-	a.SetUpstream(pa, b.EgressLink(pb))
-	b.SetUpstream(pb, a.EgressLink(pa))
+	a.SetUpstream(pa, b.EgressLink(pb), n.PropDelay)
+	b.SetUpstream(pb, a.EgressLink(pa), n.PropDelay)
 	return pa, pb
 }
 
