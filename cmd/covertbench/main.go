@@ -14,6 +14,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"github.com/thu-has/ragnar/internal/bitstream"
 	"github.com/thu-has/ragnar/internal/covert"
@@ -26,7 +27,7 @@ import (
 
 func main() {
 	channel := flag.String("channel", "intermr", "priority, intermr, intramr, or pythia")
-	nicName := flag.String("nic", "cx5", "adapter (cx4, cx5, cx6)")
+	nicName := flag.String("nic", "cx5", "adapter (cx4, cx5, cx6, cx5-iso)")
 	bits := flag.Int("bits", 256, "random payload length (ignored with -message)")
 	message := flag.String("message", "", "ASCII payload to transmit instead of random bits")
 	seed := flag.Int64("seed", 1, "deterministic seed")
@@ -36,7 +37,7 @@ func main() {
 
 	prof, ok := nic.ProfileByName(*nicName)
 	if !ok {
-		fatalf("unknown NIC %q", *nicName)
+		fatalf("unknown NIC %q (available: %s)", *nicName, strings.Join(nic.ProfileNames(), ", "))
 	}
 	payload, err := payloadBits(*bits, *message, *seed)
 	if err != nil {

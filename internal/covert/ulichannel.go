@@ -237,8 +237,8 @@ func NewInterMRChannel(p nic.Profile, seed int64) (*ULIChannel, error) {
 
 // NewInterMRChannelOn builds the Grain-III channel on an already-built
 // topology — client 0 receives, client 1 sends — so switched rigs (Star,
-// DualRail, Clos) reuse the exact transmit machinery the point-to-point
-// channel uses. The topology must be freshly built: the channel dials and
+// Clos) reuse the exact transmit machinery the point-to-point channel
+// uses. The topology must be freshly built: the channel dials and
 // warms its own connections.
 func NewInterMRChannelOn(c *lab.Cluster) (*ULIChannel, error) {
 	if len(c.Clients) < 2 {

@@ -26,7 +26,7 @@ func BenchmarkSwitchForward(b *testing.B) {
 		XOffBytes:      96 << 10,
 	})
 	delivered := 0
-	out := sw.AddPort("host", 100, 100*sim.Nanosecond, 0, DefaultQoS(), func(Packet) { delivered++ })
+	out := sw.AddPort("host", 100, 100*sim.Nanosecond, 0, func(Packet) { delivered++ })
 	sw.Route(1, out)
 
 	const warm = 256

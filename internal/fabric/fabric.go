@@ -1,11 +1,11 @@
 // Package fabric models the wire between RNICs: full-duplex links with a
-// line rate, propagation delay, and an egress scheduler implementing ETS
-// (Enhanced Transmission Selection, 802.1Qaz) across eight traffic classes —
-// the same knobs mlnx_qos exposes on ConnectX adapters. The paper's Grain-I/II
-// experiments configure two flows in ETS mode at 50 % bandwidth each and then
-// observe that the NIC-internal arbiters, not the wire scheduler, produce the
-// unbalanced outcomes; reproducing that requires a faithful wire-level ETS so
-// the imbalance can be attributed to the NIC model.
+// line rate, propagation delay, and an egress scheduler serving eight
+// traffic classes by deficit round robin. The paper's Grain-I/II
+// experiments configure two flows in ETS mode at 50 % bandwidth each
+// (mlnx_qos) and then observe that the NIC-internal arbiters, not the wire
+// scheduler, produce the unbalanced outcomes; every link here is that
+// setting, an equal 8 KiB quantum per class, so any imbalance is the NIC
+// model's.
 package fabric
 
 import (
@@ -68,50 +68,19 @@ func UniformLoss(seed int64, prob float64) FaultPlan {
 	return p
 }
 
-// SchedulerMode selects how a traffic class is served.
-type SchedulerMode int
-
-const (
-	// ETS serves the class by deficit-weighted round robin using its weight.
-	ETS SchedulerMode = iota
-	// Strict serves the class ahead of all ETS classes (and ahead of
-	// higher-numbered strict classes).
-	Strict
-)
-
-// QoSConfig mirrors an mlnx_qos configuration: per-TC mode and ETS weight
-// (percent, ETS classes should sum to 100 but the scheduler normalises).
-type QoSConfig struct {
-	Mode   [NumTCs]SchedulerMode
-	Weight [NumTCs]int
-}
-
-// DefaultQoS gives every class ETS mode with equal weights.
-func DefaultQoS() QoSConfig {
-	var q QoSConfig
-	for i := range q.Weight {
-		q.Weight[i] = 100 / NumTCs
-	}
-	return q
-}
-
-// SplitQoS reproduces the paper's two-flow setup: tcA and tcB each get 50 %.
-func SplitQoS(tcA, tcB int) QoSConfig {
-	var q QoSConfig
-	q.Weight[tcA] = 50
-	q.Weight[tcB] = 50
-	return q
-}
+// dwrrQuantum is the byte credit every traffic class earns per DWRR round:
+// half of a 16 KiB round, what each class of the paper's ETS 50/50 split
+// gets.
+const dwrrQuantum = 8 << 10
 
 // Link is one direction of a wire: packets enqueue per TC and drain at the
-// line rate under the ETS scheduler, then arrive at the sink after the
+// line rate under the DWRR scheduler, then arrive at the sink after the
 // propagation delay.
 type Link struct {
 	eng       *sim.Engine
 	name      string
 	rateGbps  float64
 	propDelay sim.Duration
-	qos       QoSConfig
 	// Per-TC FIFO as a reusable ring: qHead indexes the live front of the
 	// backing slice. Popping advances qHead instead of reslicing ([1:]
 	// permanently forfeits capacity, forcing an allocation per enqueue once
@@ -121,7 +90,6 @@ type Link struct {
 	queues  [NumTCs][]Packet
 	qHead   [NumTCs]int
 	deficit [NumTCs]int
-	quantum [NumTCs]int
 	busy    bool
 	sink    func(Packet)
 	// paused marks TCs held by priority flow control: a paused class keeps
@@ -180,7 +148,6 @@ func NewLink(eng *sim.Engine, name string, rateGbps float64, prop sim.Duration, 
 	l := &Link{eng: eng, name: name, rateGbps: rateGbps, propDelay: prop, maxQueue: maxQueue, sink: sink}
 	l.txDone = l.finishTx
 	l.propDone = l.deliver
-	l.SetQoS(DefaultQoS())
 	return l
 }
 
@@ -217,22 +184,6 @@ func (l *Link) qPop(tc int) Packet {
 	}
 	l.qHead[tc] = h
 	return p
-}
-
-// SetQoS applies an mlnx_qos-style configuration. The DWRR quantum for an
-// ETS class is proportional to its weight.
-func (l *Link) SetQoS(q QoSConfig) {
-	l.qos = q
-	for i, w := range q.Weight {
-		if w < 0 {
-			w = 0
-		}
-		// Quantum in bytes per round: weight percent of a 16 KB round.
-		l.quantum[i] = w * 16384 / 100
-		if l.quantum[i] == 0 && q.Mode[i] == ETS {
-			l.quantum[i] = 64 // idle classes still make progress
-		}
-	}
 }
 
 // RateGbps returns the configured line rate.
@@ -306,31 +257,25 @@ func (l *Link) Send(p Packet) error {
 	return nil
 }
 
-// pick selects the next TC to serve: strict classes first (lowest index
-// wins), then DWRR among ETS classes.
+// pick selects the next TC to serve by DWRR over the backlogged classes.
 func (l *Link) pick() int {
-	for tc := 0; tc < NumTCs; tc++ {
-		if l.qos.Mode[tc] == Strict && l.qLen(tc) > 0 && !l.paused[tc] {
-			return tc
-		}
-	}
-	// DWRR: loop until some class has enough deficit for its head packet.
-	// Paused classes neither serve nor replenish — they resume with the
-	// deficit they had when the pause arrived.
+	// Loop until some class has enough deficit for its head packet. Paused
+	// classes neither serve nor replenish — they resume with the deficit
+	// they had when the pause arrived.
 	for round := 0; round < 2*NumTCs+1; round++ {
 		for tc := 0; tc < NumTCs; tc++ {
-			if l.qos.Mode[tc] != ETS || l.qLen(tc) == 0 || l.paused[tc] {
+			if l.qLen(tc) == 0 || l.paused[tc] {
 				continue
 			}
 			if l.deficit[tc] >= l.queues[tc][l.qHead[tc]].Bytes {
 				return tc
 			}
 		}
-		// No class ready: replenish all backlogged, unpaused ETS classes.
+		// No class ready: replenish all backlogged, unpaused classes.
 		replenished := false
 		for tc := 0; tc < NumTCs; tc++ {
-			if l.qos.Mode[tc] == ETS && l.qLen(tc) > 0 && !l.paused[tc] {
-				l.deficit[tc] += l.quantum[tc]
+			if l.qLen(tc) > 0 && !l.paused[tc] {
+				l.deficit[tc] += dwrrQuantum
 				replenished = true
 			}
 		}
@@ -356,11 +301,9 @@ func (l *Link) drain() {
 	}
 	l.busy = true
 	p := l.qPop(tc)
-	if l.qos.Mode[tc] == ETS {
-		l.deficit[tc] -= p.Bytes
-		if l.deficit[tc] < 0 {
-			l.deficit[tc] = 0
-		}
+	l.deficit[tc] -= p.Bytes
+	if l.deficit[tc] < 0 {
+		l.deficit[tc] = 0
 	}
 	if l.qLen(tc) == 0 {
 		l.deficit[tc] = 0 // DRR: idle classes forfeit their deficit
@@ -429,7 +372,7 @@ type Adversary interface {
 func (l *Link) SetAdversary(a Adversary) { l.adv = a }
 
 // Inject splices a forged or replayed frame directly onto the wire,
-// bypassing the TC queues, the ETS scheduler and the serialization slot — an
+// bypassing the TC queues, the DWRR scheduler and the serialization slot — an
 // adversary with its own line-rate port does not contend with the victim's
 // egress. The frame still traverses the propagation leg, so it arrives
 // propDelay from now, strictly after every frame already in flight:

@@ -54,7 +54,7 @@ func FuzzSwitchForward(f *testing.F) {
 		for i := 0; i < nPorts; i++ {
 			ps := &portState{}
 			rate := 1 + float64(next()%100)
-			port := sw.AddPort(fmt.Sprintf("h%d", i), rate, 50*sim.Nanosecond, 0, DefaultQoS(),
+			port := sw.AddPort(fmt.Sprintf("h%d", i), rate, 50*sim.Nanosecond, 0,
 				func(p Packet) {
 					ps.delivered++
 					ps.bytes += uint64(p.Bytes)

@@ -8,7 +8,7 @@ import (
 )
 
 // Switch models a shared-buffer, output-queued Ethernet switch: every port
-// owns an egress Link (so the existing ETS/DWRR scheduler, serialization
+// owns an egress Link (so the existing DWRR scheduler, serialization
 // model, fault injection and trace events apply per output port unchanged),
 // packets forward by destination address through a flat table, the output
 // queues draw on one shared buffer pool with per-TC occupancy thresholds,
@@ -181,13 +181,12 @@ func (s *Switch) Name() string { return s.cfg.Name }
 func (s *Switch) NumPorts() int { return len(s.ports) }
 
 // AddPort attaches a device behind a new egress link clocking at rateGbps
-// with the given propagation delay and QoS; sink receives delivered packets
+// with the given propagation delay; sink receives delivered packets
 // (nic.Deliver for a NIC, another switch's Ingress for a trunk). It returns
 // the port index.
-func (s *Switch) AddPort(name string, rateGbps float64, prop sim.Duration, maxQueue int, qos QoSConfig, sink func(Packet)) int {
+func (s *Switch) AddPort(name string, rateGbps float64, prop sim.Duration, maxQueue int, sink func(Packet)) int {
 	idx := len(s.ports)
 	eg := NewLink(s.eng, s.cfg.Name+":"+name, rateGbps, prop, maxQueue, sink)
-	eg.SetQoS(qos)
 	p := &swPort{name: name, egress: eg}
 	eg.SetOnDequeue(func(tc, bytes int) { s.release(idx, tc, bytes) })
 	s.ports = append(s.ports, p)
@@ -203,7 +202,7 @@ func (s *Switch) SetUpstream(port int, l *Link, pauseDelay sim.Duration) {
 	s.ports[port].pauseDelay = pauseDelay
 }
 
-// EgressLink exposes a port's egress link (fault plans, counters, QoS).
+// EgressLink exposes a port's egress link (fault plans, counters).
 func (s *Switch) EgressLink(port int) *Link { return s.ports[port].egress }
 
 // Links returns every port egress link in port order.
@@ -427,7 +426,7 @@ func (s *Switch) PortPause(port, tc int) {
 	// previous event instead of stacking a stale no-op behind it. The old
 	// schedule-per-frame scheme left every superseded expiry pending until
 	// its timestamp passed, so Engine.Pending was nonzero long after a run
-	// quiesced — an event leak the parallel barrier cannot tolerate.
+	// quiesced — an event leak the engine's DrainCheck flags.
 	p.rxPauseEv[tc].Cancel()
 	if p.rxExpire[tc] == nil {
 		port, tc := port, tc

@@ -20,8 +20,8 @@ func newTwoPortRig(t *testing.T, cfg SwitchConfig) *twoPortRig {
 	t.Helper()
 	r := &twoPortRig{eng: sim.NewEngine(1)}
 	r.sw = NewSwitch(r.eng, cfg)
-	p0 := r.sw.AddPort("h0", 100, 100*sim.Nanosecond, 0, DefaultQoS(), func(p Packet) { r.got0 = append(r.got0, p) })
-	p1 := r.sw.AddPort("h1", 100, 100*sim.Nanosecond, 0, DefaultQoS(), func(p Packet) { r.got1 = append(r.got1, p) })
+	p0 := r.sw.AddPort("h0", 100, 100*sim.Nanosecond, 0, func(p Packet) { r.got0 = append(r.got0, p) })
+	p1 := r.sw.AddPort("h1", 100, 100*sim.Nanosecond, 0, func(p Packet) { r.got1 = append(r.got1, p) })
 	r.up = NewLink(r.eng, "h0->sw", 100, 100*sim.Nanosecond, 0, r.sw.Ingress)
 	r.sw.SetUpstream(p0, r.up, 0)
 	r.sw.Route(0, p0)
@@ -103,7 +103,7 @@ func TestSwitchSharedBufferDrop(t *testing.T) {
 	eng := sim.NewEngine(1)
 	sw := NewSwitch(eng, SwitchConfig{SharedBufBytes: 2000})
 	var got int
-	sp := sw.AddPort("h", 1, 0, 0, DefaultQoS(), func(Packet) { got++ }) // 1 Gbps: 8µs per 1000B
+	sp := sw.AddPort("h", 1, 0, 0, func(Packet) { got++ }) // 1 Gbps: 8µs per 1000B
 	sw.Route(1, sp)
 	eng.After(0, func() {
 		for i := 0; i < 4; i++ {
@@ -132,7 +132,7 @@ func TestSwitchTCShareCap(t *testing.T) {
 	cfg.TCShare[1] = 0.25
 	sw := NewSwitch(eng, cfg)
 	var got [NumTCs]int
-	p := sw.AddPort("h", 1, 0, 0, DefaultQoS(), func(pk Packet) { got[pk.TC]++ })
+	p := sw.AddPort("h", 1, 0, 0, func(pk Packet) { got[pk.TC]++ })
 	sw.Route(1, p)
 	eng.After(0, func() {
 		sw.Ingress(Packet{TC: 1, Bytes: 1000, Dst: 1})
@@ -155,9 +155,9 @@ func TestSwitchPFCPauseResume(t *testing.T) {
 	eng := sim.NewEngine(1)
 	sw := NewSwitch(eng, SwitchConfig{XOffBytes: 3000, XOnBytes: 1000})
 	var delivered int
-	p := sw.AddPort("h", 1, 0, 0, DefaultQoS(), func(Packet) { delivered++ })
+	p := sw.AddPort("h", 1, 0, 0, func(Packet) { delivered++ })
 	up := NewLink(eng, "up", 100, 0, 0, sw.Ingress)
-	upIdx := sw.AddPort("src", 100, 0, 0, DefaultQoS(), nil)
+	upIdx := sw.AddPort("src", 100, 0, 0, nil)
 	sw.SetUpstream(upIdx, up, 0)
 	sw.Route(1, p)
 	eng.After(0, func() {
@@ -194,10 +194,10 @@ func TestSwitchPFCRefcountAcrossPorts(t *testing.T) {
 	// paused until BOTH release (refcount semantics).
 	eng := sim.NewEngine(1)
 	sw := NewSwitch(eng, SwitchConfig{XOffBytes: 2000, XOnBytes: 500})
-	pa := sw.AddPort("a", 1, 0, 0, DefaultQoS(), func(Packet) {})
-	pb := sw.AddPort("b", 2, 0, 0, DefaultQoS(), func(Packet) {})
+	pa := sw.AddPort("a", 1, 0, 0, func(Packet) {})
+	pb := sw.AddPort("b", 2, 0, 0, func(Packet) {})
 	up := NewLink(eng, "up", 100, 0, 0, sw.Ingress)
-	src := sw.AddPort("src", 100, 0, 0, DefaultQoS(), nil)
+	src := sw.AddPort("src", 100, 0, 0, nil)
 	sw.SetUpstream(src, up, 0)
 	sw.Route(1, pa)
 	sw.Route(2, pb)
@@ -232,7 +232,7 @@ func TestSwitchZeroFwdDelay(t *testing.T) {
 	eng := sim.NewEngine(1)
 	sw := NewSwitch(eng, SwitchConfig{})
 	var got []Packet
-	p := sw.AddPort("h", 100, 0, 0, DefaultQoS(), func(pk Packet) { got = append(got, pk) })
+	p := sw.AddPort("h", 100, 0, 0, func(pk Packet) { got = append(got, pk) })
 	sw.Route(7, p)
 	eng.After(0, func() { sw.Ingress(Packet{TC: 5, Bytes: 64, Dst: 7, Payload: "y"}) })
 	eng.Run()
@@ -377,7 +377,7 @@ func TestRouteECMPFlowStickiness(t *testing.T) {
 	ports := make([]int, 3)
 	for i := range ports {
 		i := i
-		ports[i] = sw.AddPort("up", 100, 100*sim.Nanosecond, 0, DefaultQoS(),
+		ports[i] = sw.AddPort("up", 100, 100*sim.Nanosecond, 0,
 			func(p Packet) { got[i] = append(got[i], p.Flow) })
 	}
 	sw.RouteECMP(7, ports)
@@ -415,7 +415,7 @@ func TestRouteECMPSinglePortDegrades(t *testing.T) {
 	e := sim.NewEngine(1)
 	sw := NewSwitch(e, SwitchConfig{Name: "ecmp1"})
 	n := 0
-	p0 := sw.AddPort("only", 100, sim.Nanosecond, 0, DefaultQoS(), func(Packet) { n++ })
+	p0 := sw.AddPort("only", 100, sim.Nanosecond, 0, func(Packet) { n++ })
 	sw.RouteECMP(3, []int{p0})
 	sw.Ingress(Packet{TC: 0, Bytes: 64, Dst: 3, Flow: 9})
 	e.Run()
@@ -430,9 +430,9 @@ func TestTrunkPauseDelay(t *testing.T) {
 	const delay = 250 * sim.Nanosecond
 	e := sim.NewEngine(1)
 	sw := NewSwitch(e, SwitchConfig{Name: "pfc", SharedBufBytes: 1 << 20, XOffBytes: 2048, XOnBytes: 1024})
-	hot := sw.AddPort("hot", 1, 10*sim.Nanosecond, 0, DefaultQoS(), func(Packet) {})
-	trunk := sw.AddPort("trunk", 100, delay, 0, DefaultQoS(), func(Packet) {})
-	host := sw.AddPort("host", 100, 10*sim.Nanosecond, 0, DefaultQoS(), func(Packet) {})
+	hot := sw.AddPort("hot", 1, 10*sim.Nanosecond, 0, func(Packet) {})
+	trunk := sw.AddPort("trunk", 100, delay, 0, func(Packet) {})
+	host := sw.AddPort("host", 100, 10*sim.Nanosecond, 0, func(Packet) {})
 	trunkUp := NewLink(e, "trunk-up", 100, delay, 0, sw.Ingress)
 	hostUp := NewLink(e, "host-up", 100, 10*sim.Nanosecond, 0, sw.Ingress)
 	sw.SetUpstream(trunk, trunkUp, delay)
@@ -482,7 +482,7 @@ func TestTrunkPauseDelay(t *testing.T) {
 func TestPortPauseNoEventLeak(t *testing.T) {
 	e := sim.NewEngine(1)
 	sw := NewSwitch(e, SwitchConfig{Name: "leak", PauseQuanta: 10 * sim.Microsecond})
-	port := sw.AddPort("victim", 100, sim.Nanosecond, 0, DefaultQoS(), func(Packet) {})
+	port := sw.AddPort("victim", 100, sim.Nanosecond, 0, func(Packet) {})
 
 	// 5 refreshes, 1µs apart: one pause window ending 10µs after the last.
 	for i := 0; i < 5; i++ {

@@ -1,9 +1,11 @@
 // Package host models the server side of an RDMA deployment at the fidelity
 // the Ragnar experiments need: physical memory with page-granular
-// allocation (4 KiB regular or 2 MiB huge pages), NUMA domains with
-// asymmetric DRAM latency, DDIO (direct cache access for inbound DMA) and
-// CPU core binding. Memory registered for RDMA is pinned so the NIC data
-// path never takes a page fault, exactly as libibverbs does.
+// allocation (4 KiB regular or 2 MiB huge pages) and one DRAM latency for
+// every DMA. Memory registered for RDMA is pinned so the NIC data path never
+// takes a page fault, exactly as libibverbs does. Every host is the paper's
+// testbed (Tables II and IV): DDIO is off, and the NIC and every region it
+// touches sit on one NUMA node, so no DMA hits the LLC or pays a
+// remote-node penalty.
 package host
 
 import (
@@ -26,39 +28,23 @@ const (
 
 // Config describes one host from Table II.
 type Config struct {
-	Name      string
-	Processor string
-	NUMANodes int
-	Cores     int
-	// DRAMLatency is the local-node load-to-use latency.
+	Name string
+	// DRAMLatency is the load-to-use latency of the NIC's NUMA node.
 	DRAMLatency sim.Duration
-	// NUMAPenalty is added per remote-node access.
-	NUMAPenalty sim.Duration
-	// LLCLatency is the last-level-cache hit latency (used with DDIO).
-	LLCLatency sim.Duration
 	// RAMBytes bounds total allocatable memory.
 	RAMBytes uint64
-	// DDIO enables direct cache access for device writes. The Grain-III/IV
-	// setup disables it to remove cache-induced latency variance.
-	DDIO bool
 }
 
-// H1, H2 and H3 reproduce Table II's hosts. Latencies are typical for the
-// listed processors; only their relative effect matters to the attacks.
+// H2 and H3 reproduce Table II's client (Intel Xeon Silver 4314) and server
+// (Intel Xeon Platinum 8480+) hosts. Latencies are typical for those
+// processors; only their relative effect matters to the attacks.
 var (
-	H1 = Config{Name: "H1", Processor: "AMD EPYC 9554", NUMANodes: 4, Cores: 64,
-		DRAMLatency: 95 * sim.Nanosecond, NUMAPenalty: 50 * sim.Nanosecond,
-		LLCLatency: 14 * sim.Nanosecond, RAMBytes: 755 << 30}
-	H2 = Config{Name: "H2", Processor: "Intel Xeon Silver 4314", NUMANodes: 2, Cores: 16,
-		DRAMLatency: 85 * sim.Nanosecond, NUMAPenalty: 60 * sim.Nanosecond,
-		LLCLatency: 16 * sim.Nanosecond, RAMBytes: 256 << 30}
-	H3 = Config{Name: "H3", Processor: "Intel Xeon Platinum 8480+", NUMANodes: 2, Cores: 56,
-		DRAMLatency: 90 * sim.Nanosecond, NUMAPenalty: 55 * sim.Nanosecond,
-		LLCLatency: 15 * sim.Nanosecond, RAMBytes: 1 << 40}
+	H2 = Config{Name: "H2", DRAMLatency: 85 * sim.Nanosecond, RAMBytes: 256 << 30}
+	H3 = Config{Name: "H3", DRAMLatency: 90 * sim.Nanosecond, RAMBytes: 1 << 40}
 )
 
 // Host is a simulated server: an address space carved into pinned regions
-// plus the processor attributes the NIC model consults.
+// plus the memory latency the NIC model consults.
 type Host struct {
 	cfg    Config
 	eng    *sim.Engine
@@ -69,12 +55,6 @@ type Host struct {
 
 // New creates a host attached to the simulation engine.
 func New(eng *sim.Engine, cfg Config) *Host {
-	if cfg.NUMANodes < 1 {
-		cfg.NUMANodes = 1
-	}
-	if cfg.Cores < 1 {
-		cfg.Cores = 1
-	}
 	// Leave physical page zero unused so address 0 never appears.
 	return &Host{cfg: cfg, eng: eng, next: uint64(Page2M)}
 }
@@ -97,22 +77,17 @@ func (h *Host) Config() Config { return h.cfg }
 // backing never moves again. Growing the backing moves it, so a caller takes
 // a Span where it uses the bytes rather than keeping one.
 type Region struct {
-	host  *Host
 	base  uint64 // physical base address
 	size  uint64
-	numa  int
 	data  []byte // backing for [0, len(data)): nil, a Span'd prefix or all
 	freed bool
 }
 
-// Alloc pins size bytes on the given NUMA node with the given page size.
-// The base address is aligned to the page size.
-func (h *Host) Alloc(size uint64, page PageSize, numa int) (*Region, error) {
+// Alloc pins size bytes with the given page size. The base address is
+// aligned to the page size.
+func (h *Host) Alloc(size uint64, page PageSize) (*Region, error) {
 	if size == 0 {
 		return nil, fmt.Errorf("host %s: zero-size allocation", h.cfg.Name)
-	}
-	if numa < 0 || numa >= h.cfg.NUMANodes {
-		return nil, fmt.Errorf("host %s: NUMA node %d out of range [0,%d)", h.cfg.Name, numa, h.cfg.NUMANodes)
 	}
 	if page != Page4K && page != Page2M {
 		return nil, fmt.Errorf("host %s: unsupported page size %d", h.cfg.Name, page)
@@ -126,7 +101,7 @@ func (h *Host) Alloc(size uint64, page PageSize, numa int) (*Region, error) {
 	base := (h.next + ps - 1) / ps * ps
 	h.next = base + alignedSize
 	h.used += alignedSize
-	r := &Region{host: h, base: base, size: alignedSize, numa: numa}
+	r := &Region{base: base, size: alignedSize}
 	// Bases only grow, so appending keeps allocs sorted for Lookup.
 	h.allocs = append(h.allocs, r)
 	return r, nil
@@ -151,9 +126,6 @@ func (r *Region) Base() uint64 { return r.base }
 
 // Size returns the pinned size in bytes.
 func (r *Region) Size() uint64 { return r.size }
-
-// NUMA returns the region's NUMA node.
-func (r *Region) NUMA() int { return r.numa }
 
 // back grows the backing to cover at least [0, end), end <= r.size; the
 // bytes already backed move with it. It is a no-op on a freed region.
@@ -236,20 +208,10 @@ func (h *Host) Lookup(addr uint64) *Region {
 	return nil
 }
 
-// MemAccessLatency returns the latency for a DMA of one cache line touching
-// the region: LLC hit latency when DDIO is enabled (inbound writes land in
-// cache), DRAM plus a possible NUMA penalty otherwise. nicNUMA is the NUMA
-// node the NIC is attached to.
-func (h *Host) MemAccessLatency(r *Region, nicNUMA int) sim.Duration {
-	if h.cfg.DDIO {
-		return h.cfg.LLCLatency
-	}
-	lat := h.cfg.DRAMLatency
-	if r != nil && r.numa != nicNUMA {
-		lat += h.cfg.NUMAPenalty
-	}
-	return lat
-}
+// MemAccessLatency returns the memory latency of one DMA: the DRAM
+// latency, since with DDIO off inbound writes bypass the cache, and every
+// region sits on the NIC's NUMA node.
+func (h *Host) MemAccessLatency() sim.Duration { return h.cfg.DRAMLatency }
 
 // Used reports currently pinned bytes.
 func (h *Host) Used() uint64 { return h.used }

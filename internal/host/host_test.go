@@ -14,7 +14,7 @@ func newTestHost() *Host {
 
 func TestAllocAlignment(t *testing.T) {
 	h := newTestHost()
-	r, err := h.Alloc(1<<20, Page2M, 0)
+	r, err := h.Alloc(1<<20, Page2M)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestAllocAlignment(t *testing.T) {
 
 func TestAlloc4K(t *testing.T) {
 	h := newTestHost()
-	r, err := h.Alloc(100, Page4K, 0)
+	r, err := h.Alloc(100, Page4K)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,23 +42,20 @@ func TestAlloc4K(t *testing.T) {
 
 func TestAllocErrors(t *testing.T) {
 	h := newTestHost()
-	if _, err := h.Alloc(0, Page4K, 0); err == nil {
+	if _, err := h.Alloc(0, Page4K); err == nil {
 		t.Fatal("zero size should error")
 	}
-	if _, err := h.Alloc(100, Page4K, 99); err == nil {
-		t.Fatal("bad NUMA node should error")
-	}
-	if _, err := h.Alloc(100, PageSize(123), 0); err == nil {
+	if _, err := h.Alloc(100, PageSize(123)); err == nil {
 		t.Fatal("bad page size should error")
 	}
-	if _, err := h.Alloc(h.Config().RAMBytes+1, Page2M, 0); err == nil {
+	if _, err := h.Alloc(h.Config().RAMBytes+1, Page2M); err == nil {
 		t.Fatal("oversized allocation should error")
 	}
 }
 
 func TestReadWriteAt(t *testing.T) {
 	h := newTestHost()
-	r, _ := h.Alloc(4096, Page4K, 0)
+	r, _ := h.Alloc(4096, Page4K)
 	msg := []byte("sherman-kv-entry")
 	if err := r.WriteAt(64, msg); err != nil {
 		t.Fatal(err)
@@ -80,8 +77,8 @@ func TestReadWriteAt(t *testing.T) {
 
 func TestLookup(t *testing.T) {
 	h := newTestHost()
-	a, _ := h.Alloc(4096, Page4K, 0)
-	b, _ := h.Alloc(4096, Page4K, 1)
+	a, _ := h.Alloc(4096, Page4K)
+	b, _ := h.Alloc(4096, Page4K)
 	if h.Lookup(a.Base()) != a {
 		t.Fatal("lookup of a.base failed")
 	}
@@ -101,7 +98,7 @@ func TestLookup(t *testing.T) {
 
 func TestFree(t *testing.T) {
 	h := newTestHost()
-	r, _ := h.Alloc(4096, Page4K, 0)
+	r, _ := h.Alloc(4096, Page4K)
 	used := h.Used()
 	h.Free(r)
 	if h.Used() != used-4096 {
@@ -114,34 +111,16 @@ func TestFree(t *testing.T) {
 }
 
 func TestMemAccessLatency(t *testing.T) {
-	eng := sim.NewEngine(1)
-	cfg := H2
-	cfg.DDIO = false
-	h := New(eng, cfg)
-	local, _ := h.Alloc(4096, Page4K, 0)
-	remote, _ := h.Alloc(4096, Page4K, 1)
-	if got := h.MemAccessLatency(local, 0); got != cfg.DRAMLatency {
-		t.Fatalf("local latency = %v", got)
-	}
-	if got := h.MemAccessLatency(remote, 0); got != cfg.DRAMLatency+cfg.NUMAPenalty {
-		t.Fatalf("cross-NUMA latency = %v", got)
-	}
-
-	cfg.DDIO = true
-	h2 := New(eng, cfg)
-	r, _ := h2.Alloc(4096, Page4K, 0)
-	if got := h2.MemAccessLatency(r, 1); got != cfg.LLCLatency {
-		t.Fatalf("DDIO latency = %v", got)
+	h := newTestHost()
+	if got := h.MemAccessLatency(); got != H2.DRAMLatency {
+		t.Fatalf("latency = %v, want %v", got, H2.DRAMLatency)
 	}
 }
 
 func TestTableIIHosts(t *testing.T) {
-	for _, cfg := range []Config{H1, H2, H3} {
-		if cfg.RAMBytes == 0 || cfg.Cores == 0 || cfg.NUMANodes == 0 {
+	for _, cfg := range []Config{H2, H3} {
+		if cfg.RAMBytes == 0 || cfg.DRAMLatency == 0 {
 			t.Fatalf("host %s incompletely specified", cfg.Name)
-		}
-		if cfg.LLCLatency >= cfg.DRAMLatency {
-			t.Fatalf("host %s: LLC must be faster than DRAM", cfg.Name)
 		}
 	}
 	if H3.RAMBytes != 1<<40 {
@@ -156,7 +135,7 @@ func TestAllocDisjointProperty(t *testing.T) {
 		type span struct{ lo, hi uint64 }
 		var spans []span
 		for _, s := range sizes {
-			r, err := h.Alloc(uint64(s)+1, Page4K, 0)
+			r, err := h.Alloc(uint64(s)+1, Page4K)
 			if err != nil {
 				return true // out of memory is acceptable
 			}
@@ -183,7 +162,7 @@ func TestLookupProperty(t *testing.T) {
 		h := newTestHost()
 		var regions []*Region
 		for i := 0; i < 8; i++ {
-			r, err := h.Alloc(8192, Page4K, 0)
+			r, err := h.Alloc(8192, Page4K)
 			if err != nil {
 				return true
 			}
@@ -209,7 +188,7 @@ func TestLookupProperty(t *testing.T) {
 // bytes, backed or not.
 func TestLazyBacking(t *testing.T) {
 	h := newTestHost()
-	r, err := h.Alloc(3*4096, Page4K, 0)
+	r, err := h.Alloc(3*4096, Page4K)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,11 +212,11 @@ func TestLazyBacking(t *testing.T) {
 		t.Fatal("write did not land in the backing")
 	}
 
-	lazy, _ := h.Alloc(4096, Page4K, 0)
+	lazy, _ := h.Alloc(4096, Page4K)
 	if b := lazy.Bytes(); len(b) != 4096 {
 		t.Fatalf("Bytes of an unbacked region has %d bytes, want 4096", len(b))
 	}
-	for _, fr := range []*Region{r, lazy, func() *Region { x, _ := h.Alloc(4096, Page4K, 0); return x }()} {
+	for _, fr := range []*Region{r, lazy, func() *Region { x, _ := h.Alloc(4096, Page4K); return x }()} {
 		h.Free(fr)
 		if fr.Bytes() != nil {
 			t.Fatal("freed region still has bytes")
@@ -258,7 +237,7 @@ func TestLazyBacking(t *testing.T) {
 // Pinned bytes never depend on the backing.
 func TestTouchSizedBacking(t *testing.T) {
 	h := newTestHost()
-	r, err := h.Alloc(1, Page2M, 0)
+	r, err := h.Alloc(1, Page2M)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 // Clos builds the two-tier leaf-spine fabric the scaled multi-tenant
 // experiments run on: every leaf trunks to every spine, hosts hang off
 // leaves, and leaf-to-leaf traffic spreads across the spines with
-// flow-hashed ECMP. Unlike Star and DualRail, a Clos has path diversity,
+// flow-hashed ECMP. Unlike Star, a Clos has path diversity,
 // and its PFC crosses switches: a trunk port's pause reaches the peer
 // switch one trunk propagation delay after the switch asserts it.
 //
@@ -68,7 +68,7 @@ func Clos(cfg ClosConfig) *Topology {
 	}
 
 	eng := sim.NewEngine(cfg.Seed)
-	server := verbs.NewContext(eng, "server", host.H3, cfg.Profile, 0)
+	server := verbs.NewContext(eng, "server", host.H3, cfg.Profile)
 	t := &Topology{
 		Eng:      eng,
 		Profile:  cfg.Profile,
@@ -112,7 +112,7 @@ func Clos(cfg ClosConfig) *Topology {
 		leafPorts[i] = make([]int, cfg.Spines)
 		for j, spine := range spines {
 			net.PropDelay = closPropDelay + sim.Duration(i*cfg.Spines+j+1)*sim.Picosecond
-			pl, ps := net.ConnectSwitches(leaf, spine, closTrunkGbps, fabric.QoSConfig{})
+			pl, ps := net.ConnectSwitches(leaf, spine, closTrunkGbps)
 			leafPorts[i][j] = pl
 			spinePorts[j][i] = ps
 			t.Links = append(t.Links, leaf.EgressLink(pl), spine.EgressLink(ps))
@@ -131,9 +131,9 @@ func Clos(cfg ClosConfig) *Topology {
 				ctx = server
 			} else {
 				ctx = verbs.NewContext(eng, fmt.Sprintf("client%d", len(t.Clients)),
-					host.H2, cfg.Profile, 0)
+					host.H2, cfg.Profile)
 			}
-			port, up := net.AttachToSwitch(ctx, leaf, fabric.QoSConfig{})
+			port, up := net.AttachToSwitch(ctx, leaf)
 			t.Links = append(t.Links, up, leaf.EgressLink(port))
 			addr := net.Addr(ctx)
 			for j, spine := range spines {

@@ -3,7 +3,9 @@
 // 2) — so reverse-engineering benchmarks, covert channels and side-channel
 // attacks all build on identical plumbing. The wiring itself is declarative
 // (see Topology in topology.go): Pair keeps the legacy point-to-point
-// shape, Star/DualRail/Clos add switched multi-host scenarios.
+// shape, Star and Clos add switched multi-host scenarios. Every rig is the
+// paper's testbed: an H3 server, H2 clients (Table II), and links that give
+// every traffic class the ETS 50 % quantum.
 package lab
 
 import (
@@ -22,30 +24,16 @@ import (
 // they were written against.
 type Cluster = Topology
 
-// Config parameterises a cluster.
+// Config parameterises a cluster. Clients below 1 build one client.
 type Config struct {
-	Seed     int64
-	Profile  nic.Profile
-	Clients  int
-	QoS      fabric.QoSConfig
-	ServerHW host.Config
-	ClientHW host.Config
-	// Switch parameterises the shared switch in switched topologies (Star,
-	// DualRail); the zero value selects DefaultSwitchConfig. Pair ignores it.
-	Switch fabric.SwitchConfig
+	Seed    int64
+	Profile nic.Profile
+	Clients int
 }
 
-// DefaultConfig mirrors the paper's setup: H3 serves, H2-class clients,
-// ETS with two 50% classes.
+// DefaultConfig mirrors the paper's two-client setup at seed 1.
 func DefaultConfig(p nic.Profile) Config {
-	return Config{
-		Seed:     1,
-		Profile:  p,
-		Clients:  2,
-		QoS:      fabric.SplitQoS(0, 3),
-		ServerHW: host.H3,
-		ClientHW: host.H2,
-	}
+	return Config{Seed: 1, Profile: p, Clients: 2}
 }
 
 // New builds the legacy point-to-point cluster — a thin wrapper over the

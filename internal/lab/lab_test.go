@@ -13,8 +13,10 @@ func TestDefaultConfig(t *testing.T) {
 	if cfg.Clients != 2 || cfg.Profile.Name != "ConnectX-5" {
 		t.Fatalf("config = %+v", cfg)
 	}
-	if cfg.ServerHW.Name != "H3" || cfg.ClientHW.Name != "H2" {
-		t.Fatal("Table II host roles wrong")
+	for _, c := range []*Topology{New(cfg), Star(cfg)} {
+		if c.Server.Host().Config().Name != "H3" || c.Clients[0].Host().Config().Name != "H2" {
+			t.Fatal("Table II host roles wrong")
+		}
 	}
 }
 

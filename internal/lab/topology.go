@@ -1,9 +1,9 @@
 // Topology is the declarative successor to the fixed two/three-host rig:
 // the same server-plus-clients threat model, but with the wiring — direct
-// cables, a shared switch, dual rails, or a leaf-spine fabric — chosen per
-// scenario. Pair reproduces the legacy Cluster byte-for-byte; Star and
-// DualRail are the shapes the multi-tenant experiments need; Clos (clos.go)
-// builds multi-switch fabrics.
+// cables, a shared switch or a leaf-spine fabric — chosen per scenario.
+// Pair reproduces the legacy Cluster byte-for-byte; Star is the shape the
+// multi-tenant experiments need; Clos (clos.go) builds multi-switch
+// fabrics.
 
 package lab
 
@@ -63,10 +63,10 @@ func (t *Topology) CompletionDigest() uint64 {
 	return h
 }
 
-// DefaultSwitchConfig is the shared-buffer switch used when a switched
-// topology is requested without explicit switch parameters: a 300 ns
-// store-and-forward latency, a 1 MiB shared pool, and PFC thresholds tight
-// enough that a congested egress port visibly pauses its upstream ports.
+// DefaultSwitchConfig is Star's shared-buffer switch, and a Clos's unless
+// its config names another: a 300 ns store-and-forward latency, a 1 MiB
+// shared pool, and PFC thresholds tight enough that a congested egress port
+// visibly pauses its upstream ports.
 func DefaultSwitchConfig() fabric.SwitchConfig {
 	return fabric.SwitchConfig{
 		Name:           "sw0",
@@ -77,43 +77,13 @@ func DefaultSwitchConfig() fabric.SwitchConfig {
 	}
 }
 
-// fillDefaults applies the Config defaults shared by every constructor.
-func fillDefaults(cfg Config) Config {
-	if cfg.Clients < 1 {
-		cfg.Clients = 1
-	}
-	if cfg.ServerHW.Name == "" {
-		cfg.ServerHW = host.H3
-	}
-	if cfg.ClientHW.Name == "" {
-		cfg.ClientHW = host.H2
-	}
-	return cfg
-}
-
-// switchCfg picks the configured switch parameters or the defaults, naming
-// the instance swN for multi-switch shapes.
-func switchCfg(cfg Config, n int) fabric.SwitchConfig {
-	sc := cfg.Switch
-	if sc == (fabric.SwitchConfig{}) {
-		sc = DefaultSwitchConfig()
-	}
-	if n > 0 || sc.Name == "" {
-		sc.Name = fmt.Sprintf("sw%d", n)
-	}
-	return sc
-}
-
 // Pair wires every client straight to the server over a dedicated full-
 // duplex wire — the legacy Cluster shape. Construction order (and therefore
 // every RNG draw and event) matches the pre-topology lab.New exactly, which
 // is what keeps the fig4–fig13/table5/lossgrid goldens byte-identical.
 func Pair(cfg Config) *Topology {
-	cfg = fillDefaults(cfg)
 	eng := sim.NewEngine(cfg.Seed)
-	// The Grain-III/IV methodology disables DDIO to remove cache-induced
-	// variance; the host default is already DDIO-off.
-	server := verbs.NewContext(eng, "server", cfg.ServerHW, cfg.Profile, 0)
+	server := verbs.NewContext(eng, "server", host.H3, cfg.Profile)
 	t := &Topology{
 		Eng:      eng,
 		Profile:  cfg.Profile,
@@ -124,9 +94,9 @@ func Pair(cfg Config) *Topology {
 	// Same-rack cabling: the paper's hosts sit under one switch.
 	net.PropDelay = 200 * sim.Nanosecond
 	t.Net = net
-	for i := 0; i < cfg.Clients; i++ {
-		cl := verbs.NewContext(eng, fmt.Sprintf("client%d", i), cfg.ClientHW, cfg.Profile, 0)
-		w := net.ConnectContexts(cl, server, cfg.QoS)
+	for i := range max(cfg.Clients, 1) {
+		cl := verbs.NewContext(eng, fmt.Sprintf("client%d", i), host.H2, cfg.Profile)
+		w := net.ConnectContexts(cl, server)
 		t.Links = append(t.Links, w.AtoB, w.BtoA)
 		t.Clients = append(t.Clients, cl)
 	}
@@ -139,9 +109,8 @@ func Pair(cfg Config) *Topology {
 // totals the Pair topology's 200 ns of cable plus the switch's forwarding
 // delay and any queueing.
 func Star(cfg Config) *Topology {
-	cfg = fillDefaults(cfg)
 	eng := sim.NewEngine(cfg.Seed)
-	server := verbs.NewContext(eng, "server", cfg.ServerHW, cfg.Profile, 0)
+	server := verbs.NewContext(eng, "server", host.H3, cfg.Profile)
 	t := &Topology{
 		Eng:      eng,
 		Profile:  cfg.Profile,
@@ -151,54 +120,15 @@ func Star(cfg Config) *Topology {
 	net := verbs.NewNetwork(eng)
 	net.PropDelay = 100 * sim.Nanosecond
 	t.Net = net
-	sw := fabric.NewSwitch(eng, switchCfg(cfg, 0))
+	sw := fabric.NewSwitch(eng, DefaultSwitchConfig())
 	t.Switches = []*fabric.Switch{sw}
-	sPort, sUp := net.AttachToSwitch(server, sw, cfg.QoS)
+	sPort, sUp := net.AttachToSwitch(server, sw)
 	t.Links = append(t.Links, sUp, sw.EgressLink(sPort))
-	for i := 0; i < cfg.Clients; i++ {
-		cl := verbs.NewContext(eng, fmt.Sprintf("client%d", i), cfg.ClientHW, cfg.Profile, 0)
-		cPort, cUp := net.AttachToSwitch(cl, sw, cfg.QoS)
+	for i := range max(cfg.Clients, 1) {
+		cl := verbs.NewContext(eng, fmt.Sprintf("client%d", i), host.H2, cfg.Profile)
+		cPort, cUp := net.AttachToSwitch(cl, sw)
 		net.SetPath(cl, server, cUp)
 		net.SetPath(server, cl, sUp)
-		t.Clients = append(t.Clients, cl)
-		t.Links = append(t.Links, cUp, sw.EgressLink(cPort))
-	}
-	return t
-}
-
-// DualRail builds two independent switches (rails) with the server
-// dual-homed on both; client i lands on rail i%2. Traffic between a client
-// and the server stays on the client's rail, so the two rails only share
-// the server's NIC — the shape for isolating switch-level interference from
-// NIC-level interference.
-func DualRail(cfg Config) *Topology {
-	cfg = fillDefaults(cfg)
-	eng := sim.NewEngine(cfg.Seed)
-	server := verbs.NewContext(eng, "server", cfg.ServerHW, cfg.Profile, 0)
-	t := &Topology{
-		Eng:      eng,
-		Profile:  cfg.Profile,
-		Server:   server,
-		ServerPD: server.AllocPD(),
-	}
-	net := verbs.NewNetwork(eng)
-	net.PropDelay = 100 * sim.Nanosecond
-	t.Net = net
-	var serverUp [2]*fabric.Link
-	for r := 0; r < 2; r++ {
-		sw := fabric.NewSwitch(eng, switchCfg(cfg, r))
-		t.Switches = append(t.Switches, sw)
-		p, up := net.AttachToSwitch(server, sw, cfg.QoS)
-		serverUp[r] = up
-		t.Links = append(t.Links, up, sw.EgressLink(p))
-	}
-	for i := 0; i < cfg.Clients; i++ {
-		rail := i % 2
-		sw := t.Switches[rail]
-		cl := verbs.NewContext(eng, fmt.Sprintf("client%d", i), cfg.ClientHW, cfg.Profile, 0)
-		cPort, cUp := net.AttachToSwitch(cl, sw, cfg.QoS)
-		net.SetPath(cl, server, cUp)
-		net.SetPath(server, cl, serverUp[rail])
 		t.Clients = append(t.Clients, cl)
 		t.Links = append(t.Links, cUp, sw.EgressLink(cPort))
 	}

@@ -160,38 +160,6 @@ func TestPairLatencyRegression(t *testing.T) {
 	}
 }
 
-func TestDualRailIsolation(t *testing.T) {
-	cfg := DefaultConfig(nic.CX5)
-	cfg.Clients = 4
-	c := DualRail(cfg)
-	if len(c.Switches) != 2 {
-		t.Fatalf("dual rail switches = %d", len(c.Switches))
-	}
-	// Server on both rails + 2 clients each: 3 ports per switch.
-	for r, sw := range c.Switches {
-		if sw.NumPorts() != 3 {
-			t.Fatalf("rail %d ports = %d, want 3", r, sw.NumPorts())
-		}
-	}
-	mr, err := c.RegisterServerMR(1 << 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Client 0 lives on rail 0: its traffic must not touch rail 1.
-	readOnce(t, c, mr, 0)
-	if c.Switches[0].FwdPackets() == 0 {
-		t.Fatal("rail 0 saw no packets")
-	}
-	if n := c.Switches[1].FwdPackets(); n != 0 {
-		t.Fatalf("rail 1 forwarded %d packets for a rail-0 client", n)
-	}
-	// Client 1 (rail 1) works too.
-	readOnce(t, c, mr, 1)
-	if c.Switches[1].FwdPackets() == 0 {
-		t.Fatal("rail 1 saw no packets")
-	}
-}
-
 // TestStarTracing checks a switched rig records switch activity and that
 // tracing stays passive (traced latency == untraced latency).
 func TestStarTracing(t *testing.T) {

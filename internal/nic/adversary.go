@@ -25,9 +25,12 @@ func SnoopPacket(p fabric.Packet) (Message, bool) {
 	return env.observed(), true
 }
 
-// observed decodes the envelope's frames as SnoopPacket describes.
+// observed decodes the envelope's frames as SnoopPacket describes, with
+// the frame reader of the NIC the packet is bound for, so it allocates only
+// the payload copy. That reader is free: a link observes a packet in an
+// event of its own, never inside a Deliver.
 func (env *envelope) observed() Message {
-	var r frameReader
+	r := &env.dst.rx
 	var m Message
 	if err := r.decode(env.frames, &m); err != nil {
 		panic("nic: undecodable frames in flight: " + err.Error())
@@ -51,7 +54,7 @@ func (env *envelope) observed() Message {
 func ForgePacket(dst *NIC, m Message) fabric.Packet {
 	env := &envelope{dst: dst, srcQPN: m.SrcQPN, psn: m.PSN, tc: m.TC & (fabric.NumTCs - 1)}
 	env.fire = env.granted
-	if err := env.encode(&m, dst.prof.MTU); err != nil {
+	if err := env.encode(&m, MTU); err != nil {
 		panic("nic: forged frame encode: " + err.Error())
 	}
 	return fabric.Packet{

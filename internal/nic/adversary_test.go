@@ -487,3 +487,20 @@ func TestSnoopAndReplayCopyPayload(t *testing.T) {
 		t.Fatal("replayed payload changed after the NICs reused their buffers")
 	}
 }
+
+// TestSnoopAllocatesOnlyPayload: snooping a payload-less READ request
+// decodes it with a reader its NIC owns, so it allocates nothing; only a
+// payload is copied.
+func TestSnoopAllocatesOnlyPayload(t *testing.T) {
+	_, _, b, _, _ := linkedRig(t, CX5, 0)
+	p := ForgePacket(b, Message{Op: OpRead, DstQPN: 2, PSN: 5, RKey: 77,
+		RemoteAddr: b.mrs[77].Base, Length: 64})
+	var m Message
+	allocs := testing.AllocsPerRun(100, func() { m, _ = SnoopPacket(p) })
+	if allocs != 0 {
+		t.Fatalf("snooping a READ request allocates %.1f times, want 0", allocs)
+	}
+	if m.Op != OpRead || m.PSN != 5 || m.Length != 64 || m.Data != nil {
+		t.Fatalf("snooped %+v", m)
+	}
+}

@@ -40,7 +40,9 @@ type FlowSpec struct {
 	// FromServer inverts the initiator (the paper's "reverse" traffic:
 	// the operation is posted on the server side, targeting the client).
 	FromServer bool
-	TC         int
+	// TC is the flow's traffic class. The solver does not read it, but the
+	// experiments' JSON output renders it with every flow.
+	TC int
 }
 
 // FlowResult is the steady-state allocation for one flow.
@@ -86,13 +88,11 @@ const floorFrac = 0.18
 const insigFrac = 0.04
 
 type fluid struct {
-	p        Profile
-	nClients int
-	nRes     int
-	dem      [][]float64 // [flow][resource]
-	caps     []float64
-	capacity []float64 // static capacities (priority Rx/NonPost handled separately)
-	insig    [][]bool
+	p     Profile
+	nRes  int
+	dem   [][]float64 // [flow][resource]
+	caps  []float64
+	insig [][]bool
 }
 
 // serverRes indexes a server NIC resource; clientRes a client NIC resource.
@@ -103,7 +103,7 @@ func (f *fluid) clientRes(c, r int) int { return nicResources + c*clientResource
 func (fl *fluid) demandsInto(f FlowSpec, d []float64) {
 	p := fl.p
 	s := float64(f.MsgBytes)
-	pkts := math.Ceil(float64(f.MsgBytes) / float64(p.MTU))
+	pkts := math.Ceil(float64(f.MsgBytes) / float64(MTU))
 	if pkts < 1 {
 		pkts = 1
 	}
@@ -294,7 +294,7 @@ func Solve(p Profile, flows []FlowSpec) []FlowResult {
 			nClients = f.Client + 1
 		}
 	}
-	fl := &fluid{p: p, nClients: nClients}
+	fl := &fluid{p: p}
 	fl.nRes = nicResources + nClients*clientResources
 	fl.dem = make([][]float64, n)
 	fl.caps = make([]float64, n)
@@ -308,7 +308,7 @@ func Solve(p Profile, flows []FlowSpec) []FlowResult {
 	// to the server NIC, which every flow crosses.
 	var smallLoad float64
 	for i, f := range flows {
-		if f.MsgBytes <= p.NoCSmallMsg {
+		if f.MsgBytes <= NoCSmallMsg {
 			smallLoad += fl.caps[i]
 		}
 	}
@@ -348,7 +348,6 @@ func Solve(p Profile, flows []FlowSpec) []FlowResult {
 		capacity[base+rSharePCIeNonPost] = pcieCap * share
 	}
 
-	fl.capacity = capacity
 	fl.insig = make([][]bool, n)
 	for i := range fl.insig {
 		fl.insig[i] = make([]bool, fl.nRes)

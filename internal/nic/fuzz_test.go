@@ -37,8 +37,8 @@ func FuzzPSNWindow(f *testing.F) {
 		eng := sim.NewEngine(1)
 		hA := host.New(eng, host.H2)
 		hB := host.New(eng, host.H3)
-		a := New(eng, "a", CX4, hA, 0)
-		b := New(eng, "b", CX4, hB, 0)
+		a := New(eng, "a", CX4, hA)
+		b := New(eng, "b", CX4, hB)
 		ab := fabric.NewLink(eng, "a->b", CX4.LineRateGbps, 200*sim.Nanosecond, 0, Deliver)
 		ba := fabric.NewLink(eng, "b->a", CX4.LineRateGbps, 200*sim.Nanosecond, 0, Deliver)
 		a.AddPeerLink(b, ab)
@@ -53,7 +53,7 @@ func FuzzPSNWindow(f *testing.F) {
 		ab.SetFaultPlan(&planAB)
 		ba.SetFaultPlan(&planBA)
 
-		region, err := hB.Alloc(2<<20, host.Page2M, 0)
+		region, err := hB.Alloc(2<<20, host.Page2M)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,8 +231,8 @@ func FuzzAdversarialFrames(f *testing.F) {
 		eng := sim.NewEngine(1)
 		hA := host.New(eng, host.H2)
 		hB := host.New(eng, host.H3)
-		a := New(eng, "a", CX4, hA, 0)
-		b := New(eng, "b", CX4, hB, 0)
+		a := New(eng, "a", CX4, hA)
+		b := New(eng, "b", CX4, hB)
 		ab := fabric.NewLink(eng, "a->b", CX4.LineRateGbps, 200*sim.Nanosecond, 0, Deliver)
 		ba := fabric.NewLink(eng, "b->a", CX4.LineRateGbps, 200*sim.Nanosecond, 0, Deliver)
 		a.AddPeerLink(b, ab)
@@ -246,7 +246,7 @@ func FuzzAdversarialFrames(f *testing.F) {
 		ab.SetFaultPlan(&planAB)
 		ba.SetFaultPlan(&planBA)
 
-		region, err := hB.Alloc(2<<20, host.Page2M, 0)
+		region, err := hB.Alloc(2<<20, host.Page2M)
 		if err != nil {
 			t.Fatal(err)
 		}

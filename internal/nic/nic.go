@@ -408,7 +408,8 @@ type NIC struct {
 	eng  *sim.Engine
 	prof Profile
 	hst  *host.Host
-	numa int // NUMA node the NIC attaches to
+	// memLat is the host memory latency every DMA pays after PCIe.
+	memLat sim.Duration
 
 	links map[*NIC]*fabric.Link // egress link per peer NIC
 
@@ -500,9 +501,9 @@ type NIC struct {
 const isoPoolDepth = 8
 
 // New creates a NIC on a host. Call AddPeerLink before any traffic flows.
-func New(eng *sim.Engine, name string, p Profile, h *host.Host, numa int) *NIC {
+func New(eng *sim.Engine, name string, p Profile, h *host.Host) *NIC {
 	n := &NIC{
-		Name: name, eng: eng, prof: p, hst: h, numa: numa,
+		Name: name, eng: eng, prof: p, hst: h, memLat: h.MemAccessLatency(),
 		tpu:       NewTPU(p, eng.Rand()),
 		qpc:       NewContextCache(p.QPCCacheEntries),
 		links:     make(map[*NIC]*fabric.Link),
@@ -679,7 +680,7 @@ func (n *NIC) CreateQP(qpn uint32, onComplete func(Completion), onRecv func(Recv
 
 // DestroyQP tears down a queue pair: the armed retransmit timer is
 // cancelled (leaving it would hold a live event past quiesce — exactly the
-// leak the parallel barrier's DrainCheck flags), outstanding WQEs are
+// leak the engine's DrainCheck flags), outstanding WQEs are
 // abandoned without completions (matching ibv_destroy_qp, which flushes
 // nothing once the QP leaves RTS), and the QPN becomes reusable. In-flight
 // messages referencing the QP resolve against the map and are dropped on
@@ -766,7 +767,7 @@ func (n *NIC) wireBytes(m *Message) int {
 
 // packetizedBytes charges per-MTU header overhead for a payload.
 func (n *NIC) packetizedBytes(payload int) int {
-	pkts := (payload + n.prof.MTU - 1) / n.prof.MTU
+	pkts := (payload + MTU - 1) / MTU
 	if pkts < 1 {
 		pkts = 1
 	}
@@ -809,7 +810,7 @@ func (n *NIC) dispatchWQE(qp *qpState, wqe *WQE) {
 	p := n.getPending()
 	p.qp, p.wqe, p.qpn, p.postTime = qp, *wqe, qp.qpn, n.eng.Now()
 	p.fetch = 64
-	p.inline = wqe.Op == OpWrite && wqe.Length <= n.prof.InlineMax
+	p.inline = wqe.Op == OpWrite && wqe.Length <= InlineMax
 	if p.inline {
 		p.fetch += wqe.Length
 	}
@@ -868,7 +869,7 @@ func (n *NIC) transmit(dst *NIC, m *Message, ring int) {
 	env.src, env.dst, env.link = n, dst, link
 	env.bytes, env.flow, env.ring = bytes, flowLabel(m.SrcQPN, m.DstQPN), ring
 	env.srcQPN, env.psn, env.tc = m.SrcQPN, m.PSN, m.TC
-	if err := env.encode(m, n.prof.MTU); err != nil {
+	if err := env.encode(m, MTU); err != nil {
 		panic(fmt.Sprintf("nic %s: frame encode: %v", n.Name, err))
 	}
 	n.egress.SubmitMeta(service, sim.ReqMeta{Class: ring, Tenant: n.tenantOf(m.SrcQPN), Bytes: bytes}, env.fire)
@@ -977,7 +978,7 @@ func (n *NIC) handleRequest(m *Message, segs [][]byte) {
 				n.counters.SeqNaks++
 				op := n.getOp(m, rNak)
 				op.qp = qp
-				n.rxPU.Submit(n.prof.RxPUTime, 0, op.fire)
+				n.rxPU.Submit(n.prof.RxPUTime, op.fire)
 			}
 			return
 		default:
@@ -999,7 +1000,7 @@ func (n *NIC) handleRequest(m *Message, segs [][]byte) {
 			// normal path below (idempotent; atomics never take this path).
 		}
 	}
-	pkts := (m.Length + n.prof.MTU - 1) / n.prof.MTU
+	pkts := (m.Length + MTU - 1) / MTU
 	if pkts < 1 {
 		pkts = 1
 	}
@@ -1127,7 +1128,7 @@ func (n *NIC) handleResponse(m *Message, segs [][]byte) {
 		encExtra = n.encCharge(p.wqe.Length)
 	}
 	p.stage = pLand
-	n.rxPU.Submit(n.prof.RxPUTime+encExtra, 0, p.fire)
+	n.rxPU.Submit(n.prof.RxPUTime+encExtra, p.fire)
 }
 
 // QPC exposes the ICM context cache (QP contexts, plus MR contexts when the

@@ -26,13 +26,13 @@ func rig(t *testing.T, p Profile, latency sim.Duration, maxQueue int) (*sim.Engi
 	eng := sim.NewEngine(1)
 	hA := host.New(eng, host.H2)
 	hB := host.New(eng, host.H3)
-	a := New(eng, "a", p, hA, 0)
-	b := New(eng, "b", p, hB, 0)
+	a := New(eng, "a", p, hA)
+	b := New(eng, "b", p, hB)
 	ab := fabric.NewLink(eng, "a->b", p.LineRateGbps, latency, maxQueue, Deliver)
 	ba := fabric.NewLink(eng, "b->a", p.LineRateGbps, latency, maxQueue, Deliver)
 	a.AddPeerLink(b, ab)
 	b.AddPeerLink(a, ba)
-	region, err := hB.Alloc(2<<20, host.Page2M, 0)
+	region, err := hB.Alloc(2<<20, host.Page2M)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,13 +127,13 @@ func TestQPCMissPenaltyVisible(t *testing.T) {
 func TestEgressPriorityKF3(t *testing.T) {
 	eng := sim.NewEngine(1)
 	h := host.New(eng, host.H3)
-	n := New(eng, "n", CX4, h, 0)
+	n := New(eng, "n", CX4, h)
 	egress := n.egress
 	var order []string
 	// Fill the arbiter: responder-class first, then requester-class.
-	egress.Submit(100*sim.Nanosecond, 1, func() { order = append(order, "rx-1") })
-	egress.Submit(100*sim.Nanosecond, 1, func() { order = append(order, "rx-2") })
-	egress.Submit(100*sim.Nanosecond, 0, func() { order = append(order, "tx-1") })
+	egress.SubmitMeta(100*sim.Nanosecond, sim.ReqMeta{Class: 1}, func() { order = append(order, "rx-1") })
+	egress.SubmitMeta(100*sim.Nanosecond, sim.ReqMeta{Class: 1}, func() { order = append(order, "rx-2") })
+	egress.SubmitMeta(100*sim.Nanosecond, sim.ReqMeta{Class: 0}, func() { order = append(order, "tx-1") })
 	eng.Run()
 	// rx-1 was already in service; tx-1 must overtake rx-2.
 	if order[1] != "tx-1" {
@@ -158,8 +158,8 @@ func TestInlineWriteFasterThanDMA(t *testing.T) {
 		last := comps[len(comps)-1]
 		return last.DoneTime.Sub(last.PostTime)
 	}
-	inline := lat(CX4.InlineMax)
-	dma := lat(CX4.InlineMax + 8)
+	inline := lat(InlineMax)
+	dma := lat(InlineMax + 8)
 	// The non-inline path adds a full DMA round (PCIe latency dominated).
 	if dma-inline < CX4.PCIeLatency/2 {
 		t.Fatalf("inline %v vs DMA %v: inline advantage missing", inline, dma)
@@ -169,13 +169,13 @@ func TestInlineWriteFasterThanDMA(t *testing.T) {
 func TestWireBytesAccounting(t *testing.T) {
 	eng := sim.NewEngine(1)
 	h := host.New(eng, host.H3)
-	n := New(eng, "n", CX4, h, 0)
+	n := New(eng, "n", CX4, h)
 	// Single-packet write: payload + one header.
 	if got := n.wireBytes(&Message{Op: OpWrite, Length: 1000}); got != 1000+WireHeaderBytes {
 		t.Fatalf("write wire bytes = %d", got)
 	}
 	// Multi-packet write: one header per MTU.
-	if got := n.wireBytes(&Message{Op: OpWrite, Length: 2*CX4.MTU + 1}); got != 2*CX4.MTU+1+3*WireHeaderBytes {
+	if got := n.wireBytes(&Message{Op: OpWrite, Length: 2*MTU + 1}); got != 2*MTU+1+3*WireHeaderBytes {
 		t.Fatalf("large write wire bytes = %d", got)
 	}
 	// Read request is header-only.
@@ -290,14 +290,14 @@ func TestNICConstantsMatchWireFormat(t *testing.T) {
 // Large messages segment into FIRST/MIDDLE/LAST RoCEv2 packets with
 // contiguous PSNs and a reassemblable payload.
 func TestLargeWriteSegmentsOnWire(t *testing.T) {
-	payload := make([]byte, 2*CX4.MTU+100)
+	payload := make([]byte, 2*MTU+100)
 	for i := range payload {
 		payload[i] = byte(i * 7)
 	}
 	m := &Message{Op: OpWrite, DstQPN: 9, RemoteAddr: 0x1000, RKey: 5,
 		Length: len(payload), Data: payload, PSN: 41}
 	var fb frameBuf
-	if err := fb.encode(m, CX4.MTU); err != nil {
+	if err := fb.encode(m, MTU); err != nil {
 		t.Fatal(err)
 	}
 	frames := fb.frames

@@ -2,7 +2,6 @@ package nic
 
 import (
 	"github.com/thu-has/ragnar/internal/fabric"
-	"github.com/thu-has/ragnar/internal/host"
 	"github.com/thu-has/ragnar/internal/sim"
 	"github.com/thu-has/ragnar/internal/trace"
 	"github.com/thu-has/ragnar/internal/wire"
@@ -81,11 +80,10 @@ type pending struct {
 	retransmits int
 
 	stage  uint8
-	then   uint8        // stage after a DMA's PCIe latency
-	fetch  int          // SQE fetch bytes, inline payload included
-	inline bool         // the payload rode the SQE fetch
-	memLat sim.Duration // host memory latency of the DMA in progress
-	st     Status       // response status, result and payload, kept for the CQE
+	then   uint8  // stage after a DMA's PCIe latency
+	fetch  int    // SQE fetch bytes, inline payload included
+	inline bool   // the payload rode the SQE fetch
+	st     Status // response status, result and payload, kept for the CQE
 	result uint64
 	data   []byte // READ payload: nil, or buf resized to it
 	buf    []byte // payload buffer owned by this pending, kept across reuse
@@ -113,16 +111,15 @@ func (n *NIC) putPending(p *pending) {
 // at then.
 func (p *pending) dma(bytes int, then uint8) {
 	n := p.n
-	p.memLat = n.hst.MemAccessLatency(nil, n.numa)
 	p.stage, p.then = pDMA, then
-	n.hostDMA.Submit(n.dmaTransferTime(bytes), 0, p.fire)
+	n.hostDMA.Submit(n.dmaTransferTime(bytes), p.fire)
 }
 
 // writeCQE submits the CQE write DMA; stage is the delivery step after it.
 func (p *pending) writeCQE(stage uint8) {
 	n := p.n
 	p.stage = stage
-	n.hostDMA.Submit(n.dmaTransferTime(32)+n.prof.CQEWriteTime, 0, p.fire)
+	n.hostDMA.Submit(n.dmaTransferTime(32)+n.prof.CQEWriteTime, p.fire)
 }
 
 func (p *pending) advance() {
@@ -130,22 +127,22 @@ func (p *pending) advance() {
 	switch p.stage {
 	case pFetch:
 		p.stage = pTxPU
-		n.hostDMA.Submit(n.dmaTransferTime(p.fetch)+n.prof.SQEFetchTime, 0, p.fire)
+		n.hostDMA.Submit(n.dmaTransferTime(p.fetch)+n.prof.SQEFetchTime, p.fire)
 	case pTxPU:
 		// Encryption profiles pay the AES cost on the requester PU: the
 		// payload (or the header MAC for payload-less verbs) is enciphered
 		// before the message can launch.
 		p.stage = pLaunch
-		n.txPU.Submit(n.prof.TxPUTime+n.encCharge(wqe.Length), 0, p.fire)
+		n.txPU.Submit(n.prof.TxPUTime+n.encCharge(wqe.Length), p.fire)
 	case pLaunch:
-		if wqe.Op == OpWrite && !p.inline || wqe.Op == OpSend && wqe.Length > n.prof.InlineMax {
+		if wqe.Op == OpWrite && !p.inline || wqe.Op == OpSend && wqe.Length > InlineMax {
 			p.dma(wqe.Length, pLaunchNow)
 			return
 		}
 		n.launch(p)
 	case pDMA:
 		p.stage = p.then
-		n.eng.After(n.prof.PCIeLatency+p.memLat, p.fire)
+		n.eng.After(n.prof.PCIeLatency+n.memLat, p.fire)
 	case pLaunchNow:
 		n.launch(p)
 	case pLand:
@@ -252,7 +249,6 @@ type respOp struct {
 	service sim.Duration // responder PU time
 	mr      *MRInfo
 	offset  uint64
-	memLat  sim.Duration
 	val     uint64 // replayed atomic result
 	stage   uint8
 	then    uint8 // effect behind the placement gate
@@ -297,13 +293,12 @@ func (n *NIC) getPayload() []byte {
 	return b
 }
 
-// dma runs a host-memory DMA against reg, then passes the placement gate
-// into the effect then.
-func (op *respOp) dma(bytes int, reg *host.Region, then uint8) {
+// dma runs a host-memory DMA, then passes the placement gate into the
+// effect then.
+func (op *respOp) dma(bytes int, then uint8) {
 	n := op.n
-	op.memLat = n.hst.MemAccessLatency(reg, n.numa)
 	op.stage, op.then = rDMA, then
-	n.hostDMA.Submit(n.dmaTransferTime(bytes), 0, op.fire)
+	n.hostDMA.Submit(n.dmaTransferTime(bytes), op.fire)
 }
 
 // place runs the effect once every request accepted on the gate's QP
@@ -329,7 +324,7 @@ func (op *respOp) step() bool {
 	switch op.stage {
 	case rEnter:
 		op.stage = rCtx
-		n.rxPU.Submit(op.service, 0, op.fire)
+		n.rxPU.Submit(op.service, op.fire)
 	case rCtx:
 		// QPC lookup: a cold QP context costs an ICM fetch.
 		extra := sim.Duration(0)
@@ -352,7 +347,7 @@ func (op *respOp) step() bool {
 			// The recv delivery waits behind the placement gate: a SEND
 			// used as a commit record must never be observed before the
 			// data of writes accepted ahead of it.
-			op.dma(m.Length, nil, rSend)
+			op.dma(m.Length, rSend)
 		case OpWrite, OpRead, OpAtomicFAA, OpAtomicCAS:
 			n.oneSided(op)
 		default:
@@ -361,18 +356,18 @@ func (op *respOp) step() bool {
 	case rTPU:
 		switch m.Op {
 		case OpWrite:
-			op.dma(m.Length, op.mr.Region, rWrite)
+			op.dma(m.Length, rWrite)
 		case OpRead:
-			op.dma(m.Length, op.mr.Region, rRead)
+			op.dma(m.Length, rRead)
 		default:
 			op.stage = rAtomic
 			n.eng.After(n.prof.AtomicExtra, op.fire)
 		}
 	case rAtomic:
-		op.dma(8, op.mr.Region, rAtomicX)
+		op.dma(8, rAtomicX)
 	case rDMA:
 		op.stage = rGate
-		n.eng.After(n.prof.PCIeLatency+op.memLat, op.fire)
+		n.eng.After(n.prof.PCIeLatency+n.memLat, op.fire)
 	case rGate:
 		op.place(op.then)
 	default:
@@ -423,7 +418,7 @@ func (n *NIC) oneSided(op *respOp) {
 		tpuTime += n.prof.MPTMissPenalty
 	}
 	op.stage = rTPU
-	n.tpuSrv.Submit(tpuTime, 0, op.fire)
+	n.tpuSrv.Submit(tpuTime, op.fire)
 }
 
 // execEffect runs a request's visible effect: memory placement, recv

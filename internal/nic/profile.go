@@ -21,12 +21,10 @@ type Profile struct {
 	LineRateGbps float64
 	PCIeGBps     float64      // effective host-interface bandwidth, bytes/ns = GB/s
 	PCIeLatency  sim.Duration // one-way request latency host<->NIC
-	MTU          int
 
 	// Requester side.
 	SQEFetchTime   sim.Duration // DMA of one SQE descriptor (beyond PCIeLatency)
 	TxPUTime       sim.Duration // per-message requester processing
-	InlineMax      int          // writes <= this are inlined in the WQE (no payload DMA)
 	DoorbellTime   sim.Duration // MMIO doorbell cost
 	CQEWriteTime   sim.Duration // DMA of one CQE back to the host
 	MaxQPRate      float64      // requester message cap per QP, msgs/us
@@ -38,8 +36,7 @@ type Profile struct {
 	ResponderSlots int
 
 	// Translation & Protection Unit (Grain-IV home).
-	TPUBase      sim.Duration // base translation+protection check per beat
-	TPUBeatBytes int          // bytes translated per TPU beat
+	TPUBase      sim.Duration // base translation+protection check per beat (TPUBeatBytes)
 	TPUDrop8     sim.Duration // latency drop for 8 B-aligned offsets
 	TPUDrop64    sim.Duration // additional drop for 64 B-multiple offsets
 	TPUSaw2048   sim.Duration // amplitude of the 2048 B sawtooth component
@@ -71,7 +68,6 @@ type Profile struct {
 	ComplexPPS    float64      // shared processing complex capacity, msgs/us (base NoC clock)
 	NoCBoost      float64      // capacity multiplier once boosted
 	NoCBoostPPS   float64      // offered-load threshold (msgs/us) that activates boost
-	NoCSmallMsg   int          // only messages <= this size count towards activation
 	EgressArbTime sim.Duration // per-packet decision time of the egress arbiter
 
 	// ISO selects the isolation architecture (see Isolated): DWRR egress
@@ -113,53 +109,50 @@ func (p Profile) encTime(bytes int) sim.Duration {
 var (
 	CX4 = Profile{
 		Name:         "ConnectX-4",
-		LineRateGbps: 25, PCIeGBps: 4.0, PCIeLatency: 420 * sim.Nanosecond, MTU: 4096,
+		LineRateGbps: 25, PCIeGBps: 4.0, PCIeLatency: 420 * sim.Nanosecond,
 		SQEFetchTime: 120 * sim.Nanosecond, TxPUTime: 90 * sim.Nanosecond,
-		InlineMax: 256, DoorbellTime: 90 * sim.Nanosecond, CQEWriteTime: 100 * sim.Nanosecond,
+		DoorbellTime: 90 * sim.Nanosecond, CQEWriteTime: 100 * sim.Nanosecond,
 		MaxQPRate: 3.0, RequesterSlots: 2,
 		RxPUTime: 80 * sim.Nanosecond, AtomicExtra: 150 * sim.Nanosecond, ResponderSlots: 2,
-		TPUBase: 320 * sim.Nanosecond, TPUBeatBytes: 512,
-		TPUDrop8: 12 * sim.Nanosecond, TPUDrop64: 30 * sim.Nanosecond,
+		TPUBase: 320 * sim.Nanosecond, TPUDrop8: 12 * sim.Nanosecond, TPUDrop64: 30 * sim.Nanosecond,
 		TPUSaw2048: 24 * sim.Nanosecond, TPUBanks: 16, TPUBankCost: 18 * sim.Nanosecond,
 		MRSwitchCost: 55 * sim.Nanosecond,
 		TPUNoiseSig:  5 * sim.Nanosecond, TPUSpike: 120 * sim.Nanosecond, TPUSpikeP: 0.004,
 		MTTCacheEntries: 2048, MTTCacheWays: 4, MTTMissPenalty: 900 * sim.Nanosecond,
 		QPCCacheEntries: 1024, QPCMissPenalty: 800 * sim.Nanosecond,
-		ComplexPPS: 5, NoCBoost: 2.3, NoCBoostPPS: 20, NoCSmallMsg: 256,
+		ComplexPPS: 5, NoCBoost: 2.3, NoCBoostPPS: 20,
 		EgressArbTime: 12 * sim.Nanosecond,
 	}
 	CX5 = Profile{
 		Name:         "ConnectX-5",
-		LineRateGbps: 100, PCIeGBps: 6.6, PCIeLatency: 380 * sim.Nanosecond, MTU: 4096,
+		LineRateGbps: 100, PCIeGBps: 6.6, PCIeLatency: 380 * sim.Nanosecond,
 		SQEFetchTime: 90 * sim.Nanosecond, TxPUTime: 45 * sim.Nanosecond,
-		InlineMax: 256, DoorbellTime: 80 * sim.Nanosecond, CQEWriteTime: 85 * sim.Nanosecond,
+		DoorbellTime: 80 * sim.Nanosecond, CQEWriteTime: 85 * sim.Nanosecond,
 		MaxQPRate: 6.5, RequesterSlots: 2,
 		RxPUTime: 40 * sim.Nanosecond, AtomicExtra: 110 * sim.Nanosecond, ResponderSlots: 2,
-		TPUBase: 160 * sim.Nanosecond, TPUBeatBytes: 512,
-		TPUDrop8: 7 * sim.Nanosecond, TPUDrop64: 16 * sim.Nanosecond,
+		TPUBase: 160 * sim.Nanosecond, TPUDrop8: 7 * sim.Nanosecond, TPUDrop64: 16 * sim.Nanosecond,
 		TPUSaw2048: 13 * sim.Nanosecond, TPUBanks: 16, TPUBankCost: 10 * sim.Nanosecond,
 		MRSwitchCost: 30 * sim.Nanosecond,
 		TPUNoiseSig:  3 * sim.Nanosecond, TPUSpike: 90 * sim.Nanosecond, TPUSpikeP: 0.004,
 		MTTCacheEntries: 4096, MTTCacheWays: 4, MTTMissPenalty: 800 * sim.Nanosecond,
 		QPCCacheEntries: 2048, QPCMissPenalty: 700 * sim.Nanosecond,
-		ComplexPPS: 11, NoCBoost: 2.25, NoCBoostPPS: 45, NoCSmallMsg: 256,
+		ComplexPPS: 11, NoCBoost: 2.25, NoCBoostPPS: 45,
 		EgressArbTime: 8 * sim.Nanosecond,
 	}
 	CX6 = Profile{
 		Name:         "ConnectX-6",
-		LineRateGbps: 200, PCIeGBps: 25.0, PCIeLatency: 320 * sim.Nanosecond, MTU: 4096,
+		LineRateGbps: 200, PCIeGBps: 25.0, PCIeLatency: 320 * sim.Nanosecond,
 		SQEFetchTime: 70 * sim.Nanosecond, TxPUTime: 28 * sim.Nanosecond,
-		InlineMax: 256, DoorbellTime: 70 * sim.Nanosecond, CQEWriteTime: 70 * sim.Nanosecond,
+		DoorbellTime: 70 * sim.Nanosecond, CQEWriteTime: 70 * sim.Nanosecond,
 		MaxQPRate: 11.0, RequesterSlots: 4,
 		RxPUTime: 25 * sim.Nanosecond, AtomicExtra: 80 * sim.Nanosecond, ResponderSlots: 4,
-		TPUBase: 110 * sim.Nanosecond, TPUBeatBytes: 512,
-		TPUDrop8: 5 * sim.Nanosecond, TPUDrop64: 12 * sim.Nanosecond,
+		TPUBase: 110 * sim.Nanosecond, TPUDrop8: 5 * sim.Nanosecond, TPUDrop64: 12 * sim.Nanosecond,
 		TPUSaw2048: 10 * sim.Nanosecond, TPUBanks: 32, TPUBankCost: 8 * sim.Nanosecond,
 		MRSwitchCost: 22 * sim.Nanosecond,
 		TPUNoiseSig:  2 * sim.Nanosecond, TPUSpike: 70 * sim.Nanosecond, TPUSpikeP: 0.003,
 		MTTCacheEntries: 8192, MTTCacheWays: 8, MTTMissPenalty: 650 * sim.Nanosecond,
 		QPCCacheEntries: 4096, QPCMissPenalty: 600 * sim.Nanosecond,
-		ComplexPPS: 22, NoCBoost: 2.2, NoCBoostPPS: 80, NoCSmallMsg: 256,
+		ComplexPPS: 22, NoCBoost: 2.2, NoCBoostPPS: 80,
 		EgressArbTime: 6 * sim.Nanosecond,
 	}
 )
@@ -261,6 +254,19 @@ func normalize(s string) string {
 	}
 	return string(out)
 }
+
+// Sizes every adapter shares: no profile varies them.
+const (
+	// MTU is the RoCEv2 path MTU: payloads are segmented into MTU frames.
+	MTU = 4096
+	// InlineMax is the largest WRITE inlined in the WQE (no payload DMA).
+	InlineMax = 256
+	// TPUBeatBytes is how many bytes the TPU translates per beat.
+	TPUBeatBytes = 512
+	// NoCSmallMsg is the largest message that counts towards the NoC boost's
+	// activation (Key Finding 2).
+	NoCSmallMsg = 256
+)
 
 // WireHeaderBytes is the per-packet RoCEv2 overhead: Eth(14)+IP(20)+UDP(8)+
 // BTH(12)+ICRC(4)+FCS(4) plus preamble/IPG accounting (20).

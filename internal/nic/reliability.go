@@ -254,13 +254,13 @@ func (n *NIC) respondNak(req *Message, ackPSN uint32) {
 func (n *NIC) replayDuplicate(qp *qpState, m *Message) bool {
 	switch m.Op {
 	case OpWrite, OpSend:
-		n.rxPU.Submit(n.prof.RxPUTime, 0, n.getOp(m, rReplay).fire)
+		n.rxPU.Submit(n.prof.RxPUTime, n.getOp(m, rReplay).fire)
 		return true
 	case OpAtomicFAA, OpAtomicCAS:
 		if qp.atomicReplayOK && qp.atomicReplayPSN == m.PSN {
 			op := n.getOp(m, rReplay)
 			op.val = qp.atomicReplayVal
-			n.rxPU.Submit(n.prof.RxPUTime, 0, op.fire)
+			n.rxPU.Submit(n.prof.RxPUTime, op.fire)
 			return true
 		}
 		// Replay record displaced: drop the duplicate without a response —

@@ -284,8 +284,8 @@ func TestByteConservationUnderLoss(t *testing.T) {
 		eng := sim.NewEngine(1)
 		hA := host.New(eng, host.H2)
 		hB := host.New(eng, host.H3)
-		a := New(eng, "a", CX4, hA, 0)
-		b := New(eng, "b", CX4, hB, 0)
+		a := New(eng, "a", CX4, hA)
+		b := New(eng, "b", CX4, hB)
 		ab := fabric.NewLink(eng, "a->b", CX4.LineRateGbps, 200*sim.Nanosecond, 0, Deliver)
 		ba := fabric.NewLink(eng, "b->a", CX4.LineRateGbps, 200*sim.Nanosecond, 0, Deliver)
 		a.AddPeerLink(b, ab)
@@ -294,7 +294,7 @@ func TestByteConservationUnderLoss(t *testing.T) {
 		planBA := fabric.UniformLoss(sim.DeriveSeed(seed, 1), loss)
 		ab.SetFaultPlan(&planAB)
 		ba.SetFaultPlan(&planBA)
-		region, err := hB.Alloc(2<<20, host.Page2M, 0)
+		region, err := hB.Alloc(2<<20, host.Page2M)
 		if err != nil {
 			t.Fatal(err)
 		}

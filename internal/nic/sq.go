@@ -210,14 +210,14 @@ func (n *NIC) execManagement(qp *qpState, entry *WQE) {
 	post := n.eng.Now()
 	wqe := *entry
 	n.eng.After(n.prof.DoorbellTime, func() {
-		n.hostDMA.Submit(n.dmaTransferTime(64)+n.prof.SQEFetchTime, 0, func() {
-			n.txPU.Submit(n.prof.TxPUTime, 0, func() {
+		n.hostDMA.Submit(n.dmaTransferTime(64)+n.prof.SQEFetchTime, func() {
+			n.txPU.Submit(n.prof.TxPUTime, func() {
 				if wqe.Op == OpEnable {
 					if tgt := n.qps[wqe.TargetQPN]; tgt != nil {
 						n.ringQP(tgt, wqe.EnableCount)
 					}
 				}
-				n.hostDMA.Submit(n.dmaTransferTime(32)+n.prof.CQEWriteTime, 0, func() {
+				n.hostDMA.Submit(n.dmaTransferTime(32)+n.prof.CQEWriteTime, func() {
 					n.deliverCQE(qp, wqe.TC, Completion{
 						QPN: qp.qpn, WRID: wqe.WRID, Op: wqe.Op,
 						Status: StatusOK, PostTime: post, DoneTime: n.eng.Now(),
@@ -234,7 +234,7 @@ func (n *NIC) execManagement(qp *qpState, entry *WQE) {
 func (n *NIC) flushStaged(qp *qpState, entry *WQE) {
 	post := n.eng.Now()
 	wqe := *entry
-	n.hostDMA.Submit(n.dmaTransferTime(32)+n.prof.CQEWriteTime, 0, func() {
+	n.hostDMA.Submit(n.dmaTransferTime(32)+n.prof.CQEWriteTime, func() {
 		n.deliverCQE(qp, wqe.TC, Completion{
 			QPN: qp.qpn, WRID: wqe.WRID, Op: wqe.Op,
 			Status: StatusRetryExcErr, Bytes: wqe.Length,

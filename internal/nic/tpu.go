@@ -74,7 +74,7 @@ func (t *TPU) beats(length int) int {
 	if length <= 0 {
 		return 1
 	}
-	n := (length + t.p.TPUBeatBytes - 1) / t.p.TPUBeatBytes
+	n := (length + TPUBeatBytes - 1) / TPUBeatBytes
 	if n < 1 {
 		n = 1
 	}
@@ -149,7 +149,7 @@ func (t *TPU) empirical(req Request) sim.Duration {
 	d := sim.Duration(0)
 	nb := t.beats(req.Length)
 	for i := 0; i < nb; i++ {
-		beatOff := req.Offset + uint64(i*t.p.TPUBeatBytes)
+		beatOff := req.Offset + uint64(i*TPUBeatBytes)
 		d += t.p.TPUBase + t.OffsetComponent(beatOff)
 	}
 

@@ -3,7 +3,6 @@ package rednlite
 import (
 	"testing"
 
-	"github.com/thu-has/ragnar/internal/fabric"
 	"github.com/thu-has/ragnar/internal/host"
 	"github.com/thu-has/ragnar/internal/nic"
 	"github.com/thu-has/ragnar/internal/sim"
@@ -21,10 +20,10 @@ type rig struct {
 func newRig(t *testing.T) *rig {
 	t.Helper()
 	eng := sim.NewEngine(42)
-	client := verbs.NewContext(eng, "client", host.H2, nic.CX5, 0)
-	server := verbs.NewContext(eng, "server", host.H3, nic.CX5, 0)
+	client := verbs.NewContext(eng, "client", host.H2, nic.CX5)
+	server := verbs.NewContext(eng, "server", host.H3, nic.CX5)
 	net := verbs.NewNetwork(eng)
-	net.ConnectContexts(client, server, fabric.DefaultQoS())
+	net.ConnectContexts(client, server)
 	spd := server.AllocPD()
 	mr, err := spd.RegMR(2<<20, host.Page2M,
 		verbs.AccessRemoteRead|verbs.AccessRemoteWrite|verbs.AccessRemoteAtomic)

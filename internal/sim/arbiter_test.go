@@ -2,38 +2,71 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
 // priorityServer is the reference discipline the arbitrated server is
 // checked against: a server whose queue is kept sorted by class on insert
-// (stable within a class) and served from the front.
-type priorityServer struct{ *Server }
+// (stable within a class) and served from the front. It keeps the queue
+// itself and hands a server one request at a time per free slot.
+type priorityServer struct {
+	s     *Server
+	queue []classedReq
+}
 
-func newPriorityServer(eng *Engine, name string, slots int) priorityServer {
-	return priorityServer{NewServer(eng, name, slots)}
+// classedReq is a queued request of the reference discipline with its class.
+type classedReq struct {
+	serverReq
+	class int
+}
+
+func newPriorityServer(eng *Engine, name string, slots int) *priorityServer {
+	return &priorityServer{s: NewServer(eng, name, slots)}
 }
 
 // Submit starts the request if a slot is free, else inserts it behind every
 // queued request of the same or a lower class.
-func (s priorityServer) Submit(service Duration, class int, done func()) {
-	req := serverReq{service: service, class: class, done: done}
-	if s.busy < s.slots {
-		s.start(req)
+func (p *priorityServer) Submit(service Duration, class int, done func()) {
+	req := classedReq{serverReq{service: service, done: done}, class}
+	if p.s.busy < p.s.slots {
+		p.start(req)
 		return
 	}
-	i := len(s.queue)
-	for i > 0 && s.queue[i-1].class > class {
+	i := len(p.queue)
+	for i > 0 && p.queue[i-1].class > class {
 		i--
 	}
-	s.queue = append(s.queue, serverReq{})
-	copy(s.queue[i+1:], s.queue[i:])
-	s.queue[i] = req
+	p.queue = slices.Insert(p.queue, i, req)
+}
+
+// start serves req on the underlying server. When it completes, its done
+// runs first and then the front of the queue takes the freed slot, the
+// order Server keeps for its own queue.
+func (p *priorityServer) start(req classedReq) {
+	p.s.Submit(req.service, func() {
+		if req.done != nil {
+			req.done()
+		}
+		if len(p.queue) > 0 && p.s.busy < p.s.slots {
+			next := p.queue[0]
+			p.queue = p.queue[1:]
+			p.start(next)
+		}
+	})
 }
 
 // submitter is the Submit half of a server, common to both disciplines.
 type submitter interface {
 	Submit(service Duration, class int, done func())
+}
+
+// arbitrated submits to an arbitrated server with the class as its only
+// metadata.
+type arbitrated struct{ *Server }
+
+func (s arbitrated) Submit(service Duration, class int, done func()) {
+	s.SubmitMeta(service, ReqMeta{Class: class}, done)
 }
 
 // strictPick mirrors nic.StrictArbiter: first index of the minimum class.
@@ -87,7 +120,7 @@ func TestArbitratedStrictMatchesPriorityServer(t *testing.T) {
 		}
 
 		prio := run(func(e *Engine) submitter { return newPriorityServer(e, "prio", 1) })
-		arb := run(func(e *Engine) submitter { return NewArbitratedServer(e, "arb", 1, strictPick{}) })
+		arb := run(func(e *Engine) submitter { return arbitrated{NewArbitratedServer(e, "arb", 1, strictPick{})} })
 		for i := range prio {
 			if prio[i] != arb[i] {
 				t.Fatalf("trial %d: completion %d differs: priority=%v arbitrated=%v", trial, i, prio[i], arb[i])

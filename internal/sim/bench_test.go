@@ -133,11 +133,11 @@ func BenchmarkServerService(b *testing.B) {
 	done = func() {
 		n++
 		if n < b.N {
-			s.Submit(10*Nanosecond, 0, done)
+			s.Submit(10*Nanosecond, done)
 		}
 	}
 	for i := 0; i < 4 && i < b.N; i++ {
-		s.Submit(10*Nanosecond, 0, done)
+		s.Submit(10*Nanosecond, done)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -187,7 +187,7 @@ func TestServerFIFO(t *testing.T) {
 	var order []int
 	for i := 0; i < 4; i++ {
 		i := i
-		s.Submit(10*Nanosecond, 0, func() { order = append(order, i) })
+		s.Submit(10*Nanosecond, func() { order = append(order, i) })
 	}
 	e.Run()
 	for i, v := range order {
@@ -208,7 +208,7 @@ func TestServerParallelSlots(t *testing.T) {
 	s := NewServer(e, "dma", 2)
 	done := 0
 	for i := 0; i < 4; i++ {
-		s.Submit(10*Nanosecond, 0, func() { done++ })
+		s.Submit(10*Nanosecond, func() { done++ })
 	}
 	e.Run()
 	if done != 4 {

@@ -44,7 +44,6 @@ type Arbiter interface {
 
 type serverReq struct {
 	service Duration
-	class   int
 	done    func()
 }
 
@@ -86,17 +85,17 @@ func (s *Server) QueueLen() int { return len(s.queue) }
 // Served reports the number of completed requests.
 func (s *Server) Served() uint64 { return s.served }
 
-// Submit enqueues a request requiring the given service time; done fires when
-// service completes. Class is only meaningful for arbitrated servers.
-func (s *Server) Submit(service Duration, class int, done func()) {
+// Submit enqueues a request requiring the given service time on a server
+// without an arbiter; done fires when service completes. An arbitrated
+// server takes its requests through SubmitMeta.
+func (s *Server) Submit(service Duration, done func()) {
 	if s.arb != nil {
-		s.SubmitMeta(service, ReqMeta{Class: class}, done)
-		return
+		panic("sim: Submit on an arbitrated server")
 	}
 	if service < 0 {
 		panic("sim: negative service time")
 	}
-	req := serverReq{service: service, class: class, done: done}
+	req := serverReq{service: service, done: done}
 	if s.busy < s.slots {
 		s.start(req)
 		return
@@ -114,7 +113,7 @@ func (s *Server) SubmitMeta(service Duration, meta ReqMeta, done func()) {
 	if service < 0 {
 		panic("sim: negative service time")
 	}
-	req := serverReq{service: service, class: meta.Class, done: done}
+	req := serverReq{service: service, done: done}
 	if s.busy < s.slots {
 		s.start(req)
 		return

@@ -149,10 +149,8 @@ func TestCounterTwinsMatchEventsLossy(t *testing.T) {
 // receive path up past the pause threshold, corrupted frames fail their
 // ICRC on both NICs, and a blackholed uplink runs a QP out of retries.
 func TestCounterTwinsMatchEventsFaults(t *testing.T) {
-	cfg := lab.DefaultConfig(nic.CX4)
-	c := lab.New(cfg)
+	c := lab.New(lab.DefaultConfig(nic.CX4))
 	up := fabric.NewLink(c.Eng, "client0->server", nic.CX4.LineRateGbps, c.Net.PropDelay, 4, nic.Deliver)
-	up.SetQoS(cfg.QoS)
 	c.Net.SetPath(c.Clients[0], c.Server, up)
 	nics := []tapped{
 		tap(c.Clients[0], up),

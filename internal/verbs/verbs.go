@@ -44,14 +44,14 @@ type Context struct {
 }
 
 // NewContext opens a device context on a fresh host with the given NIC
-// profile. numa is the NUMA node the NIC attaches to.
-func NewContext(eng *sim.Engine, name string, hostCfg host.Config, prof nic.Profile, numa int) *Context {
+// profile.
+func NewContext(eng *sim.Engine, name string, hostCfg host.Config, prof nic.Profile) *Context {
 	h := host.New(eng, hostCfg)
 	return &Context{
 		Name: name,
 		eng:  eng,
 		hst:  h,
-		dev:  nic.New(eng, name+"/nic", prof, h, numa),
+		dev:  nic.New(eng, name+"/nic", prof, h),
 		// Key/QPN namespaces start at generation-looking values, as real
 		// stacks do.
 		nextKey: 0x1000,
@@ -102,7 +102,7 @@ type MR struct {
 // RegMR allocates size bytes on the given page size and registers them for
 // RDMA access. The paper's Grain-III/IV setup uses 2 MB huge pages.
 func (pd *PD) RegMR(size uint64, page host.PageSize, access Access) (*MR, error) {
-	region, err := pd.ctx.hst.Alloc(size, page, 0)
+	region, err := pd.ctx.hst.Alloc(size, page)
 	if err != nil {
 		return nil, fmt.Errorf("verbs: %w", err)
 	}
@@ -556,18 +556,15 @@ func NewNetwork(eng *sim.Engine) *Network {
 }
 
 // ConnectContexts creates the wire between two contexts (idempotent per
-// pair). Line rate follows the slower NIC. qos applies to both directions.
-// The returned wire exposes both links so callers can install fault plans
-// or read drop counters.
-func (n *Network) ConnectContexts(a, b *Context, qos fabric.QoSConfig) *fabric.Wire {
+// pair). Line rate follows the slower NIC. The returned wire exposes both
+// links so callers can install fault plans or read drop counters.
+func (n *Network) ConnectContexts(a, b *Context) *fabric.Wire {
 	rate := a.dev.Profile().LineRateGbps
 	if rb := b.dev.Profile().LineRateGbps; rb < rate {
 		rate = rb
 	}
 	ab := fabric.NewLink(n.eng, a.Name+"->"+b.Name, rate, n.PropDelay, 0, nic.Deliver)
 	ba := fabric.NewLink(n.eng, b.Name+"->"+a.Name, rate, n.PropDelay, 0, nic.Deliver)
-	ab.SetQoS(qos)
-	ba.SetQoS(qos)
 	a.dev.AddPeerLink(b.dev, ab)
 	b.dev.AddPeerLink(a.dev, ba)
 	// Direct links ignore addresses, but assign them anyway so a context
@@ -593,11 +590,10 @@ func (n *Network) Addr(c *Context) uint32 {
 // switch learns a route for the context's address. It returns the port index
 // and the uplink. Reachability is separate — callers make peers visible to
 // each other with SetPath once both are attached.
-func (n *Network) AttachToSwitch(c *Context, sw *fabric.Switch, qos fabric.QoSConfig) (port int, up *fabric.Link) {
+func (n *Network) AttachToSwitch(c *Context, sw *fabric.Switch) (port int, up *fabric.Link) {
 	rate := c.dev.Profile().LineRateGbps
-	port = sw.AddPort(c.Name, rate, n.PropDelay, 0, qos, nic.Deliver)
+	port = sw.AddPort(c.Name, rate, n.PropDelay, 0, nic.Deliver)
 	up = fabric.NewLink(n.eng, c.Name+"->"+sw.Name(), rate, n.PropDelay, 0, sw.Ingress)
-	up.SetQoS(qos)
 	sw.SetUpstream(port, up, 0)
 	sw.Route(n.Addr(c), port)
 	return port, up
@@ -617,9 +613,9 @@ func (n *Network) SetPath(src, dst *Context, firstHop *fabric.Link) {
 // reaches the peer PropDelay after the switch asserts it. Routing across
 // the trunk is the topology builder's job (Route entries per address). It
 // returns the port index of the trunk on each switch (a's, then b's).
-func (n *Network) ConnectSwitches(a, b *fabric.Switch, rateGbps float64, qos fabric.QoSConfig) (int, int) {
-	pa := a.AddPort("trunk:"+b.Name(), rateGbps, n.PropDelay, 0, qos, b.Ingress)
-	pb := b.AddPort("trunk:"+a.Name(), rateGbps, n.PropDelay, 0, qos, a.Ingress)
+func (n *Network) ConnectSwitches(a, b *fabric.Switch, rateGbps float64) (int, int) {
+	pa := a.AddPort("trunk:"+b.Name(), rateGbps, n.PropDelay, 0, b.Ingress)
+	pb := b.AddPort("trunk:"+a.Name(), rateGbps, n.PropDelay, 0, a.Ingress)
 	a.SetUpstream(pa, b.EgressLink(pb), n.PropDelay)
 	b.SetUpstream(pb, a.EgressLink(pa), n.PropDelay)
 	return pa, pb

@@ -3,7 +3,6 @@ package verbs
 import (
 	"testing"
 
-	"github.com/thu-has/ragnar/internal/fabric"
 	"github.com/thu-has/ragnar/internal/host"
 	"github.com/thu-has/ragnar/internal/nic"
 	"github.com/thu-has/ragnar/internal/sim"
@@ -45,7 +44,7 @@ func TestPollIntoDrainsInOrder(t *testing.T) {
 // a steady-state fill/drain cycle must not allocate (`make benchguard`).
 func BenchmarkCQPollInto(b *testing.B) {
 	eng := sim.NewEngine(1)
-	ctx := NewContext(eng, "bench", host.H2, nic.CX5, 0)
+	ctx := NewContext(eng, "bench", host.H2, nic.CX5)
 	cq := ctx.CreateCQ(256)
 	backing := make([]nic.Completion, 64)
 	for i := range backing {
@@ -69,9 +68,9 @@ func BenchmarkCQPollInto(b *testing.B) {
 func threeQPs(t *testing.T) (eng *sim.Engine, a, b, c *QP) {
 	t.Helper()
 	eng = sim.NewEngine(9)
-	client := NewContext(eng, "client", host.H2, nic.CX5, 0)
-	server := NewContext(eng, "server", host.H3, nic.CX5, 0)
-	NewNetwork(eng).ConnectContexts(client, server, fabric.DefaultQoS())
+	client := NewContext(eng, "client", host.H2, nic.CX5)
+	server := NewContext(eng, "server", host.H3, nic.CX5)
+	NewNetwork(eng).ConnectContexts(client, server)
 	var err error
 	a, err = client.CreateQP(client.AllocPD(), client.CreateCQ(0), QPCap{})
 	if err != nil {
@@ -190,9 +189,9 @@ func TestMRAccessFlagMatrix(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			eng := sim.NewEngine(3)
-			client := NewContext(eng, "client", host.H2, nic.CX5, 0)
-			server := NewContext(eng, "server", host.H3, nic.CX5, 0)
-			NewNetwork(eng).ConnectContexts(client, server, fabric.DefaultQoS())
+			client := NewContext(eng, "client", host.H2, nic.CX5)
+			server := NewContext(eng, "server", host.H3, nic.CX5)
+			NewNetwork(eng).ConnectContexts(client, server)
 			spd := server.AllocPD()
 			mr, err := spd.RegMR(1<<20, host.Page2M, tc.access)
 			if err != nil {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"github.com/thu-has/ragnar/internal/fabric"
 	"github.com/thu-has/ragnar/internal/host"
 	"github.com/thu-has/ragnar/internal/nic"
 	"github.com/thu-has/ragnar/internal/sim"
@@ -24,10 +23,10 @@ type rig struct {
 func newRig(t *testing.T, prof nic.Profile, sqDepth int) *rig {
 	t.Helper()
 	eng := sim.NewEngine(42)
-	client := NewContext(eng, "client", host.H2, prof, 0)
-	server := NewContext(eng, "server", host.H3, prof, 0)
+	client := NewContext(eng, "client", host.H2, prof)
+	server := NewContext(eng, "server", host.H3, prof)
 	net := NewNetwork(eng)
-	net.ConnectContexts(client, server, fabric.DefaultQoS())
+	net.ConnectContexts(client, server)
 
 	spd := server.AllocPD()
 	mr, err := spd.RegMR(2<<20, host.Page2M, AccessRemoteRead|AccessRemoteWrite|AccessRemoteAtomic)
@@ -126,9 +125,9 @@ func TestRemoteAccessViolation(t *testing.T) {
 
 func TestPermissionEnforcement(t *testing.T) {
 	eng := sim.NewEngine(1)
-	client := NewContext(eng, "c", host.H2, nic.CX5, 0)
-	server := NewContext(eng, "s", host.H3, nic.CX5, 0)
-	NewNetwork(eng).ConnectContexts(client, server, fabric.DefaultQoS())
+	client := NewContext(eng, "c", host.H2, nic.CX5)
+	server := NewContext(eng, "s", host.H3, nic.CX5)
+	NewNetwork(eng).ConnectContexts(client, server)
 	spd := server.AllocPD()
 	roMR, err := spd.RegMR(1<<20, host.Page2M, AccessRemoteRead) // read-only
 	if err != nil {
@@ -195,9 +194,9 @@ func TestAtomicFAAandCAS(t *testing.T) {
 
 func TestSendRecv(t *testing.T) {
 	eng := sim.NewEngine(1)
-	client := NewContext(eng, "c", host.H2, nic.CX5, 0)
-	server := NewContext(eng, "s", host.H3, nic.CX5, 0)
-	NewNetwork(eng).ConnectContexts(client, server, fabric.DefaultQoS())
+	client := NewContext(eng, "c", host.H2, nic.CX5)
+	server := NewContext(eng, "s", host.H3, nic.CX5)
+	NewNetwork(eng).ConnectContexts(client, server)
 	cq := client.CreateCQ(0)
 	qp, _ := client.CreateQP(client.AllocPD(), cq, QPCap{})
 	sqp, _ := server.CreateQP(server.AllocPD(), server.CreateCQ(0), QPCap{})
@@ -250,7 +249,7 @@ func TestSQDepthEnforced(t *testing.T) {
 
 func TestUnconnectedQPErrors(t *testing.T) {
 	eng := sim.NewEngine(1)
-	c := NewContext(eng, "c", host.H2, nic.CX4, 0)
+	c := NewContext(eng, "c", host.H2, nic.CX4)
 	qp, _ := c.CreateQP(c.AllocPD(), c.CreateCQ(0), QPCap{})
 	if err := qp.PostRead(1, nil, RemoteBuf{RKey: 1, Addr: 1}, 8); err == nil {
 		t.Fatal("post on unconnected QP should error")
@@ -346,7 +345,7 @@ func TestCQOverrunInvariants(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			eng := sim.NewEngine(1)
-			c := NewContext(eng, "c", host.H2, nic.CX4, 0)
+			c := NewContext(eng, "c", host.H2, nic.CX4)
 			cq := c.CreateCQ(tc.cap)
 			for i := 0; i < tc.pushes; i++ {
 				cq.push(nic.Completion{WRID: uint64(i)})
@@ -374,7 +373,7 @@ func TestCQOverrunInvariants(t *testing.T) {
 // capacity the burst runs.
 func TestCQArmedNotifyNeverOverruns(t *testing.T) {
 	eng := sim.NewEngine(1)
-	c := NewContext(eng, "c", host.H2, nic.CX4, 0)
+	c := NewContext(eng, "c", host.H2, nic.CX4)
 	cq := c.CreateCQ(2)
 	var notified int
 	cq.Notify = func(nic.Completion) { notified++ }
@@ -393,10 +392,10 @@ func TestCQArmedNotifyNeverOverruns(t *testing.T) {
 // and once the CQ is drained new completions land normally again.
 func TestCQOverrunDrainedQPRecovers(t *testing.T) {
 	eng := sim.NewEngine(42)
-	client := NewContext(eng, "client", host.H2, nic.CX4, 0)
-	server := NewContext(eng, "server", host.H3, nic.CX4, 0)
+	client := NewContext(eng, "client", host.H2, nic.CX4)
+	server := NewContext(eng, "server", host.H3, nic.CX4)
 	net := NewNetwork(eng)
-	net.ConnectContexts(client, server, fabric.DefaultQoS())
+	net.ConnectContexts(client, server)
 
 	spd := server.AllocPD()
 	mr, err := spd.RegMR(2<<20, host.Page2M, AccessRemoteRead|AccessRemoteWrite)

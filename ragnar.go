@@ -27,8 +27,6 @@ import (
 	"github.com/thu-has/ragnar/internal/classifier"
 	"github.com/thu-has/ragnar/internal/covert"
 	"github.com/thu-has/ragnar/internal/defense"
-	"github.com/thu-has/ragnar/internal/fabric"
-	"github.com/thu-has/ragnar/internal/host"
 	"github.com/thu-has/ragnar/internal/lab"
 	"github.com/thu-has/ragnar/internal/nic"
 	"github.com/thu-has/ragnar/internal/pythia"
@@ -92,23 +90,6 @@ var (
 // ProfileByName resolves "cx4"/"ConnectX-5"-style names.
 func ProfileByName(name string) (Profile, bool) { return nic.ProfileByName(name) }
 
-// HostConfig describes a server host (Table II).
-type HostConfig = host.Config
-
-// Table II hosts.
-var (
-	H1 = host.H1
-	H2 = host.H2
-	H3 = host.H3
-)
-
-// QoSConfig is an mlnx_qos-style ETS configuration.
-type QoSConfig = fabric.QoSConfig
-
-// SplitQoS gives two traffic classes 50% each (the paper's microbenchmark
-// setup).
-func SplitQoS(tcA, tcB int) QoSConfig { return fabric.SplitQoS(tcA, tcB) }
-
 // ---------------------------------------------------------------------------
 // Verbs layer
 // ---------------------------------------------------------------------------
@@ -159,9 +140,6 @@ type Topology = lab.Topology
 // NewStar puts the server and cfg.Clients hosts behind one shared-buffer
 // switch with PFC — the multi-tenant threat model.
 func NewStar(cfg ClusterConfig) *Topology { return lab.Star(cfg) }
-
-// NewDualRail dual-homes the server across two switches, clients alternating.
-func NewDualRail(cfg ClusterConfig) *Topology { return lab.DualRail(cfg) }
 
 // ---------------------------------------------------------------------------
 // ULI measurement (Section IV-C)
