@@ -2,8 +2,10 @@
 #
 #   make check      - everything CI needs: vet and gofmt, build,
 #                     race-enabled tests, the parallel-vs-sequential
-#                     equivalence check, and vet plus tests of the
-#                     perfbench module
+#                     equivalence check, a run of every example program,
+#                     and vet plus tests of the perfbench module
+#   make examples   - run every program under examples/; fails on a
+#                     nonzero exit
 #   make test       - plain test run (tier-1: go build ./... && go test ./...)
 #   make bench      - host cost of every registered experiment
 #                     (BenchmarkRegistry) plus the ablation benchmarks
@@ -19,9 +21,9 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -c
 
-.PHONY: check vet build test race equivalence perfbench bench benchguard perf trace-demo
+.PHONY: check vet build test race equivalence examples perfbench bench benchguard perf trace-demo
 
-check: vet build race equivalence perfbench
+check: vet build race equivalence examples perfbench
 
 # gofmt reads the tracked Go files only, so build output such as
 # .bench_build/ stays out of the check.
@@ -49,6 +51,14 @@ race:
 equivalence:
 	$(GO) test -run 'Deterministic|Golden|StableAcross' ./internal/parallel ./internal/revengine ./internal/experiments ./internal/lab
 	./scripts/equivalence.sh
+
+# The programs under examples/ are the public ragnar facade's only consumers
+# outside the tests: `go build ./...` compiles them, this runs them.
+examples:
+	@for d in examples/*/; do \
+		echo "go run ./$$d"; \
+		$(GO) run "./$$d" >/dev/null || exit 1; \
+	done
 
 # perfbench is a module of its own (perfbench/go.mod), so the root's
 # ./... never compiles it, yet it is the main outside consumer of the

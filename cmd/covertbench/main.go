@@ -72,7 +72,6 @@ func main() {
 		}
 		if rec != nil {
 			ch.Cluster.AttachRecorder(rec)
-			ch.Trace = rec
 		}
 		if *pcapPath != "" {
 			f, err := os.Create(*pcapPath)

@@ -42,10 +42,6 @@ type ULIChannel struct {
 	// uniformly within ±BoundaryJitter. This — not Gaussian ULI noise — is
 	// what produces the paper's few-percent error rates.
 	BoundaryJitter sim.Duration
-	// Trace, when set, records sender symbol switches and receiver ULI
-	// samples. Recording is passive: a traced run is byte-identical to an
-	// untraced one.
-	Trace *trace.Recorder
 }
 
 // ULIRun is the outcome of one transmission.
@@ -59,7 +55,9 @@ type ULIRun struct {
 }
 
 // Transmit sends bits over the channel and decodes them from the receiver's
-// binned ULI.
+// binned ULI. When the cluster has a recorder attached, sender symbol
+// switches and receiver ULI samples go to it too. Recording is passive: a
+// traced run is byte-identical to an untraced one.
 func (ch *ULIChannel) Transmit(bits bitstream.Bits) (*ULIRun, error) {
 	if len(bits) == 0 {
 		return nil, errors.New("covert: empty bitstream")
@@ -69,13 +67,14 @@ func (ch *ULIChannel) Transmit(bits bitstream.Bits) (*ULIRun, error) {
 	}
 	eng := ch.Cluster.Eng
 	rng := eng.Rand()
+	rec := eng.Recorder()
 
 	prober := &uli.Prober{
 		QP: ch.RxConn.QP, CQ: ch.RxConn.CQ,
 		Remote: ch.RxRemote, MsgSize: ch.RxSize, Depth: ch.RxDepth,
-		Rec: ch.Trace,
+		Rec: rec,
 	}
-	txActor := ch.Trace.RegisterActor("covert/tx")
+	txActor := rec.RegisterActor("covert/tx")
 
 	// The sender's state variable; switch events are scheduled with jitter.
 	state := bits[0]
@@ -91,7 +90,7 @@ func (ch *ULIChannel) Transmit(bits bitstream.Bits) (*ULIRun, error) {
 	}
 
 	start := eng.Now()
-	ch.Trace.Emit(trace.Event{At: int64(start), Kind: trace.KindSymbol,
+	rec.Emit(trace.Event{At: int64(start), Kind: trace.KindSymbol,
 		Actor: txActor, Val: uint64(bits[0]), TC: -1})
 	for k := 1; k < len(bits); k++ {
 		b := bits[k]
@@ -104,7 +103,7 @@ func (ch *ULIChannel) Transmit(bits bitstream.Bits) (*ULIRun, error) {
 		}
 		eng.At(boundary, func() {
 			state = b
-			ch.Trace.Emit(trace.Event{At: int64(eng.Now()), Kind: trace.KindSymbol,
+			rec.Emit(trace.Event{At: int64(eng.Now()), Kind: trace.KindSymbol,
 				Actor: txActor, Val: uint64(b), TC: -1})
 		})
 	}

@@ -217,12 +217,12 @@ func TestConstantTimeFlattensOffsetSurface(t *testing.T) {
 // constant-time by construction, the TPU stays constant-time.
 func TestConstantTimeMitigationUninstallRestores(t *testing.T) {
 	eng := sim.NewEngine(1)
-	n := nic.New(eng, "n", nic.WithConstTPU(nic.CX5), host.New(eng, host.H2))
+	n := nic.New(eng, "n", nic.WithConstTPU(nic.CX5), host.New(host.H2))
 	ConstantTimeMitigation(n, true)()
 	if !n.TPU().ConstantTimeEnabled() {
 		t.Fatal("uninstalling the mitigation turned the profile's constant-time TPU off")
 	}
-	n = nic.New(eng, "m", nic.CX5, host.New(eng, host.H2))
+	n = nic.New(eng, "m", nic.CX5, host.New(host.H2))
 	ConstantTimeMitigation(n, true)()
 	if n.TPU().ConstantTimeEnabled() {
 		t.Fatal("uninstalling the mitigation left constant time on")

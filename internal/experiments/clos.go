@@ -147,10 +147,8 @@ func runClosCell(p nic.Profile, fab lab.ClosConfig, in closCellIn, seed int64) (
 // tree never leaves the first switch.
 func closSwitch() fabric.SwitchConfig {
 	return fabric.SwitchConfig{
-		FwdDelay:       300 * sim.Nanosecond,
 		SharedBufBytes: 256 << 10,
 		XOffBytes:      16 << 10,
-		XOnBytes:       8 << 10,
 	}
 }
 

@@ -76,7 +76,6 @@ func TraceULI(kind string, p nic.Profile, bits, seed int64) (*TraceOutcome, erro
 	}
 	rec := trace.NewRecorder(kind+"/"+p.Name, trace.DefaultCapacity)
 	ch.Cluster.AttachRecorder(rec)
-	ch.Trace = rec
 	payload := bitstream.RandomBits(uint64(seed)|1, int(bits))
 	run, err := ch.Transmit(payload)
 	if err != nil {
@@ -100,7 +99,6 @@ func TraceLossRep(p nic.Profile, lossPct float64, bits, seed int64) (*TraceOutco
 	}
 	rec := trace.NewRecorder(fmt.Sprintf("lossgrid/%s/%.2f%%", p.Name, lossPct), trace.DefaultCapacity)
 	ch.Cluster.AttachRecorder(rec)
-	ch.Trace = rec
 	ch.Cluster.InjectLoss(sim.DeriveSeed(seed, 1<<32), lossPct/100)
 	for _, cn := range []*lab.Conn{ch.RxConn, ch.TxConn} {
 		if err := cn.QP.SetRetry(lossRetryTimeout, lossRetryLimit); err != nil {

@@ -3,6 +3,8 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
+	"hash/fnv"
+	"io"
 	"testing"
 
 	"github.com/thu-has/ragnar/internal/bitstream"
@@ -92,7 +94,6 @@ func TestTracedInterMRMatchesUntraced(t *testing.T) {
 	}
 	rec := trace.NewRecorder("regression", trace.DefaultCapacity)
 	traced.Cluster.AttachRecorder(rec)
-	traced.Trace = rec
 	tracedRun, err := traced.Transmit(payload)
 	if err != nil {
 		t.Fatal(err)
@@ -112,6 +113,11 @@ func TestTracedInterMRMatchesUntraced(t *testing.T) {
 	}
 	if rec.Total() == 0 {
 		t.Fatal("traced run recorded nothing")
+	}
+	// AttachRecorder alone brings in the sender's and the sampler's lanes.
+	if m := rec.Metrics(); m.Count(trace.KindSymbol) == 0 || m.Count(trace.KindULISample) == 0 {
+		t.Fatalf("traced run lacks covert/tx or uli/sampler events: symbols=%d samples=%d",
+			m.Count(trace.KindSymbol), m.Count(trace.KindULISample))
 	}
 }
 
@@ -155,5 +161,38 @@ func TestTraceLossRepShowsRecovery(t *testing.T) {
 	}
 	if !json.Valid(buf.Bytes()) {
 		t.Fatal("lossy trace export is not valid JSON")
+	}
+}
+
+// TestTraceExportsPinned hashes (FNV-64a) the text and Chrome exports of
+// every traced rig on CX-5 at seed 1. The recorder is passive, so a change
+// that keeps the schedule keeps these bytes; one that moves an event, a
+// field or the export format re-records them with the reason.
+func TestTraceExportsPinned(t *testing.T) {
+	want := map[string][2]uint64{
+		"fig9":     {0x493abe9c3bae7f64, 0x3b07bc4fb0305067},
+		"intermr":  {0x4a1a2d7fbafd3cbc, 0xf74c4447d2dd99b7},
+		"intramr":  {0xa9289a728a1f6fca, 0x9f02503adcc707e0},
+		"lossgrid": {0xb4736ab3407739a0, 0xa57491d6bedb2006},
+	}
+	for _, rig := range TraceRigs {
+		t.Run(rig, func(t *testing.T) {
+			o, err := Trace(rig, nic.CX5, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got [2]uint64
+			for i, write := range []func(io.Writer) error{o.WriteText, o.WriteChrome} {
+				h := fnv.New64a()
+				if err := write(h); err != nil {
+					t.Fatal(err)
+				}
+				got[i] = h.Sum64()
+			}
+			if got != want[rig] {
+				t.Errorf("text/chrome digests %#016x/%#016x; want %#016x/%#016x",
+					got[0], got[1], want[rig][0], want[rig][1])
+			}
+		})
 	}
 }

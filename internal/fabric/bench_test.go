@@ -8,7 +8,7 @@ import (
 
 // BenchmarkSwitchForward is the CI-guarded switch forwarding hot path: a
 // paced injector streams routed packets through Ingress — address lookup,
-// shared-buffer admission, the FwdDelay pipeline ring — onto an egress
+// shared-buffer admission, the forwarding-delay pipeline ring — onto an egress
 // link's ETS scheduler and out through serialization and propagation. After
 // the warm-up phase grows the rings, every packet must forward end to end
 // without allocating (scripts/benchguard.go fails the bench-guard job if
@@ -21,12 +21,11 @@ func BenchmarkSwitchForward(b *testing.B) {
 	e := sim.NewEngine(1)
 	sw := NewSwitch(e, SwitchConfig{
 		Name:           "bench",
-		FwdDelay:       300 * sim.Nanosecond,
 		SharedBufBytes: 1 << 20,
 		XOffBytes:      96 << 10,
 	})
 	delivered := 0
-	out := sw.AddPort("host", 100, 100*sim.Nanosecond, 0, func(Packet) { delivered++ })
+	out := sw.AddPort("host", 100, 100*sim.Nanosecond, func(Packet) { delivered++ })
 	sw.Route(1, out)
 
 	const warm = 256

@@ -46,26 +46,17 @@ type Packet struct {
 }
 
 // FaultPlan describes deterministic, seed-driven wire impairment applied to a
-// link on top of the tail-drop path: per-TC probabilistic drop, optional burst
-// loss (one drop decision takes out BurstLen consecutive packets of that TC),
-// and per-TC probabilistic corruption. The plan owns its own RNG stream,
-// derived only from Seed — it never touches the engine's RNG, so a link with
-// a nil or all-zero plan is event-for-event identical to an unimpaired link.
+// link on top of the tail-drop path: probabilistic drop, optional burst loss
+// (one drop decision takes out BurstLen consecutive packets), and
+// probabilistic corruption, alike for every traffic class. The plan owns its
+// own RNG stream, derived only from Seed — it never touches the engine's RNG,
+// so a link with a nil or all-zero plan is event-for-event identical to an
+// unimpaired link.
 type FaultPlan struct {
 	Seed        int64
-	DropProb    [NumTCs]float64
-	CorruptProb [NumTCs]float64
+	DropProb    float64
+	CorruptProb float64
 	BurstLen    int // packets lost per drop decision; 0 or 1 means single loss
-}
-
-// UniformLoss is a convenience FaultPlan dropping every TC with the same
-// probability.
-func UniformLoss(seed int64, prob float64) FaultPlan {
-	p := FaultPlan{Seed: seed}
-	for tc := range p.DropProb {
-		p.DropProb[tc] = prob
-	}
-	return p
 }
 
 // dwrrQuantum is the byte credit every traffic class earns per DWRR round:
@@ -131,7 +122,7 @@ type Link struct {
 	// Fault injection (nil plan = pristine wire).
 	plan       *FaultPlan
 	faultRNG   *rand.Rand
-	burstLeft  [NumTCs]int
+	burstLeft  int
 	faultDrops [NumTCs]uint64
 	corrupts   [NumTCs]uint64
 
@@ -335,7 +326,7 @@ func (l *Link) finishTx() {
 		Actor: l.recActor, TC: int8(p.TC), Val: uint64(p.Bytes), Dur: int64(ser)})
 	// The fault decision sits after serialization: a dropped packet was
 	// clocked onto the wire (tx counters see it) but never arrives.
-	drop, corrupt := l.fault(p.TC)
+	drop, corrupt := l.fault()
 	if drop {
 		l.faultDrops[p.TC]++
 		l.rec.Emit(trace.Event{At: int64(l.eng.Now()), Kind: trace.KindWireDrop,
@@ -432,25 +423,25 @@ func (l *Link) SetFaultPlan(plan *FaultPlan) {
 	p := *plan
 	l.plan = &p
 	l.faultRNG = rand.New(rand.NewSource(p.Seed))
-	l.burstLeft = [NumTCs]int{}
+	l.burstLeft = 0
 }
 
 // fault decides the fate of one departing packet under the installed plan.
-func (l *Link) fault(tc int) (drop, corrupt bool) {
+func (l *Link) fault() (drop, corrupt bool) {
 	if l.plan == nil {
 		return false, false
 	}
-	if l.burstLeft[tc] > 0 {
-		l.burstLeft[tc]--
+	if l.burstLeft > 0 {
+		l.burstLeft--
 		return true, false
 	}
-	if p := l.plan.DropProb[tc]; p > 0 && l.faultRNG.Float64() < p {
+	if p := l.plan.DropProb; p > 0 && l.faultRNG.Float64() < p {
 		if l.plan.BurstLen > 1 {
-			l.burstLeft[tc] = l.plan.BurstLen - 1
+			l.burstLeft = l.plan.BurstLen - 1
 		}
 		return true, false
 	}
-	if p := l.plan.CorruptProb[tc]; p > 0 && l.faultRNG.Float64() < p {
+	if p := l.plan.CorruptProb; p > 0 && l.faultRNG.Float64() < p {
 		return false, true
 	}
 	return false, false

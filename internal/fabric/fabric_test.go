@@ -198,7 +198,7 @@ func collectLoss(t *testing.T, plan *FaultPlan, n int) ([]int, *Link) {
 // plan seed — two identical runs lose exactly the same packets — and every
 // packet is either delivered or counted as a fault drop.
 func TestFaultPlanDeterministicDrops(t *testing.T) {
-	plan := UniformLoss(42, 0.3)
+	plan := FaultPlan{Seed: 42, DropProb: 0.3}
 	got1, l1 := collectLoss(t, &plan, 200)
 	got2, _ := collectLoss(t, &plan, 200)
 	if len(got1) != len(got2) {
@@ -215,7 +215,7 @@ func TestFaultPlanDeterministicDrops(t *testing.T) {
 	if int(l1.FaultDrops(0))+len(got1) != 200 {
 		t.Fatalf("drops %d + delivered %d != 200", l1.FaultDrops(0), len(got1))
 	}
-	other := UniformLoss(43, 0.3)
+	other := FaultPlan{Seed: 43, DropProb: 0.3}
 	got3, _ := collectLoss(t, &other, 200)
 	same := len(got3) == len(got1)
 	if same {
@@ -235,8 +235,7 @@ func TestFaultPlanDeterministicDrops(t *testing.T) {
 // least three consecutive packets of the TC, so every gap in the delivered
 // sequence (except one cut short by the end of the stream) spans >= 3.
 func TestFaultPlanBurstLoss(t *testing.T) {
-	plan := UniformLoss(7, 0.1)
-	plan.BurstLen = 3
+	plan := FaultPlan{Seed: 7, DropProb: 0.1, BurstLen: 3}
 	got, l := collectLoss(t, &plan, 300)
 	if l.FaultDrops(0) == 0 {
 		t.Fatal("burst plan dropped nothing")
@@ -262,11 +261,7 @@ func TestFaultPlanCorruption(t *testing.T) {
 			corrupt++
 		}
 	})
-	plan := FaultPlan{Seed: 5}
-	for tc := range plan.CorruptProb {
-		plan.CorruptProb[tc] = 1
-	}
-	l.SetFaultPlan(&plan)
+	l.SetFaultPlan(&FaultPlan{Seed: 5, CorruptProb: 1})
 	for i := 0; i < 50; i++ {
 		if err := l.Send(Packet{TC: 2, Bytes: 128, Payload: i}); err != nil {
 			t.Fatal(err)
@@ -286,8 +281,7 @@ func TestFaultPlanClear(t *testing.T) {
 	eng := sim.NewEngine(1)
 	var delivered int
 	l := NewLink(eng, "l", 100, 0, 0, func(Packet) { delivered++ })
-	plan := UniformLoss(9, 1)
-	l.SetFaultPlan(&plan)
+	l.SetFaultPlan(&FaultPlan{Seed: 9, DropProb: 1})
 	if err := l.Send(Packet{TC: 0, Bytes: 64, Payload: 0}); err != nil {
 		t.Fatal(err)
 	}

@@ -38,7 +38,6 @@ func FuzzSwitchForward(f *testing.F) {
 		lossy := next()&1 == 1
 		sw := NewSwitch(e, SwitchConfig{
 			Name:           "fuzz",
-			FwdDelay:       sim.Duration(next()%8) * 100 * sim.Nanosecond,
 			SharedBufBytes: 4096 + int(next())*64,
 			XOffBytes:      512 + int(next())*16,
 		})
@@ -54,7 +53,7 @@ func FuzzSwitchForward(f *testing.F) {
 		for i := 0; i < nPorts; i++ {
 			ps := &portState{}
 			rate := 1 + float64(next()%100)
-			port := sw.AddPort(fmt.Sprintf("h%d", i), rate, 50*sim.Nanosecond, 0,
+			port := sw.AddPort(fmt.Sprintf("h%d", i), rate, 50*sim.Nanosecond,
 				func(p Packet) {
 					ps.delivered++
 					ps.bytes += uint64(p.Bytes)
@@ -71,8 +70,7 @@ func FuzzSwitchForward(f *testing.F) {
 		}
 		if lossy {
 			for i := 0; i < nPorts; i++ {
-				plan := UniformLoss(int64(i+1), float64(next()%32)/100)
-				sw.EgressLink(i).SetFaultPlan(&plan)
+				sw.EgressLink(i).SetFaultPlan(&FaultPlan{Seed: int64(i + 1), DropProb: float64(next()%32) / 100})
 			}
 		}
 

@@ -10,17 +10,17 @@ import (
 // Switch models a shared-buffer, output-queued Ethernet switch: every port
 // owns an egress Link (so the existing DWRR scheduler, serialization
 // model, fault injection and trace events apply per output port unchanged),
-// packets forward by destination address through a flat table, the output
-// queues draw on one shared buffer pool with per-TC occupancy thresholds,
-// and priority flow control propagates pause frames back to the upstream
-// links feeding the switch.
+// packets forward by destination address through a flat table after a fixed
+// forwarding delay, the output queues draw on one shared buffer pool, and
+// priority flow control propagates pause frames back to the upstream links
+// feeding the switch.
 //
 // PFC here is deliberately coarse — when any egress port's backlog for a
 // class crosses XOFF, *every* upstream port is paused for that class until
-// the backlog drains below XON. That is the congestion-spreading behaviour
-// real shared-buffer switches exhibit under PRIO pause (and the mechanism
-// NeVerMore exploits for cross-tenant interference): one hot output port
-// stalls innocent flows that merely share a priority with it.
+// the backlog drains to XON, half of XOFF. That is the congestion-spreading
+// behaviour real shared-buffer switches exhibit under PRIO pause (and the
+// mechanism NeVerMore exploits for cross-tenant interference): one hot
+// output port stalls innocent flows that merely share a priority with it.
 //
 // Backlog-driven pauses cannot deadlock an acyclic topology: egress links
 // are only paused by PortPause (never by the XOFF logic), so XOFF'd queues
@@ -39,34 +39,26 @@ import (
 // SwitchConfig parameterises a switch.
 type SwitchConfig struct {
 	Name string
-	// FwdDelay is the fixed ingress→egress forwarding latency (lookup +
-	// crossbar). Zero forwards synchronously.
-	FwdDelay sim.Duration
 	// SharedBufBytes bounds the shared output-buffer pool (bytes queued
 	// across all egress ports, including packets in the forwarding pipe).
 	// 0 means unbounded.
 	SharedBufBytes int
-	// TCShare caps one traffic class's share of the pool (fraction of
-	// SharedBufBytes; 0 means 1.0 — no per-class cap). This is the static
-	// per-TC threshold real shared-buffer switches use to stop one class
-	// from starving the rest of the pool.
-	TCShare [NumTCs]float64
 	// XOffBytes, when positive, enables PFC: an egress port whose per-TC
-	// backlog reaches XOFF pauses that class on every upstream link.
+	// backlog reaches XOFF pauses that class on every upstream link, until
+	// the backlog drains to XOffBytes/2.
 	XOffBytes int
-	// XOnBytes releases the pause once the backlog drains to it (default
-	// XOffBytes/2).
-	XOnBytes int
-	// PauseQuanta bounds how long one PortPause call (a received PRIO
-	// pause frame) stops a port's egress. Defaults to DefaultPauseQuanta.
-	PauseQuanta sim.Duration
 }
 
-// DefaultPauseQuanta is the longest pause one 802.1Qbb frame can request:
+// fwdDelay is every switch's fixed ingress→egress forwarding latency
+// (lookup + crossbar).
+const fwdDelay = 300 * sim.Nanosecond
+
+// pauseQuanta is how long one PortPause call (a received PRIO pause frame)
+// stops a port's egress: the longest pause one 802.1Qbb frame can request,
 // 65535 quanta of 512 bit-times, ≈335µs at 100Gbps. An attacker sustaining
 // a pause must keep refreshing frames, which is exactly what the pause-abuse
 // duty-cycle knob in the exhaust experiment models.
-const DefaultPauseQuanta = 335 * sim.Microsecond
+const pauseQuanta = 335 * sim.Microsecond
 
 // swPort is one switch port: an egress Link toward the attached device plus
 // the upstream link feeding the switch from that device (the PFC pause
@@ -108,7 +100,7 @@ func (p *swPort) signalUpstream(eng *sim.Engine, tc int, pause bool) {
 	}
 }
 
-// swPending is one packet in the forwarding pipeline (FwdDelay latency).
+// swPending is one packet in the forwarding pipeline (fwdDelay latency).
 type swPending struct {
 	due sim.Time
 	out int32
@@ -132,10 +124,9 @@ type Switch struct {
 	// Shared-buffer occupancy: admission-counted at Ingress, released when
 	// the packet leaves its egress queue for the wire (Link dequeue hook) or
 	// is dropped.
-	bufUsed   int
-	bufUsedTC [NumTCs]int
+	bufUsed int
 
-	// Forwarding pipeline: a reusable ring ordered by due time (FwdDelay is
+	// Forwarding pipeline: a reusable ring ordered by due time (fwdDelay is
 	// constant, so FIFO == time order). deliverFn is pre-bound once.
 	pendQ      []swPending
 	pendHead   int
@@ -163,12 +154,6 @@ func NewSwitch(eng *sim.Engine, cfg SwitchConfig) *Switch {
 	if cfg.Name == "" {
 		cfg.Name = "switch"
 	}
-	if cfg.XOffBytes > 0 && cfg.XOnBytes <= 0 {
-		cfg.XOnBytes = cfg.XOffBytes / 2
-	}
-	if cfg.PauseQuanta <= 0 {
-		cfg.PauseQuanta = DefaultPauseQuanta
-	}
 	s := &Switch{eng: eng, cfg: cfg}
 	s.deliverFn = s.deliverDue
 	return s
@@ -184,9 +169,9 @@ func (s *Switch) NumPorts() int { return len(s.ports) }
 // with the given propagation delay; sink receives delivered packets
 // (nic.Deliver for a NIC, another switch's Ingress for a trunk). It returns
 // the port index.
-func (s *Switch) AddPort(name string, rateGbps float64, prop sim.Duration, maxQueue int, sink func(Packet)) int {
+func (s *Switch) AddPort(name string, rateGbps float64, prop sim.Duration, sink func(Packet)) int {
 	idx := len(s.ports)
-	eg := NewLink(s.eng, s.cfg.Name+":"+name, rateGbps, prop, maxQueue, sink)
+	eg := NewLink(s.eng, s.cfg.Name+":"+name, rateGbps, prop, 0, sink)
 	p := &swPort{name: name, egress: eg}
 	eg.SetOnDequeue(func(tc, bytes int) { s.release(idx, tc, bytes) })
 	s.ports = append(s.ports, p)
@@ -204,15 +189,6 @@ func (s *Switch) SetUpstream(port int, l *Link, pauseDelay sim.Duration) {
 
 // EgressLink exposes a port's egress link (fault plans, counters).
 func (s *Switch) EgressLink(port int) *Link { return s.ports[port].egress }
-
-// Links returns every port egress link in port order.
-func (s *Switch) Links() []*Link {
-	out := make([]*Link, len(s.ports))
-	for i, p := range s.ports {
-		out[i] = p.egress
-	}
-	return out
-}
 
 // Route installs a forwarding entry: packets addressed to addr leave through
 // port. Later entries overwrite earlier ones.
@@ -280,7 +256,7 @@ func (s *Switch) SetRecorder(r *trace.Recorder) {
 
 // Ingress accepts one packet from an upstream link — install it as the
 // link's sink. The packet is admission-checked against the shared buffer,
-// forwarded after FwdDelay, and enqueued at the output port the forwarding
+// forwarded after fwdDelay, and enqueued at the output port the forwarding
 // table names for its destination address.
 func (s *Switch) Ingress(p Packet) {
 	out := int32(-1)
@@ -297,29 +273,18 @@ func (s *Switch) Ingress(p Packet) {
 			Actor: s.recActor, TC: int8(p.TC & 7), Val: uint64(p.Bytes), Aux: uint64(p.Dst)})
 		return
 	}
-	// Shared-buffer admission: pool exhaustion or the class's threshold
-	// tail-drops the packet before it occupies anything.
-	if s.cfg.SharedBufBytes > 0 {
-		limit := s.cfg.SharedBufBytes
-		if sh := s.cfg.TCShare[p.TC]; sh > 0 {
-			limit = int(sh * float64(s.cfg.SharedBufBytes))
-		}
-		if s.bufUsed+p.Bytes > s.cfg.SharedBufBytes || s.bufUsedTC[p.TC]+p.Bytes > limit {
-			s.bufDrops[p.TC]++
-			s.rec.Emit(trace.Event{At: int64(s.eng.Now()), Kind: trace.KindTailDrop,
-				Actor: s.recActor, TC: int8(p.TC & 7), Val: uint64(p.Bytes)})
-			return
-		}
-	}
-	s.bufUsed += p.Bytes
-	s.bufUsedTC[p.TC] += p.Bytes
-	s.fwdPackets++
-	s.fwdBytes += uint64(p.Bytes)
-	if s.cfg.FwdDelay <= 0 {
-		s.enqueue(int(out), p)
+	// Shared-buffer admission: pool exhaustion tail-drops the packet before
+	// it occupies anything.
+	if s.cfg.SharedBufBytes > 0 && s.bufUsed+p.Bytes > s.cfg.SharedBufBytes {
+		s.bufDrops[p.TC]++
+		s.rec.Emit(trace.Event{At: int64(s.eng.Now()), Kind: trace.KindTailDrop,
+			Actor: s.recActor, TC: int8(p.TC & 7), Val: uint64(p.Bytes)})
 		return
 	}
-	s.pendPush(swPending{due: s.eng.Now().Add(s.cfg.FwdDelay), out: out, pkt: p})
+	s.bufUsed += p.Bytes
+	s.fwdPackets++
+	s.fwdBytes += uint64(p.Bytes)
+	s.pendPush(swPending{due: s.eng.Now().Add(fwdDelay), out: out, pkt: p})
 	if !s.timerArmed {
 		s.timerArmed = true
 		s.eng.At(s.pendQ[s.pendHead].due, s.deliverFn)
@@ -370,10 +335,9 @@ func (s *Switch) deliverDue() {
 func (s *Switch) enqueue(port int, pkt Packet) {
 	p := s.ports[port]
 	if err := p.egress.Send(pkt); err != nil {
-		// Egress queue bound (per-port maxQueue) tail-dropped it: the link
-		// counted the drop; release the shared-buffer reservation.
+		// The egress link rejected it (an invalid class or size); release
+		// the shared-buffer reservation.
 		s.bufUsed -= pkt.Bytes
-		s.bufUsedTC[pkt.TC] -= pkt.Bytes
 		return
 	}
 	p.queuedTC[pkt.TC] += pkt.Bytes
@@ -395,10 +359,9 @@ func (s *Switch) enqueue(port int, pkt Packet) {
 // the wire, and runs the PFC XON check.
 func (s *Switch) release(port, tc, bytes int) {
 	s.bufUsed -= bytes
-	s.bufUsedTC[tc] -= bytes
 	p := s.ports[port]
 	p.queuedTC[tc] -= bytes
-	if p.pausedTC[tc] && p.queuedTC[tc] <= s.cfg.XOnBytes {
+	if p.pausedTC[tc] && p.queuedTC[tc] <= s.cfg.XOffBytes/2 {
 		p.pausedTC[tc] = false
 		s.pauseRef[tc]--
 		s.rec.Emit(trace.Event{At: int64(s.eng.Now()), Kind: trace.KindPFCPause,
@@ -413,7 +376,7 @@ func (s *Switch) release(port, tc, bytes int) {
 
 // PortPause models the switch receiving a PRIO pause frame for tc from the
 // device attached at port: the port's egress link stops transmitting that
-// class. The pause expires after PauseQuanta unless refreshed — a malicious
+// class. The pause expires after pauseQuanta unless refreshed — a malicious
 // host can therefore stall the port only while actively spraying frames,
 // never forever. While paused, backlog accumulating at this port can cross
 // XOFF and pause every *upstream* port through the usual refcount plumbing:
@@ -421,7 +384,7 @@ func (s *Switch) release(port, tc, bytes int) {
 func (s *Switch) PortPause(port, tc int) {
 	p := s.ports[port]
 	s.rxPauses[tc]++
-	end := s.eng.Now().Add(s.cfg.PauseQuanta)
+	end := s.eng.Now().Add(pauseQuanta)
 	// One armed expiry per (port, TC): a refreshing frame cancels the
 	// previous event instead of stacking a stale no-op behind it. The old
 	// schedule-per-frame scheme left every superseded expiry pending until

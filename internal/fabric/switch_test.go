@@ -20,8 +20,8 @@ func newTwoPortRig(t *testing.T, cfg SwitchConfig) *twoPortRig {
 	t.Helper()
 	r := &twoPortRig{eng: sim.NewEngine(1)}
 	r.sw = NewSwitch(r.eng, cfg)
-	p0 := r.sw.AddPort("h0", 100, 100*sim.Nanosecond, 0, func(p Packet) { r.got0 = append(r.got0, p) })
-	p1 := r.sw.AddPort("h1", 100, 100*sim.Nanosecond, 0, func(p Packet) { r.got1 = append(r.got1, p) })
+	p0 := r.sw.AddPort("h0", 100, 100*sim.Nanosecond, func(p Packet) { r.got0 = append(r.got0, p) })
+	p1 := r.sw.AddPort("h1", 100, 100*sim.Nanosecond, func(p Packet) { r.got1 = append(r.got1, p) })
 	r.up = NewLink(r.eng, "h0->sw", 100, 100*sim.Nanosecond, 0, r.sw.Ingress)
 	r.sw.SetUpstream(p0, r.up, 0)
 	r.sw.Route(0, p0)
@@ -30,7 +30,7 @@ func newTwoPortRig(t *testing.T, cfg SwitchConfig) *twoPortRig {
 }
 
 func TestSwitchForwarding(t *testing.T) {
-	r := newTwoPortRig(t, SwitchConfig{Name: "sw", FwdDelay: 300 * sim.Nanosecond})
+	r := newTwoPortRig(t, SwitchConfig{Name: "sw"})
 	var arrival sim.Time
 	r.eng.After(0, func() {
 		if err := r.up.Send(Packet{TC: 0, Bytes: 1250, Dst: 1, Payload: "x"}); err != nil {
@@ -59,7 +59,7 @@ func TestSwitchForwarding(t *testing.T) {
 }
 
 func TestSwitchForwardingFIFO(t *testing.T) {
-	r := newTwoPortRig(t, SwitchConfig{FwdDelay: 300 * sim.Nanosecond})
+	r := newTwoPortRig(t, SwitchConfig{})
 	const n = 50
 	for i := 0; i < n; i++ {
 		i := i
@@ -96,20 +96,21 @@ func TestSwitchUnroutable(t *testing.T) {
 }
 
 func TestSwitchSharedBufferDrop(t *testing.T) {
-	// Pool holds two queued 1000B packets. A burst of four into a slow
-	// (1 Gbps) egress: packet 1 goes straight to the serializer (occupancy
-	// released at dequeue-to-wire), packets 2 and 3 fill the pool, packet 4
-	// must tail-drop at admission.
+	// Pool holds two queued 1000B packets. Four arrivals 1µs apart, each
+	// past the previous one's forwarding delay, into a slow (1 Gbps) egress:
+	// packet 1 goes straight to the serializer (occupancy released at
+	// dequeue-to-wire), packets 2 and 3 fill the pool, packet 4 must
+	// tail-drop at admission.
 	eng := sim.NewEngine(1)
 	sw := NewSwitch(eng, SwitchConfig{SharedBufBytes: 2000})
 	var got int
-	sp := sw.AddPort("h", 1, 0, 0, func(Packet) { got++ }) // 1 Gbps: 8µs per 1000B
+	sp := sw.AddPort("h", 1, 0, func(Packet) { got++ }) // 1 Gbps: 8µs per 1000B
 	sw.Route(1, sp)
-	eng.After(0, func() {
-		for i := 0; i < 4; i++ {
+	for i := 0; i < 4; i++ {
+		eng.After(sim.Duration(i)*sim.Microsecond, func() {
 			sw.Ingress(Packet{TC: 0, Bytes: 1000, Dst: 1})
-		}
-	})
+		})
+	}
 	eng.Run()
 	if got != 3 {
 		t.Fatalf("delivered %d, want 3 (pool admits one in flight + two queued)", got)
@@ -122,42 +123,15 @@ func TestSwitchSharedBufferDrop(t *testing.T) {
 	}
 }
 
-func TestSwitchTCShareCap(t *testing.T) {
-	// TC1 capped at 25% of a 4000B pool = 1000B; TC0 uncapped. Three 1000B
-	// TC1 packets back-to-back: the first goes to the serializer, the second
-	// occupies the class's whole share, the third must drop even though the
-	// pool has room.
-	eng := sim.NewEngine(1)
-	cfg := SwitchConfig{SharedBufBytes: 4000}
-	cfg.TCShare[1] = 0.25
-	sw := NewSwitch(eng, cfg)
-	var got [NumTCs]int
-	p := sw.AddPort("h", 1, 0, 0, func(pk Packet) { got[pk.TC]++ })
-	sw.Route(1, p)
-	eng.After(0, func() {
-		sw.Ingress(Packet{TC: 1, Bytes: 1000, Dst: 1})
-		sw.Ingress(Packet{TC: 1, Bytes: 1000, Dst: 1})
-		sw.Ingress(Packet{TC: 1, Bytes: 1000, Dst: 1})
-		sw.Ingress(Packet{TC: 0, Bytes: 1000, Dst: 1})
-	})
-	eng.Run()
-	if got[1] != 2 || sw.BufDrops(1) != 1 {
-		t.Fatalf("TC1: delivered %d drops %d, want 2/1", got[1], sw.BufDrops(1))
-	}
-	if got[0] != 1 || sw.BufDrops(0) != 0 {
-		t.Fatalf("TC0: delivered %d drops %d, want 1/0", got[0], sw.BufDrops(0))
-	}
-}
-
 func TestSwitchPFCPauseResume(t *testing.T) {
 	// A slow egress port (1 Gbps) behind a fast uplink: backlog crosses XOFF,
 	// the upstream link must pause that TC, then resume once drained to XON.
 	eng := sim.NewEngine(1)
-	sw := NewSwitch(eng, SwitchConfig{XOffBytes: 3000, XOnBytes: 1000})
+	sw := NewSwitch(eng, SwitchConfig{XOffBytes: 3000})
 	var delivered int
-	p := sw.AddPort("h", 1, 0, 0, func(Packet) { delivered++ })
+	p := sw.AddPort("h", 1, 0, func(Packet) { delivered++ })
 	up := NewLink(eng, "up", 100, 0, 0, sw.Ingress)
-	upIdx := sw.AddPort("src", 100, 0, 0, nil)
+	upIdx := sw.AddPort("src", 100, 0, nil)
 	sw.SetUpstream(upIdx, up, 0)
 	sw.Route(1, p)
 	eng.After(0, func() {
@@ -193,11 +167,11 @@ func TestSwitchPFCRefcountAcrossPorts(t *testing.T) {
 	// Two congested egress ports pausing the same TC: the upstream must stay
 	// paused until BOTH release (refcount semantics).
 	eng := sim.NewEngine(1)
-	sw := NewSwitch(eng, SwitchConfig{XOffBytes: 2000, XOnBytes: 500})
-	pa := sw.AddPort("a", 1, 0, 0, func(Packet) {})
-	pb := sw.AddPort("b", 2, 0, 0, func(Packet) {})
+	sw := NewSwitch(eng, SwitchConfig{XOffBytes: 2000})
+	pa := sw.AddPort("a", 1, 0, func(Packet) {})
+	pb := sw.AddPort("b", 2, 0, func(Packet) {})
 	up := NewLink(eng, "up", 100, 0, 0, sw.Ingress)
-	src := sw.AddPort("src", 100, 0, 0, nil)
+	src := sw.AddPort("src", 100, 0, nil)
 	sw.SetUpstream(src, up, 0)
 	sw.Route(1, pa)
 	sw.Route(2, pb)
@@ -211,7 +185,7 @@ func TestSwitchPFCRefcountAcrossPorts(t *testing.T) {
 	// upstream must still be paused because port a holds the refcount.
 	stillPaused := false
 	eng.After(30*sim.Microsecond, func() {
-		if sw.PortBacklog(0, 0) > 500 && !up.PausedTC(0) {
+		if sw.PortBacklog(0, 0) > 1000 && !up.PausedTC(0) {
 			t.Error("upstream resumed while port a still above XON")
 		}
 		stillPaused = up.PausedTC(0)
@@ -225,19 +199,6 @@ func TestSwitchPFCRefcountAcrossPorts(t *testing.T) {
 	}
 	if sw.BufUsed() != 0 {
 		t.Fatalf("buffer not drained: %d", sw.BufUsed())
-	}
-}
-
-func TestSwitchZeroFwdDelay(t *testing.T) {
-	eng := sim.NewEngine(1)
-	sw := NewSwitch(eng, SwitchConfig{})
-	var got []Packet
-	p := sw.AddPort("h", 100, 0, 0, func(pk Packet) { got = append(got, pk) })
-	sw.Route(7, p)
-	eng.After(0, func() { sw.Ingress(Packet{TC: 5, Bytes: 64, Dst: 7, Payload: "y"}) })
-	eng.Run()
-	if len(got) != 1 || got[0].Payload != "y" {
-		t.Fatalf("got %v", got)
 	}
 }
 
@@ -270,8 +231,7 @@ func TestLinkPauseResumeDirect(t *testing.T) {
 // drains and the engine goes idle. Before pause quanta existed this exact
 // sequence would have wedged the port forever.
 func TestPortPauseEmptyQueueCannotDeadlock(t *testing.T) {
-	r := newTwoPortRig(t, SwitchConfig{FwdDelay: 300 * sim.Nanosecond,
-		PauseQuanta: 10 * sim.Microsecond})
+	r := newTwoPortRig(t, SwitchConfig{})
 	// The aggressor pauses port 1 with nothing queued anywhere.
 	r.eng.After(0, func() { r.sw.PortPause(1, 2) })
 	// A victim packet for port 1 arrives while the pause holds.
@@ -289,7 +249,7 @@ func TestPortPauseEmptyQueueCannotDeadlock(t *testing.T) {
 	}
 	// Delivery waited for the quanta to lapse, not a byte-threshold XON
 	// that empty queues can never reach.
-	if now := r.eng.Now(); now < sim.Time(10*sim.Microsecond) {
+	if now := r.eng.Now(); now < sim.Time(pauseQuanta) {
 		t.Fatalf("delivered at %v, before the pause quanta expired", now)
 	}
 	if r.sw.RxPauses(2) != 1 {
@@ -300,12 +260,11 @@ func TestPortPauseEmptyQueueCannotDeadlock(t *testing.T) {
 // Refreshing pause frames extend the stall; once the aggressor stops, the
 // last quantum runs out and everything drains.
 func TestPortPauseRefreshExtendsThenExpires(t *testing.T) {
-	const q = 10 * sim.Microsecond
-	r := newTwoPortRig(t, SwitchConfig{PauseQuanta: q})
+	r := newTwoPortRig(t, SwitchConfig{})
 	r.eng.After(0, func() {
 		r.up.Send(Packet{TC: 1, Bytes: 1250, Dst: 1, Payload: "p"})
 	})
-	// Three refreshes 5µs apart: pause holds until 10µs after the last one.
+	// Three refreshes 5µs apart: pause holds for one quanta after the last.
 	for i := 0; i < 3; i++ {
 		d := sim.Duration(i) * 5 * sim.Microsecond
 		r.eng.After(d, func() { r.sw.PortPause(1, 1) })
@@ -314,10 +273,10 @@ func TestPortPauseRefreshExtendsThenExpires(t *testing.T) {
 	if len(r.got1) != 1 {
 		t.Fatalf("packet never delivered after pauses expired: %v", r.got1)
 	}
-	// Last refresh at 10µs holds until 20µs; the earlier expiry timers at
-	// 10µs and 15µs must not release it early.
-	if now := r.eng.Now(); now < sim.Time(20*sim.Microsecond) {
-		t.Fatalf("delivered at %v, want after the refreshed quanta (20µs)", now)
+	// Last refresh at 10µs holds until 10µs + quanta; the earlier expiry
+	// timers at the quanta and 5µs later must not release it early.
+	if end := sim.Time(10 * sim.Microsecond).Add(pauseQuanta); r.eng.Now() < end {
+		t.Fatalf("delivered at %v, want after the refreshed quanta (%v)", r.eng.Now(), end)
 	}
 	if r.sw.RxPauses(1) != 3 {
 		t.Fatalf("RxPauses = %d, want 3", r.sw.RxPauses(1))
@@ -332,7 +291,7 @@ func TestPortResumeReleasesEarly(t *testing.T) {
 		r.up.Send(Packet{TC: 3, Bytes: 1250, Dst: 1, Payload: "p"})
 	})
 	r.eng.After(2*sim.Microsecond, func() { r.sw.PortResume(1, 3) })
-	// Well before the 335µs default quanta would have expired.
+	// Well before the 335µs quanta would have expired.
 	var deliveredEarly bool
 	r.eng.After(5*sim.Microsecond, func() { deliveredEarly = len(r.got1) == 1 })
 	r.eng.Run()
@@ -345,8 +304,7 @@ func TestPortResumeReleasesEarly(t *testing.T) {
 // crosses XOFF and pauses *upstream* ports — the congestion tree an
 // aggressor grows without ever being the bandwidth bottleneck itself.
 func TestPortPausePropagatesCongestionUpstream(t *testing.T) {
-	r := newTwoPortRig(t, SwitchConfig{
-		XOffBytes: 4000, PauseQuanta: 50 * sim.Microsecond})
+	r := newTwoPortRig(t, SwitchConfig{XOffBytes: 4000})
 	r.eng.After(0, func() { r.sw.PortPause(1, 0) })
 	for i := 0; i < 6; i++ {
 		i := i
@@ -377,7 +335,7 @@ func TestRouteECMPFlowStickiness(t *testing.T) {
 	ports := make([]int, 3)
 	for i := range ports {
 		i := i
-		ports[i] = sw.AddPort("up", 100, 100*sim.Nanosecond, 0,
+		ports[i] = sw.AddPort("up", 100, 100*sim.Nanosecond,
 			func(p Packet) { got[i] = append(got[i], p.Flow) })
 	}
 	sw.RouteECMP(7, ports)
@@ -415,7 +373,7 @@ func TestRouteECMPSinglePortDegrades(t *testing.T) {
 	e := sim.NewEngine(1)
 	sw := NewSwitch(e, SwitchConfig{Name: "ecmp1"})
 	n := 0
-	p0 := sw.AddPort("only", 100, sim.Nanosecond, 0, func(Packet) { n++ })
+	p0 := sw.AddPort("only", 100, sim.Nanosecond, func(Packet) { n++ })
 	sw.RouteECMP(3, []int{p0})
 	sw.Ingress(Packet{TC: 0, Bytes: 64, Dst: 3, Flow: 9})
 	e.Run()
@@ -429,22 +387,23 @@ func TestRouteECMPSinglePortDegrades(t *testing.T) {
 func TestTrunkPauseDelay(t *testing.T) {
 	const delay = 250 * sim.Nanosecond
 	e := sim.NewEngine(1)
-	sw := NewSwitch(e, SwitchConfig{Name: "pfc", SharedBufBytes: 1 << 20, XOffBytes: 2048, XOnBytes: 1024})
-	hot := sw.AddPort("hot", 1, 10*sim.Nanosecond, 0, func(Packet) {})
-	trunk := sw.AddPort("trunk", 100, delay, 0, func(Packet) {})
-	host := sw.AddPort("host", 100, 10*sim.Nanosecond, 0, func(Packet) {})
+	sw := NewSwitch(e, SwitchConfig{Name: "pfc", SharedBufBytes: 1 << 20, XOffBytes: 2048})
+	hot := sw.AddPort("hot", 1, 10*sim.Nanosecond, func(Packet) {})
+	trunk := sw.AddPort("trunk", 100, delay, func(Packet) {})
+	host := sw.AddPort("host", 100, 10*sim.Nanosecond, func(Packet) {})
 	trunkUp := NewLink(e, "trunk-up", 100, delay, 0, sw.Ingress)
 	hostUp := NewLink(e, "host-up", 100, 10*sim.Nanosecond, 0, sw.Ingress)
 	sw.SetUpstream(trunk, trunkUp, delay)
 	sw.SetUpstream(host, hostUp, 0)
 	sw.Route(1, hot)
 
-	// Three 1 KiB packets at once: the first goes straight onto the slow
-	// wire, the next two fill the queue to XOFF. XON comes when the first
-	// has left and the second dequeues.
-	xoff := sim.Time(sim.Microsecond)
+	// Three 1 KiB packets at once: one forwarding delay later the first
+	// goes straight onto the slow wire, the next two fill the queue to XOFF.
+	// XON comes when the first has left and the second dequeues.
+	in := sim.Time(sim.Microsecond)
+	xoff := in.Add(fwdDelay)
 	xon := xoff.Add(sw.EgressLink(hot).SerializationDelay(1024))
-	e.At(xoff, func() {
+	e.At(in, func() {
 		for i := 0; i < 3; i++ {
 			sw.Ingress(Packet{TC: 0, Bytes: 1024, Dst: 1})
 		}
@@ -481,10 +440,11 @@ func TestTrunkPauseDelay(t *testing.T) {
 // no-op event at its old expiry time.
 func TestPortPauseNoEventLeak(t *testing.T) {
 	e := sim.NewEngine(1)
-	sw := NewSwitch(e, SwitchConfig{Name: "leak", PauseQuanta: 10 * sim.Microsecond})
-	port := sw.AddPort("victim", 100, sim.Nanosecond, 0, func(Packet) {})
+	sw := NewSwitch(e, SwitchConfig{Name: "leak"})
+	port := sw.AddPort("victim", 100, sim.Nanosecond, func(Packet) {})
 
-	// 5 refreshes, 1µs apart: one pause window ending 10µs after the last.
+	// 5 refreshes, 1µs apart: one pause window ending a quanta after the
+	// last.
 	for i := 0; i < 5; i++ {
 		at := sim.Time(int64(i) * int64(sim.Microsecond))
 		e.At(at, func() { sw.PortPause(port, 3) })

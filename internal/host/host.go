@@ -47,16 +47,15 @@ var (
 // plus the memory latency the NIC model consults.
 type Host struct {
 	cfg    Config
-	eng    *sim.Engine
 	next   uint64 // physical allocation cursor
 	allocs []*Region
 	used   uint64
 }
 
-// New creates a host attached to the simulation engine.
-func New(eng *sim.Engine, cfg Config) *Host {
+// New creates a host.
+func New(cfg Config) *Host {
 	// Leave physical page zero unused so address 0 never appears.
-	return &Host{cfg: cfg, eng: eng, next: uint64(Page2M)}
+	return &Host{cfg: cfg, next: uint64(Page2M)}
 }
 
 // Config returns the host's configuration.

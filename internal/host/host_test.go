@@ -4,12 +4,10 @@ import (
 	"bytes"
 	"testing"
 	"testing/quick"
-
-	"github.com/thu-has/ragnar/internal/sim"
 )
 
 func newTestHost() *Host {
-	return New(sim.NewEngine(1), H2)
+	return New(H2)
 }
 
 func TestAllocAlignment(t *testing.T) {

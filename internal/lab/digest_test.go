@@ -166,10 +166,8 @@ func digestTenants(t *testing.T, p nic.Profile) *lab.Topology {
 // burst up across the fabric.
 func digestClosPFC(t *testing.T) *lab.Topology {
 	topo := lab.Clos(lab.ClosConfig{Seed: 1, Profile: nic.CX5, Switch: fabric.SwitchConfig{
-		FwdDelay:       300 * sim.Nanosecond,
 		SharedBufBytes: 256 << 10,
 		XOffBytes:      16 << 10,
-		XOnBytes:       8 << 10,
 	}})
 	mr, err := topo.RegisterServerMR(4 << 20)
 	if err != nil {

@@ -74,8 +74,7 @@ func (c *Cluster) InjectLoss(seed int64, prob float64) {
 			l.SetFaultPlan(nil)
 			continue
 		}
-		plan := fabric.UniformLoss(sim.DeriveSeed(seed, uint64(i)), prob)
-		l.SetFaultPlan(&plan)
+		l.SetFaultPlan(&fabric.FaultPlan{Seed: sim.DeriveSeed(seed, uint64(i)), DropProb: prob})
 	}
 }
 

@@ -64,16 +64,13 @@ func (t *Topology) CompletionDigest() uint64 {
 }
 
 // DefaultSwitchConfig is Star's shared-buffer switch, and a Clos's unless
-// its config names another: a 300 ns store-and-forward latency, a 1 MiB
-// shared pool, and PFC thresholds tight enough that a congested egress port
-// visibly pauses its upstream ports.
+// its config names another: a 1 MiB shared pool, and a PFC threshold tight
+// enough that a congested egress port visibly pauses its upstream ports.
 func DefaultSwitchConfig() fabric.SwitchConfig {
 	return fabric.SwitchConfig{
 		Name:           "sw0",
-		FwdDelay:       300 * sim.Nanosecond,
 		SharedBufBytes: 1 << 20,
 		XOffBytes:      96 << 10,
-		XOnBytes:       48 << 10,
 	}
 }
 

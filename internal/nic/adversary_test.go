@@ -37,8 +37,7 @@ import (
 func stalledRig(t *testing.T, writes int) (*sim.Engine, *NIC, *NIC, *[]Completion) {
 	t.Helper()
 	eng, a, b, ab, _ := linkedRig(t, CX4, 0)
-	plan := fabric.UniformLoss(1, 1.0)
-	ab.SetFaultPlan(&plan)
+	ab.SetFaultPlan(&fabric.FaultPlan{Seed: 1, DropProb: 1.0})
 	comps := &[]Completion{}
 	connect(t, a, b, func(c Completion) { *comps = append(*comps, c) })
 	if err := a.SetQPRetry(1, 10*sim.Millisecond, 7); err != nil {
@@ -362,8 +361,7 @@ func TestOutOfWindowSingleNak(t *testing.T) {
 // error path.
 func TestFailQPFlushOrder(t *testing.T) {
 	eng, a, b, ab, _ := linkedRig(t, CX4, 0)
-	plan := fabric.UniformLoss(1, 1.0)
-	ab.SetFaultPlan(&plan)
+	ab.SetFaultPlan(&fabric.FaultPlan{Seed: 1, DropProb: 1.0})
 	var comps []Completion
 	connect(t, a, b, func(c Completion) { comps = append(comps, c) })
 	if err := a.SetQPRetry(1, 2*sim.Microsecond, 3); err != nil {

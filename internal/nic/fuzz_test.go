@@ -35,23 +35,16 @@ func FuzzPSNWindow(f *testing.F) {
 		startPSN := (psnMask - uint32(startRaw%48)) & psnMask // near the wrap
 
 		eng := sim.NewEngine(1)
-		hA := host.New(eng, host.H2)
-		hB := host.New(eng, host.H3)
+		hA := host.New(host.H2)
+		hB := host.New(host.H3)
 		a := New(eng, "a", CX4, hA)
 		b := New(eng, "b", CX4, hB)
 		ab := fabric.NewLink(eng, "a->b", CX4.LineRateGbps, 200*sim.Nanosecond, 0, Deliver)
 		ba := fabric.NewLink(eng, "b->a", CX4.LineRateGbps, 200*sim.Nanosecond, 0, Deliver)
 		a.AddPeerLink(b, ab)
 		b.AddPeerLink(a, ba)
-		planAB := fabric.FaultPlan{Seed: seedAB, BurstLen: int(burstRaw % 4)}
-		planBA := fabric.FaultPlan{Seed: seedBA}
-		for tc := range planAB.DropProb {
-			planAB.DropProb[tc] = loss
-			planBA.DropProb[tc] = loss
-			planAB.CorruptProb[tc] = corrupt
-		}
-		ab.SetFaultPlan(&planAB)
-		ba.SetFaultPlan(&planBA)
+		ab.SetFaultPlan(&fabric.FaultPlan{Seed: seedAB, DropProb: loss, CorruptProb: corrupt, BurstLen: int(burstRaw % 4)})
+		ba.SetFaultPlan(&fabric.FaultPlan{Seed: seedBA, DropProb: loss})
 
 		region, err := hB.Alloc(2<<20, host.Page2M)
 		if err != nil {
@@ -229,22 +222,16 @@ func FuzzAdversarialFrames(f *testing.F) {
 		msgLen := 1 + int(sizeRaw)
 
 		eng := sim.NewEngine(1)
-		hA := host.New(eng, host.H2)
-		hB := host.New(eng, host.H3)
+		hA := host.New(host.H2)
+		hB := host.New(host.H3)
 		a := New(eng, "a", CX4, hA)
 		b := New(eng, "b", CX4, hB)
 		ab := fabric.NewLink(eng, "a->b", CX4.LineRateGbps, 200*sim.Nanosecond, 0, Deliver)
 		ba := fabric.NewLink(eng, "b->a", CX4.LineRateGbps, 200*sim.Nanosecond, 0, Deliver)
 		a.AddPeerLink(b, ab)
 		b.AddPeerLink(a, ba)
-		planAB := fabric.FaultPlan{Seed: seedAB}
-		planBA := fabric.FaultPlan{Seed: seedBA}
-		for tc := range planAB.DropProb {
-			planAB.DropProb[tc] = loss
-			planBA.DropProb[tc] = loss
-		}
-		ab.SetFaultPlan(&planAB)
-		ba.SetFaultPlan(&planBA)
+		ab.SetFaultPlan(&fabric.FaultPlan{Seed: seedAB, DropProb: loss})
+		ba.SetFaultPlan(&fabric.FaultPlan{Seed: seedBA, DropProb: loss})
 
 		region, err := hB.Alloc(2<<20, host.Page2M)
 		if err != nil {

@@ -213,10 +213,8 @@ func isoSample(t *testing.T, eng *sim.Engine, done func() bool, probe func()) {
 // requests queue for credits, and 5 % loss makes the requester retransmit.
 func TestISOCreditsBalanceUnderLoss(t *testing.T) {
 	eng, a, b, ab, ba := linkedRig(t, CX5ISO, 0)
-	planAB := fabric.UniformLoss(21, 0.05)
-	planBA := fabric.UniformLoss(22, 0.05)
-	ab.SetFaultPlan(&planAB)
-	ba.SetFaultPlan(&planBA)
+	ab.SetFaultPlan(&fabric.FaultPlan{Seed: 21, DropProb: 0.05})
+	ba.SetFaultPlan(&fabric.FaultPlan{Seed: 22, DropProb: 0.05})
 	const tenants, perQP = 3, 3 * isoPoolDepth
 	var comps []Completion
 	for i := 0; i < tenants; i++ {

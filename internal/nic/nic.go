@@ -407,7 +407,6 @@ type NIC struct {
 
 	eng  *sim.Engine
 	prof Profile
-	hst  *host.Host
 	// memLat is the host memory latency every DMA pays after PCIe.
 	memLat sim.Duration
 
@@ -503,7 +502,7 @@ const isoPoolDepth = 8
 // New creates a NIC on a host. Call AddPeerLink before any traffic flows.
 func New(eng *sim.Engine, name string, p Profile, h *host.Host) *NIC {
 	n := &NIC{
-		Name: name, eng: eng, prof: p, hst: h, memLat: h.MemAccessLatency(),
+		Name: name, eng: eng, prof: p, memLat: h.MemAccessLatency(),
 		tpu:       NewTPU(p, eng.Rand()),
 		qpc:       NewContextCache(p.QPCCacheEntries),
 		links:     make(map[*NIC]*fabric.Link),

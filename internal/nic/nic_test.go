@@ -24,8 +24,8 @@ func loopRig(t *testing.T, p Profile) (*sim.Engine, *NIC, *NIC, *host.Region) {
 func rig(t *testing.T, p Profile, latency sim.Duration, maxQueue int) (*sim.Engine, *NIC, *NIC, *fabric.Link, *fabric.Link) {
 	t.Helper()
 	eng := sim.NewEngine(1)
-	hA := host.New(eng, host.H2)
-	hB := host.New(eng, host.H3)
+	hA := host.New(host.H2)
+	hB := host.New(host.H3)
 	a := New(eng, "a", p, hA)
 	b := New(eng, "b", p, hB)
 	ab := fabric.NewLink(eng, "a->b", p.LineRateGbps, latency, maxQueue, Deliver)
@@ -126,7 +126,7 @@ func TestQPCMissPenaltyVisible(t *testing.T) {
 // first.
 func TestEgressPriorityKF3(t *testing.T) {
 	eng := sim.NewEngine(1)
-	h := host.New(eng, host.H3)
+	h := host.New(host.H3)
 	n := New(eng, "n", CX4, h)
 	egress := n.egress
 	var order []string
@@ -168,7 +168,7 @@ func TestInlineWriteFasterThanDMA(t *testing.T) {
 
 func TestWireBytesAccounting(t *testing.T) {
 	eng := sim.NewEngine(1)
-	h := host.New(eng, host.H3)
+	h := host.New(host.H3)
 	n := New(eng, "n", CX4, h)
 	// Single-packet write: payload + one header.
 	if got := n.wireBytes(&Message{Op: OpWrite, Length: 1000}); got != 1000+WireHeaderBytes {

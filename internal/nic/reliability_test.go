@@ -100,10 +100,8 @@ func TestSaturatedTCQueueNoPanic(t *testing.T) {
 // loss on both directions, everything still completes OK.
 func TestFaultPlanLossRecovers(t *testing.T) {
 	eng, a, b, ab, ba := linkedRig(t, CX4, 0)
-	planAB := fabric.UniformLoss(11, 0.2)
-	planBA := fabric.UniformLoss(12, 0.2)
-	ab.SetFaultPlan(&planAB)
-	ba.SetFaultPlan(&planBA)
+	ab.SetFaultPlan(&fabric.FaultPlan{Seed: 11, DropProb: 0.2})
+	ba.SetFaultPlan(&fabric.FaultPlan{Seed: 12, DropProb: 0.2})
 	var comps []Completion
 	connect(t, a, b, func(c Completion) { comps = append(comps, c) })
 	if err := a.SetQPRetry(1, 10*sim.Microsecond, 20); err != nil {
@@ -218,8 +216,7 @@ func TestDupAckCoalescing(t *testing.T) {
 func blackholeRun(t *testing.T) (Completion, *NIC) {
 	t.Helper()
 	eng, a, b, ab, _ := linkedRig(t, CX4, 0)
-	plan := fabric.UniformLoss(sim.DeriveSeed(42, 0), 1.0)
-	ab.SetFaultPlan(&plan)
+	ab.SetFaultPlan(&fabric.FaultPlan{Seed: sim.DeriveSeed(42, 0), DropProb: 1.0})
 	var comps []Completion
 	connect(t, a, b, func(c Completion) { comps = append(comps, c) })
 	if err := a.SetQPRetry(1, 2*sim.Microsecond, 5); err != nil {
@@ -282,18 +279,16 @@ func TestByteConservationUnderLoss(t *testing.T) {
 	prop := func(seed int64, lossRaw uint16) bool {
 		loss := float64(lossRaw%5000) / 10000 // 0 .. 0.4999
 		eng := sim.NewEngine(1)
-		hA := host.New(eng, host.H2)
-		hB := host.New(eng, host.H3)
+		hA := host.New(host.H2)
+		hB := host.New(host.H3)
 		a := New(eng, "a", CX4, hA)
 		b := New(eng, "b", CX4, hB)
 		ab := fabric.NewLink(eng, "a->b", CX4.LineRateGbps, 200*sim.Nanosecond, 0, Deliver)
 		ba := fabric.NewLink(eng, "b->a", CX4.LineRateGbps, 200*sim.Nanosecond, 0, Deliver)
 		a.AddPeerLink(b, ab)
 		b.AddPeerLink(a, ba)
-		planAB := fabric.UniformLoss(sim.DeriveSeed(seed, 0), loss)
-		planBA := fabric.UniformLoss(sim.DeriveSeed(seed, 1), loss)
-		ab.SetFaultPlan(&planAB)
-		ba.SetFaultPlan(&planBA)
+		ab.SetFaultPlan(&fabric.FaultPlan{Seed: sim.DeriveSeed(seed, 0), DropProb: loss})
+		ba.SetFaultPlan(&fabric.FaultPlan{Seed: sim.DeriveSeed(seed, 1), DropProb: loss})
 		region, err := hB.Alloc(2<<20, host.Page2M)
 		if err != nil {
 			t.Fatal(err)
@@ -347,11 +342,7 @@ func TestByteConservationUnderLoss(t *testing.T) {
 // parsing (RxCorrupt counts them) and the transport recovers them like loss.
 func TestCorruptionDiscardedAndRecovered(t *testing.T) {
 	eng, a, b, ab, _ := linkedRig(t, CX4, 0)
-	plan := fabric.FaultPlan{Seed: 3}
-	for tc := range plan.CorruptProb {
-		plan.CorruptProb[tc] = 0.25
-	}
-	ab.SetFaultPlan(&plan)
+	ab.SetFaultPlan(&fabric.FaultPlan{Seed: 3, CorruptProb: 0.25})
 	var comps []Completion
 	connect(t, a, b, func(c Completion) { comps = append(comps, c) })
 	if err := a.SetQPRetry(1, 10*sim.Microsecond, 20); err != nil {

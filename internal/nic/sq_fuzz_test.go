@@ -59,7 +59,7 @@ func FuzzWQEChain(f *testing.F) {
 		counterQP := [2]uint32{qpA, qpB}
 		a.BindQPCounter(qpA, counters[0])
 		a.BindQPCounter(qpB, counters[1])
-		win, err := a.hst.Alloc(slots*SQSlotBytes, host.Page4K)
+		win, err := host.New(host.H2).Alloc(slots*SQSlotBytes, host.Page4K)
 		if err != nil {
 			t.Fatal(err)
 		}

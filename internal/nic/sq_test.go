@@ -157,7 +157,7 @@ func TestSelfModifyPatchesStagedWQE(t *testing.T) {
 	var comps []Completion
 	connect(t, a, b, func(c Completion) { comps = append(comps, c) })
 	// b needs its own path back into a: QP2 is already connected to QP1.
-	win, err := a.hst.Alloc(4096, host.Page4K)
+	win, err := host.New(host.H2).Alloc(4096, host.Page4K)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestReadLocalLanding(t *testing.T) {
 	var comps []Completion
 	connect(t, a, b, func(c Completion) { comps = append(comps, c) })
 	copy(region.Bytes()[64:], "remote-bytes")
-	dst, err := a.hst.Alloc(4096, host.Page4K)
+	dst, err := host.New(host.H2).Alloc(4096, host.Page4K)
 	if err != nil {
 		t.Fatal(err)
 	}

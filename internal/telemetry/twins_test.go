@@ -198,17 +198,12 @@ func TestCounterTwinsMatchEventsFaults(t *testing.T) {
 	c.Eng.Run()
 
 	for i, l := range append([]*fabric.Link{up}, c.Links...) {
-		plan := fabric.FaultPlan{Seed: sim.DeriveSeed(5, uint64(i))}
-		for tc := range plan.CorruptProb {
-			plan.CorruptProb[tc] = 0.1
-		}
-		l.SetFaultPlan(&plan)
+		l.SetFaultPlan(&fabric.FaultPlan{Seed: sim.DeriveSeed(5, uint64(i)), CorruptProb: 0.1})
 	}
 	post(conn.QP, 64, 256, nic.OpWrite)
 	c.Eng.Run()
 
-	blackhole := fabric.UniformLoss(7, 1)
-	up.SetFaultPlan(&blackhole)
+	up.SetFaultPlan(&fabric.FaultPlan{Seed: 7, DropProb: 1})
 	if err := conn.QP.SetRetry(2*sim.Microsecond, 2); err != nil {
 		t.Fatal(err)
 	}

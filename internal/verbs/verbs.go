@@ -46,7 +46,7 @@ type Context struct {
 // NewContext opens a device context on a fresh host with the given NIC
 // profile.
 func NewContext(eng *sim.Engine, name string, hostCfg host.Config, prof nic.Profile) *Context {
-	h := host.New(eng, hostCfg)
+	h := host.New(hostCfg)
 	return &Context{
 		Name: name,
 		eng:  eng,
@@ -278,7 +278,6 @@ func (q *CQ) Await(wrid uint64) (c nic.Completion, ok bool) {
 // QPCap configures queue pair limits.
 type QPCap struct {
 	MaxSendWR int // send queue depth (the paper's len_sq,max knob)
-	MaxRecvWR int
 }
 
 // QP is a reliable-connected queue pair.
@@ -299,9 +298,6 @@ type QP struct {
 func (c *Context) CreateQP(pd *PD, sendCQ *CQ, caps QPCap) (*QP, error) {
 	if caps.MaxSendWR <= 0 {
 		caps.MaxSendWR = 128
-	}
-	if caps.MaxRecvWR <= 0 {
-		caps.MaxRecvWR = 128
 	}
 	c.nextQPN++
 	qp := &QP{ctx: c, qpn: c.nextQPN, pd: pd, sendCQ: sendCQ, caps: caps}
@@ -592,7 +588,7 @@ func (n *Network) Addr(c *Context) uint32 {
 // each other with SetPath once both are attached.
 func (n *Network) AttachToSwitch(c *Context, sw *fabric.Switch) (port int, up *fabric.Link) {
 	rate := c.dev.Profile().LineRateGbps
-	port = sw.AddPort(c.Name, rate, n.PropDelay, 0, nic.Deliver)
+	port = sw.AddPort(c.Name, rate, n.PropDelay, nic.Deliver)
 	up = fabric.NewLink(n.eng, c.Name+"->"+sw.Name(), rate, n.PropDelay, 0, sw.Ingress)
 	sw.SetUpstream(port, up, 0)
 	sw.Route(n.Addr(c), port)
@@ -614,8 +610,8 @@ func (n *Network) SetPath(src, dst *Context, firstHop *fabric.Link) {
 // the trunk is the topology builder's job (Route entries per address). It
 // returns the port index of the trunk on each switch (a's, then b's).
 func (n *Network) ConnectSwitches(a, b *fabric.Switch, rateGbps float64) (int, int) {
-	pa := a.AddPort("trunk:"+b.Name(), rateGbps, n.PropDelay, 0, b.Ingress)
-	pb := b.AddPort("trunk:"+a.Name(), rateGbps, n.PropDelay, 0, a.Ingress)
+	pa := a.AddPort("trunk:"+b.Name(), rateGbps, n.PropDelay, b.Ingress)
+	pb := b.AddPort("trunk:"+a.Name(), rateGbps, n.PropDelay, a.Ingress)
 	a.SetUpstream(pa, b.EgressLink(pb), n.PropDelay)
 	b.SetUpstream(pb, a.EgressLink(pa), n.PropDelay)
 	return pa, pb
